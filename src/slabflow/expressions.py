@@ -219,7 +219,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.text), tok.line, tok.column)
+            value = float(tok.text)
+            if not np.isfinite(value):
+                raise ExpressionError(f"number {tok.text} overflows", tok.line, tok.column)
+            return Num(value, tok.line, tok.column)
         if tok.kind == "(":
             self.advance()
             node = self.sum()

@@ -16,6 +16,7 @@ All operations here are pure functions of their arguments: same inputs,
 bitwise-identical outputs.
 """
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -86,10 +87,17 @@ class Grid:
 
     def node_coords(self):
         """All node coordinates, shape (n_nodes, dim), C-order."""
-        if self.dim == 1:
-            return self.axis_nodes(0)[:, None]
-        gx, gy = np.meshgrid(self.axis_nodes(0), self.axis_nodes(1), indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return _lattice([self.axis_nodes(a) for a in range(self.dim)])
+
+
+def _lattice(axes):
+    """Tensor product of per-axis coordinates, shape (prod len, n_axes), C-order."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def along(axis, sl):
+    """Index tuple applying slice ``sl`` on ``axis`` and keeping all other axes."""
+    return (slice(None),) * axis + (sl,)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +156,7 @@ class ImplicitRegion:
 
     def phi_values(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        env = {"t": self.t, "x": points[:, 0]}
-        if self.dim == 2:
-            env["y"] = points[:, 1]
+        env = {"t": self.t, **dict(zip(("x", "y"), points.T))}
         return np.asarray(evaluate(self.phi, env), dtype=float)
 
     def contains(self, points):
@@ -403,29 +409,21 @@ class DomainMask:
 def _neighbour_all(inside):
     """Nodes whose every axis neighbour is inside (array edges excluded)."""
     out = np.zeros_like(inside)
-    if inside.ndim == 1:
-        out[1:-1] = inside[1:-1] & inside[:-2] & inside[2:]
-    else:
-        out[1:-1, 1:-1] = (
-            inside[1:-1, 1:-1]
-            & inside[:-2, 1:-1]
-            & inside[2:, 1:-1]
-            & inside[1:-1, :-2]
-            & inside[1:-1, 2:]
-        )
+    core = (slice(1, -1),) * inside.ndim
+    acc = inside[core]
+    for a in range(inside.ndim):
+        for shifted in (slice(None, -2), slice(2, None)):
+            acc = acc & inside[core[:a] + (shifted,) + core[a + 1:]]
+    out[core] = acc
     return out
 
 
 def _dilate(mask):
     out = mask.copy()
-    if mask.ndim == 1:
-        out[:-1] |= mask[1:]
-        out[1:] |= mask[:-1]
-    else:
-        out[:-1, :] |= mask[1:, :]
-        out[1:, :] |= mask[:-1, :]
-        out[:, :-1] |= mask[:, 1:]
-        out[:, 1:] |= mask[:, :-1]
+    for a in range(mask.ndim):
+        lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
+        out[lo] |= mask[hi]
+        out[hi] |= mask[lo]
     return out
 
 
@@ -446,11 +444,8 @@ def _check_margin(region, grid):
         pts = grid.node_coords()
         inside = region.contains(pts).reshape(grid.shape)
         ring = np.zeros(grid.shape, dtype=bool)
-        if grid.dim == 1:
-            ring[:2] = ring[-2:] = True
-        else:
-            ring[:2, :] = ring[-2:, :] = True
-            ring[:, :2] = ring[:, -2:] = True
+        for a in range(grid.dim):
+            ring[along(a, slice(None, 2))] = ring[along(a, slice(-2, None))] = True
         if np.any(inside & ring):
             raise MarginError(
                 "implicit section reaches within two cells of the grid box boundary"
@@ -492,15 +487,14 @@ def _check_resolvable(region, mask, grid):
                 raise DegenerateSectionError(
                     f"interval ({a}, {b}) spans {(b - a) / h:.3g} cells; need >= 2"
                 )
-    elif grid.dim == 2:
-        # every active node must sit in some fully-active 2x2 node block
+    else:
+        # every active node must sit in some fully-active block of 2^dim nodes
         act = mask.active
-        blocks = act[:-1, :-1] & act[1:, :-1] & act[:-1, 1:] & act[1:, 1:]
+        corners = list(itertools.product((slice(None, -1), slice(1, None)), repeat=act.ndim))
+        blocks = np.logical_and.reduce([act[c] for c in corners])
         covered = np.zeros_like(act)
-        covered[:-1, :-1] |= blocks
-        covered[1:, :-1] |= blocks
-        covered[:-1, 1:] |= blocks
-        covered[1:, 1:] |= blocks
+        for c in corners:
+            covered[c] |= blocks
         if np.any(act & ~covered):
             raise DegenerateSectionError(
                 "active set is thinner than two cells somewhere (no 2x2 block cover)"
@@ -561,32 +555,23 @@ def build_slice_plan(dom, grid, n_slices):
 # Hausdorff distance between sampled point sets
 
 
+def _samples(lo, hi, resolution):
+    """Evenly spaced points on [lo, hi], at least two, at most ``resolution`` apart."""
+    return np.linspace(lo, hi, max(2, math.ceil((hi - lo) / resolution) + 1))
+
+
 def _region_points(region, resolution):
     if isinstance(region, IntervalRegion):
-        chunks = []
-        for a, b in region.intervals:
-            n = max(2, math.ceil((b - a) / resolution) + 1)
-            chunks.append(np.linspace(a, b, n))
-        if not chunks:
-            return np.empty((0, 1))
-        return np.concatenate(chunks)[:, None]
-    pts = []
-    for lo, hi in region.box:
-        n = max(2, math.ceil((hi - lo) / resolution) + 1)
-        pts.append(np.linspace(lo, hi, n))
-    if region.dim == 1:
-        lattice = pts[0][:, None]
-    else:
-        gx, gy = np.meshgrid(pts[0], pts[1], indexing="ij")
-        lattice = np.column_stack([gx.ravel(), gy.ravel()])
+        chunks = [_samples(a, b, resolution) for a, b in region.intervals]
+        return np.concatenate(chunks)[:, None] if chunks else np.empty((0, 1))
+    lattice = _lattice([_samples(lo, hi, resolution) for lo, hi in region.box])
     return lattice[region.contains(lattice)]
 
 
 def sample_spacetime(dom, resolution):
     """Point cloud filling the space-time body {(t, x): x in section(t)}."""
-    nt = max(2, math.ceil(dom.horizon / resolution) + 1)
     rows = []
-    for t in np.linspace(0.0, dom.horizon, nt):
+    for t in _samples(0.0, dom.horizon, resolution):
         pts = _region_points(section(dom, float(t)), resolution)
         if len(pts):
             rows.append(np.column_stack([np.full(len(pts), t), pts]))
@@ -605,8 +590,7 @@ def sample_slab(dom, plan, resolution):
         pts = _region_points(region, resolution)
         if not len(pts):
             continue
-        nt = max(2, math.ceil((t1 - t0) / resolution) + 1)
-        for t in np.linspace(t0, t1, nt):
+        for t in _samples(t0, t1, resolution):
             rows.append(np.column_stack([np.full(len(pts), t), pts]))
     if not rows:
         return np.empty((0, 1 + dom.dim))

@@ -25,7 +25,7 @@ from .expressions import Num, parse_expr, to_source
 from .flux import FluxModel
 from .geometry import Grid, IntervalTrack, TimeDomain, TrackSegment, build_slice_plan
 from .slice_solver import BoundaryData, SolverConfig, eval_on_points
-from .stitcher import OutputConfig, Scenario
+from .stitcher import OutputConfig, Scenario, scenario_issues
 
 _SECTIONS = {
     "grid": {"dim", "xmin", "xmax", "ymin", "ymax", "h"},
@@ -91,6 +91,13 @@ def _parse_sections(text, issues):
     return sections
 
 
+def _finite(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 class _SectionReader:
     def __init__(self, name, entries, issues):
         self.name = name
@@ -110,11 +117,11 @@ class _SectionReader:
             return default
 
     def number(self, key, required=True, default=None):
-        return self._take(key, float, "a number", required, default)
+        return self._take(key, _finite, "a finite number", required, default)
 
     def integer(self, key, required=True, default=None):
         def conv(v):
-            f = float(v)
+            f = _finite(v)
             if f != int(f):
                 raise ValueError(v)
             return int(f)
@@ -198,10 +205,6 @@ def parse_scenario_text(text):
     substeps = tsec.integer("substeps")
     if horizon is not None and horizon <= 0:
         issues.append(f"[time] T must be positive, got {horizon}")
-    if n_slices is not None and n_slices < 1:
-        issues.append(f"[time] slices must be >= 1, got {n_slices}")
-    if substeps is not None and substeps < 1:
-        issues.append(f"[time] substeps must be >= 1, got {substeps}")
 
     # ---- domain
     d = _SectionReader("domain", sections["domain"], issues)
@@ -334,6 +337,20 @@ def parse_scenario_text(text):
     if frames_mode not in ("knots", "all"):
         issues.append(f"[output] frames must be 'knots' or 'all', got {frames_mode!r}")
 
+    scenario = Scenario(
+        grid=grid,
+        domain=domain,
+        n_slices=n_slices,
+        substeps=substeps,
+        flux=flux,
+        boundary=BoundaryData(psi=psi),
+        u0=u0,
+        source=source,
+        config=cfg,
+        output=OutputConfig(directory=out_dir, frames_mode=frames_mode),
+    )
+    issues.extend(scenario_issues(scenario))
+
     # ---- cross-cutting eager checks
     plan = None
     if not issues and None not in (grid, domain, flux, u0, psi):
@@ -342,7 +359,7 @@ def parse_scenario_text(text):
         except GeometryError as exc:
             issues.append(f"geometry: {exc}")
     if plan is not None:
-        boundary = BoundaryData(psi=psi)
+        boundary = scenario.boundary
         try:
             vals = eval_on_points(u0, 0.0, plan.masks[0].active_points())
             if not np.all(np.isfinite(vals)):
@@ -362,18 +379,7 @@ def parse_scenario_text(text):
 
     if issues:
         raise ScenarioError(issues)
-    return Scenario(
-        grid=grid,
-        domain=domain,
-        n_slices=n_slices,
-        substeps=substeps,
-        flux=flux,
-        boundary=BoundaryData(psi=psi),
-        u0=u0,
-        source=source,
-        config=cfg,
-        output=OutputConfig(directory=out_dir, frames_mode=frames_mode),
-    )
+    return scenario
 
 
 def load_scenario(path):
@@ -410,11 +416,8 @@ def format_scenario(scenario):
     if len(set(grid.spacing)) != 1:
         raise ValueError("the file format carries a single spacing h for all axes")
     lines = ["[grid]", f"dim = {grid.dim}"]
-    lines.append(f"xmin = {_fmt(grid.origin[0])}")
-    lines.append(f"xmax = {_fmt(grid.origin[0] + grid.counts[0] * grid.spacing[0])}")
-    if grid.dim == 2:
-        lines.append(f"ymin = {_fmt(grid.origin[1])}")
-        lines.append(f"ymax = {_fmt(grid.origin[1] + grid.counts[1] * grid.spacing[1])}")
+    for name, (lo, hi) in zip("xy", grid.box):
+        lines += [f"{name}min = {_fmt(lo)}", f"{name}max = {_fmt(hi)}"]
     lines.append(f"h = {_fmt(grid.spacing[0])}")
 
     lines += [

@@ -7,15 +7,21 @@ the ghost ring, and each substep solves backward Euler
 
 on the active nodes.  The divergence is face-centred: per axis, the
 normal gradient component is the one-sided difference across the face,
-the solution slot z is the arithmetic mean of the endpoints, and (2D)
-the transverse component is the average of the endpoints' central
+the solution slot z is the arithmetic mean of the endpoints, and every
+other (transverse) component is the average of the endpoints' central
 differences (one-sided or zero where the frame is undefined).  With a
-linear flux this collapses to the standard (2d+1)-point Laplacian.
+linear flux this collapses to the standard (2d+1)-point Laplacian.  The
+stencil slices each axis the same way, whatever the grid's dimension.
 
-The nonlinear systems run damped Newton (residual-norm backtracking,
-shrink 0.5 down to steps of 2^-20) with the stencil Jacobian taken in
-the face-normal and z slots; if Newton stalls, a lagged-coefficient
-(secant diffusivity) fixed-point iteration takes over.  Exhausting both
+One face-assembly routine (:meth:`_Stencil.assemble`) serves the whole
+step.  Per axis it evaluates the face fields once, scatters each face's
+flux into div A and each face's endpoint derivatives into a sparse
+Jacobian J.  The residual takes the flux only.  The two Jacobians differ
+only in the per-face derivatives: damped Newton (residual-norm
+backtracking, shrink 0.5 down to steps of 2^-20) differentiates the flux
+in the face-normal and z slots; if it stalls, a lagged-coefficient
+(Picard) iteration replaces the flux by a frozen secant diffusivity
+times the normal difference.  Both solve with I/tau - J; exhausting both
 raises :class:`SolverStallError` with the residual history.
 """
 
@@ -28,14 +34,13 @@ from scipy.sparse.linalg import spsolve
 from .errors import NumericInputError, SolverStallError
 from .expressions import evaluate as eval_expr
 from .flux import _diag_jacobian_many, _dz_many, evaluate_many
+from .geometry import along
 
 
 def eval_on_points(expr, t, points):
     """Evaluate an expression of (t, x[, y]) on (n, dim) points."""
     points = np.atleast_2d(points)
-    env = {"t": t, "x": points[:, 0]}
-    if points.shape[1] > 1:
-        env["y"] = points[:, 1]
+    env = {"t": t, **dict(zip(("x", "y"), points.T))}
     out = eval_expr(expr, env)
     return np.broadcast_to(np.asarray(out, dtype=float), (len(points),)).copy()
 
@@ -124,57 +129,36 @@ class _Stencil:
     """Static face indexing for one mask; reused across substeps/iterations."""
 
     def __init__(self, mask, flux):
-        self.mask = mask
         self.flux = flux
         grid = mask.grid
-        self.grid = grid
         self.shape = grid.shape
         self.dim = grid.dim
         self.defined = mask.defined
-        self.active = mask.active
         self.active_flat = np.flatnonzero(mask.active.ravel())
         self.n_active = len(self.active_flat)
         rank = np.full(grid.n_nodes, -1, dtype=np.int64)
         rank[self.active_flat] = np.arange(self.n_active)
-        self.rank = rank
-        self.active_points = grid.node_coords()[self.active_flat]
+        coords = grid.node_coords()
+        self.active_points = coords[self.active_flat]
         self.ghost_flat = np.flatnonzero(mask.ghost.ravel())
-        self.ghost_points = grid.node_coords()[self.ghost_flat]
+        self.ghost_points = coords[self.ghost_flat]
 
         self.axes = []
-        coords = [grid.axis_nodes(a) for a in range(self.dim)]
         for a in range(self.dim):
             h = grid.spacing[a]
-            if self.dim == 1:
-                ok = self.defined[1:] & self.defined[:-1]
-                fidx = np.nonzero(ok)
-                lo_flat = fidx[0]
-                hi_flat = fidx[0] + 1
-                mids = np.column_stack([coords[0][fidx[0]] + 0.5 * h])
-            else:
-                if a == 0:
-                    ok = self.defined[1:, :] & self.defined[:-1, :]
-                    fidx = np.nonzero(ok)
-                    mids = np.column_stack(
-                        [coords[0][fidx[0]] + 0.5 * h, coords[1][fidx[1]]]
-                    )
-                    lo_flat = fidx[0] * self.shape[1] + fidx[1]
-                    hi_flat = (fidx[0] + 1) * self.shape[1] + fidx[1]
-                else:
-                    ok = self.defined[:, 1:] & self.defined[:, :-1]
-                    fidx = np.nonzero(ok)
-                    mids = np.column_stack(
-                        [coords[0][fidx[0]], coords[1][fidx[1]] + 0.5 * h]
-                    )
-                    lo_flat = fidx[0] * self.shape[1] + fidx[1]
-                    hi_flat = fidx[0] * self.shape[1] + fidx[1] + 1
+            lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
+            fidx = np.nonzero(self.defined[hi] & self.defined[lo])
+            mids = np.column_stack([grid.axis_nodes(b)[fidx[b]] for b in range(self.dim)])
+            mids[:, a] += 0.5 * h
+            lo_flat = np.ravel_multi_index(fidx, self.shape)
+            hi_flat = lo_flat + int(np.prod(self.shape[a + 1:]))
             self.axes.append(
                 {
                     "h": h,
+                    "lo": lo,
+                    "hi": hi,
                     "fidx": fidx,
                     "mids": mids,
-                    "lo": lo_flat,
-                    "hi": hi_flat,
                     "lo_rank": rank[lo_flat],
                     "hi_rank": rank[hi_flat],
                 }
@@ -182,137 +166,102 @@ class _Stencil:
 
     # -- face field values ---------------------------------------------------
 
-    def _node_transverse(self, u, axis, h):
-        """Average of the available one-sided differences along ``axis`` at
-        every node (central where both neighbours are defined)."""
+    def _face_transverse(self, u, axis, face_ax):
+        """xi_axis at the faces of ``face_ax``: the mean of the endpoints'
+        averages of the available one-sided differences along ``axis``
+        (central where both neighbours are defined)."""
+        ax = self.axes[axis]
+        lo, hi = ax["lo"], ax["hi"]
         d = np.zeros(self.shape)
         w = np.zeros(self.shape)
-        if axis == 0:
-            valid = self.defined[1:, :] & self.defined[:-1, :]
-            diff = np.where(valid, (u[1:, :] - u[:-1, :]) / h, 0.0)
-            d[:-1, :] += diff
-            w[:-1, :] += valid
-            d[1:, :] += diff
-            w[1:, :] += valid
-        else:
-            valid = self.defined[:, 1:] & self.defined[:, :-1]
-            diff = np.where(valid, (u[:, 1:] - u[:, :-1]) / h, 0.0)
-            d[:, :-1] += diff
-            w[:, :-1] += valid
-            d[:, 1:] += diff
-            w[:, 1:] += valid
-        return np.where(w > 0, d / np.maximum(w, 1), 0.0)
+        valid = self.defined[hi] & self.defined[lo]
+        diff = np.where(valid, (u[hi] - u[lo]) / ax["h"], 0.0)
+        for end in (lo, hi):
+            d[end] += diff
+            w[end] += valid
+        ndt = np.where(w > 0, d / np.maximum(w, 1), 0.0)
+        return (0.5 * (ndt[face_ax["hi"]] + ndt[face_ax["lo"]]))[face_ax["fidx"]]
 
     def face_fields(self, u):
         """Per axis: (xi_full, z, normal_xi) at the defined faces."""
         out = []
         for a, ax in enumerate(self.axes):
-            h = ax["h"]
-            fidx = ax["fidx"]
-            if self.dim == 1:
-                xi_n = ((u[1:] - u[:-1]) / h)[fidx]
-                z = (0.5 * (u[1:] + u[:-1]))[fidx]
-                xi = xi_n[:, None]
-            else:
-                other = 1 - a
-                ndt = self._node_transverse(u, other, self.grid.spacing[other])
-                if a == 0:
-                    xi_n = ((u[1:, :] - u[:-1, :]) / h)[fidx]
-                    z = (0.5 * (u[1:, :] + u[:-1, :]))[fidx]
-                    tv = (0.5 * (ndt[1:, :] + ndt[:-1, :]))[fidx]
-                    xi = np.column_stack([xi_n, tv])
-                else:
-                    xi_n = ((u[:, 1:] - u[:, :-1]) / h)[fidx]
-                    z = (0.5 * (u[:, 1:] + u[:, :-1]))[fidx]
-                    tv = (0.5 * (ndt[:, 1:] + ndt[:, :-1]))[fidx]
-                    xi = np.column_stack([tv, xi_n])
-            out.append((xi, z, xi_n))
+            lo, hi, fidx = ax["lo"], ax["hi"], ax["fidx"]
+            xi_n = ((u[hi] - u[lo]) / ax["h"])[fidx]
+            z = (0.5 * (u[hi] + u[lo]))[fidx]
+            xi = [xi_n if b == a else self._face_transverse(u, b, ax) for b in range(self.dim)]
+            out.append((np.column_stack(xi), z, xi_n))
         return out
+
+    # -- assembly --------------------------------------------------------------
+
+    def assemble(self, t_freeze, u, face_terms):
+        """One pass over the faces: div A at the active nodes and the COO
+        matrix of d(div)/d(u_active).
+
+        ``face_terms(flux, t_freeze, a, ax, xi, z, xi_n)`` gives each face's
+        flux ``F`` and its endpoint derivatives ``(dF_lo, dF_hi)``; either
+        may be None, and the matching output then is zeros / None.
+        """
+        div = np.zeros(self.n_active)
+        rows, cols, vals = [], [], []
+        for a, (ax, (xi, z, xi_n)) in enumerate(zip(self.axes, self.face_fields(u))):
+            F, dF = face_terms(self.flux, t_freeze, a, ax, xi, z, xi_n)
+            h = ax["h"]
+            lo_r, hi_r = ax["lo_rank"], ax["hi_rank"]
+            if F is not None:
+                sel = lo_r >= 0
+                np.add.at(div, lo_r[sel], F[sel] / h)
+                sel = hi_r >= 0
+                np.subtract.at(div, hi_r[sel], F[sel] / h)
+            if dF is not None:
+                for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
+                    r_ok = row >= 0
+                    for col, dF_col in zip((lo_r, hi_r), dF):
+                        sel = r_ok & (col >= 0)
+                        rows.append(row[sel])
+                        cols.append(col[sel])
+                        vals.append(sign * dF_col[sel] / h)
+        if not vals:
+            return div, None
+        entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        return div, coo_matrix(entries, shape=(self.n_active, self.n_active))
 
     def divergence(self, t_freeze, u):
         """div A at the active nodes (compact array, active order)."""
-        fields = self.face_fields(u)
-        div = np.zeros(self.n_active)
-        for a, ax in enumerate(self.axes):
-            xi, z, _ = fields[a]
-            F = evaluate_many(self.flux, t_freeze, ax["mids"], z, xi)[:, a]
-            h = ax["h"]
-            lo_r, hi_r = ax["lo_rank"], ax["hi_rank"]
-            sel = lo_r >= 0
-            np.add.at(div, lo_r[sel], F[sel] / h)
-            sel = hi_r >= 0
-            np.subtract.at(div, hi_r[sel], F[sel] / h)
-        return div
+        return self.assemble(t_freeze, u, _flux_faces)[0]
 
-    def jacobian_entries(self, t_freeze, u):
-        """COO data of d(div)/d(u_active).
 
-        Differentiates each face flux in its normal-gradient and z slots
-        (transverse coupling is dropped -- exact for 1D and for any flux
-        whose component depends only on its own slot, quasi-Newton else).
-        """
-        fields = self.face_fields(u)
-        rows, cols, vals = [], [], []
-        for a, ax in enumerate(self.axes):
-            xi, z, _ = fields[a]
-            h = ax["h"]
-            dA = _diag_jacobian_many(self.flux, t_freeze, ax["mids"], z, xi, a)
-            dz = _dz_many(self.flux, t_freeze, ax["mids"], z, xi, a)
-            dF_lo = -dA / h + 0.5 * dz
-            dF_hi = dA / h + 0.5 * dz
-            lo_r, hi_r = ax["lo_rank"], ax["hi_rank"]
-            for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
-                r_ok = row >= 0
-                for col, dF in ((lo_r, dF_lo), (hi_r, dF_hi)):
-                    sel = r_ok & (col >= 0)
-                    rows.append(row[sel])
-                    cols.append(col[sel])
-                    vals.append(sign * dF[sel] / h)
-        return (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64),
-            np.concatenate(cols) if cols else np.empty(0, dtype=np.int64),
-            np.concatenate(vals) if vals else np.empty(0),
-        )
+def _flux_faces(flux, t, a, ax, xi, z, xi_n):
+    """The residual: the face flux, no derivatives."""
+    return evaluate_many(flux, t, ax["mids"], z, xi)[:, a], None
 
-    def newton_matrix(self, t_freeze, u, tau):
-        rows, cols, vals = self.jacobian_entries(t_freeze, u)
-        jdiv = coo_matrix((vals, (rows, cols)), shape=(self.n_active, self.n_active))
-        return (identity(self.n_active) / tau - jdiv).tocsc()
 
-    def lagged_matrix_and_div(self, t_freeze, u):
-        """Linearised operator with per-face secant diffusivities: the face
-        flux is replaced by c_f * (normal difference), c_f >= 0 frozen at
-        the current iterate."""
-        fields = self.face_fields(u)
-        rows, cols, vals = [], [], []
-        div = np.zeros(self.n_active)
-        for a, ax in enumerate(self.axes):
-            xi, z, xi_n = fields[a]
-            h = ax["h"]
-            F = evaluate_many(self.flux, t_freeze, ax["mids"], z, xi)[:, a]
-            dA = _diag_jacobian_many(self.flux, t_freeze, ax["mids"], z, xi, a)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c = np.where(np.abs(xi_n) > 1e-30, F / xi_n, dA)
-            c = np.maximum(c, 0.0)
-            lo_r, hi_r = ax["lo_rank"], ax["hi_rank"]
-            Flin = c * xi_n
-            sel = lo_r >= 0
-            np.add.at(div, lo_r[sel], Flin[sel] / h)
-            sel = hi_r >= 0
-            np.subtract.at(div, hi_r[sel], Flin[sel] / h)
-            dF_lo, dF_hi = -c / h, c / h
-            for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
-                r_ok = row >= 0
-                for col, dF in ((lo_r, dF_lo), (hi_r, dF_hi)):
-                    sel = r_ok & (col >= 0)
-                    rows.append(row[sel])
-                    cols.append(col[sel])
-                    vals.append(sign * dF[sel] / h)
-        jdiv = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_active, self.n_active),
-        )
-        return jdiv, div
+def _newton_faces(flux, t, a, ax, xi, z, xi_n):
+    """Newton: the face flux differentiated in its normal-gradient and z
+    slots (transverse coupling is dropped -- exact for 1D and for any flux
+    whose component depends only on its own slot, quasi-Newton else)."""
+    h = ax["h"]
+    dA = _diag_jacobian_many(flux, t, ax["mids"], z, xi, a)
+    dz = _dz_many(flux, t, ax["mids"], z, xi, a)
+    return None, (-dA / h + 0.5 * dz, dA / h + 0.5 * dz)
+
+
+def _picard_faces(flux, t, a, ax, xi, z, xi_n):
+    """Picard: the face flux replaced by c_f * (normal difference), with the
+    secant diffusivity c_f >= 0 frozen at the current iterate."""
+    h = ax["h"]
+    F = evaluate_many(flux, t, ax["mids"], z, xi)[:, a]
+    dA = _diag_jacobian_many(flux, t, ax["mids"], z, xi, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(np.abs(xi_n) > 1e-30, F / xi_n, dA)
+    c = np.maximum(c, 0.0)
+    return c * xi_n, (-c / h, c / h)
+
+
+def _step_matrix(jdiv, tau):
+    """I/tau - J of the backward-Euler residual, as CSC for the sparse solve."""
+    return (identity(jdiv.shape[0]) / tau - jdiv).tocsc()
 
 
 def discrete_flux_divergence(mask, flux, t_freeze, frame):
@@ -346,29 +295,29 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
     f_act = _source_values(problem, stencil, t_to)
 
     def residual(v):
+        """The step residual at the active nodes and its max norm."""
         vact = v.ravel()[stencil.active_flat]
-        return (vact - u_in_act) / tau - stencil.divergence(problem.freeze_time, v) - f_act
+        r = (vact - u_in_act) / tau - stencil.divergence(problem.freeze_time, v) - f_act
+        return r, float(np.max(np.abs(r), initial=0.0))
 
     def with_update(v, delta, lam):
         out = v.copy()
         out.ravel()[stencil.active_flat] += lam * delta
         return out
 
-    r = residual(u)
-    r_inf = float(np.max(np.abs(r))) if len(r) else 0.0
+    r, r_inf = residual(u)
     history = [r_inf]
     newton = 0
     stalled = False
     while newton < cfg.max_newton:
-        J = stencil.newton_matrix(problem.freeze_time, u, tau)
-        delta = spsolve(J, -r)
+        jdiv = stencil.assemble(problem.freeze_time, u, _newton_faces)[1]
+        delta = spsolve(_step_matrix(jdiv, tau), -r)
         r_two = float(np.linalg.norm(r))
         lam = 1.0
         accepted = False
         while lam >= cfg.min_line_step:
             u_try = with_update(u, delta, lam)
-            r_try = residual(u_try)
-            r_try_inf = float(np.max(np.abs(r_try))) if len(r_try) else 0.0
+            r_try, r_try_inf = residual(u_try)
             if (
                 float(np.linalg.norm(r_try)) <= r_two * (1.0 - 1e-4 * lam)
                 or r_try_inf <= cfg.newton_tol
@@ -389,13 +338,11 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
     picard = 0
     if r_inf > cfg.newton_tol:
         while picard < cfg.max_picard:
-            jdiv, divlin = stencil.lagged_matrix_and_div(problem.freeze_time, u)
-            M = (identity(stencil.n_active) / tau - jdiv).tocsc()
+            divlin, jdiv = stencil.assemble(problem.freeze_time, u, _picard_faces)
             uact = u.ravel()[stencil.active_flat]
             g_lin = (uact - u_in_act) / tau - divlin - f_act
-            u = with_update(u, spsolve(M, -g_lin), 1.0)
-            r = residual(u)
-            r_inf = float(np.max(np.abs(r))) if len(r) else 0.0
+            u = with_update(u, spsolve(_step_matrix(jdiv, tau), -g_lin), 1.0)
+            r, r_inf = residual(u)
             picard += 1
             history.append(r_inf)
             if r_inf <= cfg.newton_tol:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ScenarioError
 from .geometry import build_slice_plan
 from .slice_solver import SliceProblem, SolverConfig, eval_on_points, solve_slice
 
@@ -44,6 +45,22 @@ class Scenario:
     source: object = None
     config: SolverConfig = SolverConfig()
     output: OutputConfig = None
+
+
+def scenario_issues(scenario):
+    """Why ``scenario`` cannot run, as a list of messages (empty when it can).
+
+    Fields left as None (the loader found them missing or broken) are skipped.
+    """
+    issues = [
+        f"[time] {key} must be >= 1, got {value}"
+        for key, value in (("slices", scenario.n_slices), ("substeps", scenario.substeps))
+        if value is not None and value < 1
+    ]
+    flux, grid = scenario.flux, scenario.grid
+    if flux is not None and grid is not None and flux.dim != grid.dim:
+        issues.append(f"[flux] a {flux.dim}D flux cannot run on a {grid.dim}D grid")
+    return issues
 
 
 @dataclass(eq=False)
@@ -136,6 +153,9 @@ def _extend_frame(frame, mask, boundary, t):
 def run_scheme(scenario, plan=None):
     """Run the full time-sliced scheme; returns (field, report)."""
     t_start = time.perf_counter()
+    issues = scenario_issues(scenario)
+    if issues:
+        raise ScenarioError(issues)
     if plan is None:
         plan = build_slice_plan(scenario.domain, scenario.grid, scenario.n_slices)
     times, slice_idx, frames, extended = [], [], [], []

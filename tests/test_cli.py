@@ -110,6 +110,23 @@ def test_invalid_scenario_is_an_input_error(tmp_path, capsys):
     assert "p must exceed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ('u0 = "sin(pi*x)"', 'u0 = "1e999*0 + sin(pi*x)"', "(u0)"),
+        ("substeps = 10", "substeps = 1e999", "'substeps'"),
+        ("T = 0.1", "T = inf", "'T'"),
+    ],
+    ids=["u0_literal", "substeps", "T"],
+)
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys, old, new, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(HEAT.format(out=tmp_path / "out").replace(old, new))
+    code = main(["run", str(cfg)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_solver_stall_has_its_own_exit_code(tmp_path, capsys):
     cfg = tmp_path / "stall.cfg"
     cfg.write_text(STALL.format(out=tmp_path / "out"))

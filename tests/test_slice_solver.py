@@ -5,6 +5,8 @@ dense linear system (numpy.linalg.solve on a hand-built matrix), not
 from the sparse path under test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,17 @@ from slabflow import (
     SliceProblem,
     SolverConfig,
     SolverStallError,
+    TimeDomain,
     discrete_flux_divergence,
     eval_on_points,
     implicit_step,
     parse_expr,
     rasterize,
+    run_scheme,
+    section,
     solve_slice,
 )
+from slabflow.slice_solver import _newton_faces, _Stencil, _step_matrix
 
 TX = ("t", "x")
 
@@ -73,8 +79,6 @@ def test_divergence_2d_quadratic():
     """u = x^2 + y^2: face differences are exact for quadratics, div = 4."""
     g = Grid(dim=2, origin=(-1.0, -1.0), spacing=(0.125, 0.125), counts=(16, 16))
     phi = parse_expr("max(abs(x), abs(y)) - 0.5", ("t", "x", "y"))
-    from slabflow import TimeDomain, section
-
     dom = TimeDomain.implicit(phi, g.box, 1.0, dim=2)
     mask = rasterize(section(dom, 0.0), g)
     coords = g.node_coords()
@@ -82,6 +86,66 @@ def test_divergence_2d_quadratic():
     frame = vals.reshape(mask.active.shape)
     div = discrete_flux_divergence(mask, FluxModel.linear_diffusion(dim=2), 0.0, frame)
     assert np.allclose(div, 4.0, atol=1e-12)
+
+
+# --- Jacobians of the face assembly -------------------------------------------
+
+
+def disk_mask(h=0.125):
+    g = Grid(dim=2, origin=(-1.0, -1.0), spacing=(h, h), counts=(round(2 / h),) * 2)
+    phi = parse_expr("x^2 + y^2 - 0.6^2", ("t", "x", "y"))
+    return g, rasterize(section(TimeDomain.implicit(phi, g.box, 1.0, dim=2), 0.0), g)
+
+
+def central_difference_jacobian(stencil, frame, tau, eps=1e-6):
+    """d/du_active of the step residual u/tau - div A(u) (the u_in and
+    source terms do not depend on u), one active node at a time."""
+
+    def residual(v):
+        return v.ravel()[stencil.active_flat] / tau - stencil.divergence(0.0, v)
+
+    columns = []
+    for flat in stencil.active_flat:
+        up, down = frame.copy(), frame.copy()
+        up.ravel()[flat] += eps
+        down.ravel()[flat] -= eps
+        columns.append((residual(up) - residual(down)) / (2.0 * eps))
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize(
+    "make_mask,flux",
+    [
+        (lambda: unit_interval_mask(h=0.0625), FluxModel.p_laplacian(3.0, dim=1)),
+        (lambda: unit_interval_mask(h=0.0625), FluxModel.z_modulated(3.0, dim=1)),
+        (disk_mask, FluxModel.linear_diffusion(dim=2)),
+    ],
+    ids=["p_laplacian_1d", "z_modulated_1d", "linear_diffusion_2d"],
+)
+def test_newton_matrix_matches_central_differences(make_mask, flux):
+    """Where the Newton Jacobian is exact (1D, or a 2D flux whose component
+    depends only on its own gradient slot), it is the residual's derivative."""
+    g, mask = make_mask()
+    rng = np.random.default_rng(7)
+    tau = 0.01
+    stencil = _Stencil(mask, flux)
+    for _ in range(3):
+        frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
+        jdiv = stencil.assemble(0.0, frame, _newton_faces)[1]
+        newton = _step_matrix(jdiv, tau).toarray()
+        reference = central_difference_jacobian(stencil, frame, tau)
+        assert np.allclose(newton, reference, rtol=1e-6, atol=1e-7 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("name", ["plap3_fixed", "zmod_fixed"])
+def test_picard_fallback_alone_converges_to_the_newton_solution(bundle, name):
+    scenario, newton_field, _ = bundle[name]
+    config = SolverConfig(max_newton=0, newton_tol=1e-7)
+    field, report = run_scheme(dataclasses.replace(scenario, config=config))
+    assert report.total_newton() == 0
+    assert sum(s["picard"] for s in report.slice_stats) > 0
+    act = field.mask_at(field.n_stamps - 1).active
+    assert np.max(np.abs(field.frames[-1][act] - newton_field.frames[-1][act])) <= 1e-8
 
 
 # --- implicit step vs dense oracle -------------------------------------------

@@ -12,6 +12,7 @@ from slabflow import (
     IntervalRegion,
     IntervalTrack,
     Scenario,
+    ScenarioError,
     TimeDomain,
     TrackSegment,
     initial_frame,
@@ -208,6 +209,21 @@ def test_runs_are_bitwise_deterministic():
         assert np.array_equal(fa, fb, equal_nan=True)
     for ea, eb in zip(field_a.extended, field_b.extended):
         assert np.array_equal(ea, eb)
+
+
+@pytest.mark.parametrize(
+    "change,issue",
+    [
+        ({"flux": FluxModel.p_laplacian(3.0, dim=2)}, "2D flux cannot run on a 1D grid"),
+        ({"substeps": 0}, "substeps must be >= 1"),
+        ({"n_slices": 0}, "slices must be >= 1"),
+    ],
+    ids=["2d_flux_on_1d_grid", "zero_substeps", "zero_slices"],
+)
+def test_run_validates_a_scenario_built_in_code(change, issue):
+    with pytest.raises(ScenarioError) as err:
+        run_scheme(dataclasses.replace(heat_scenario(), **change))
+    assert any(issue in s for s in err.value.issues)
 
 
 def test_moving_domain_run_expands_active_set():
