@@ -29,13 +29,8 @@ from .scenario_io import load_scenario, scenario_hash, write_frames
 from .stitcher import run_scheme
 
 
-def _load(path):
-    scenario = load_scenario(path)
-    return scenario
-
-
 def _cmd_run(args):
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     field, report = run_scheme(scenario)
     out = scenario.output
     paths = write_frames(
@@ -48,7 +43,7 @@ def _cmd_run(args):
 
 
 def _cmd_refine(args):
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     study = refinement_study(scenario, levels=args.levels)
     for line in study.summary_lines():
         print(line)
@@ -56,7 +51,7 @@ def _cmd_refine(args):
 
 
 def _cmd_check_flux(args):
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     report = check_structure(scenario.flux, samples=args.samples, seed=args.seed)
     for line in report.summary_lines():
         print(line)
@@ -64,7 +59,7 @@ def _cmd_check_flux(args):
 
 
 def _cmd_geometry(args):
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     dom = scenario.domain
     jumps = dom.jump_times()
     print(f"kind={dom.kind} horizon={dom.horizon:.6g} jumps={len(jumps)}")
@@ -87,7 +82,7 @@ def _fmt_region(region):
 
 
 def _cmd_verify(args):
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     reports = []
     reports.append(max_principle_report(scenario))
     reports.append(energy_report(scenario))

@@ -103,10 +103,15 @@ def node_gradients(frame, mask):
     return np.column_stack(cols)
 
 
-def _run_if_needed(scenario, field_):
-    if field_ is not None:
-        return field_
-    return run_scheme(scenario)[0]
+def _source_free_field(scenario, field_, what):
+    """``field_``, or a fresh run when it is None; the source check comes
+    first, on the slice plan, so a scenario with a source is never run."""
+    if field_ is None:
+        plan = build_slice_plan(scenario.domain, scenario.grid, scenario.n_slices)
+        _require_zero_source(scenario, plan, what)
+        return run_scheme(scenario, plan=plan)[0]
+    _require_zero_source(scenario, field_.plan, what)
+    return field_
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +120,7 @@ def _run_if_needed(scenario, field_):
 
 def max_principle_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
     """sup |u| <= max(sup |u0|, sup |psi|) for source-free runs."""
-    field_ = _run_if_needed(scenario, field_)
-    _require_zero_source(scenario, field_.plan, "max_principle_report")
+    field_ = _source_free_field(scenario, field_, "max_principle_report")
     lhs = 0.0
     worst_stamp = 0
     for i in range(field_.n_stamps):
@@ -158,8 +162,7 @@ def energy_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
     data integrals use left-endpoint hold.  The report's lhs/rhs are the
     worst slice's; the summed global bound sits in the details.
     """
-    field_ = _run_if_needed(scenario, field_)
-    _require_zero_source(scenario, field_.plan, "energy_report")
+    field_ = _source_free_field(scenario, field_, "energy_report")
     flux = scenario.flux
     p = flux.p
     pprime = p / (p - 1.0)
@@ -260,9 +263,8 @@ def l1_contraction_report(scenario, u0_a, u0_b, tolerance=DEFAULT_TOLERANCE):
         raise InapplicableDiagnosticError(
             "l1_contraction_report needs a flux independent of the solution slot"
         )
-    field_a, _ = run_scheme(replace(scenario, u0=u0_a))
-    field_b, _ = run_scheme(replace(scenario, u0=u0_b))
-    _require_zero_source(scenario, field_a.plan, "l1_contraction_report")
+    field_a = _source_free_field(replace(scenario, u0=u0_a), None, "l1_contraction_report")
+    field_b, _ = run_scheme(replace(scenario, u0=u0_b), plan=field_a.plan)
     vol = scenario.grid.cell_volume
     series = []
     for i in range(field_a.n_stamps):
@@ -310,9 +312,7 @@ def _hold_l1_distance(fa, fb, horizon, vol):
     cuts = np.unique(np.concatenate([fa.times, fb.times, [horizon]]))
     lengths = np.diff(cuts)
     left = cuts[:-1]
-    ia = np.clip(np.searchsorted(fa.times, left, side="right") - 1, 0, fa.n_stamps - 1)
-    ib = np.clip(np.searchsorted(fb.times, left, side="right") - 1, 0, fb.n_stamps - 1)
-    diffs = np.abs(fa.extended[ia] - fb.extended[ib])
+    diffs = np.abs(fa.extended[fa.hold_index(left)] - fb.extended[fb.hold_index(left)])
     per_cut = diffs.reshape(len(left), -1).sum(axis=1) * vol
     return float(np.dot(lengths, per_cut))
 

@@ -508,22 +508,21 @@ def write_frames(field, out_dir, mode="knots", scenario_digest=""):
     coords = field.plan.masks[0].grid.node_coords()
     dim = coords.shape[1]
     header = "# t x" + (" y" if dim == 2 else "") + " u active u_ext"
+    fmt = ["%.17g"] * (dim + 2) + ["%d", "%.17g"]
     paths = []
     manifest_rows = []
     for j, i in enumerate(_selected_stamps(field, mode)):
         mask = field.mask_at(i)
         flags = np.where(mask.active.ravel(), 1, np.where(mask.ghost.ravel(), 0, -1))
         t = float(field.times[i])
-        u = field.frames[i].ravel()
-        ue = field.extended[i].ravel()
+        table = np.column_stack(
+            [np.full(len(coords), t), coords, field.frames[i].ravel(), flags,
+             field.extended_frame(i).ravel()]
+        )
         name = f"frame_{j:05d}.txt"
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for n in range(len(u)):
-                cells = [f"{t:.17g}"] + [f"{c:.17g}" for c in coords[n]]
-                cells += [f"{u[n]:.17g}", str(int(flags[n])), f"{ue[n]:.17g}"]
-                fh.write(" ".join(cells) + "\n")
+            np.savetxt(fh, table, fmt=fmt, header=header, comments="")
         paths.append(path)
         manifest_rows.append(f"{j} {int(field.slice_index[i])} {t:.17g} {name}")
     manifest = os.path.join(out_dir, "manifest.txt")

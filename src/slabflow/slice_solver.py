@@ -36,6 +36,9 @@ from .expressions import evaluate as eval_expr
 from .flux import _diag_jacobian_many, _dz_many, evaluate_many
 from .geometry import along
 
+LINE_SEARCH_SHRINK = 0.5  # Newton backtracking factor
+MIN_LINE_STEP = 2.0**-20  # the smallest damped step tried before Newton counts as stalled
+
 
 def eval_on_points(expr, t, points):
     """Evaluate an expression of (t, x[, y]) on (n, dim) points."""
@@ -50,8 +53,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 50
     max_picard: int = 200
-    line_search_shrink: float = 0.5
-    min_line_step: float = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,7 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
         r_two = float(np.linalg.norm(r))
         lam = 1.0
         accepted = False
-        while lam >= cfg.min_line_step:
+        while lam >= MIN_LINE_STEP:
             u_try = with_update(u, delta, lam)
             r_try, r_try_inf = residual(u_try)
             if (
@@ -325,7 +326,7 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
                 u, r, r_inf = u_try, r_try, r_try_inf
                 accepted = True
                 break
-            lam *= cfg.line_search_shrink
+            lam *= LINE_SEARCH_SHRINK
         newton += 1
         if accepted:
             history.append(r_inf)

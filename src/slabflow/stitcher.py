@@ -3,13 +3,12 @@
 The scheme walks the slice plan left to right.  At each interior knot the
 previous slice's final frame is *transferred* onto the next mask: values
 are copied where the domains overlap, newly created space starts from the
-Dirichlet extension psi, removed space is dropped.  Two fields come out:
-
-- ``frames``: the glued solution, defined on each slice's active + ghost
-  nodes, quiet NaN elsewhere;
-- ``extended``: total on the grid box, equal to the solution on active
-  nodes and to psi everywhere else (the extension used for comparing
-  different slicings on a common domain).
+Dirichlet extension psi, removed space is dropped.  A run stores one
+full-grid array per stamp, ``frames``: the glued solution, defined on each
+slice's active + ghost nodes, quiet NaN elsewhere.  The extension used for
+comparing different slicings on a common domain (total on the grid box,
+equal to the solution on active nodes and to psi everywhere else) is
+derived from a frame on demand, never stored.
 
 Knots carry two stamps, the left trace (end of the earlier slice) and the
 right trace (start of the later one); ``knot_traces`` returns that pair.
@@ -69,15 +68,15 @@ class SpaceTimeField:
 
     ``times``/``slice_index`` are parallel: stamp i happened at
     ``times[i]`` inside slice ``slice_index[i]`` (interior knots appear
-    twice, once as each neighbour's trace).  ``frames[i]`` and
-    ``extended[i]`` are full-grid arrays.
+    twice, once as each neighbour's trace).  ``frames[i]`` is a full-grid
+    array; ``boundary`` is the psi that extends it off its active set.
     """
 
     plan: object
     times: np.ndarray
     slice_index: np.ndarray
     frames: np.ndarray
-    extended: np.ndarray
+    boundary: object
 
     @property
     def n_stamps(self):
@@ -89,20 +88,31 @@ class SpaceTimeField:
     def stamps_of_slice(self, k):
         return np.flatnonzero(self.slice_index == k)
 
+    def extended_frame(self, i):
+        """Stamp i extended by psi(times[i]) off its active set: total on the grid box."""
+        mask = self.mask_at(i)
+        psi_all = self.boundary.values(float(self.times[i]), mask.grid.node_coords())
+        return np.where(mask.active, self.frames[i], psi_all.reshape(mask.active.shape))
+
+    @property
+    def extended(self):
+        """Every stamp's extension, stacked (derived afresh on each access)."""
+        return np.array([self.extended_frame(i) for i in range(self.n_stamps)])
+
     def hold_index(self, t):
-        """Stamp index whose frame represents time t under piecewise-hold:
-        the latest stamp <= t inside the slice owning t (slices own
-        [t_k, t_{k+1}); the final knot belongs to the last slice)."""
-        knots = self.plan.knots
-        if not (knots[0] <= t <= knots[-1]):
+        """Stamp index whose frame represents time t under piecewise hold:
+        the latest stamp <= t.  An interior knot's later stamp is the next
+        slice's start, so slices own [t_k, t_{k+1}) and the final knot
+        belongs to the last slice.  An int for scalar t, an index array for
+        an array of times."""
+        knots, t_arr = self.plan.knots, np.asarray(t)
+        if not np.all((knots[0] <= t_arr) & (t_arr <= knots[-1])):
             raise ValueError(f"t={t} outside [{knots[0]}, {knots[-1]}]")
-        k = min(int(np.searchsorted(knots, t, side="right")) - 1, self.plan.n_slices - 1)
-        idx = self.stamps_of_slice(k)
-        j = int(np.searchsorted(self.times[idx], t, side="right")) - 1
-        return int(idx[max(j, 0)])
+        idx = np.searchsorted(self.times, t, side="right") - 1
+        return int(idx) if np.ndim(idx) == 0 else idx
 
     def sample_extended(self, t):
-        return self.extended[self.hold_index(t)]
+        return self.extended_frame(self.hold_index(t))
 
 
 @dataclass
@@ -145,11 +155,6 @@ def initial_frame(scenario, mask, t0=0.0):
     return out
 
 
-def _extend_frame(frame, mask, boundary, t):
-    psi_all = boundary.values(t, mask.grid.node_coords()).reshape(mask.grid.shape)
-    return np.where(mask.active, frame, psi_all)
-
-
 def run_scheme(scenario, plan=None):
     """Run the full time-sliced scheme; returns (field, report)."""
     t_start = time.perf_counter()
@@ -158,7 +163,7 @@ def run_scheme(scenario, plan=None):
         raise ScenarioError(issues)
     if plan is None:
         plan = build_slice_plan(scenario.domain, scenario.grid, scenario.n_slices)
-    times, slice_idx, frames, extended = [], [], [], []
+    times, slice_idx, frames = [], [], []
     slice_stats = []
     current = initial_frame(scenario, plan.masks[0], float(plan.knots[0]))
     for k in range(plan.n_slices):
@@ -175,11 +180,9 @@ def run_scheme(scenario, plan=None):
             config=scenario.config,
         )
         sol = solve_slice(problem)
-        for m, t in enumerate(sol.times):
-            times.append(float(t))
-            slice_idx.append(k)
-            frames.append(sol.frames[m])
-            extended.append(_extend_frame(sol.frames[m], plan.masks[k], scenario.boundary, float(t)))
+        times.extend(sol.times)
+        slice_idx.extend([k] * len(sol.times))
+        frames.extend(sol.frames)
         slice_stats.append(
             {
                 "slice": k,
@@ -196,7 +199,7 @@ def run_scheme(scenario, plan=None):
         times=np.array(times),
         slice_index=np.array(slice_idx, dtype=np.int64),
         frames=np.array(frames),
-        extended=np.array(extended),
+        boundary=scenario.boundary,
     )
     report = RunReport(
         knots=plan.knots.copy(),

@@ -104,7 +104,7 @@ def test_criterion_02_constant_preservation(acceptance):
         for i in range(field.n_stamps):
             defined = field.mask_at(i).defined
             dev = float(np.max(np.abs(field.frames[i][defined] - c)))
-            dev = max(dev, float(np.max(np.abs(field.extended[i] - c))))
+            dev = max(dev, float(np.max(np.abs(field.extended_frame(i) - c))))
             worst = max(worst, dev)
             assert dev <= 1e-10, f"{label}: deviation {dev:.3e} at stamp {i}"
     acceptance(

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from slabflow import diagnostics
 from slabflow import (
     BoundaryData,
     FluxModel,
@@ -14,8 +15,10 @@ from slabflow import (
     Scenario,
     TimeDomain,
     TrackSegment,
+    bundled_scenario_paths,
     energy_report,
     l1_contraction_report,
+    load_scenario,
     max_principle_report,
     mms_report,
     node_gradients,
@@ -192,6 +195,29 @@ def test_l1_contraction_rejects_sources():
     scen = make_scenario(source="1")
     with pytest.raises(InapplicableDiagnosticError):
         l1_contraction_report(scen, scen.u0, parse_expr("0", X_))
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda scen: l1_contraction_report(scen, scen.u0, parse_expr("0", X_)),
+        max_principle_report,
+        energy_report,
+    ],
+    ids=["l1_contraction", "max_principle", "energy"],
+)
+def test_sourced_scenario_is_rejected_before_any_run(report, monkeypatch):
+    runs = []
+
+    def counting_run_scheme(*args, **kwargs):
+        runs.append(args)
+        return run_scheme(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "run_scheme", counting_run_scheme)
+    scen = load_scenario(bundled_scenario_paths()["mms_fixed"])
+    with pytest.raises(InapplicableDiagnosticError):
+        report(scen)
+    assert runs == []
 
 
 # --- refinement study ---------------------------------------------------------------

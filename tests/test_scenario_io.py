@@ -285,6 +285,68 @@ def test_write_frames_all_mode_counts(tmp_path):
     assert len(frame_files) == field.n_stamps
 
 
+PINNED = """\
+[grid]
+dim = 1
+xmin = -0.25
+xmax = 1.25
+h = 0.125
+
+[time]
+T = 0.125
+slices = 1
+substeps = 1
+
+[domain]
+type = moving_intervals
+left = "0"
+right = "1"
+
+[flux]
+type = linear_diffusion
+p = 2
+
+[data]
+u0 = "x*x"
+psi = "0.25"
+
+[output]
+dir = out/pinned
+"""
+
+
+def test_frame_file_text_is_pinned(tmp_path):
+    """Data exact in binary, so the first knot file has one right text:
+    outside rows (-1) print u = nan and u_ext = psi, ghost rows (0) carry
+    psi in both columns, active rows (1) carry u0 in both."""
+    field, _ = run_scheme(parse_scenario_text(PINNED))
+    write_frames(field, str(tmp_path), mode="knots", scenario_digest="pinned")
+    assert (tmp_path / "frame_00000.txt").read_text(encoding="utf-8").splitlines() == [
+        "# t x u active u_ext",
+        "0 -0.25 nan -1 0.25",
+        "0 -0.125 nan -1 0.25",
+        "0 0 0.25 0 0.25",
+        "0 0.125 0.015625 1 0.015625",
+        "0 0.25 0.0625 1 0.0625",
+        "0 0.375 0.140625 1 0.140625",
+        "0 0.5 0.25 1 0.25",
+        "0 0.625 0.390625 1 0.390625",
+        "0 0.75 0.5625 1 0.5625",
+        "0 0.875 0.765625 1 0.765625",
+        "0 1 0.25 0 0.25",
+        "0 1.125 nan -1 0.25",
+        "0 1.25 nan -1 0.25",
+    ]
+    assert (tmp_path / "manifest.txt").read_text(encoding="utf-8").splitlines() == [
+        "scenario_hash pinned",
+        "delta 0.125",
+        "knots 0 0.125",
+        "frames:",
+        "0 0 0 frame_00000.txt",
+        "1 0 0.125 frame_00001.txt",
+    ]
+
+
 def test_output_is_byte_reproducible(tmp_path):
     scen = parse_scenario_text(MINIMAL)
     field, _ = run_scheme(scen)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slabflow import (
     BoundaryData,
@@ -146,13 +147,51 @@ def test_hold_semantics_right_continuous_at_knots():
     assert field.slice_index[j] == 1
 
 
+def owning_slice_hold(field, t):
+    """Reference hold rule, slice by slice: the latest stamp <= t inside the
+    slice owning t (slices own [t_k, t_{k+1}); the last one also owns T)."""
+    knots = field.plan.knots
+    k = min(int(np.searchsorted(knots, t, side="right")) - 1, field.plan.n_slices - 1)
+    idx = field.stamps_of_slice(k)
+    j = int(np.searchsorted(field.times[idx], t, side="right")) - 1
+    return int(idx[max(j, 0)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    jumping=st.booleans(),
+    n_slices=st.integers(1, 6),
+    substeps=st.integers(1, 5),
+    samples=st.lists(st.floats(0.0, 0.6), max_size=8),
+)
+def test_hold_index_matches_the_owning_slice_rule(jumping, n_slices, substeps, samples):
+    dom = interval_domain("0", "1", 0.6, jumps=((0.3, "0", "1.5"),) if jumping else ())
+    g = Grid(dim=1, origin=(-0.25,), spacing=(0.125,), counts=(16,))
+    scen = Scenario(
+        grid=g, domain=dom, n_slices=n_slices, substeps=substeps,
+        flux=FluxModel.linear_diffusion(dim=1),
+        boundary=BoundaryData(psi=parse_expr("0.1", TX)),
+        u0=parse_expr("sin(pi*x)", ("x",)),
+    )
+    field, _ = run_scheme(scen)
+    probes = np.concatenate([field.plan.knots, field.times, samples])
+    expected = [owning_slice_hold(field, float(t)) for t in probes]
+    scalar = [field.hold_index(float(t)) for t in probes]
+    assert scalar == expected
+    assert all(type(i) is int for i in scalar)
+    assert field.hold_index(probes).tolist() == expected
+    for bad in (np.nan, -1e-9, 0.6 + 1e-9, np.array([0.1, np.nan])):
+        with pytest.raises(ValueError):
+            field.hold_index(bad)
+
+
 def test_extended_field_carries_boundary_datum_off_domain():
     scen = dataclasses.replace(heat_scenario(n_slices=1, substeps=2),
                                boundary=BoundaryData(psi=parse_expr("0.3", TX)))
     field, _ = run_scheme(scen)
     mask = field.mask_at(0)
-    assert np.allclose(field.extended[0][~mask.active], 0.3)
-    assert np.all(np.isfinite(field.extended[0]))
+    assert np.allclose(field.extended_frame(0)[~mask.active], 0.3)
+    assert np.all(np.isfinite(field.extended_frame(0)))
 
 
 def test_constant_data_survive_jumps():
