@@ -307,12 +307,12 @@ class RefinementStudy:
         return lines
 
 
-def _hold_l1_distance(fa, fb, horizon, vol):
-    """L1(Q_T) distance of two extended fields under piecewise hold."""
+def _hold_l1_distance(fa, ext_a, fb, ext_b, horizon, vol):
+    """L1(Q_T) distance of two runs' extension stacks under piecewise hold."""
     cuts = np.unique(np.concatenate([fa.times, fb.times, [horizon]]))
     lengths = np.diff(cuts)
     left = cuts[:-1]
-    diffs = np.abs(fa.extended[fa.hold_index(left)] - fb.extended[fb.hold_index(left)])
+    diffs = np.abs(ext_a[fa.hold_index(left)] - ext_b[fb.hold_index(left)])
     per_cut = diffs.reshape(len(left), -1).sum(axis=1) * vol
     return float(np.dot(lengths, per_cut))
 
@@ -343,9 +343,10 @@ def refinement_study(scenario, levels=3):
             }
         )
         runs.append(field_)
-    vol = scenario.grid.cell_volume
+    vol, horizon = scenario.grid.cell_volume, scenario.domain.horizon
+    exts = [f.extended for f in runs]  # each level's extension, derived once
     gaps = tuple(
-        _hold_l1_distance(runs[i], runs[i + 1], scenario.domain.horizon, vol)
+        _hold_l1_distance(runs[i], exts[i], runs[i + 1], exts[i + 1], horizon, vol)
         for i in range(levels - 1)
     )
     return RefinementStudy(levels=tuple(infos), gaps=gaps)

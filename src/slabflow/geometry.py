@@ -20,9 +20,9 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateSectionError,
@@ -86,8 +86,14 @@ class Grid:
         return self.origin[axis] + self.spacing[axis] * np.arange(self.counts[axis] + 1)
 
     def node_coords(self):
-        """All node coordinates, shape (n_nodes, dim), C-order."""
-        return _lattice([self.axis_nodes(a) for a in range(self.dim)])
+        """All node coordinates, shape (n_nodes, dim), C-order (read-only, cached)."""
+        return self._node_coords
+
+    @cached_property
+    def _node_coords(self):
+        coords = _lattice([self.axis_nodes(a) for a in range(self.dim)])
+        coords.setflags(write=False)
+        return coords
 
 
 def _lattice(axes):
@@ -604,6 +610,8 @@ def hausdorff_distance(a, b, resolution=None):
     resolution and returning such an array).  Accuracy is O(resolution) of
     whatever sampling produced the clouds.
     """
+    from scipy.spatial import cKDTree  # only here: it costs every import of the package
+
     pts_a = np.atleast_2d(np.asarray(a(resolution) if callable(a) else a, dtype=float))
     pts_b = np.atleast_2d(np.asarray(b(resolution) if callable(b) else b, dtype=float))
     if pts_a.size == 0 or pts_b.size == 0:

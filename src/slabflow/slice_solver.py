@@ -14,15 +14,23 @@ linear flux this collapses to the standard (2d+1)-point Laplacian.  The
 stencil slices each axis the same way, whatever the grid's dimension.
 
 One face-assembly routine (:meth:`_Stencil.assemble`) serves the whole
-step.  Per axis it evaluates the face fields once, scatters each face's
-flux into div A and each face's endpoint derivatives into a sparse
-Jacobian J.  The residual takes the flux only.  The two Jacobians differ
-only in the per-face derivatives: damped Newton (residual-norm
-backtracking, shrink 0.5 down to steps of 2^-20) differentiates the flux
-in the face-normal and z slots; if it stalls, a lagged-coefficient
-(Picard) iteration replaces the flux by a frozen secant diffusivity
-times the normal difference.  Both solve with I/tau - J; exhausting both
-raises :class:`SolverStallError` with the residual history.
+step.  Per axis it evaluates the face fields once and gives each face's
+flux and endpoint derivatives.  The residual takes the flux only.  The
+two Jacobians differ only in the per-face derivatives: damped Newton
+(residual-norm backtracking, shrink 0.5 down to steps of 2^-20)
+differentiates the flux in the face-normal and z slots; if it stalls, a
+lagged-coefficient (Picard) iteration replaces the flux by a frozen
+secant diffusivity times the normal difference.  Both solve with
+I/tau - J; exhausting both raises :class:`SolverStallError` with the
+residual history.
+
+The domain is frozen on a slice, so all its systems share one sparsity
+pattern, built once per stencil: a CSC matrix holding the diagonal and
+each face's couplings between active endpoints, and two scatter maps,
+``div_rows`` (each face end's div-A row) and ``slot`` (each Jacobian
+value's matrix entry).  An iteration only fills values, with one
+``np.bincount`` per map; it sums each target's terms in face-loop order
+from 0.0, so they are bitwise those of a COO matrix assembled afresh.
 """
 
 from dataclasses import dataclass, field
@@ -144,7 +152,11 @@ class _Stencil:
         self.ghost_flat = np.flatnonzero(mask.ghost.ravel())
         self.ghost_points = coords[self.ghost_flat]
 
+        # Per axis, ``ends``: the faces whose low / high end is active;
+        # ``couplings``: (row sign, column end, faces with both ends active)
+        # for (lo, lo), (lo, hi), (hi, lo), (hi, hi) -- the order of the maps.
         self.axes = []
+        div_rows, rows, cols = [], [], []
         for a in range(self.dim):
             h = grid.spacing[a]
             lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
@@ -152,18 +164,28 @@ class _Stencil:
             mids = np.column_stack([grid.axis_nodes(b)[fidx[b]] for b in range(self.dim)])
             mids[:, a] += 0.5 * h
             lo_flat = np.ravel_multi_index(fidx, self.shape)
-            hi_flat = lo_flat + int(np.prod(self.shape[a + 1:]))
-            self.axes.append(
-                {
-                    "h": h,
-                    "lo": lo,
-                    "hi": hi,
-                    "fidx": fidx,
-                    "mids": mids,
-                    "lo_rank": rank[lo_flat],
-                    "hi_rank": rank[hi_flat],
-                }
-            )
+            ranks = (rank[lo_flat], rank[lo_flat + int(np.prod(self.shape[a + 1:]))])
+            ends = [np.flatnonzero(r >= 0) for r in ranks]
+            div_rows += [r[sel] for r, sel in zip(ranks, ends)]
+            couplings = []
+            for row, sign in zip(ranks, (1.0, -1.0)):
+                for end, col in enumerate(ranks):
+                    sel = np.flatnonzero((row >= 0) & (col >= 0))
+                    couplings.append((sign, end, sel))
+                    rows.append(row[sel])
+                    cols.append(col[sel])
+            self.axes.append({"h": h, "lo": lo, "hi": hi, "fidx": fidx, "mids": mids,
+                              "ends": ends, "couplings": couplings})
+
+        n = self.n_active
+        self.div_rows = np.concatenate(div_rows)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        pattern = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        self.matrix = (identity(n) + pattern).tocsc()
+        self.matrix.sort_indices()  # so the stored entries' keys col*n + row ascend
+        keys = self.matrix.indices + n * np.repeat(np.arange(n), np.diff(self.matrix.indptr))
+        self.slot = np.searchsorted(keys, cols * n + rows)
+        self.diag_slot = np.searchsorted(keys, np.arange(n) * (n + 1))
 
     # -- face field values ---------------------------------------------------
 
@@ -197,36 +219,33 @@ class _Stencil:
     # -- assembly --------------------------------------------------------------
 
     def assemble(self, t_freeze, u, face_terms):
-        """One pass over the faces: div A at the active nodes and the COO
-        matrix of d(div)/d(u_active).
+        """One pass over the faces: div A at the active nodes and the values
+        of d(div)/d(u_active) in the order of ``slot``.
 
         ``face_terms(flux, t_freeze, a, ax, xi, z, xi_n)`` gives each face's
         flux ``F`` and its endpoint derivatives ``(dF_lo, dF_hi)``; either
         may be None, and the matching output then is zeros / None.
         """
-        div = np.zeros(self.n_active)
-        rows, cols, vals = [], [], []
+        flux_parts, jac_parts = [], []
         for a, (ax, (xi, z, xi_n)) in enumerate(zip(self.axes, self.face_fields(u))):
             F, dF = face_terms(self.flux, t_freeze, a, ax, xi, z, xi_n)
             h = ax["h"]
-            lo_r, hi_r = ax["lo_rank"], ax["hi_rank"]
             if F is not None:
-                sel = lo_r >= 0
-                np.add.at(div, lo_r[sel], F[sel] / h)
-                sel = hi_r >= 0
-                np.subtract.at(div, hi_r[sel], F[sel] / h)
+                lo_faces, hi_faces = ax["ends"]
+                flux_parts += [F[lo_faces] / h, -(F[hi_faces] / h)]
             if dF is not None:
-                for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
-                    r_ok = row >= 0
-                    for col, dF_col in zip((lo_r, hi_r), dF):
-                        sel = r_ok & (col >= 0)
-                        rows.append(row[sel])
-                        cols.append(col[sel])
-                        vals.append(sign * dF_col[sel] / h)
-        if not vals:
-            return div, None
-        entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-        return div, coo_matrix(entries, shape=(self.n_active, self.n_active))
+                jac_parts += [sign * dF[end][sel] / h for sign, end, sel in ax["couplings"]]
+        div = np.zeros(self.n_active)
+        if flux_parts:
+            div = np.bincount(self.div_rows, np.concatenate(flux_parts), self.n_active)
+        return div, (np.concatenate(jac_parts) if jac_parts else None)
+
+    def step_matrix(self, jac, tau):
+        """I/tau - J from J's values ``jac``, written into the stencil's matrix."""
+        data = -np.bincount(self.slot, jac, self.matrix.nnz)
+        data[self.diag_slot] += 1.0 / tau
+        self.matrix.data = data
+        return self.matrix
 
     def divergence(self, t_freeze, u):
         """div A at the active nodes (compact array, active order)."""
@@ -258,11 +277,6 @@ def _picard_faces(flux, t, a, ax, xi, z, xi_n):
         c = np.where(np.abs(xi_n) > 1e-30, F / xi_n, dA)
     c = np.maximum(c, 0.0)
     return c * xi_n, (-c / h, c / h)
-
-
-def _step_matrix(jdiv, tau):
-    """I/tau - J of the backward-Euler residual, as CSC for the sparse solve."""
-    return (identity(jdiv.shape[0]) / tau - jdiv).tocsc()
 
 
 def discrete_flux_divergence(mask, flux, t_freeze, frame):
@@ -311,8 +325,8 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
     newton = 0
     stalled = False
     while newton < cfg.max_newton:
-        jdiv = stencil.assemble(problem.freeze_time, u, _newton_faces)[1]
-        delta = spsolve(_step_matrix(jdiv, tau), -r)
+        jac = stencil.assemble(problem.freeze_time, u, _newton_faces)[1]
+        delta = spsolve(stencil.step_matrix(jac, tau), -r)
         r_two = float(np.linalg.norm(r))
         lam = 1.0
         accepted = False
@@ -339,10 +353,10 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
     picard = 0
     if r_inf > cfg.newton_tol:
         while picard < cfg.max_picard:
-            divlin, jdiv = stencil.assemble(problem.freeze_time, u, _picard_faces)
+            divlin, jac = stencil.assemble(problem.freeze_time, u, _picard_faces)
             uact = u.ravel()[stencil.active_flat]
             g_lin = (uact - u_in_act) / tau - divlin - f_act
-            u = with_update(u, spsolve(_step_matrix(jdiv, tau), -g_lin), 1.0)
+            u = with_update(u, spsolve(stencil.step_matrix(jac, tau), -g_lin), 1.0)
             r, r_inf = residual(u)
             picard += 1
             history.append(r_inf)

@@ -13,6 +13,7 @@ from slabflow import (
     InapplicableDiagnosticError,
     IntervalTrack,
     Scenario,
+    SpaceTimeField,
     TimeDomain,
     TrackSegment,
     bundled_scenario_paths,
@@ -244,6 +245,27 @@ def test_refinement_study_on_expanding_cone():
     assert hds[1] <= 0.7 * hds[0]
     lines = study.summary_lines()
     assert len(lines) >= 3
+
+
+def test_refinement_study_derives_each_stamp_extension_once(monkeypatch):
+    fields, derived = [], []
+    extended_frame = SpaceTimeField.extended_frame
+
+    def counting_extended_frame(self, i):
+        derived.append(i)
+        return extended_frame(self, i)
+
+    def recording_run_scheme(*args, **kwargs):
+        fields.append(run_scheme(*args, **kwargs)[0])
+        return fields[-1], None
+
+    monkeypatch.setattr(SpaceTimeField, "extended_frame", counting_extended_frame)
+    monkeypatch.setattr(diagnostics, "run_scheme", recording_run_scheme)
+    scen = make_scenario(right="1 + t", horizon=0.5, h=1 / 16, n_slices=2, substeps=2,
+                         xmin=-0.25, xmax=1.75)
+    refinement_study(scen, levels=4)
+    assert len(fields) == 4
+    assert len(derived) == sum(f.n_stamps for f in fields)
 
 
 def test_refinement_needs_two_levels():

@@ -1,8 +1,14 @@
 """Grids, moving domains, rasterization, slice plans, Hausdorff distance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slabflow
 from slabflow import (
     DegenerateSectionError,
     DomainRangeError,
@@ -26,6 +32,7 @@ from slabflow import (
     side_limits,
     slab_hausdorff,
 )
+from slabflow.geometry import _lattice
 
 T_ONLY = ("t",)
 
@@ -75,6 +82,28 @@ def test_grid_2d_coords():
     assert coords.shape == (25, 2)
     assert coords[0].tolist() == [0.0, 1.0]
     assert coords[-1].tolist() == [2.0, 2.0]
+
+
+def test_node_coords_is_one_read_only_lattice_per_grid():
+    g = Grid(dim=2, origin=(0.0, 1.0), spacing=(0.5, 0.25), counts=(4, 3))
+    coords = g.node_coords()
+    assert g.node_coords() is coords
+    assert not coords.flags.writeable
+    with pytest.raises(ValueError):
+        coords[0, 0] = 9.0
+    assert np.array_equal(coords, _lattice([g.axis_nodes(0), g.axis_nodes(1)]))
+
+
+def test_importing_the_package_leaves_scipy_spatial_unloaded():
+    """The k-d tree is imported by hausdorff_distance alone, so plain
+    imports (every CLI run) skip scipy.spatial and what it pulls in."""
+    src = str(Path(slabflow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, slabflow; print('scipy.spatial' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --- rasterization -----------------------------------------------------------

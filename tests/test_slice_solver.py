@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix, identity
 
 from slabflow import (
     BoundaryData,
@@ -29,7 +30,7 @@ from slabflow import (
     section,
     solve_slice,
 )
-from slabflow.slice_solver import _newton_faces, _Stencil, _step_matrix
+from slabflow.slice_solver import _flux_faces, _newton_faces, _picard_faces, _Stencil
 
 TX = ("t", "x")
 
@@ -131,10 +132,81 @@ def test_newton_matrix_matches_central_differences(make_mask, flux):
     stencil = _Stencil(mask, flux)
     for _ in range(3):
         frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
-        jdiv = stencil.assemble(0.0, frame, _newton_faces)[1]
-        newton = _step_matrix(jdiv, tau).toarray()
+        jac = stencil.assemble(0.0, frame, _newton_faces)[1]
+        newton = stencil.step_matrix(jac, tau).toarray()
         reference = central_difference_jacobian(stencil, frame, tau)
         assert np.allclose(newton, reference, rtol=1e-6, atol=1e-7 * np.abs(reference).max())
+
+
+def per_iteration_assembly(stencil, frame, face_terms, tau):
+    """Reference for the fixed pattern: the per-iteration construction it
+    replaced -- div A by np.add.at (low ends) and np.subtract.at (high ends)
+    per axis, the Jacobian as a COO matrix, then (I/tau - J) as CSC."""
+    n = stencil.n_active
+    rank = np.full(frame.size, -1)
+    rank[stencil.active_flat] = np.arange(n)
+    div = np.zeros(n)
+    rows, cols, vals = [], [], []
+    for a, (ax, (xi, z, xi_n)) in enumerate(zip(stencil.axes, stencil.face_fields(frame))):
+        F, dF = face_terms(stencil.flux, 0.0, a, ax, xi, z, xi_n)
+        h = ax["h"]
+        lo_flat = np.ravel_multi_index(ax["fidx"], frame.shape)
+        lo_r = rank[lo_flat]
+        hi_r = rank[lo_flat + int(np.prod(frame.shape[a + 1:]))]
+        if F is not None:
+            sel = lo_r >= 0
+            np.add.at(div, lo_r[sel], F[sel] / h)
+            sel = hi_r >= 0
+            np.subtract.at(div, hi_r[sel], F[sel] / h)
+        if dF is None:
+            continue
+        for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
+            for col, dF_col in zip((lo_r, hi_r), dF):
+                sel = (row >= 0) & (col >= 0)
+                rows.append(row[sel])
+                cols.append(col[sel])
+                vals.append(sign * dF_col[sel] / h)
+    if not vals:
+        return div, None
+    jdiv = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    return div, (identity(n) / tau - jdiv).tocsc()
+
+
+def isolated_node_mask():
+    """[0, 1] plus a two-cell interval whose one active node has ghost
+    neighbours only, so its matrix row is the diagonal alone."""
+    h = 0.0625
+    g = Grid(dim=1, origin=(-2 * h,), spacing=(h,), counts=(32,))
+    return g, rasterize(IntervalRegion(((0.0, 1.0), (1.25, 1.25 + 2 * h))), g)
+
+
+@pytest.mark.parametrize(
+    "make_mask,flux",
+    [
+        (lambda: unit_interval_mask(h=0.0625), FluxModel.p_laplacian(3.0, dim=1)),
+        (lambda: unit_interval_mask(h=0.0625), FluxModel.z_modulated(3.0, dim=1)),
+        (disk_mask, FluxModel.p_laplacian(3.0, dim=2)),
+        (isolated_node_mask, FluxModel.p_laplacian(3.0, dim=1)),
+    ],
+    ids=["p_laplacian_1d", "z_modulated_1d", "p_laplacian_2d", "isolated_node_1d"],
+)
+@pytest.mark.parametrize("face_terms", [_newton_faces, _picard_faces])
+def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux, face_terms):
+    g, mask = make_mask()
+    rng = np.random.default_rng(11)
+    tau = 0.01
+    stencil = _Stencil(mask, flux)
+    for _ in range(3):
+        frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
+        div, jac = stencil.assemble(0.0, frame, face_terms)
+        ref_div, ref_matrix = per_iteration_assembly(stencil, frame, face_terms, tau)
+        assert np.array_equal(stencil.step_matrix(jac, tau).toarray(), ref_matrix.toarray())
+        assert np.array_equal(div, ref_div)
+        ref_residual_div = per_iteration_assembly(stencil, frame, _flux_faces, tau)[0]
+        assert np.array_equal(stencil.divergence(0.0, frame), ref_residual_div)
+    rows_nnz = np.diff(stencil.matrix.tocsr().indptr)
+    assert (rows_nnz == 1).any() == (make_mask is isolated_node_mask)
 
 
 @pytest.mark.parametrize("name", ["plap3_fixed", "zmod_fixed"])
