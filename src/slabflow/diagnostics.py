@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InapplicableDiagnosticError
-from .expressions import Call, Binary, Name, Unary
+from .expressions import free_variables
 from .geometry import along, build_slice_plan, slab_hausdorff
 from .slice_solver import eval_on_points
 from .stitcher import run_scheme
@@ -53,18 +53,6 @@ class EstimateReport:
 # helpers
 
 
-def _mentions(expr, ident):
-    if isinstance(expr, Name):
-        return expr.ident == ident
-    if isinstance(expr, Unary):
-        return _mentions(expr.operand, ident)
-    if isinstance(expr, Binary):
-        return _mentions(expr.left, ident) or _mentions(expr.right, ident)
-    if isinstance(expr, Call):
-        return any(_mentions(a, ident) for a in expr.args)
-    return False
-
-
 def _require_zero_source(scenario, plan, what):
     if scenario.source is None:
         return
@@ -76,14 +64,6 @@ def _require_zero_source(scenario, plan, what):
                 raise InapplicableDiagnosticError(
                     f"{what} needs a source-free scenario (f != 0 at t={t})"
                 )
-
-
-def _sup_psi(scenario, field_):
-    nodes = scenario.grid.node_coords()
-    worst = 0.0
-    for t in np.unique(field_.times):
-        worst = max(worst, float(np.max(np.abs(scenario.boundary.values(float(t), nodes)))))
-    return worst
 
 
 def _u0_max(field_):
@@ -128,7 +108,7 @@ def max_principle_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
         m = float(np.max(np.abs(field_.frames[i][act])))
         if m > lhs:
             lhs, worst_stamp = m, i
-    u0m, psim = _u0_max(field_), _sup_psi(scenario, field_)
+    u0m, psim = _u0_max(field_), field_.psi_sup
     return EstimateReport(
         name="max_principle",
         lhs=lhs,
@@ -169,7 +149,7 @@ def energy_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
     c, alpha = flux.growth_c, flux.coercivity_alpha
     b, d = flux.lower_b, flux.lower_d
     kpsi = (1.0 / p) * (1.0 + c * (2.0 * c / (alpha * pprime)) ** (p / pprime))
-    cbar = max(_u0_max(field_), _sup_psi(scenario, field_))
+    cbar = max(_u0_max(field_), field_.psi_sup)
     vol = scenario.grid.cell_volume
     boundary = scenario.boundary
     plan = field_.plan
@@ -258,7 +238,7 @@ def l1_contraction_report(scenario, u0_a, u0_b, tolerance=DEFAULT_TOLERANCE):
     distance of the two solutions over their shared active sets."""
     flux = scenario.flux
     if flux.kind == "z_modulated" or (
-        flux.kind == "custom" and any(_mentions(comp, "z") for comp in flux.components)
+        flux.kind == "custom" and any("z" in free_variables(comp) for comp in flux.components)
     ):
         raise InapplicableDiagnosticError(
             "l1_contraction_report needs a flux independent of the solution slot"

@@ -8,15 +8,20 @@ Grammar (binding tightest last):
     atom    := NUMBER | NAME | NAME '(' sum (',' sum)* ')' | '(' sum ')'
 
 so ``^`` binds tighter than unary minus (``-x^2`` is ``-(x^2)``) and
-``2^3^2`` is ``2^(3^2) = 512``.  Functions: sin cos exp log abs sqrt sign
-(one argument), min max (two).  Constants: pi, e.  Which variable names are
-legal is decided by the caller; everything else is rejected at parse time
-with a line/column position.
+``2^3^2`` is ``2^(3^2) = 512``.  Constants: pi, e.  Which variable names
+are legal is decided by the caller; everything else is rejected at parse
+time with a line/column position.
 
-Evaluation is numpy-vectorised: environment values may be scalars or
-arrays.  Division by zero, roots/logs of negative numbers and any other
-non-finite intermediate raise :class:`NumericEvalError` naming the
-offending subterm.
+``FUNCTIONS`` is the one function table (name -> numpy ufunc; the parser
+takes a call's arity from the ufunc's ``nin``).  Operators are ufuncs too,
+so Python-float constants follow the same error rule as arrays.
+
+Evaluation is numpy-vectorised over finite scalar or array environments,
+in one walk under ``np.errstate(all="raise", under="ignore")``: by IEEE
+754 an operation on finite operands returns a non-finite value exactly
+when it raises the overflow, invalid or divide-by-zero flag.  The node
+whose ufunc raises becomes a :class:`NumericEvalError` naming its subterm,
+with a message picked only then ("division by zero", ...).
 """
 
 import re
@@ -29,15 +34,8 @@ from .errors import ExpressionError, NumericEvalError
 DEFAULT_VARIABLES = ("t", "x", "y", "z", "xi1", "xi2")
 
 FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "log": 1,
-    "abs": 1,
-    "sqrt": 1,
-    "sign": 1,
-    "min": 2,
-    "max": 2,
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "abs": np.abs,
+    "sqrt": np.sqrt, "sign": np.sign, "min": np.minimum, "max": np.maximum,
 }
 
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -250,7 +248,7 @@ class _Parser:
     def call(self, name_tok):
         if name_tok.text not in FUNCTIONS:
             raise ExpressionError(f"unknown function {name_tok.text!r}", name_tok.line, name_tok.column)
-        arity = FUNCTIONS[name_tok.text]
+        arity = FUNCTIONS[name_tok.text].nin
         self.expect("(")
         args = [self.sum()]
         while self.peek().kind == ",":
@@ -334,31 +332,44 @@ def to_source(node):
 # ---------------------------------------------------------------------------
 # Evaluation
 
-_UNARY_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "abs": np.abs,
-    "sign": np.sign,
-}
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide, "^": np.power}
 
 
-def _fail(message, node):
-    raise NumericEvalError(message, to_source(node), node.line or None, node.column or None)
+def free_variables(node):
+    """The variable names ``node`` reads (constants excluded)."""
+    if isinstance(node, Name):
+        return frozenset() if node.ident in CONSTANTS else frozenset((node.ident,))
+    if isinstance(node, Unary):
+        return free_variables(node.operand)
+    if isinstance(node, Binary):
+        return free_variables(node.left) | free_variables(node.right)
+    if isinstance(node, Call):
+        return frozenset().union(*map(free_variables, node.args))
+    return frozenset()
 
 
-def _check_finite(value, node):
-    if not np.all(np.isfinite(value)):
-        _fail("non-finite value", node)
-    return value
+def _diagnosis(node, args):
+    """Why ``node``'s ufunc raised an IEEE flag on finite ``args``."""
+    key = node.func if isinstance(node, Call) else node.op
+    a, b = np.asarray(args[0]), np.asarray(args[-1])
+    if key == "/" and np.any(b == 0):
+        return "division by zero"
+    if key == "^" and np.any((a < 0) & (b % 1 != 0)):
+        return "negative base with non-integer exponent"
+    if key == "^" and np.any((a == 0) & (b < 0)):
+        return "zero raised to a negative power"
+    if key == "sqrt" and np.any(a < 0):
+        return "square root of a negative number"
+    if key == "log" and np.any(a <= 0):
+        return "log of a non-positive number"
+    return "non-finite value"
 
 
-def evaluate(node, env):
-    """Evaluate a tree against ``env`` (name -> scalar or ndarray).
+def _error(message, node):
+    return NumericEvalError(message, to_source(node), node.line or None, node.column or None)
 
-    All entries of ``env`` must be finite; any non-finite intermediate is
-    reported as a numeric-evaluation error for the subterm that produced it.
-    """
+
+def _walk(node, env):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Name):
@@ -367,46 +378,23 @@ def evaluate(node, env):
         try:
             return env[node.ident]
         except KeyError:
-            _fail(f"variable {node.ident!r} has no value", node)
-    if isinstance(node, Unary):
-        return -evaluate(node.operand, env)
+            raise _error(f"variable {node.ident!r} has no value", node) from None
     if isinstance(node, Binary):
-        a = evaluate(node.left, env)
-        b = evaluate(node.right, env)
-        with np.errstate(all="ignore"):
-            if node.op == "+":
-                return _check_finite(a + b, node)
-            if node.op == "-":
-                return _check_finite(a - b, node)
-            if node.op == "*":
-                return _check_finite(a * b, node)
-            if node.op == "/":
-                if np.any(b == 0):
-                    _fail("division by zero", node)
-                return _check_finite(a / b, node)
-            if node.op == "^":
-                out = np.power(a, b)
-                if not np.all(np.isfinite(out)):
-                    if np.any((np.asarray(a) < 0) & (np.asarray(b) % 1 != 0)):
-                        _fail("negative base with non-integer exponent", node)
-                    if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
-                        _fail("zero raised to a negative power", node)
-                    _fail("non-finite value", node)
-                return out
-    if isinstance(node, Call):
-        args = [evaluate(a, env) for a in node.args]
-        with np.errstate(all="ignore"):
-            if node.func == "sqrt":
-                if np.any(np.asarray(args[0]) < 0):
-                    _fail("square root of a negative number", node)
-                return np.sqrt(args[0])
-            if node.func == "log":
-                if np.any(np.asarray(args[0]) <= 0):
-                    _fail("log of a non-positive number", node)
-                return np.log(args[0])
-            if node.func == "min":
-                return np.minimum(args[0], args[1])
-            if node.func == "max":
-                return np.maximum(args[0], args[1])
-            return _check_finite(_UNARY_FUNCS[node.func](args[0]), node)
-    raise TypeError(f"not an expression node: {node!r}")
+        ufunc, args = _OPERATORS[node.op], (_walk(node.left, env), _walk(node.right, env))
+    elif isinstance(node, Call):
+        ufunc, args = FUNCTIONS[node.func], [_walk(a, env) for a in node.args]
+    elif isinstance(node, Unary):
+        ufunc, args = np.negative, (_walk(node.operand, env),)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    try:
+        return ufunc(*args)
+    except FloatingPointError:
+        raise _error(_diagnosis(node, args), node) from None
+
+
+def evaluate(node, env):
+    """Evaluate a tree against ``env`` (name -> finite scalar or ndarray); a
+    non-finite intermediate raises :class:`NumericEvalError` naming it."""
+    with np.errstate(all="raise", under="ignore"):
+        return _walk(node, env)

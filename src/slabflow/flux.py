@@ -133,10 +133,9 @@ def evaluate_many(flux, t, x, z, xi):
         return xi.copy()
     s = np.sum(xi * xi, axis=-1) + flux.eps_reg**2
     expo = 0.5 * (flux.p - 2.0)
+    # s == 0 only happens without regularisation; |xi|^(p-1) -> 0 there
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.where(s > 0.0, s**expo, 0.0)
-    # s == 0 only happens without regularisation; |xi|^(p-1) -> 0 there
-    g = np.where(s > 0.0, g, 0.0)
     return (_modulation(flux, z) * g)[..., None] * xi
 
 
@@ -201,7 +200,6 @@ def _diag_jacobian_many(flux, t, x, z, xi, axis):
         return np.ones(len(xi))
     s = np.sum(xi * xi, axis=-1) + flux.eps_reg**2
     m = _modulation(flux, z)
-    out = np.zeros(len(xi))
     pos = s > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.where(pos, s ** (0.5 * (flux.p - 2.0)), 0.0)

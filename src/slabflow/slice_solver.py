@@ -25,15 +25,18 @@ I/tau - J; exhausting both raises :class:`SolverStallError` with the
 residual history.
 
 The domain is frozen on a slice, so all its systems share one sparsity
-pattern, built once per stencil: a CSC matrix holding the diagonal and
-each face's couplings between active endpoints, and two scatter maps,
-``div_rows`` (each face end's div-A row) and ``slot`` (each Jacobian
-value's matrix entry).  An iteration only fills values, with one
-``np.bincount`` per map; it sums each target's terms in face-loop order
-from 0.0, so they are bitwise those of a COO matrix assembled afresh.
+pattern: a CSC matrix holding the diagonal and each face's couplings
+between active endpoints, and two scatter maps, ``div_rows`` (each face
+end's div-A row) and the slots (each Jacobian value's matrix entry).  The
+matrix and the slots are built at a stencil's first ``step_matrix`` call,
+so a residual-only stencil never pays for them.  An iteration only fills
+values, with one ``np.bincount`` per map; it sums each target's terms in
+face-loop order from 0.0, so they are bitwise those of a COO matrix
+assembled afresh.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix, identity
@@ -65,12 +68,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet extension data psi(t, x) with optional analytic
-    derivatives; missing ones fall back to central differences."""
+    """Dirichlet extension data psi(t, x); its time derivative is ``psi_t``
+    when given and, like its gradient, a central difference otherwise."""
 
     psi: object
     psi_t: object = None
-    grad_psi: tuple = None
     fd_step: float = 1e-6
 
     def values(self, t, points):
@@ -85,8 +87,6 @@ class BoundaryData:
     def gradient(self, t, points):
         points = np.atleast_2d(points)
         dim = points.shape[1]
-        if self.grad_psi is not None:
-            return np.column_stack([eval_on_points(g, t, points) for g in self.grad_psi])
         out = np.empty_like(points)
         for a in range(dim):
             step = self.fd_step * (1.0 + np.abs(points[:, a]).max(initial=0.0))
@@ -177,15 +177,25 @@ class _Stencil:
             self.axes.append({"h": h, "lo": lo, "hi": hi, "fidx": fidx, "mids": mids,
                               "ends": ends, "couplings": couplings})
 
-        n = self.n_active
         self.div_rows = np.concatenate(div_rows)
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self._entries = np.concatenate(rows), np.concatenate(cols)  # (row, col) of assemble's J values
+
+    @cached_property
+    def matrix(self):
+        """The CSC pattern of I/tau - J."""
+        n = self.n_active
+        rows, cols = self._entries
         pattern = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        self.matrix = (identity(n) + pattern).tocsc()
-        self.matrix.sort_indices()  # so the stored entries' keys col*n + row ascend
+        matrix = (identity(n) + pattern).tocsc()
+        matrix.sort_indices()  # so the stored entries' keys col*n + row ascend
+        return matrix
+
+    @cached_property
+    def _slots(self):
+        """``matrix``'s data index of each Jacobian value and of each diagonal entry."""
+        n, (rows, cols) = self.n_active, self._entries
         keys = self.matrix.indices + n * np.repeat(np.arange(n), np.diff(self.matrix.indptr))
-        self.slot = np.searchsorted(keys, cols * n + rows)
-        self.diag_slot = np.searchsorted(keys, np.arange(n) * (n + 1))
+        return np.searchsorted(keys, cols * n + rows), np.searchsorted(keys, np.arange(n) * (n + 1))
 
     # -- face field values ---------------------------------------------------
 
@@ -242,8 +252,9 @@ class _Stencil:
 
     def step_matrix(self, jac, tau):
         """I/tau - J from J's values ``jac``, written into the stencil's matrix."""
-        data = -np.bincount(self.slot, jac, self.matrix.nnz)
-        data[self.diag_slot] += 1.0 / tau
+        slot, diag_slot = self._slots
+        data = -np.bincount(slot, jac, self.matrix.nnz)
+        data[diag_slot] += 1.0 / tau
         self.matrix.data = data
         return self.matrix
 

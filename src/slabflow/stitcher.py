@@ -16,6 +16,7 @@ right trace (start of the later one); ``knot_traces`` returns that pair.
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,15 @@ class SpaceTimeField:
         mask = self.mask_at(i)
         psi_all = self.boundary.values(float(self.times[i]), mask.grid.node_coords())
         return np.where(mask.active, self.frames[i], psi_all.reshape(mask.active.shape))
+
+    @cached_property
+    def psi_sup(self):
+        """sup |psi| on the grid nodes over the distinct stamp times (derived once)."""
+        nodes = self.plan.masks[0].grid.node_coords()
+        worst = 0.0
+        for t in np.unique(self.times):
+            worst = max(worst, float(np.max(np.abs(self.boundary.values(float(t), nodes)))))
+        return worst
 
     @property
     def extended(self):

@@ -4,10 +4,18 @@ Acceptance tests record one PASS/FAIL line each; the lines are replayed
 in the terminal summary so they stay visible even with output capture.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import slabflow as sf
+
+# Subprocesses the tests start (``python -m slabflow.cli``) import the
+# package the suite imported, installed or not.
+_SRC = str(Path(sf.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 ACCEPTANCE_LINES = []
 

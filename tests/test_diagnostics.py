@@ -162,6 +162,23 @@ def test_energy_needs_zero_source():
         energy_report(make_scenario(source="sin(pi*x)"))
 
 
+def test_bound_reports_evaluate_sup_psi_once_per_field(monkeypatch):
+    scenario = load_scenario(bundled_scenario_paths()["heat_fixed"])
+    field, _ = run_scheme(scenario)
+    full_grid = []
+    values = BoundaryData.values
+
+    def counting_values(self, t, points):
+        if len(points) == scenario.grid.n_nodes:
+            full_grid.append(t)
+        return values(self, t, points)
+
+    monkeypatch.setattr(BoundaryData, "values", counting_values)
+    assert max_principle_report(scenario, field_=field).passed
+    assert energy_report(scenario, field_=field).passed
+    assert len(full_grid) == len(np.unique(field.times)) == 41
+
+
 # --- L1 contraction ---------------------------------------------------------------
 
 
@@ -190,6 +207,16 @@ def test_l1_contraction_rejects_solution_dependent_flux():
     scen = make_scenario(flux=FluxModel.z_modulated(2.0, dim=1))
     with pytest.raises(InapplicableDiagnosticError):
         l1_contraction_report(scen, scen.u0, parse_expr("0", X_))
+
+
+def test_l1_contraction_rejects_a_custom_flux_reading_z():
+    vars_ = ("t", "x", "y", "z", "xi1", "xi2")
+    reads_z = FluxModel.custom([parse_expr("(1 + 0*z)*xi1", vars_)], p=2.0)
+    scen = make_scenario(flux=reads_z)
+    with pytest.raises(InapplicableDiagnosticError):
+        l1_contraction_report(scen, scen.u0, parse_expr("0", X_))
+    free = make_scenario(flux=FluxModel.custom([parse_expr("xi1", vars_)], p=2.0))
+    assert l1_contraction_report(free, free.u0, parse_expr("0", X_)).passed
 
 
 def test_l1_contraction_rejects_sources():

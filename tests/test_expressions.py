@@ -6,6 +6,7 @@ Python's own operators and ``math`` functions and then frozen.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slabflow import (
     Binary,
@@ -19,6 +20,7 @@ from slabflow import (
     parse_expr,
     to_source,
 )
+from slabflow.expressions import free_variables
 
 REFERENCE = [
     ("2^3^2", {}, 512.0),
@@ -178,19 +180,33 @@ def test_division_by_zero_names_subterm():
     assert "1/x" in str(err.value)
 
 
+DOMAIN_VIOLATIONS = [
+    ("sqrt(x)", {"x": -1.0}, "square root of a negative number", "sqrt(x)"),
+    ("log(x)", {"x": 0.0}, "log of a non-positive number", "log(x)"),
+    ("log(x)", {"x": -2.0}, "log of a non-positive number", "log(x)"),
+    ("x^0.5", {"x": -2.0}, "negative base with non-integer exponent", "x^0.5"),
+    ("x^-1", {"x": 0.0}, "zero raised to a negative power", "x^-1"),
+    ("0/x", {"x": 0.0}, "division by zero", "0/x"),
+    ("1 + 1/x", {"x": 0.0}, "division by zero", "1/x"),
+    ("exp(x)", {"x": 1000.0}, "non-finite value", "exp(x)"),
+    ("1e200*1e200", {}, "non-finite value", "1e+200*1e+200"),
+    ("2 + 1/(x - 2)", {"x": np.array([1.0, 2.0, 3.0])}, "division by zero", "1/(x-2)"),
+    ("x^(x - 0.5)", {"x": np.array([-1.0, 0.0, 2.0])},
+     "negative base with non-integer exponent", "x^(x-0.5)"),
+]
+
+
+# ids are the text and the row index, so a column added to the rows keeps every test id
 @pytest.mark.parametrize(
-    "text,env",
-    [
-        ("sqrt(x)", {"x": -1.0}),
-        ("log(x)", {"x": 0.0}),
-        ("log(x)", {"x": -2.0}),
-        ("x^0.5", {"x": -2.0}),
-        ("x^-1", {"x": 0.0}),
-    ],
+    "text,env,message,subterm",
+    DOMAIN_VIOLATIONS,
+    ids=[f"{row[0]}-env{i}" for i, row in enumerate(DOMAIN_VIOLATIONS)],
 )
-def test_domain_violations_raise(text, env):
-    with pytest.raises(NumericEvalError):
+def test_domain_violations_raise(text, env, message, subterm):
+    with pytest.raises(NumericEvalError) as err:
         evaluate(parse_expr(text, ("x",)), env)
+    assert str(err.value).startswith(f"{message} in subterm '{subterm}'")
+    assert err.value.subterm == subterm
 
 
 def test_vectorized_error_detection():
@@ -207,3 +223,129 @@ def test_unary_nodes_print_compactly():
     assert to_source(parse_expr("-(x*y)", ("x", "y"))) == "-(x*y)"
     assert to_source(parse_expr("--x", ("x",))) == "--x"
     assert evaluate(parse_expr("--x", ("x",)), {"x": 4.0}) == 4.0
+
+
+def test_free_variables_lists_the_names_a_tree_reads():
+    tree = parse_expr("pi*min(xi1, -z^2) + exp(t)/e", ("t", "z", "xi1", "xi2"))
+    assert free_variables(tree) == {"t", "z", "xi1"}
+    assert free_variables(parse_expr("2*pi")) == frozenset()
+
+
+# --- the flag rule against the per-node scans it replaced --------------------
+
+_REF_UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sign": np.sign}
+
+
+def _ref_fail(message, node):
+    raise NumericEvalError(message, to_source(node), node.line or None, node.column or None)
+
+
+def _ref_check_finite(value, node):
+    if not np.all(np.isfinite(value)):
+        _ref_fail("non-finite value", node)
+    return value
+
+
+def reference_evaluate(node, env):
+    """The evaluator as it was before the flag rule: a finiteness scan after
+    each node, pre-scans for '/', sqrt and log, and a post-diagnosis of '^'."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Name):
+        if node.ident in ("pi", "e"):
+            return {"pi": np.pi, "e": np.e}[node.ident]
+        try:
+            return env[node.ident]
+        except KeyError:
+            _ref_fail(f"variable {node.ident!r} has no value", node)
+    if isinstance(node, Unary):
+        return -reference_evaluate(node.operand, env)
+    if isinstance(node, Binary):
+        a = reference_evaluate(node.left, env)
+        b = reference_evaluate(node.right, env)
+        with np.errstate(all="ignore"):
+            if node.op == "+":
+                return _ref_check_finite(a + b, node)
+            if node.op == "-":
+                return _ref_check_finite(a - b, node)
+            if node.op == "*":
+                return _ref_check_finite(a * b, node)
+            if node.op == "/":
+                if np.any(b == 0):
+                    _ref_fail("division by zero", node)
+                return _ref_check_finite(a / b, node)
+            if node.op == "^":
+                out = np.power(a, b)
+                if not np.all(np.isfinite(out)):
+                    if np.any((np.asarray(a) < 0) & (np.asarray(b) % 1 != 0)):
+                        _ref_fail("negative base with non-integer exponent", node)
+                    if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
+                        _ref_fail("zero raised to a negative power", node)
+                    _ref_fail("non-finite value", node)
+                return out
+    if isinstance(node, Call):
+        args = [reference_evaluate(a, env) for a in node.args]
+        with np.errstate(all="ignore"):
+            if node.func == "sqrt":
+                if np.any(np.asarray(args[0]) < 0):
+                    _ref_fail("square root of a negative number", node)
+                return np.sqrt(args[0])
+            if node.func == "log":
+                if np.any(np.asarray(args[0]) <= 0):
+                    _ref_fail("log of a non-positive number", node)
+                return np.log(args[0])
+            if node.func == "min":
+                return np.minimum(args[0], args[1])
+            if node.func == "max":
+                return np.maximum(args[0], args[1])
+            return _ref_check_finite(_REF_UNARY[node.func](args[0]), node)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+FUZZ_VARIABLES = ("t", "x", "y")
+EDGE_VALUES = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -2.5, 3.0, 1e-300, 1e-200, 1e200, -1e200, 709.0, 710.0]
+
+_leaves = st.one_of(
+    st.sampled_from([v for v in EDGE_VALUES if v >= 0.0]).map(Num),
+    st.floats(min_value=0.0, max_value=1e6).map(Num),
+    st.sampled_from(FUZZ_VARIABLES + ("pi", "e")).map(Name),
+)
+
+
+def _interior(children):
+    one = ("sin", "cos", "exp", "log", "abs", "sqrt", "sign")
+    return st.one_of(
+        children.map(lambda c: Unary("-", c)),
+        st.builds(Binary, st.sampled_from("+-*/^"), children, children),
+        st.builds(lambda f, c: Call(f, (c,)), st.sampled_from(one), children),
+        st.builds(lambda f, a, b: Call(f, (a, b)), st.sampled_from(("min", "max")), children, children),
+    )
+
+
+_values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(min_value=-1e3, max_value=1e3))
+
+
+@st.composite
+def _environments(draw):
+    n = draw(st.integers(1, 4))
+    array = st.lists(_values, min_size=n, max_size=n).map(np.array)
+    return {name: draw(st.one_of(_values, array)) for name in FUZZ_VARIABLES}
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.recursive(_leaves, _interior, max_leaves=12), env=_environments())
+def test_evaluate_matches_the_per_node_scan_evaluator(raw, env):
+    tree = parse_expr(to_source(raw), FUZZ_VARIABLES)  # positioned, as the loader builds them
+    try:
+        want = reference_evaluate(tree, env)
+    except NumericEvalError as ref:
+        with pytest.raises(NumericEvalError) as err:
+            evaluate(tree, env)
+        got = err.value
+        assert type(got) is type(ref) and str(got) == str(ref)
+        assert (got.subterm, got.line, got.column) == (ref.subterm, ref.line, ref.column)
+        return
+    got = evaluate(tree, env)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()

@@ -30,6 +30,7 @@ from slabflow import (
     section,
     solve_slice,
 )
+from slabflow import slice_solver
 from slabflow.slice_solver import _flux_faces, _newton_faces, _picard_faces, _Stencil
 
 TX = ("t", "x")
@@ -207,6 +208,23 @@ def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux, f
         assert np.array_equal(stencil.divergence(0.0, frame), ref_residual_div)
     rows_nnz = np.diff(stencil.matrix.tocsr().indptr)
     assert (rows_nnz == 1).any() == (make_mask is isolated_node_mask)
+
+
+def test_sparse_pattern_is_built_only_where_a_step_matrix_is_needed(bundle, monkeypatch):
+    calls = []
+
+    def counting_coo_matrix(*args, **kwargs):
+        calls.append(kwargs.get("shape"))
+        return coo_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(slice_solver, "coo_matrix", counting_coo_matrix)
+    g, mask = disk_mask()
+    frame = np.where(mask.defined, np.random.default_rng(3).uniform(-1, 1, mask.active.shape), np.nan)
+    discrete_flux_divergence(mask, FluxModel.p_laplacian(3.0, dim=2), 0.0, frame)
+    assert calls == []
+    scenario = bundle["heat_moving"][0]
+    _, report = run_scheme(scenario)
+    assert len(calls) == len(report.slice_stats) == 4
 
 
 @pytest.mark.parametrize("name", ["plap3_fixed", "zmod_fixed"])
