@@ -5,7 +5,7 @@ Subcommands::
     slabflow run <scenario>             solve and write frames + manifest
     slabflow refine <scenario>          refinement study across halved steps
     slabflow check-flux <scenario>      sampled structure-condition report
-    slabflow geometry <scenario>        knots, sections and jump summary
+    slabflow geometry <scenario>        sections at 0, T and each jump
     slabflow verify <scenario>          a-posteriori estimate reports
 
 Exit codes: 0 success, 1 a verification report failed, 2 bad input,
@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from .diagnostics import (
+    _source_free_field,
     energy_report,
     l1_contraction_report,
     max_principle_report,
@@ -24,7 +25,7 @@ from .diagnostics import (
 from .errors import InapplicableDiagnosticError, ScenarioError, SlabflowError, SolverStallError
 from .expressions import parse_expr
 from .flux import check_structure
-from .geometry import classify_jump, section, side_limits
+from .geometry import IntervalRegion, classify_jump, section, side_limits
 from .scenario_io import load_scenario, scenario_hash, write_frames
 from .stitcher import run_scheme
 
@@ -62,30 +63,32 @@ def _cmd_geometry(args):
     scenario = load_scenario(args.scenario)
     dom = scenario.domain
     jumps = dom.jump_times()
+
+    def fmt(region):
+        """A 1D section's intervals, or the count of grid nodes inside a 2D one."""
+        if not isinstance(region, IntervalRegion):
+            return f"{int(region.contains(scenario.grid.node_coords()).sum())} grid nodes inside"
+        if not region.intervals:
+            return "(empty)"
+        return " ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in region.intervals)
+
     print(f"kind={dom.kind} horizon={dom.horizon:.6g} jumps={len(jumps)}")
     for t in (0.0, *jumps, dom.horizon):
         before, after = side_limits(dom, t)
         if t in (0.0, dom.horizon):
             reg = section(dom, t) if t == 0.0 else before
-            print(f"t={t:.6g} section={_fmt_region(reg)}")
+            print(f"t={t:.6g} section={fmt(reg)}")
         else:
             grow, shrink = classify_jump(dom, t)
-            print(f"t={t:.6g} before={_fmt_region(before)} after={_fmt_region(after)} "
-                  f"new={_fmt_region(grow)} lost={_fmt_region(shrink)}")
+            print(f"t={t:.6g} before={fmt(before)} after={fmt(after)} "
+                  f"new={fmt(grow)} lost={fmt(shrink)}")
     return 0
-
-
-def _fmt_region(region):
-    if not region.intervals:
-        return "(empty)"
-    return " ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in region.intervals)
 
 
 def _cmd_verify(args):
     scenario = load_scenario(args.scenario)
-    reports = []
-    reports.append(max_principle_report(scenario))
-    reports.append(energy_report(scenario))
+    field_ = _source_free_field(scenario, None, "max_principle_report")
+    reports = [max_principle_report(scenario, field_), energy_report(scenario, field_)]
     if args.u0b is not None:
         u0b = parse_expr(args.u0b, ("x", "y") if scenario.grid.dim == 2 else ("x",))
         try:
@@ -95,6 +98,15 @@ def _cmd_verify(args):
     for report in reports:
         print(report.line())
     return 0 if all(r.passed for r in reports) else 1
+
+
+def _at_least(least):
+    """An argparse type: an integer no smaller than ``least``."""
+    def integer(text):
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+    return integer
 
 
 def build_parser():
@@ -110,12 +122,12 @@ def build_parser():
 
     refine = sub.add_parser("refine", help="compare runs under halved time steps")
     refine.add_argument("scenario")
-    refine.add_argument("--levels", type=int, default=3)
+    refine.add_argument("--levels", type=_at_least(2), default=3)
     refine.set_defaults(func=_cmd_refine)
 
     check = sub.add_parser("check-flux", help="sampled structure-condition check")
     check.add_argument("scenario")
-    check.add_argument("--samples", type=int, default=10000)
+    check.add_argument("--samples", type=_at_least(1), default=10000)
     check.add_argument("--seed", type=int, default=0)
     check.set_defaults(func=_cmd_check_flux)
 

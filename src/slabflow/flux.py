@@ -22,6 +22,7 @@ from .errors import JacobianSingularError, NumericInputError, SlabflowError
 from .expressions import evaluate as eval_expr
 
 STRUCTURE_TOLERANCE = 1e-12  # slack for roundoff + O(eps_reg^(p-1)) regularisation
+FD_STEP = 1e-6  # central differences step FD_STEP * (1 + |slot|) per point
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class FluxModel:
     z_lipschitz: float = 0.0
     time_modulus: object = None  # expression in r, or None for 0
     components: tuple = ()  # custom only: expression per component
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in ("p_laplacian", "linear_diffusion", "z_modulated", "custom"):
@@ -75,13 +75,13 @@ class FluxModel:
 
     @staticmethod
     def custom(components, p, dim=1, eps_reg=1e-8, growth_c=1.0, coercivity_alpha=1.0,
-               lower_b=0.0, lower_d=0.0, z_lipschitz=0.0, time_modulus=None, fd_step=1e-6):
+               lower_b=0.0, lower_d=0.0, z_lipschitz=0.0, time_modulus=None):
         return FluxModel(
             kind="custom", p=float(p), dim=dim, eps_reg=float(eps_reg),
             growth_c=float(growth_c), coercivity_alpha=float(coercivity_alpha),
             lower_b=float(lower_b), lower_d=float(lower_d),
             z_lipschitz=float(z_lipschitz), time_modulus=time_modulus,
-            components=tuple(components), fd_step=float(fd_step),
+            components=tuple(components),
         )
 
     @property
@@ -99,7 +99,7 @@ class FluxModel:
 def _modulation(flux, z):
     if flux.kind == "z_modulated":
         return 1.0 + 0.5 * np.sin(z) ** 2
-    return 1.0 if np.isscalar(z) else np.ones_like(np.asarray(z, dtype=float))
+    return np.ones_like(z)
 
 
 def _custom_env(flux, t, x, z, xi):
@@ -111,6 +111,24 @@ def _custom_env(flux, t, x, z, xi):
         env["y"] = np.zeros_like(env["x"])
         env["xi2"] = np.zeros_like(env["xi1"])
     return env
+
+
+def _radial(flux, xi, slope=False):
+    """g(s) = s^((p-2)/2) at s = |xi|^2 + eps_reg^2 and, with ``slope``, 2 g'(s):
+    A = m g xi and dA/dxi = m (g I + 2g' xi xi^T).  At s = 0 (xi = 0, no
+    regularisation) both take their limits, g = 1 for p = 2 else 0 and
+    2g' = 0; for p < 2 dA/dxi has none, so ``slope`` raises."""
+    s = np.sum(xi * xi, axis=-1) + flux.eps_reg**2
+    pos = s > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(pos, s ** (0.5 * (flux.p - 2.0)), 1.0 if flux.p == 2.0 else 0.0)
+        if not slope:
+            return g
+        if flux.p < 2.0 and not np.all(pos):
+            raise JacobianSingularError(
+                f"gradient Jacobian singular at xi=0 for p={flux.p} without regularisation"
+            )
+        return g, np.where(pos, (flux.p - 2.0) * s ** (0.5 * (flux.p - 4.0)), 0.0)
 
 
 def evaluate_many(flux, t, x, z, xi):
@@ -131,100 +149,68 @@ def evaluate_many(flux, t, x, z, xi):
         return np.stack(np.broadcast_arrays(*out, z * 0.0)[: flux.dim], axis=-1)
     if flux.kind == "linear_diffusion":
         return xi.copy()
-    s = np.sum(xi * xi, axis=-1) + flux.eps_reg**2
-    expo = 0.5 * (flux.p - 2.0)
-    # s == 0 only happens without regularisation; |xi|^(p-1) -> 0 there
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(s > 0.0, s**expo, 0.0)
-    return (_modulation(flux, z) * g)[..., None] * xi
+    return (_modulation(flux, z) * _radial(flux, xi))[..., None] * xi
+
+
+def _central(flux, t, x, z, xi, slot):
+    """dA/d(slot) at many points, (n, dim), by central differences with the
+    per-point step FD_STEP * (1 + |slot|); slot 0 is z, slot 1 + a is xi_a."""
+    w = np.column_stack([z, xi])
+    step = FD_STEP * (1.0 + np.abs(w[:, slot]))
+    hi, lo = w.copy(), w.copy()
+    hi[:, slot] += step
+    lo[:, slot] -= step
+    fhi, flo = (evaluate_many(flux, t, x, v[:, 0], v[:, 1:]) for v in (hi, lo))
+    return (fhi - flo) / (2.0 * step)[:, None]
+
+
+def _one_point(t, x, z, xi):
+    """One point as a batch of one; non-finite arguments raise."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if not np.all(np.isfinite(np.concatenate([[t], x, [z], xi]))):
+        raise NumericInputError(f"non-finite flux arguments: t={t}, x={x}, z={z}, xi={xi}")
+    return float(t), x[None, :], np.array([float(z)]), xi[None, :]
 
 
 def evaluate_flux(flux, t, x, z, xi):
     """Single-point flux evaluation; validates inputs are finite."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    vals = np.concatenate([[t], x, [z], xi])
-    if not np.all(np.isfinite(vals)):
-        raise NumericInputError(f"non-finite flux arguments: t={t}, x={x}, z={z}, xi={xi}")
-    return evaluate_many(flux, float(t), x[None, :], np.array([float(z)]), xi[None, :])[0]
+    return evaluate_many(flux, *_one_point(t, x, z, xi))[0]
 
 
 def jacobian_xi(flux, t, x, z, xi):
-    """Derivative of the flux in its gradient slot, shape (dim, dim).
+    """Derivative of the flux in its gradient slot at one point, (dim, dim).
 
-    Analytic for builtins; symmetric central differences (step
-    fd_step * (1 + |xi|)) for custom fluxes.  Without regularisation the
-    derivative blows up at xi = 0 when p < 2; that raises.
+    Analytic for builtins; for custom fluxes the solver's central
+    differences.  Without regularisation the derivative blows up at
+    xi = 0 when p < 2; that raises.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    t, x, z, xi = _one_point(t, x, z, xi)
     if flux.kind == "custom":
-        step = flux.fd_step * (1.0 + float(np.linalg.norm(xi)))
-        jac = np.empty((flux.dim, flux.dim))
-        for j in range(flux.dim):
-            dxi = np.zeros(flux.dim)
-            dxi[j] = step
-            hi = evaluate_flux(flux, t, x, z, xi + dxi)
-            lo = evaluate_flux(flux, t, x, z, xi - dxi)
-            jac[:, j] = (hi - lo) / (2.0 * step)
-        return jac
+        return np.stack([_central(flux, t, x, z, xi, 1 + a)[0] for a in range(flux.dim)], axis=-1)
     if flux.kind == "linear_diffusion":
         return np.eye(flux.dim)
-    s = float(np.dot(xi, xi)) + flux.eps_reg**2
-    m = float(_modulation(flux, float(z)))
-    if s == 0.0:
-        if flux.p < 2.0:
-            raise JacobianSingularError(
-                f"gradient Jacobian singular at xi=0 for p={flux.p} without regularisation"
-            )
-        if flux.p == 2.0:
-            return m * np.eye(flux.dim)
-        return np.zeros((flux.dim, flux.dim))
-    g = s ** (0.5 * (flux.p - 2.0))
-    gprime_2 = (flux.p - 2.0) * s ** (0.5 * (flux.p - 4.0))  # 2 * g'(s)
-    return m * (g * np.eye(flux.dim) + gprime_2 * np.outer(xi, xi))
+    (g,), (gp2,) = _radial(flux, xi, slope=True)
+    return _modulation(flux, z)[0] * (g * np.eye(flux.dim) + gp2 * np.outer(xi, xi))
 
 
 def _diag_jacobian_many(flux, t, x, z, xi, axis):
     """d(A_axis)/d(xi_axis) at many points (used for the Newton stencil)."""
     if flux.kind == "custom":
-        step = flux.fd_step * (1.0 + np.abs(xi[:, axis]))
-        hi = xi.copy()
-        hi[:, axis] += step
-        lo = xi.copy()
-        lo[:, axis] -= step
-        fhi = evaluate_many(flux, t, x, z, hi)[:, axis]
-        flo = evaluate_many(flux, t, x, z, lo)[:, axis]
-        return (fhi - flo) / (2.0 * step)
+        return _central(flux, t, x, z, xi, 1 + axis)[:, axis]
     if flux.kind == "linear_diffusion":
         return np.ones(len(xi))
-    s = np.sum(xi * xi, axis=-1) + flux.eps_reg**2
-    m = _modulation(flux, z)
-    pos = s > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(pos, s ** (0.5 * (flux.p - 2.0)), 0.0)
-        gp2 = np.where(pos, (flux.p - 2.0) * s ** (0.5 * (flux.p - 4.0)), 0.0)
-    out = m * (g + gp2 * xi[:, axis] ** 2)
-    if flux.p < 2.0 and np.any(~pos):
-        raise JacobianSingularError(
-            f"gradient Jacobian singular at xi=0 for p={flux.p} without regularisation"
-        )
-    return np.where(pos, out, m * (1.0 if flux.p == 2.0 else 0.0) * np.ones(len(xi)))
+    g, gp2 = _radial(flux, xi, slope=True)
+    return _modulation(flux, z) * (g + gp2 * xi[:, axis] ** 2)
 
 
 def _dz_many(flux, t, x, z, xi, axis):
     """d(A_axis)/dz at many points (z enters the stencil via face means)."""
     if flux.kind == "custom":
-        step = flux.fd_step * (1.0 + np.abs(z))
-        fhi = evaluate_many(flux, t, x, z + step, xi)[:, axis]
-        flo = evaluate_many(flux, t, x, z - step, xi)[:, axis]
-        return (fhi - flo) / (2.0 * step)
+        return _central(flux, t, x, z, xi, 0)[:, axis]
     if flux.kind != "z_modulated":
         return np.zeros(len(xi))
-    s = np.sum(xi * xi, axis=-1) + flux.eps_reg**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(s > 0.0, s ** (0.5 * (flux.p - 2.0)), 0.0)
-    return np.sin(z) * np.cos(z) * g * xi[:, axis]
+    return np.sin(z) * np.cos(z) * _radial(flux, xi) * xi[:, axis]
 
 
 # ---------------------------------------------------------------------------

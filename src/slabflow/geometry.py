@@ -33,6 +33,9 @@ from .errors import (
 )
 from .expressions import evaluate
 
+INTERVAL_SAMPLES = 2048  # sampling cells of a 1D implicit section's box
+INTERVAL_TOL = 1e-12  # bisection width of a 1D implicit section's endpoints
+
 # ---------------------------------------------------------------------------
 # Background grid
 
@@ -168,13 +171,13 @@ class ImplicitRegion:
     def contains(self, points):
         return self.phi_values(points) <= 0.0
 
-    def to_intervals(self, samples=2048, refine_tol=1e-12):
+    def to_intervals(self):
         """1D only: extract the sublevel set as intervals by sampling the
         box and bisecting each sign change."""
         if self.dim != 1:
             raise GeometryError("interval extraction is only defined in 1D")
         lo, hi = self.box[0]
-        xs = np.linspace(lo, hi, samples + 1)
+        xs = np.linspace(lo, hi, INTERVAL_SAMPLES + 1)
         inside = self.phi_values(xs[:, None]) <= 0.0
 
         def _phi(x):
@@ -184,7 +187,7 @@ class ImplicitRegion:
             # invariant: inside-ness differs between xa and xb
             fa = _phi(xa)
             for _ in range(200):
-                if xb - xa <= refine_tol:
+                if xb - xa <= INTERVAL_TOL:
                     break
                 xm = 0.5 * (xa + xb)
                 fm = _phi(xm)

@@ -35,6 +35,7 @@ face-loop order from 0.0, so they are bitwise those of a COO matrix
 assembled afresh.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,7 +45,7 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import NumericInputError, SolverStallError
 from .expressions import evaluate as eval_expr
-from .flux import _diag_jacobian_many, _dz_many, evaluate_many
+from .flux import FD_STEP, _diag_jacobian_many, _dz_many, evaluate_many
 from .geometry import along
 
 LINE_SEARCH_SHRINK = 0.5  # Newton backtracking factor
@@ -68,20 +69,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet extension data psi(t, x); its time derivative is ``psi_t``
-    when given and, like its gradient, a central difference otherwise."""
+    """Dirichlet extension data psi(t, x); its time derivative and its
+    gradient are central differences."""
 
     psi: object
-    psi_t: object = None
-    fd_step: float = 1e-6
 
     def values(self, t, points):
         return eval_on_points(self.psi, t, points)
 
     def time_derivative(self, t, points):
-        if self.psi_t is not None:
-            return eval_on_points(self.psi_t, t, points)
-        dt = self.fd_step * (1.0 + abs(t))
+        dt = FD_STEP * (1.0 + abs(t))
         return (self.values(t + dt, points) - self.values(t - dt, points)) / (2.0 * dt)
 
     def gradient(self, t, points):
@@ -89,7 +86,7 @@ class BoundaryData:
         dim = points.shape[1]
         out = np.empty_like(points)
         for a in range(dim):
-            step = self.fd_step * (1.0 + np.abs(points[:, a]).max(initial=0.0))
+            step = FD_STEP * (1.0 + np.abs(points[:, a]).max(initial=0.0))
             hi = points.copy()
             hi[:, a] += step
             lo = points.copy()
@@ -100,12 +97,11 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class SliceProblem:
-    """One frozen-domain slice: mask, flux (time argument frozen at
-    ``freeze_time``), span to integrate over, data and solver knobs."""
+    """One frozen-domain slice: mask, flux (time argument frozen at the
+    span's start), span to integrate over, data and solver knobs."""
 
     mask: object
     flux: object
-    freeze_time: float
     span: tuple
     substeps: int
     boundary: BoundaryData
@@ -124,7 +120,6 @@ class StepStats:
 
 @dataclass
 class SliceSolution:
-    problem: SliceProblem
     times: np.ndarray
     frames: list
     stats: list
@@ -311,6 +306,7 @@ def _source_values(problem, stencil, t):
 
 def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
     cfg = problem.config
+    t_freeze = problem.span[0]
     tau = t_to - t_from
     if tau <= 0:
         raise ValueError(f"step must advance time, got [{t_from}, {t_to}]")
@@ -323,7 +319,7 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
     def residual(v):
         """The step residual at the active nodes and its max norm."""
         vact = v.ravel()[stencil.active_flat]
-        r = (vact - u_in_act) / tau - stencil.divergence(problem.freeze_time, v) - f_act
+        r = (vact - u_in_act) / tau - stencil.divergence(t_freeze, v) - f_act
         return r, float(np.max(np.abs(r), initial=0.0))
 
     def with_update(v, delta, lam):
@@ -331,12 +327,14 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
         out.ravel()[stencil.active_flat] += lam * delta
         return out
 
+    # A non-finite residual is never converged: it ends both iterations,
+    # and a trial step that reaches one is rejected.
     r, r_inf = residual(u)
     history = [r_inf]
-    newton = 0
+    newton = picard = 0
     stalled = False
-    while newton < cfg.max_newton:
-        jac = stencil.assemble(problem.freeze_time, u, _newton_faces)[1]
+    while math.isfinite(r_inf) and newton < cfg.max_newton:
+        jac = stencil.assemble(t_freeze, u, _newton_faces)[1]
         delta = spsolve(stencil.step_matrix(jac, tau), -r)
         r_two = float(np.linalg.norm(r))
         lam = 1.0
@@ -344,9 +342,9 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
         while lam >= MIN_LINE_STEP:
             u_try = with_update(u, delta, lam)
             r_try, r_try_inf = residual(u_try)
-            if (
-                float(np.linalg.norm(r_try)) <= r_two * (1.0 - 1e-4 * lam)
-                or r_try_inf <= cfg.newton_tol
+            r_try_two = float(np.linalg.norm(r_try))
+            if math.isfinite(r_try_two) and (
+                r_try_two <= r_two * (1.0 - 1e-4 * lam) or r_try_inf <= cfg.newton_tol
             ):
                 u, r, r_inf = u_try, r_try, r_try_inf
                 accepted = True
@@ -361,10 +359,9 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
             stalled = True
             break
 
-    picard = 0
-    if r_inf > cfg.newton_tol:
-        while picard < cfg.max_picard:
-            divlin, jac = stencil.assemble(problem.freeze_time, u, _picard_faces)
+    if not r_inf <= cfg.newton_tol:
+        while math.isfinite(r_inf) and picard < cfg.max_picard:
+            divlin, jac = stencil.assemble(t_freeze, u, _picard_faces)
             uact = u.ravel()[stencil.active_flat]
             g_lin = (uact - u_in_act) / tau - divlin - f_act
             u = with_update(u, spsolve(stencil.step_matrix(jac, tau), -g_lin), 1.0)
@@ -373,7 +370,7 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
             history.append(r_inf)
             if r_inf <= cfg.newton_tol:
                 break
-        if r_inf > cfg.newton_tol:
+        if not r_inf <= cfg.newton_tol:
             raise SolverStallError(
                 f"no convergence on [{t_from}, {t_to}]: residual {r_inf:.3e} "
                 f"after {newton} Newton + {picard} fallback iterations"
@@ -413,4 +410,4 @@ def solve_slice(problem):
         frame, st = _implicit_step_impl(problem, stencil, frames[-1], float(times[m]), float(times[m + 1]))
         frames.append(frame)
         stats.append(st)
-    return SliceSolution(problem=problem, times=times, frames=frames, stats=stats)
+    return SliceSolution(times=times, frames=frames, stats=stats)

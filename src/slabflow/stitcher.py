@@ -181,7 +181,6 @@ def run_scheme(scenario, plan=None):
         problem = SliceProblem(
             mask=plan.masks[k],
             flux=scenario.flux,
-            freeze_time=t0,
             span=(t0, t1),
             substeps=scenario.substeps,
             boundary=scenario.boundary,

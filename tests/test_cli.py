@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from slabflow import bundled_scenario_paths
+from slabflow import bundled_scenario_paths, diagnostics
 from slabflow.cli import main
 
 HEAT = """\
@@ -185,6 +185,51 @@ def test_verify_with_second_datum_adds_l1_report(tmp_path, capsys):
     code = main(["verify", write_heat(tmp_path), "--u0b", "0.5*sin(pi*x)"])
     assert code == 0
     assert "l1_contraction" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "source,extra,runs,code",
+    [("", [], 1, 0), ("", ["--u0b", "0.5*sin(pi*x)"], 3, 0), ('source = "1"\n', [], 0, 2)],
+    ids=["plain", "second_datum", "sourced"],
+)
+def test_verify_runs_the_scheme_once_per_datum(
+    tmp_path, capsys, monkeypatch, source, extra, runs, code
+):
+    calls = []
+    run_scheme = diagnostics.run_scheme
+
+    def counting_run_scheme(*args, **kwargs):
+        calls.append(args)
+        return run_scheme(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "run_scheme", counting_run_scheme)
+    cfg = tmp_path / "heat.cfg"
+    cfg.write_text(HEAT.format(out=tmp_path / "out").replace('psi = "0"\n', 'psi = "0"\n' + source))
+    assert main(["verify", str(cfg), *extra]) == code
+    assert len(calls) == runs
+    if source:
+        assert "max_principle_report needs a source-free scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code,printed",
+    [
+        (["geometry", "disk2d"], 0, "t=0 section=357 grid nodes inside"),
+        (["refine", "heat", "--levels", "1"], 2, "must be at least 2, got 1"),
+        (["check-flux", "heat", "--samples", "0"], 2, "must be at least 1, got 0"),
+        (["check-flux", "heat", "--samples", "-5"], 2, "must be at least 1, got -5"),
+    ],
+    ids=["geometry_2d", "refine_one_level", "zero_samples", "negative_samples"],
+)
+def test_no_untyped_exception_leaves_the_cli(tmp_path, capsys, argv, code, printed):
+    paths = {"disk2d": bundled_scenario_paths()["disk2d"], "heat": write_heat(tmp_path)}
+    try:
+        got = main([paths.get(arg, arg) for arg in argv])
+    except SystemExit as exc:  # argparse rejects the value
+        got = exc.code
+    assert got == code
+    captured = capsys.readouterr()
+    assert printed in captured.out + captured.err
 
 
 def test_refine_prints_levels(tmp_path, capsys):

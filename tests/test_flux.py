@@ -13,6 +13,7 @@ from slabflow import (
     jacobian_xi,
     parse_expr,
 )
+from slabflow.flux import _diag_jacobian_many, _dz_many, evaluate_many
 
 FLUX_VARS = ("t", "x", "y", "z", "xi1", "xi2")
 
@@ -134,6 +135,44 @@ def test_custom_jacobian_uses_finite_differences():
     flux = FluxModel.custom([comp], p=4.0, dim=1, growth_c=1.0, coercivity_alpha=1.0)
     J = jacobian_xi(flux, 0.0, (0.0,), 0.0, (2.0,))
     assert J[0, 0] == pytest.approx(12.0, rel=1e-6)
+
+
+def custom_z_flux(dim):
+    """A custom p = 3 flux that reads z and couples the gradient slots."""
+    norm = "(xi1^2 + xi2^2 + 1e-8)^0.5" if dim == 2 else "(xi1^2 + 1e-8)^0.5"
+    comps = [parse_expr(f"(1 + 0.5*sin(z)^2)*{norm}*xi{i + 1}", FLUX_VARS) for i in range(dim)]
+    return FluxModel.custom(comps, p=3.0, dim=dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "make_flux",
+    [
+        lambda dim: FluxModel.p_laplacian(3.0, dim=dim, eps_reg=0.0),
+        FluxModel.linear_diffusion,
+        lambda dim: FluxModel.z_modulated(1.5, dim=dim),
+        custom_z_flux,
+    ],
+    ids=["p_laplacian", "linear_diffusion", "z_modulated", "custom"],
+)
+def test_solver_kernels_match_the_pointwise_jacobian(make_flux, dim):
+    """The Newton stencil's d(A_a)/d(xi_a) is jacobian_xi's diagonal, bit for
+    bit, and its dA/dz is the derivative in the solution slot."""
+    flux = make_flux(dim)
+    rng = np.random.default_rng(17)
+    n = 40
+    x = rng.uniform(-1.0, 1.0, (n, dim))
+    z = rng.uniform(-2.0, 2.0, n)
+    xi = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-4, 2, (n, 1))
+    xi[0] = 0.0  # with eps_reg = 0 this takes the s = 0 limits
+    eps = 1e-6
+    fhi, flo = (evaluate_many(flux, 0.3, x, z + dz, xi) for dz in (eps, -eps))
+    dz_ref = (fhi - flo) / (2 * eps)
+    for a in range(dim):
+        diag = _diag_jacobian_many(flux, 0.3, x, z, xi, a)
+        pointwise = [jacobian_xi(flux, 0.3, x[i], z[i], xi[i])[a, a] for i in range(n)]
+        assert diag.tobytes() == np.array(pointwise).tobytes()
+        assert np.allclose(_dz_many(flux, 0.3, x, z, xi, a), dz_ref[:, a], rtol=1e-6, atol=1e-9)
 
 
 def test_jacobian_is_symmetric_for_gradient_fluxes():

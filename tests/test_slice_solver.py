@@ -34,6 +34,7 @@ from slabflow import slice_solver
 from slabflow.slice_solver import _flux_faces, _newton_faces, _picard_faces, _Stencil
 
 TX = ("t", "x")
+FLUX_VARS = ("t", "x", "y", "z", "xi1", "xi2")
 
 
 def unit_interval_mask(h=0.25, pad=2):
@@ -121,8 +122,10 @@ def central_difference_jacobian(stencil, frame, tau, eps=1e-6):
         (lambda: unit_interval_mask(h=0.0625), FluxModel.p_laplacian(3.0, dim=1)),
         (lambda: unit_interval_mask(h=0.0625), FluxModel.z_modulated(3.0, dim=1)),
         (disk_mask, FluxModel.linear_diffusion(dim=2)),
+        (lambda: unit_interval_mask(h=0.0625), FluxModel.custom(
+            [parse_expr("(1 + 0.5*sin(z)^2)*(xi1^2 + 1e-8)^0.5*xi1", FLUX_VARS)], p=3.0)),
     ],
-    ids=["p_laplacian_1d", "z_modulated_1d", "linear_diffusion_2d"],
+    ids=["p_laplacian_1d", "z_modulated_1d", "linear_diffusion_2d", "custom_z_1d"],
 )
 def test_newton_matrix_matches_central_differences(make_mask, flux):
     """Where the Newton Jacobian is exact (1D, or a 2D flux whose component
@@ -272,7 +275,6 @@ def test_implicit_heat_step_matches_dense_solve(psi_value):
     problem = SliceProblem(
         mask=mask,
         flux=FluxModel.linear_diffusion(dim=1),
-        freeze_time=0.0,
         span=(0.0, tau),
         substeps=1,
         boundary=BoundaryData(psi=parse_expr(repr(psi_value), TX)),
@@ -291,7 +293,6 @@ def test_implicit_step_with_source_matches_dense_solve():
     problem = SliceProblem(
         mask=mask,
         flux=FluxModel.linear_diffusion(dim=1),
-        freeze_time=0.0,
         span=(0.0, tau),
         substeps=1,
         boundary=BoundaryData(psi=parse_expr("0", TX)),
@@ -312,7 +313,7 @@ def test_step_satisfies_its_own_residual():
     tau = 0.01
     flux = FluxModel.p_laplacian(3.0, dim=1)
     problem = SliceProblem(
-        mask=mask, flux=flux, freeze_time=0.0, span=(0.0, tau), substeps=1,
+        mask=mask, flux=flux, span=(0.0, tau), substeps=1,
         boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
     )
     frame, stats = implicit_step(problem, u_in, 0.0, tau)
@@ -329,8 +330,7 @@ def test_constant_data_costs_one_newton_iteration():
     g, mask = unit_interval_mask(h=0.25)
     u_in = np.where(mask.defined, 0.7, np.nan)
     problem = SliceProblem(
-        mask=mask, flux=FluxModel.p_laplacian(3.0, dim=1), freeze_time=0.0,
-        span=(0.0, 0.1), substeps=1,
+        mask=mask, flux=FluxModel.p_laplacian(3.0, dim=1), span=(0.0, 0.1), substeps=1,
         boundary=BoundaryData(psi=parse_expr("0.7", TX)), initial=u_in,
     )
     frame, stats = implicit_step(problem, u_in, 0.0, 0.1)
@@ -345,8 +345,7 @@ def test_linear_diffusion_converges_in_exactly_one_iteration():
     vals = rng.uniform(-1, 1, mask.active.shape)
     u_in = np.where(mask.active, vals, np.where(mask.ghost, 0.0, np.nan))
     problem = SliceProblem(
-        mask=mask, flux=FluxModel.linear_diffusion(dim=1), freeze_time=0.0,
-        span=(0.0, 0.02), substeps=4,
+        mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=(0.0, 0.02), substeps=4,
         boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
     )
     solution = solve_slice(problem)
@@ -364,7 +363,7 @@ def test_sup_norm_decays_under_zero_boundary():
     u_in = np.where(mask.defined.ravel(), u_in, np.nan).reshape(mask.active.shape)
     for p in (1.5, 2.0, 3.0):
         problem = SliceProblem(
-            mask=mask, flux=FluxModel.p_laplacian(p, dim=1), freeze_time=0.0,
+            mask=mask, flux=FluxModel.p_laplacian(p, dim=1),
             span=(0.0, 0.05), substeps=10,
             boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
         )
@@ -382,7 +381,7 @@ def test_step_l1_contraction_between_two_solutions():
     b0 = np.where(mask.defined.ravel(), b0, np.nan).reshape(mask.active.shape)
     for p in (2.0, 3.0):
         flux = FluxModel.p_laplacian(p, dim=1)
-        kw = dict(mask=mask, flux=flux, freeze_time=0.0, span=(0.0, 0.05), substeps=10,
+        kw = dict(mask=mask, flux=flux, span=(0.0, 0.05), substeps=10,
                   boundary=BoundaryData(psi=parse_expr("0", TX)))
         sol_a = solve_slice(SliceProblem(initial=a0, **kw))
         sol_b = solve_slice(SliceProblem(initial=b0, **kw))
@@ -400,8 +399,7 @@ def test_exhausted_iterations_raise_stall_error():
     vals = 50.0 * rng.uniform(-1, 1, mask.active.shape)
     u_in = np.where(mask.active, vals, np.where(mask.ghost, 0.0, np.nan))
     problem = SliceProblem(
-        mask=mask, flux=FluxModel.p_laplacian(4.0, dim=1), freeze_time=0.0,
-        span=(0.0, 10.0), substeps=1,
+        mask=mask, flux=FluxModel.p_laplacian(4.0, dim=1), span=(0.0, 10.0), substeps=1,
         boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
         config=SolverConfig(max_newton=1, max_picard=0),
     )
@@ -410,13 +408,33 @@ def test_exhausted_iterations_raise_stall_error():
     assert len(err.value.residual_history) >= 1
 
 
+@pytest.mark.parametrize(
+    "amplitude,counts",
+    [("1e160", "after 0 Newton + 0 fallback iterations"),
+     ("1e100", "after 1 Newton + 2 fallback iterations (Newton line search stalled)")],
+)
+def test_non_finite_residual_is_a_stall(bundle, amplitude, counts):
+    """A NaN residual is never converged and a trial step whose residual
+    norm overflows is never accepted, so both runs raise instead of
+    returning junk frames (1e160: NaN at the start; 1e100: a finite
+    residual with an infinite 2-norm)."""
+    scenario = dataclasses.replace(
+        bundle["plap3_fixed"][0], flux=FluxModel.p_laplacian(4.0, dim=1),
+        u0=parse_expr(f"{amplitude}*sin(pi*x)", ("x",)),
+    )
+    with np.errstate(all="ignore"), pytest.raises(SolverStallError) as err:
+        run_scheme(scenario)
+    assert counts in str(err.value)
+    history = err.value.residual_history  # iterating stops at the first non-finite residual
+    assert np.isfinite(history[:-1]).all() and not np.isfinite(history[-1])
+
+
 def test_nonfinite_initial_frame_rejected():
     g, mask = unit_interval_mask(h=0.25)
     u_in = np.where(mask.defined, 1.0, np.nan)
     u_in[tuple(np.argwhere(mask.active)[0])] = np.inf
     problem = SliceProblem(
-        mask=mask, flux=FluxModel.linear_diffusion(dim=1), freeze_time=0.0,
-        span=(0.0, 0.1), substeps=1,
+        mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=(0.0, 0.1), substeps=1,
         boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
     )
     with pytest.raises(NumericInputError):
@@ -427,8 +445,7 @@ def test_empty_span_rejected():
     g, mask = unit_interval_mask(h=0.25)
     u_in = np.where(mask.defined, 0.0, np.nan)
     problem = SliceProblem(
-        mask=mask, flux=FluxModel.linear_diffusion(dim=1), freeze_time=0.0,
-        span=(0.5, 0.5), substeps=1,
+        mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=(0.5, 0.5), substeps=1,
         boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
     )
     with pytest.raises(ValueError):
@@ -445,14 +462,6 @@ def test_boundary_time_derivative_fallback_matches_analytic():
     got = bd.time_derivative(0.3, pts)
     want = -np.exp(-0.3) * pts.ravel()
     assert np.allclose(got, want, atol=1e-8)
-
-
-def test_boundary_explicit_derivative_wins():
-    psi = parse_expr("exp(-t)*x", TX)
-    psi_t = parse_expr("-exp(-t)*x", TX)
-    bd = BoundaryData(psi=psi, psi_t=psi_t)
-    pts = np.array([[0.5]])
-    assert bd.time_derivative(0.3, pts)[0] == pytest.approx(-np.exp(-0.3) * 0.5, rel=1e-14)
 
 
 def test_boundary_gradient_fallback():
