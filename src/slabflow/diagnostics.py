@@ -20,17 +20,16 @@ from .geometry import along, build_slice_plan, slab_hausdorff
 from .slice_solver import eval_on_points
 from .stitcher import run_scheme
 
-DEFAULT_TOLERANCE = 1e-10
+TOLERANCE = 1e-10  # roundoff slack of every report's lhs <= rhs
 
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One checked inequality lhs <= rhs (+ tolerance)."""
+    """One checked inequality lhs <= rhs (+ TOLERANCE)."""
 
     name: str
     lhs: float
     rhs: float
-    tolerance: float = DEFAULT_TOLERANCE
     details: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -39,7 +38,7 @@ class EstimateReport:
 
     @property
     def passed(self):
-        return self.margin >= -self.tolerance
+        return self.margin >= -TOLERANCE
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -98,7 +97,7 @@ def _source_free_field(scenario, field_, what):
 # maximum principle
 
 
-def max_principle_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
+def max_principle_report(scenario, field_=None):
     """sup |u| <= max(sup |u0|, sup |psi|) for source-free runs."""
     field_ = _source_free_field(scenario, field_, "max_principle_report")
     lhs = 0.0
@@ -113,7 +112,6 @@ def max_principle_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
         name="max_principle",
         lhs=lhs,
         rhs=max(u0m, psim),
-        tolerance=tolerance,
         details={
             "u0_max": u0m,
             "psi_sup": psim,
@@ -127,7 +125,7 @@ def max_principle_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
 # energy inequality
 
 
-def energy_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
+def energy_report(scenario, field_=None):
     """Per-slice telescoped energy inequality.
 
     With v = u - psi, alpha/c/b/d the flux constants and
@@ -215,7 +213,6 @@ def energy_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
         name="energy",
         lhs=worst["lhs"],
         rhs=worst["rhs"],
-        tolerance=tolerance,
         details={
             "per_slice": per_slice,
             "worst_slice": worst["slice"],
@@ -233,7 +230,7 @@ def energy_report(scenario, field_=None, tolerance=DEFAULT_TOLERANCE):
 # L1 contraction
 
 
-def l1_contraction_report(scenario, u0_a, u0_b, tolerance=DEFAULT_TOLERANCE):
+def l1_contraction_report(scenario, u0_a, u0_b):
     """Run the scheme twice (initial data swapped in) and track the L1
     distance of the two solutions over their shared active sets."""
     flux = scenario.flux
@@ -257,11 +254,10 @@ def l1_contraction_report(scenario, u0_a, u0_b, tolerance=DEFAULT_TOLERANCE):
         name="l1_contraction",
         lhs=float(series[-1]),
         rhs=float(series[0]),
-        tolerance=tolerance,
         details={
             "series": series,
             "times": field_a.times.copy(),
-            "nonincreasing": bool(max_increase <= tolerance),
+            "nonincreasing": bool(max_increase <= TOLERANCE),
             "max_increase": max_increase,
         },
     )

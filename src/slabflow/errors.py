@@ -65,7 +65,7 @@ class SolverStallError(SlabflowError):
 
 
 class ScenarioError(SlabflowError):
-    """One or more problems found while loading a scenario file.
+    """One or more problems with scenario settings, loaded or built in code.
 
     ``issues`` is the consolidated list; the message joins them.
     """

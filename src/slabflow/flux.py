@@ -46,9 +46,11 @@ class FluxModel:
             raise SlabflowError(f"unknown flux kind {self.kind!r}")
         if not self.p > 1:
             raise SlabflowError(f"p must exceed 1, got {self.p}")
+        if self.kind == "linear_diffusion" and self.p != 2:
+            raise SlabflowError(f"linear_diffusion requires p = 2, got {self.p}")
         if self.dim not in (1, 2):
             raise SlabflowError(f"dim must be 1 or 2, got {self.dim}")
-        if self.eps_reg < 0:
+        if not self.eps_reg >= 0:
             raise SlabflowError(f"eps_reg must be >= 0, got {self.eps_reg}")
         if self.kind == "custom" and len(self.components) != self.dim:
             raise SlabflowError(
@@ -188,8 +190,8 @@ def jacobian_xi(flux, t, x, z, xi):
     t, x, z, xi = _one_point(t, x, z, xi)
     if flux.kind == "custom":
         return np.stack([_central(flux, t, x, z, xi, 1 + a)[0] for a in range(flux.dim)], axis=-1)
-    if flux.kind == "linear_diffusion":
-        return np.eye(flux.dim)
+    if flux.p == 2.0:  # m I exactly: 2g' = 0, and forming s could overflow
+        return _modulation(flux, z)[0] * np.eye(flux.dim)
     (g,), (gp2,) = _radial(flux, xi, slope=True)
     return _modulation(flux, z)[0] * (g * np.eye(flux.dim) + gp2 * np.outer(xi, xi))
 
@@ -198,8 +200,8 @@ def _diag_jacobian_many(flux, t, x, z, xi, axis):
     """d(A_axis)/d(xi_axis) at many points (used for the Newton stencil)."""
     if flux.kind == "custom":
         return _central(flux, t, x, z, xi, 1 + axis)[:, axis]
-    if flux.kind == "linear_diffusion":
-        return np.ones(len(xi))
+    if flux.p == 2.0:  # m exactly, as in jacobian_xi
+        return _modulation(flux, z)
     g, gp2 = _radial(flux, xi, slope=True)
     return _modulation(flux, z) * (g + gp2 * xi[:, axis] ** 2)
 
@@ -230,15 +232,13 @@ class StructureReport:
 
     A margin is how far the inequality held at its worst sample
     (nonnegative = satisfied); ``passed`` allows roundoff slack of
-    ``tolerance``.  Deterministic for a fixed seed.
+    ``STRUCTURE_TOLERANCE``.  Deterministic for a fixed seed.
     """
 
     kind: str
     p: float
     samples: int
     seed: int
-    box: dict
-    tolerance: float
     conditions: dict
 
     @property
@@ -253,7 +253,7 @@ class StructureReport:
         return lines
 
 
-DEFAULT_SAMPLE_BOX = {"t": (0.0, 1.0), "x": (-1.0, 1.0), "z": (-2.0, 2.0), "xi": (-2.0, 2.0)}
+SAMPLE_BOX = {"t": (0.0, 1.0), "x": (-1.0, 1.0), "z": (-2.0, 2.0), "xi": (-2.0, 2.0)}
 
 
 def _worst(margins, idx_args):
@@ -261,8 +261,8 @@ def _worst(margins, idx_args):
     return float(margins[i]), {k: (v[i].copy() if hasattr(v[i], "copy") else v[i]) for k, v in idx_args.items()}
 
 
-def check_structure(flux, samples=10000, seed=0, box=None, tolerance=STRUCTURE_TOLERANCE):
-    """Sample the structure conditions over a box of arguments.
+def check_structure(flux, samples=10000, seed=0):
+    """Sample the structure conditions over ``SAMPLE_BOX``.
 
     Checked, each at ``samples`` seeded draws:
 
@@ -273,12 +273,11 @@ def check_structure(flux, samples=10000, seed=0, box=None, tolerance=STRUCTURE_T
     - zero_at_zero:  A(.,.,.,0) = 0
     - nonneg_pairing: A . xi >= 0
     """
-    box = {**DEFAULT_SAMPLE_BOX, **(box or {})}
     rng = np.random.default_rng(seed)
     n, d = samples, flux.dim
 
     def draw(key, shape):
-        lo, hi = box[key]
+        lo, hi = SAMPLE_BOX[key]
         return rng.uniform(lo, hi, shape)
 
     t1, t2 = draw("t", n), draw("t", n)
@@ -295,7 +294,7 @@ def check_structure(flux, samples=10000, seed=0, box=None, tolerance=STRUCTURE_T
 
     def record(name, margins, **args):
         margin, worst = _worst(margins, args)
-        conditions[name] = ConditionResult(margin=margin, passed=margin >= -tolerance, worst=worst)
+        conditions[name] = ConditionResult(margin=margin, passed=margin >= -STRUCTURE_TOLERANCE, worst=worst)
 
     record(
         "growth",
@@ -325,7 +324,4 @@ def check_structure(flux, samples=10000, seed=0, box=None, tolerance=STRUCTURE_T
     record("zero_at_zero", -np.linalg.norm(a_zero, axis=-1), t=t1, x=x1, z=z1)
     record("nonneg_pairing", pairing, t=t1, x=x1, z=z1, xi=xi1)
 
-    return StructureReport(
-        kind=flux.kind, p=flux.p, samples=n, seed=seed, box=box,
-        tolerance=tolerance, conditions=conditions,
-    )
+    return StructureReport(kind=flux.kind, p=flux.p, samples=n, seed=seed, conditions=conditions)

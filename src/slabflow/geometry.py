@@ -61,7 +61,7 @@ class Grid:
         for name, tup in (("origin", self.origin), ("spacing", self.spacing), ("counts", self.counts)):
             if len(tup) != self.dim:
                 raise GeometryError(f"{name} must have {self.dim} entries, got {len(tup)}")
-        if any(h <= 0 for h in self.spacing):
+        if not all(h > 0 for h in self.spacing):
             raise GeometryError(f"spacing must be positive, got {self.spacing}")
         if any(int(c) != c or c < 3 for c in self.counts):
             raise GeometryError(f"counts must be integers >= 3, got {self.counts}")
@@ -257,7 +257,7 @@ class IntervalTrack:
             raise GeometryError("first track segment must start at t = 0")
         starts = [s.start for s in self.segments]
         if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise GeometryError(f"segment starts must increase, got {starts}")
+            raise GeometryError(f"jump times must increase and exceed 0, got {starts[1:]}")
 
     def endpoints(self, t, side="plus"):
         starts = [s.start for s in self.segments]
@@ -287,8 +287,8 @@ class TimeDomain:
     dim: int = 1
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise GeometryError(f"horizon must be positive, got {self.horizon}")
+        if not self.horizon > 0:
+            raise GeometryError(f"horizon T must be positive, got {self.horizon}")
         if self.kind not in ("moving_intervals", "implicit"):
             raise GeometryError(f"unknown domain kind {self.kind!r}")
         if self.kind == "moving_intervals":
@@ -296,6 +296,10 @@ class TimeDomain:
                 raise GeometryError("moving_intervals domains are one-dimensional")
             if not self.tracks:
                 raise GeometryError("moving_intervals needs at least one track")
+            bad = [s.start for tr in self.tracks for s in tr.segments[1:]
+                   if not 0.0 < s.start < self.horizon]
+            if bad:
+                raise GeometryError(f"jump times must lie strictly inside (0, T): {bad}")
         else:
             if self.phi is None or self.box is None:
                 raise GeometryError("implicit domain needs phi and a search box")
@@ -315,8 +319,7 @@ class TimeDomain:
         """Declared discontinuity times, strictly inside (0, horizon)."""
         if self.kind != "moving_intervals":
             return ()
-        ts = sorted({s.start for tr in self.tracks for s in tr.segments if 0.0 < s.start < self.horizon})
-        return tuple(ts)
+        return tuple(sorted({s.start for tr in self.tracks for s in tr.segments[1:]}))
 
     def _check_time(self, t):
         if not (0.0 <= t <= self.horizon):

@@ -11,7 +11,8 @@ The format is INI-like with six sections ([solver] optional)::
     [output]  dir, frames?
 
 '#' starts a comment, values may be double-quoted, unknown sections or
-keys are errors.  Loading validates everything it can reach and raises a
+keys are errors.  Loading reads every key it can reach, builds each part
+through its own constructor (which holds that part's rules) and raises a
 single :class:`ScenarioError` listing every problem found.
 """
 
@@ -25,7 +26,7 @@ from .expressions import Num, parse_expr, to_source
 from .flux import FluxModel
 from .geometry import Grid, IntervalTrack, TimeDomain, TrackSegment, build_slice_plan
 from .slice_solver import BoundaryData, SolverConfig, eval_on_points
-from .stitcher import OutputConfig, Scenario, scenario_issues
+from .stitcher import OutputConfig, Scenario
 
 _SECTIONS = {
     "grid": {"dim", "xmin", "xmax", "ymin", "ymax", "h"},
@@ -149,6 +150,17 @@ class _SectionReader:
         self.entries.clear()
 
 
+def _build(issues, section, make):
+    """``make()``, or None once its typed error is in ``issues`` as ``[section]`` lines."""
+    try:
+        return make()
+    except ScenarioError as exc:  # a Scenario's issues already name their sections
+        issues.extend(exc.issues)
+    except SlabflowError as exc:
+        issues.append(f"[{section}] {exc}")
+    return None
+
+
 def parse_scenario_text(text):
     """Parse and validate scenario text; raises ScenarioError on problems."""
     issues = []
@@ -180,31 +192,24 @@ def parse_scenario_text(text):
         spans = [(xmin, xmax)] + ([(ymin, ymax)] if dim == 2 else [])
         counts, origin = [], []
         for lo, hi in spans:
-            if h <= 0:
-                issues.append(f"[grid] h must be positive, got {h}")
-                break
             if hi <= lo:
                 issues.append(f"[grid] axis range [{lo}, {hi}] is empty")
                 break
-            n = (hi - lo) / h
+            n = (hi - lo) / h if h > 0 else 0.0  # Grid rejects the spacing
             if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
                 issues.append(f"[grid] h={h} must evenly divide [{lo}, {hi}]")
                 break
             counts.append(int(round(n)))
             origin.append(lo)
         else:
-            try:
-                grid = Grid(dim=dim, origin=tuple(origin), spacing=(h,) * dim, counts=tuple(counts))
-            except GeometryError as exc:
-                issues.append(f"[grid] {exc}")
+            grid = _build(issues, "grid", lambda: Grid(
+                dim=dim, origin=tuple(origin), spacing=(h,) * dim, counts=tuple(counts)))
 
     # ---- time
     tsec = _SectionReader("time", sections["time"], issues)
     horizon = tsec.number("T")
     n_slices = tsec.integer("slices")
     substeps = tsec.integer("substeps")
-    if horizon is not None and horizon <= 0:
-        issues.append(f"[time] T must be positive, got {horizon}")
 
     # ---- domain
     d = _SectionReader("domain", sections["domain"], issues)
@@ -239,22 +244,15 @@ def parse_scenario_text(text):
                 except (ValueError, SlabflowError) as exc:
                     issues.append(f"[domain] bad jump entry {piece!r}: {exc}")
         if segments and horizon is not None:
-            bad = [s.start for s in segments[1:] if not (0.0 < s.start < horizon)]
-            if bad:
-                issues.append(f"[domain] jump times must lie strictly inside (0, T): {bad}")
-            else:
-                try:
-                    domain = TimeDomain.moving_intervals(
-                        [IntervalTrack(segments=tuple(segments))], horizon
-                    )
-                except GeometryError as exc:
-                    issues.append(f"[domain] {exc}")
+            domain = _build(issues, "domain", lambda: TimeDomain.moving_intervals(
+                [IntervalTrack(segments=tuple(segments))], horizon))
     elif dom_type == "implicit":
         variables = ("t", "x", "y") if dim == 2 else ("t", "x")
         phi = d.expression("phi", variables)
         d.reject_leftovers("only valid for type = moving_intervals")
         if phi is not None and grid is not None and horizon is not None:
-            domain = TimeDomain.implicit(phi, grid.box, horizon, dim=dim)
+            domain = _build(issues, "domain",
+                            lambda: TimeDomain.implicit(phi, grid.box, horizon, dim=dim))
     elif dom_type is not None:
         issues.append(f"[domain] unknown type {dom_type!r}")
 
@@ -264,22 +262,14 @@ def parse_scenario_text(text):
     p = fsec.number("p")
     eps_reg = fsec.number("eps_reg", required=False, default=1e-8)
     flux = None
-    if p is not None and p <= 1:
-        issues.append(f"[flux] p: p must exceed 1, got {p}")
-    elif flux_type in ("p_laplacian", "linear_diffusion", "z_modulated"):
+    if flux_type in ("p_laplacian", "linear_diffusion", "z_modulated"):
         fsec.reject_leftovers("only valid for type = custom")
-        if flux_type == "linear_diffusion" and p is not None and p != 2:
-            issues.append(f"[flux] linear_diffusion requires p = 2, got {p}")
-        elif p is not None:
-            maker = {
+        if p is not None:
+            flux = _build(issues, "flux", {
                 "p_laplacian": lambda: FluxModel.p_laplacian(p, dim=dim, eps_reg=eps_reg),
-                "linear_diffusion": lambda: FluxModel.linear_diffusion(dim=dim),
+                "linear_diffusion": lambda: FluxModel("linear_diffusion", p, dim=dim, eps_reg=0.0),
                 "z_modulated": lambda: FluxModel.z_modulated(p, dim=dim, eps_reg=eps_reg),
-            }[flux_type]
-            try:
-                flux = maker()
-            except SlabflowError as exc:
-                issues.append(f"[flux] {exc}")
+            }[flux_type])
     elif flux_type == "custom":
         flux_vars = ("t", "x", "y", "z", "xi1", "xi2")
         a1 = fsec.expression("a1", flux_vars)
@@ -295,14 +285,11 @@ def parse_scenario_text(text):
         omega = fsec.expression("omega", ("r",), required=False)
         comps = [c for c in (a1, a2) if c is not None]
         if p is not None and growth_c is not None and alpha is not None and len(comps) == dim:
-            try:
-                flux = FluxModel.custom(
-                    comps, p, dim=dim, eps_reg=eps_reg, growth_c=growth_c,
-                    coercivity_alpha=alpha, lower_b=lower_b, lower_d=lower_d,
-                    z_lipschitz=z_lip, time_modulus=omega,
-                )
-            except SlabflowError as exc:
-                issues.append(f"[flux] {exc}")
+            flux = _build(issues, "flux", lambda: FluxModel.custom(
+                comps, p, dim=dim, eps_reg=eps_reg, growth_c=growth_c,
+                coercivity_alpha=alpha, lower_b=lower_b, lower_d=lower_d,
+                z_lipschitz=z_lip, time_modulus=omega,
+            ))
     elif flux_type is not None:
         issues.append(f"[flux] unknown type {flux_type!r}")
 
@@ -321,23 +308,15 @@ def parse_scenario_text(text):
         newton_tol = s.number("newton_tol", required=False, default=cfg.newton_tol)
         max_newton = s.integer("max_newton", required=False, default=cfg.max_newton)
         max_picard = s.integer("max_picard", required=False, default=cfg.max_picard)
-        if newton_tol is not None and newton_tol <= 0:
-            issues.append(f"[solver] newton_tol must be positive, got {newton_tol}")
-        if max_newton is not None and max_newton < 1:
-            issues.append(f"[solver] max_newton must be >= 1, got {max_newton}")
-        if max_picard is not None and max_picard < 0:
-            issues.append(f"[solver] max_picard must be >= 0, got {max_picard}")
-        if not issues:
-            cfg = SolverConfig(newton_tol=newton_tol, max_newton=max_newton, max_picard=max_picard)
+        cfg = _build(issues, "solver", lambda: SolverConfig(newton_tol, max_newton, max_picard))
 
     # ---- output
     out = _SectionReader("output", sections["output"], issues)
     out_dir = out.word("dir")
     frames_mode = out.word("frames", required=False, default="knots")
-    if frames_mode not in ("knots", "all"):
-        issues.append(f"[output] frames must be 'knots' or 'all', got {frames_mode!r}")
+    output = _build(issues, "output", lambda: OutputConfig(out_dir, frames_mode))
 
-    scenario = Scenario(
+    scenario = _build(issues, "scenario", lambda: Scenario(
         grid=grid,
         domain=domain,
         n_slices=n_slices,
@@ -347,9 +326,8 @@ def parse_scenario_text(text):
         u0=u0,
         source=source,
         config=cfg,
-        output=OutputConfig(directory=out_dir, frames_mode=frames_mode),
-    )
-    issues.extend(scenario_issues(scenario))
+        output=output,
+    ))
 
     # ---- cross-cutting eager checks
     plan = None
@@ -504,6 +482,7 @@ def write_frames(field, out_dir, mode="knots", scenario_digest=""):
     Everything prints with 17 significant digits; output is
     byte-reproducible for identical runs.
     """
+    OutputConfig(out_dir, mode)  # an unknown mode raises before anything is written
     os.makedirs(out_dir, exist_ok=True)
     coords = field.plan.masks[0].grid.node_coords()
     dim = coords.shape[1]

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import spsolve
 
-from .errors import NumericInputError, SolverStallError
+from .errors import NumericInputError, SlabflowError, SolverStallError
 from .expressions import evaluate as eval_expr
 from .flux import FD_STEP, _diag_jacobian_many, _dz_many, evaluate_many
 from .geometry import along
@@ -65,6 +65,14 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 50
     max_picard: int = 200
+
+    def __post_init__(self):
+        if not self.newton_tol > 0:
+            raise SlabflowError(f"newton_tol must be positive, got {self.newton_tol}")
+        for key in ("max_newton", "max_picard"):
+            value = getattr(self, key)
+            if not (isinstance(value, (int, np.integer)) and value >= 0):
+                raise SlabflowError(f"{key} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, SlabflowError
 from .geometry import build_slice_plan
 from .slice_solver import SliceProblem, SolverConfig, eval_on_points, solve_slice
 
@@ -30,10 +30,15 @@ class OutputConfig:
     directory: str
     frames_mode: str = "knots"  # which stamps write_frames emits: 'knots' | 'all'
 
+    def __post_init__(self):
+        if self.frames_mode not in ("knots", "all"):
+            raise SlabflowError(f"frames must be 'knots' or 'all', got {self.frames_mode!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to run the scheme once."""
+    """Everything needed to run the scheme once.  Construction checks the
+    rules that span parts (ScenarioError); fields left as None are skipped."""
 
     grid: object
     domain: object
@@ -46,21 +51,17 @@ class Scenario:
     config: SolverConfig = SolverConfig()
     output: OutputConfig = None
 
-
-def scenario_issues(scenario):
-    """Why ``scenario`` cannot run, as a list of messages (empty when it can).
-
-    Fields left as None (the loader found them missing or broken) are skipped.
-    """
-    issues = [
-        f"[time] {key} must be >= 1, got {value}"
-        for key, value in (("slices", scenario.n_slices), ("substeps", scenario.substeps))
-        if value is not None and value < 1
-    ]
-    flux, grid = scenario.flux, scenario.grid
-    if flux is not None and grid is not None and flux.dim != grid.dim:
-        issues.append(f"[flux] a {flux.dim}D flux cannot run on a {grid.dim}D grid")
-    return issues
+    def __post_init__(self):
+        issues = [
+            f"[time] {key} must be >= 1, got {value}"
+            for key, value in (("slices", self.n_slices), ("substeps", self.substeps))
+            if value is not None and value < 1
+        ]
+        flux, grid = self.flux, self.grid
+        if flux is not None and grid is not None and flux.dim != grid.dim:
+            issues.append(f"[flux] a {flux.dim}D flux cannot run on a {grid.dim}D grid")
+        if issues:
+            raise ScenarioError(issues)
 
 
 @dataclass(eq=False)
@@ -168,9 +169,6 @@ def initial_frame(scenario, mask, t0=0.0):
 def run_scheme(scenario, plan=None):
     """Run the full time-sliced scheme; returns (field, report)."""
     t_start = time.perf_counter()
-    issues = scenario_issues(scenario)
-    if issues:
-        raise ScenarioError(issues)
     if plan is None:
         plan = build_slice_plan(scenario.domain, scenario.grid, scenario.n_slices)
     times, slice_idx, frames = [], [], []

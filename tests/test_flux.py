@@ -1,5 +1,7 @@
 """Flux models: evaluation, gradient-slot Jacobians, structure checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,27 @@ def test_solver_kernels_match_the_pointwise_jacobian(make_flux, dim):
         pointwise = [jacobian_xi(flux, 0.3, x[i], z[i], xi[i])[a, a] for i in range(n)]
         assert diag.tobytes() == np.array(pointwise).tobytes()
         assert np.allclose(_dz_many(flux, 0.3, x, z, xi, a), dz_ref[:, a], rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "flux,z,xi",
+    [
+        (FluxModel.p_laplacian(2.0), 0.3, 1e160),
+        (FluxModel.z_modulated(2.0), 0.3, 1e160),
+        (FluxModel.p_laplacian(2.0, eps_reg=0.0), 0.0, 1e-160),
+    ],
+    ids=["p_laplacian_huge_xi", "z_modulated_huge_xi", "unregularised_tiny_xi"],
+)
+def test_p2_jacobian_is_exactly_the_modulation(flux, z, xi):
+    """For p = 2 the gradient slot is linear, dA/dxi = m(z) I, at any xi:
+    no overflow of |xi|^2 and no 0 * inf turns it into NaN."""
+    m = 1.0 + 0.5 * np.sin(z) ** 2 if flux.kind == "z_modulated" else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        diag = _diag_jacobian_many(flux, 0.0, np.zeros((1, 1)), np.array([z]), np.array([[xi]]), 0)
+        pointwise = jacobian_xi(flux, 0.0, (0.0,), z, (xi,))
+    assert diag.tolist() == [m]
+    assert pointwise.tolist() == [[m]]
 
 
 def test_jacobian_is_symmetric_for_gradient_fluxes():

@@ -1,5 +1,6 @@
 """Scenario files: parsing, validation, canonical printing, frame output."""
 
+import dataclasses
 import hashlib
 import os
 
@@ -7,9 +8,16 @@ import numpy as np
 import pytest
 
 from slabflow import (
+    FluxModel,
+    Grid,
+    IntervalTrack,
     Num,
+    OutputConfig,
     ScenarioError,
+    SlabflowError,
     SolverConfig,
+    TimeDomain,
+    TrackSegment,
     bundled_scenario_paths,
     format_scenario,
     load_scenario,
@@ -164,6 +172,77 @@ def test_jump_time_outside_horizon_rejected():
     assert any("jump" in issue for issue in err.value.issues)
 
 
+def _heat(**change):
+    return lambda: dataclasses.replace(parse_scenario_text(MINIMAL), **change)
+
+
+def _jumps_at(*starts, horizon=0.1):
+    segments = tuple(TrackSegment(t, Num(0.0), Num(1.0)) for t in (0.0, *starts))
+    return lambda: TimeDomain.moving_intervals([IntervalTrack(segments)], horizon)
+
+
+def _solver(line):
+    return ("dir = out/minimal\n", f"dir = out/minimal\n\n[solver]\n{line}\n")
+
+
+CUSTOM_2D_FLUX = 'type = custom\np = 2\na1 = "xi1"\na2 = "xi2"\nc = 1\nalpha = 1'
+
+
+@pytest.mark.parametrize(
+    "build,edit,section,key",
+    [
+        (lambda: SolverConfig(newton_tol=0.0), _solver("newton_tol = 0"), "[solver]", "newton_tol"),
+        (lambda: SolverConfig(newton_tol=-1.0), _solver("newton_tol = -1"), "[solver]", "newton_tol"),
+        (lambda: SolverConfig(newton_tol=np.nan), _solver("newton_tol = nan"), "[solver]",
+         "newton_tol"),
+        (lambda: SolverConfig(max_newton=-1), _solver("max_newton = -1"), "[solver]", "max_newton"),
+        (lambda: SolverConfig(max_newton=2.5), _solver("max_newton = 2.5"), "[solver]",
+         "max_newton"),
+        (lambda: SolverConfig(max_picard=-1), _solver("max_picard = -1"), "[solver]", "max_picard"),
+        (lambda: OutputConfig("out", frames_mode="bogus"),
+         ("dir = out/minimal", "dir = out/minimal\nframes = bogus"), "[output]", "frames"),
+        (lambda: FluxModel("linear_diffusion", 3.0), ("p = 2", "p = 3"), "[flux]", "p = 2"),
+        (_jumps_at(0.0), ('right = "1"', 'right = "1"\njumps = "0: 0, 1"'), "[domain]", "jump"),
+        (_jumps_at(0.1), ('right = "1"', 'right = "1"\njumps = "0.1: 0, 1"'), "[domain]", "jump"),
+        (_heat(n_slices=0), ("slices = 2", "slices = 0"), "[time]", "slices"),
+        (_heat(substeps=0), ("substeps = 10", "substeps = 0"), "[time]", "substeps"),
+        (_heat(flux=FluxModel.p_laplacian(3.0, dim=2)),
+         ("type = linear_diffusion\np = 2", CUSTOM_2D_FLUX), "[flux]", "a2"),
+        (lambda: Grid(dim=1, origin=(0.0,), spacing=(np.nan,), counts=(4,)),
+         ("h = 0.03125", "h = nan"), "[grid]", "'h'"),
+        (lambda: FluxModel.p_laplacian(3.0, eps_reg=np.nan),
+         ("type = linear_diffusion\np = 2", "type = p_laplacian\np = 3\neps_reg = nan"), "[flux]",
+         "eps_reg"),
+    ],
+    ids=[
+        "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
+        "max_newton_fraction", "max_picard_negative", "frames_mode", "linear_diffusion_p3",
+        "jump_at_zero", "jump_at_horizon", "zero_slices", "zero_substeps", "2d_flux_on_1d_grid",
+        "nan_spacing", "nan_eps_reg",
+    ],
+)
+def test_code_built_and_loaded_settings_pass_the_same_rules(build, edit, section, key):
+    """Each rule lives in the constructor of the type holding the value: a
+    code-built object raises at construction, and the loader reports the
+    same rule as an issue naming its section and key."""
+    with pytest.raises(SlabflowError):
+        build()
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(MINIMAL.replace(*edit))
+    assert any(issue.startswith(section) and key in issue for issue in err.value.issues)
+
+
+def test_picard_only_file_runs_like_the_code_built_config():
+    loaded = parse_scenario_text(MINIMAL.replace(*_solver("max_newton = 0")))
+    built = _heat(config=SolverConfig(max_newton=0))()
+    assert loaded == built
+    field_loaded, report = run_scheme(loaded)
+    field_built, _ = run_scheme(built)
+    assert report.total_newton() == 0
+    assert all(stats["picard"] > 0 for stats in report.slice_stats)
+    assert field_loaded.frames.tobytes() == field_built.frames.tobytes()
+
+
 def test_dim2_requires_y_range():
     text = MINIMAL.replace("dim = 1", "dim = 2")
     with pytest.raises(ScenarioError) as err:
@@ -275,6 +354,13 @@ def test_written_frames_reproduce_field_values(tmp_path):
     assert np.all(np.isfinite(data[:, 4]))
     # undefined nodes carry NaN in the raw-solution column
     assert np.all(np.isnan(data[data[:, 3] == -1, 2]))
+
+
+def test_write_frames_rejects_an_unknown_mode(tmp_path):
+    field, _ = run_scheme(parse_scenario_text(MINIMAL))
+    with pytest.raises(SlabflowError, match="bogus"):
+        write_frames(field, str(tmp_path / "out"), mode="bogus")
+    assert not (tmp_path / "out").exists()
 
 
 def test_write_frames_all_mode_counts(tmp_path):
