@@ -92,7 +92,7 @@ def _cmd_verify(args):
     if args.u0b is not None:
         u0b = parse_expr(args.u0b, ("x", "y") if scenario.grid.dim == 2 else ("x",))
         try:
-            reports.append(l1_contraction_report(scenario, scenario.u0, u0b))
+            reports.append(l1_contraction_report(scenario, scenario.u0, u0b, field_))
         except InapplicableDiagnosticError as exc:
             print(f"SKIP l1_contraction: {exc}")
     for report in reports:

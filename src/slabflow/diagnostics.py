@@ -230,9 +230,10 @@ def energy_report(scenario, field_=None):
 # L1 contraction
 
 
-def l1_contraction_report(scenario, u0_a, u0_b):
-    """Run the scheme twice (initial data swapped in) and track the L1
-    distance of the two solutions over their shared active sets."""
+def l1_contraction_report(scenario, u0_a, u0_b, field_=None):
+    """Run the scheme with each initial datum swapped in (``field_``, when
+    given, is the run from ``u0_a``, and its plan is reused) and track the
+    L1 distance of the two solutions over their shared active sets."""
     flux = scenario.flux
     if flux.kind == "z_modulated" or (
         flux.kind == "custom" and any("z" in free_variables(comp) for comp in flux.components)
@@ -240,7 +241,7 @@ def l1_contraction_report(scenario, u0_a, u0_b):
         raise InapplicableDiagnosticError(
             "l1_contraction_report needs a flux independent of the solution slot"
         )
-    field_a = _source_free_field(replace(scenario, u0=u0_a), None, "l1_contraction_report")
+    field_a = _source_free_field(replace(scenario, u0=u0_a), field_, "l1_contraction_report")
     field_b, _ = run_scheme(replace(scenario, u0=u0_b), plan=field_a.plan)
     vol = scenario.grid.cell_volume
     series = []

@@ -57,11 +57,16 @@ class JacobianSingularError(SlabflowError):
 
 
 class SolverStallError(SlabflowError):
-    """Newton and the fallback iteration both failed to reach tolerance."""
+    """Newton and the fallback both failed; the message names the slice, step, t, n_active known."""
 
-    def __init__(self, message, residual_history=()):
+    def __init__(self, message, residual_history=(), step=None, t=None, n_active=None):
         super().__init__(message)
         self.residual_history = list(residual_history)
+        self.slice, self.step, self.t, self.n_active = None, step, t, n_active
+
+    def __str__(self):
+        where = [f"{k}={v}" for k in ("slice", "step", "t", "n_active") if (v := getattr(self, k)) is not None]
+        return super().__str__() + (f" ({', '.join(where)})" if where else "")
 
 
 class ScenarioError(SlabflowError):

@@ -52,6 +52,10 @@ class FluxModel:
             raise SlabflowError(f"dim must be 1 or 2, got {self.dim}")
         if not self.eps_reg >= 0:
             raise SlabflowError(f"eps_reg must be >= 0, got {self.eps_reg}")
+        for key in ("growth_c", "coercivity_alpha", "lower_b", "lower_d", "z_lipschitz"):
+            value, positive = getattr(self, key), key in ("growth_c", "coercivity_alpha")
+            if not (value > 0 if positive else value >= 0):
+                raise SlabflowError(f"{key} must be {'> 0' if positive else '>= 0'}, got {value}")
         if self.kind == "custom" and len(self.components) != self.dim:
             raise SlabflowError(
                 f"custom flux needs {self.dim} component expression(s), got {len(self.components)}"
@@ -89,6 +93,11 @@ class FluxModel:
     @property
     def is_builtin(self):
         return self.kind != "custom"
+
+    @property
+    def couples_gradient_slots(self):
+        """Whether dA_a/dxi_b (a != b) can be nonzero: not for a p = 2 builtin, A = m(z) xi."""
+        return not (self.is_builtin and self.p == 2.0)
 
     def modulus(self, r):
         """Continuity-in-(t, x) modulus omega(r); identically 0 by default."""
@@ -204,6 +213,15 @@ def _diag_jacobian_many(flux, t, x, z, xi, axis):
         return _modulation(flux, z)
     g, gp2 = _radial(flux, xi, slope=True)
     return _modulation(flux, z) * (g + gp2 * xi[:, axis] ** 2)
+
+
+def _offdiag_jacobian_many(flux, t, x, z, xi, axis, other):
+    """d(A_axis)/d(xi_other), other != axis, at many points; exactly 0 for p = 2 builtins."""
+    if flux.kind == "custom":
+        return _central(flux, t, x, z, xi, 1 + other)[:, axis]
+    if not flux.couples_gradient_slots:
+        return np.zeros(len(xi))
+    return _modulation(flux, z) * (_radial(flux, xi, slope=True)[1] * (xi[:, axis] * xi[:, other]))
 
 
 def _dz_many(flux, t, x, z, xi, axis):

@@ -18,26 +18,27 @@ step.  Per axis it evaluates the face fields once and gives each face's
 flux and endpoint derivatives.  The residual takes the flux only.  The
 two Jacobians differ only in the per-face derivatives: damped Newton
 (residual-norm backtracking, shrink 0.5 down to steps of 2^-20)
-differentiates the flux in the face-normal and z slots; if it stalls, a
-lagged-coefficient (Picard) iteration replaces the flux by a frozen
-secant diffusivity times the normal difference.  Both solve with
-I/tau - J; exhausting both raises :class:`SolverStallError` with the
-residual history.
+differentiates the flux in every slot, so its J is the residual's exact
+derivative in every dimension; if it stalls, a lagged-coefficient
+(Picard) iteration replaces the flux by a frozen secant diffusivity times
+the normal difference.  Both solve with I/tau - J; exhausting both raises
+:class:`SolverStallError` with the residual history and where it stalled.
 
 The domain is frozen on a slice, so all its systems share one sparsity
-pattern: a CSC matrix holding the diagonal and each face's couplings
-between active endpoints, and two scatter maps, ``div_rows`` (each face
-end's div-A row) and the slots (each Jacobian value's matrix entry).  The
-matrix and the slots are built at a stencil's first ``step_matrix`` call,
-so a residual-only stencil never pays for them.  An iteration only fills
+pattern: a CSC matrix holding the diagonal, each face's couplings between
+active endpoints and, in 2D, those through its transverse slots (a 9-point
+stencil), and two scatter maps, ``div_rows`` (each face end's div-A row)
+and the slots (each Jacobian value's matrix entry; Picard fills a prefix).
+They are built at a stencil's first ``step_matrix`` call, so a
+residual-only stencil never pays for them.  An iteration only fills
 values, with one ``np.bincount`` per map; it sums each target's terms in
-face-loop order from 0.0, so they are bitwise those of a COO matrix
-assembled afresh.
+face-loop order from 0.0, bitwise as a sequential accumulation would.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 from scipy.sparse import coo_matrix, identity
@@ -45,7 +46,7 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import NumericInputError, SlabflowError, SolverStallError
 from .expressions import evaluate as eval_expr
-from .flux import FD_STEP, _diag_jacobian_many, _dz_many, evaluate_many
+from .flux import FD_STEP, _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
 from .geometry import along
 
 LINE_SEARCH_SHRINK = 0.5  # Newton backtracking factor
@@ -167,7 +168,8 @@ class _Stencil:
             mids = np.column_stack([grid.axis_nodes(b)[fidx[b]] for b in range(self.dim)])
             mids[:, a] += 0.5 * h
             lo_flat = np.ravel_multi_index(fidx, self.shape)
-            ranks = (rank[lo_flat], rank[lo_flat + int(np.prod(self.shape[a + 1:]))])
+            flats = lo_flat + np.array([[0], [int(np.prod(self.shape[a + 1:]))]])  # lo, hi ends
+            ranks = rank[flats]
             ends = [np.flatnonzero(r >= 0) for r in ranks]
             div_rows += [r[sel] for r, sel in zip(ranks, ends)]
             couplings = []
@@ -178,16 +180,39 @@ class _Stencil:
                     rows.append(row[sel])
                     cols.append(col[sel])
             self.axes.append({"h": h, "lo": lo, "hi": hi, "fidx": fidx, "mids": mids,
-                              "ends": ends, "couplings": couplings})
+                              "flats": flats, "ends": ends, "couplings": couplings})
 
         self.div_rows = np.concatenate(div_rows)
-        self._entries = np.concatenate(rows), np.concatenate(cols)  # (row, col) of assemble's J values
+        self._rank, self._normal = rank, (rows, cols)
+
+    @cached_property
+    def _pattern(self):
+        """Per face axis a, groups ``(b, faces, coeff)`` giving J values
+        ``dA_a/dxi_b[faces] * coeff / h_a`` (``coeff``: half an endpoint's weight on
+        n - e_b, n or n + e_b in ``_face_transverse``; none if the flux does not
+        couple its slots), and the (rows, cols) of all J values, endpoint ones first."""
+        (rows, cols), maps = map(list, self._normal), [[] for _ in self.axes]
+        coupled = self.axes if self.flux.couples_gradient_slots else []
+        for (a, ax), (b, bx) in permutations(enumerate(coupled), 2):
+            up, down = np.zeros(self.shape), np.zeros(self.shape)
+            up[bx["lo"]] = down[bx["hi"]] = self.defined[bx["hi"]] & self.defined[bx["lo"]]
+            w, stride = np.maximum(up + down, 1.0), int(np.prod(self.shape[b + 1:]))
+            for end in ax["flats"]:
+                for k, weight in zip((-1, 0, 1), (-down, down - up, up)):
+                    c = (0.5 * ((weight / bx["h"]) / w)).ravel()[end]
+                    nz = np.flatnonzero(c)
+                    col = self._rank[end[nz] + k * stride]
+                    for row, sign in zip(self._rank[ax["flats"]], (1.0, -1.0)):
+                        keep = (row[nz] >= 0) & (col >= 0)
+                        maps[a].append((b, nz[keep], sign * c[nz[keep]]))
+                        rows.append(row[nz[keep]])
+                        cols.append(col[keep])
+        return maps, np.concatenate(rows), np.concatenate(cols)
 
     @cached_property
     def matrix(self):
         """The CSC pattern of I/tau - J."""
-        n = self.n_active
-        rows, cols = self._entries
+        n, (rows, cols) = self.n_active, self._pattern[1:]
         pattern = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
         matrix = (identity(n) + pattern).tocsc()
         matrix.sort_indices()  # so the stored entries' keys col*n + row ascend
@@ -196,7 +221,7 @@ class _Stencil:
     @cached_property
     def _slots(self):
         """``matrix``'s data index of each Jacobian value and of each diagonal entry."""
-        n, (rows, cols) = self.n_active, self._entries
+        n, (rows, cols) = self.n_active, self._pattern[1:]
         keys = self.matrix.indices + n * np.repeat(np.arange(n), np.diff(self.matrix.indptr))
         return np.searchsorted(keys, cols * n + rows), np.searchsorted(keys, np.arange(n) * (n + 1))
 
@@ -236,27 +261,30 @@ class _Stencil:
         of d(div)/d(u_active) in the order of ``slot``.
 
         ``face_terms(flux, t_freeze, a, ax, xi, z, xi_n)`` gives each face's
-        flux ``F`` and its endpoint derivatives ``(dF_lo, dF_hi)``; either
-        may be None, and the matching output then is zeros / None.
+        flux ``F``, its endpoint derivatives ``(dF_lo, dF_hi)`` and its
+        transverse ones ``{b: dA_a/dxi_b}``; each may be None, and the matching
+        output then is zeros / None / absent (a prefix of the slots).
         """
-        flux_parts, jac_parts = [], []
+        flux_parts, jac_parts, trans_parts = [], [], []
         for a, (ax, (xi, z, xi_n)) in enumerate(zip(self.axes, self.face_fields(u))):
-            F, dF = face_terms(self.flux, t_freeze, a, ax, xi, z, xi_n)
+            F, dF, dT = face_terms(self.flux, t_freeze, a, ax, xi, z, xi_n)
             h = ax["h"]
             if F is not None:
                 lo_faces, hi_faces = ax["ends"]
                 flux_parts += [F[lo_faces] / h, -(F[hi_faces] / h)]
             if dF is not None:
                 jac_parts += [sign * dF[end][sel] / h for sign, end, sel in ax["couplings"]]
+            if dT is not None:
+                trans_parts += [dT[b][faces] * coeff / h for b, faces, coeff in self._pattern[0][a]]
         div = np.zeros(self.n_active)
         if flux_parts:
             div = np.bincount(self.div_rows, np.concatenate(flux_parts), self.n_active)
-        return div, (np.concatenate(jac_parts) if jac_parts else None)
+        return div, (np.concatenate(jac_parts + trans_parts) if jac_parts else None)
 
     def step_matrix(self, jac, tau):
         """I/tau - J from J's values ``jac``, written into the stencil's matrix."""
         slot, diag_slot = self._slots
-        data = -np.bincount(slot, jac, self.matrix.nnz)
+        data = -np.bincount(slot[: len(jac)], jac, self.matrix.nnz)
         data[diag_slot] += 1.0 / tau
         self.matrix.data = data
         return self.matrix
@@ -268,17 +296,20 @@ class _Stencil:
 
 def _flux_faces(flux, t, a, ax, xi, z, xi_n):
     """The residual: the face flux, no derivatives."""
-    return evaluate_many(flux, t, ax["mids"], z, xi)[:, a], None
+    return evaluate_many(flux, t, ax["mids"], z, xi)[:, a], None, None
 
 
 def _newton_faces(flux, t, a, ax, xi, z, xi_n):
-    """Newton: the face flux differentiated in its normal-gradient and z
-    slots (transverse coupling is dropped -- exact for 1D and for any flux
-    whose component depends only on its own slot, quasi-Newton else)."""
+    """Newton: the face flux differentiated in every slot -- the normal
+    gradient and z through the endpoints, each transverse gradient slot
+    through its static map -- so J is the residual's exact derivative in
+    every dimension."""
     h = ax["h"]
     dA = _diag_jacobian_many(flux, t, ax["mids"], z, xi, a)
     dz = _dz_many(flux, t, ax["mids"], z, xi, a)
-    return None, (-dA / h + 0.5 * dz, dA / h + 0.5 * dz)
+    dT = {b: _offdiag_jacobian_many(flux, t, ax["mids"], z, xi, a, b)
+          for b in range(xi.shape[1]) if b != a}
+    return None, (-dA / h + 0.5 * dz, dA / h + 0.5 * dz), dT
 
 
 def _picard_faces(flux, t, a, ax, xi, z, xi_n):
@@ -290,7 +321,7 @@ def _picard_faces(flux, t, a, ax, xi, z, xi_n):
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(np.abs(xi_n) > 1e-30, F / xi_n, dA)
     c = np.maximum(c, 0.0)
-    return c * xi_n, (-c / h, c / h)
+    return c * xi_n, (-c / h, c / h), None
 
 
 def discrete_flux_divergence(mask, flux, t_freeze, frame):
@@ -312,7 +343,7 @@ def _source_values(problem, stencil, t):
     return eval_on_points(problem.source, t, stencil.active_points)
 
 
-def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
+def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to, step=None):
     cfg = problem.config
     t_freeze = problem.span[0]
     tau = t_to - t_from
@@ -383,7 +414,7 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to):
                 f"no convergence on [{t_from}, {t_to}]: residual {r_inf:.3e} "
                 f"after {newton} Newton + {picard} fallback iterations"
                 + (" (Newton line search stalled)" if stalled else ""),
-                residual_history=history,
+                residual_history=history, step=step, t=t_to, n_active=stencil.n_active,
             )
     return u, StepStats(
         newton_iterations=newton, picard_iterations=picard, residual=r_inf, history=history
@@ -415,7 +446,8 @@ def solve_slice(problem):
     frames = [init.copy()]
     stats = []
     for m in range(problem.substeps):
-        frame, st = _implicit_step_impl(problem, stencil, frames[-1], float(times[m]), float(times[m + 1]))
+        frame, st = _implicit_step_impl(
+            problem, stencil, frames[-1], float(times[m]), float(times[m + 1]), step=m)
         frames.append(frame)
         stats.append(st)
     return SliceSolution(times=times, frames=frames, stats=stats)

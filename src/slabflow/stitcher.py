@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ScenarioError, SlabflowError
+from .errors import ScenarioError, SlabflowError, SolverStallError
 from .geometry import build_slice_plan
 from .slice_solver import SliceProblem, SolverConfig, eval_on_points, solve_slice
 
@@ -186,7 +186,11 @@ def run_scheme(scenario, plan=None):
             source=scenario.source,
             config=scenario.config,
         )
-        sol = solve_slice(problem)
+        try:
+            sol = solve_slice(problem)
+        except SolverStallError as exc:
+            exc.slice = k
+            raise
         times.extend(sol.times)
         slice_idx.extend([k] * len(sol.times))
         frames.extend(sol.frames)

@@ -9,8 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import slabflow as sf
+
+# Property tests draw the same examples on every run, so a pass or a
+# failure reproduces; each test keeps its own max_examples and deadline.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 # Subprocesses the tests start (``python -m slabflow.cli``) import the
 # package the suite imported, installed or not.

@@ -132,7 +132,8 @@ def test_solver_stall_has_its_own_exit_code(tmp_path, capsys):
     cfg.write_text(STALL.format(out=tmp_path / "out"))
     code = main(["run", str(cfg)])
     assert code == 3
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and "(slice=0, step=0, t=10.0, n_active=15)" in err
 
 
 def test_check_flux_passes_builtin(tmp_path, capsys):
@@ -189,7 +190,7 @@ def test_verify_with_second_datum_adds_l1_report(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "source,extra,runs,code",
-    [("", [], 1, 0), ("", ["--u0b", "0.5*sin(pi*x)"], 3, 0), ('source = "1"\n', [], 0, 2)],
+    [("", [], 1, 0), ("", ["--u0b", "0.5*sin(pi*x)"], 2, 0), ('source = "1"\n', [], 0, 2)],
     ids=["plain", "second_datum", "sourced"],
 )
 def test_verify_runs_the_scheme_once_per_datum(

@@ -203,6 +203,25 @@ def test_l1_contraction_on_moving_domain():
     assert report.lhs <= report.rhs
 
 
+def test_l1_contraction_reuses_a_given_run(monkeypatch):
+    """A run from u0_a is reused with its plan: one run fewer, the same
+    series bit for bit, and a source is still rejected before any run."""
+    scen = make_scenario(right="1 + t/2", horizon=0.5, h=1 / 16, n_slices=4, substeps=10,
+                         xmin=-0.25, xmax=1.5)
+    u0b = parse_expr("x*(1 - x)", X_)
+    fresh = l1_contraction_report(scen, scen.u0, u0b)
+    field_a, _ = run_scheme(scen)
+    runs = []
+    monkeypatch.setattr(diagnostics, "run_scheme", lambda *a, **kw: runs.append(a) or run_scheme(*a, **kw))
+    reused = l1_contraction_report(scen, scen.u0, u0b, field_a)
+    assert len(runs) == 1
+    assert reused.details["series"].tobytes() == fresh.details["series"].tobytes()
+    sourced = make_scenario(source="1")
+    with pytest.raises(InapplicableDiagnosticError):
+        l1_contraction_report(sourced, sourced.u0, u0b, run_scheme(sourced)[0])
+    assert len(runs) == 1
+
+
 def test_l1_contraction_rejects_solution_dependent_flux():
     scen = make_scenario(flux=FluxModel.z_modulated(2.0, dim=1))
     with pytest.raises(InapplicableDiagnosticError):

@@ -15,7 +15,7 @@ from slabflow import (
     jacobian_xi,
     parse_expr,
 )
-from slabflow.flux import _diag_jacobian_many, _dz_many, evaluate_many
+from slabflow.flux import _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
 
 FLUX_VARS = ("t", "x", "y", "z", "xi1", "xi2")
 
@@ -159,7 +159,8 @@ def custom_z_flux(dim):
 )
 def test_solver_kernels_match_the_pointwise_jacobian(make_flux, dim):
     """The Newton stencil's d(A_a)/d(xi_a) is jacobian_xi's diagonal, bit for
-    bit, and its dA/dz is the derivative in the solution slot."""
+    bit, its d(A_a)/d(xi_b) the off-diagonal entry (equal; a zero may differ
+    in sign), and its dA/dz is the derivative in the solution slot."""
     flux = make_flux(dim)
     rng = np.random.default_rng(17)
     n = 40
@@ -174,6 +175,10 @@ def test_solver_kernels_match_the_pointwise_jacobian(make_flux, dim):
         diag = _diag_jacobian_many(flux, 0.3, x, z, xi, a)
         pointwise = [jacobian_xi(flux, 0.3, x[i], z[i], xi[i])[a, a] for i in range(n)]
         assert diag.tobytes() == np.array(pointwise).tobytes()
+        for b in set(range(dim)) - {a}:
+            off = _offdiag_jacobian_many(flux, 0.3, x, z, xi, a, b)
+            pointwise = [jacobian_xi(flux, 0.3, x[i], z[i], xi[i])[a, b] for i in range(n)]
+            assert np.array_equal(off, pointwise)
         assert np.allclose(_dz_many(flux, 0.3, x, z, xi, a), dz_ref[:, a], rtol=1e-6, atol=1e-9)
 
 

@@ -21,6 +21,7 @@ from slabflow import (
     bundled_scenario_paths,
     format_scenario,
     load_scenario,
+    parse_expr,
     parse_scenario_text,
     run_scheme,
     scenario_hash,
@@ -186,6 +187,15 @@ def _solver(line):
 
 
 CUSTOM_2D_FLUX = 'type = custom\np = 2\na1 = "xi1"\na2 = "xi2"\nc = 1\nalpha = 1'
+CUSTOM_XI = parse_expr("xi1", ("t", "x", "y", "z", "xi1", "xi2"))
+
+
+def _custom_flux(line):
+    """The 1D custom flux A = xi with c = alpha = 1, one line of constants changed."""
+    key = line.split(" =")[0]
+    consts = {"c": "c = 1", "alpha": "alpha = 1", key: line}
+    text = 'type = custom\np = 2\na1 = "xi1"\n' + "\n".join(consts.values())
+    return ("type = linear_diffusion\np = 2", text)
 
 
 @pytest.mark.parametrize(
@@ -213,12 +223,24 @@ CUSTOM_2D_FLUX = 'type = custom\np = 2\na1 = "xi1"\na2 = "xi2"\nc = 1\nalpha = 1
         (lambda: FluxModel.p_laplacian(3.0, eps_reg=np.nan),
          ("type = linear_diffusion\np = 2", "type = p_laplacian\np = 3\neps_reg = nan"), "[flux]",
          "eps_reg"),
+        *[
+            (lambda kw=kw: FluxModel.custom([CUSTOM_XI], 2.0, **kw), _custom_flux(line), "[flux]", key)
+            for kw, line, key in (
+                ({"growth_c": np.nan}, "c = -1", "growth_c"),
+                ({"growth_c": 0.0}, "c = 0", "growth_c"),
+                ({"coercivity_alpha": np.nan}, "alpha = -1", "coercivity_alpha"),
+                ({"lower_b": -1.0}, "b = -1", "lower_b"),
+                ({"lower_d": np.nan}, "d = -0.5", "lower_d"),
+                ({"z_lipschitz": -1.0}, "C_z = -2", "z_lipschitz"),
+            )
+        ],
     ],
     ids=[
         "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
         "max_newton_fraction", "max_picard_negative", "frames_mode", "linear_diffusion_p3",
         "jump_at_zero", "jump_at_horizon", "zero_slices", "zero_substeps", "2d_flux_on_1d_grid",
-        "nan_spacing", "nan_eps_reg",
+        "nan_spacing", "nan_eps_reg", "growth_c_nan", "growth_c_zero", "coercivity_alpha_nan",
+        "lower_b_negative", "lower_d_nan", "z_lipschitz_negative",
     ],
 )
 def test_code_built_and_loaded_settings_pass_the_same_rules(build, edit, section, key):

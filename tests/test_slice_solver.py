@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix, identity
+from scipy.sparse import coo_matrix
 
 from slabflow import (
     BoundaryData,
@@ -124,12 +124,21 @@ def central_difference_jacobian(stencil, frame, tau, eps=1e-6):
         (disk_mask, FluxModel.linear_diffusion(dim=2)),
         (lambda: unit_interval_mask(h=0.0625), FluxModel.custom(
             [parse_expr("(1 + 0.5*sin(z)^2)*(xi1^2 + 1e-8)^0.5*xi1", FLUX_VARS)], p=3.0)),
+        (disk_mask, FluxModel.p_laplacian(3.0, dim=2)),
+        (disk_mask, FluxModel.z_modulated(3.0, dim=2)),
+        (disk_mask, FluxModel.custom(
+            [parse_expr(f"(1 + 0.5*sin(z)^2)*(xi1^2 + xi2^2 + 1e-8)^0.5*{k}", FLUX_VARS)
+             for k in ("xi1", "xi2")], p=3.0, dim=2)),
+        (disk_mask, FluxModel.custom(  # a skew part: dA/dxi is not symmetric
+            [parse_expr(f"(xi1^2 + xi2^2 + 1e-8)^0.5*{k}", FLUX_VARS)
+             for k in ("xi1 + 0.3*xi2", "xi2 - 0.3*xi1")], p=3.0, dim=2)),
     ],
-    ids=["p_laplacian_1d", "z_modulated_1d", "linear_diffusion_2d", "custom_z_1d"],
+    ids=["p_laplacian_1d", "z_modulated_1d", "linear_diffusion_2d", "custom_z_1d",
+         "p_laplacian_2d", "z_modulated_2d", "custom_coupled_2d", "custom_skew_2d"],
 )
 def test_newton_matrix_matches_central_differences(make_mask, flux):
-    """Where the Newton Jacobian is exact (1D, or a 2D flux whose component
-    depends only on its own gradient slot), it is the residual's derivative."""
+    """The Newton matrix is the step residual's derivative in every
+    dimension, transverse gradient slots included."""
     g, mask = make_mask()
     rng = np.random.default_rng(7)
     tau = 0.01
@@ -142,17 +151,53 @@ def test_newton_matrix_matches_central_differences(make_mask, flux):
         assert np.allclose(newton, reference, rtol=1e-6, atol=1e-7 * np.abs(reference).max())
 
 
+def test_exact_newton_converges_fast_on_a_2d_p3_disk():
+    """With the transverse slots differentiated, Newton on a degenerate 2D
+    problem takes at most 5 iterations per substep (a Jacobian without
+    them needs 10-12 here)."""
+    g, mask = disk_mask()
+    xy = g.node_coords()
+    u0 = np.exp(-4 * ((xy[:, 0] - 0.1) ** 2 + (xy[:, 1] + 0.05) ** 2)).reshape(mask.active.shape)
+    frame = np.where(mask.active, u0, np.where(mask.ghost, 0.0, np.nan))
+    sol = solve_slice(SliceProblem(
+        mask=mask, flux=FluxModel.p_laplacian(3.0, dim=2), span=(0.0, 0.05), substeps=4,
+        boundary=BoundaryData(psi=parse_expr("0", ("t", "x", "y"))), initial=frame,
+    ))
+    assert max(s.newton_iterations for s in sol.stats) <= 5
+    assert all(s.picard_iterations == 0 for s in sol.stats)
+
+
+@pytest.mark.parametrize(
+    "flux,points",
+    [
+        (FluxModel.linear_diffusion(dim=2), 5),
+        (FluxModel.p_laplacian(2.0, dim=2), 5),
+        (FluxModel.z_modulated(2.0, dim=2), 5),
+        (FluxModel.p_laplacian(3.0, dim=2), 9),
+        (FluxModel.custom([parse_expr(k, FLUX_VARS) for k in ("xi1", "xi2")], p=2.0, dim=2), 9),
+    ],
+    ids=["linear_diffusion", "p_laplacian_p2", "z_modulated_p2", "p_laplacian_p3", "custom_p2"],
+)
+def test_only_a_flux_coupling_its_gradient_slots_gets_the_9_point_pattern(flux, points):
+    """For a p = 2 builtin dA_a/dxi_b = 0 (a != b), so the Newton matrix keeps
+    the 5-point pattern and its cheaper factor; other fluxes get 9 points."""
+    g, mask = disk_mask()
+    assert np.diff(_Stencil(mask, flux).matrix.tocsr().indptr).max() == points
+
+
 def per_iteration_assembly(stencil, frame, face_terms, tau):
-    """Reference for the fixed pattern: the per-iteration construction it
-    replaced -- div A by np.add.at (low ends) and np.subtract.at (high ends)
-    per axis, the Jacobian as a COO matrix, then (I/tau - J) as CSC."""
+    """Reference for the fixed pattern: div A by np.add.at (low ends) and
+    np.subtract.at (high ends) per axis; the Jacobian accumulated densely by
+    np.add.at in face-loop order, the endpoint couplings of every axis
+    first, then the transverse ones, with d(xi_b)/du found by probing
+    ``_face_transverse`` with unit vectors; then I/tau - J."""
     n = stencil.n_active
     rank = np.full(frame.size, -1)
     rank[stencil.active_flat] = np.arange(n)
     div = np.zeros(n)
-    rows, cols, vals = [], [], []
+    rows, cols, vals, transverse = [], [], [], []
     for a, (ax, (xi, z, xi_n)) in enumerate(zip(stencil.axes, stencil.face_fields(frame))):
-        F, dF = face_terms(stencil.flux, 0.0, a, ax, xi, z, xi_n)
+        F, dF, dT = face_terms(stencil.flux, 0.0, a, ax, xi, z, xi_n)
         h = ax["h"]
         lo_flat = np.ravel_multi_index(ax["fidx"], frame.shape)
         lo_r = rank[lo_flat]
@@ -162,6 +207,8 @@ def per_iteration_assembly(stencil, frame, face_terms, tau):
             np.add.at(div, lo_r[sel], F[sel] / h)
             sel = hi_r >= 0
             np.subtract.at(div, hi_r[sel], F[sel] / h)
+        if dT is not None:
+            transverse.append((ax, lo_r, hi_r, dT))
         if dF is None:
             continue
         for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
@@ -170,11 +217,21 @@ def per_iteration_assembly(stencil, frame, face_terms, tau):
                 rows.append(row[sel])
                 cols.append(col[sel])
                 vals.append(sign * dF_col[sel] / h)
+    units = np.eye(frame.size)[stencil.active_flat].reshape(-1, *frame.shape)
+    for ax, lo_r, hi_r, dT in transverse:
+        for b, dA in dT.items():
+            dxi = np.column_stack([stencil._face_transverse(unit, b, ax) for unit in units])
+            for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
+                for f in np.flatnonzero(row >= 0):
+                    col = np.flatnonzero(dxi[f])
+                    rows.append(np.full(len(col), row[f]))
+                    cols.append(col)
+                    vals.append(sign * dA[f] * dxi[f, col] / ax["h"])
     if not vals:
         return div, None
-    jdiv = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
-    return div, (identity(n) / tau - jdiv).tocsc()
+    jdiv = np.zeros((n, n))
+    np.add.at(jdiv, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(vals))
+    return div, np.eye(n) / tau - jdiv
 
 
 def isolated_node_mask():
@@ -205,7 +262,7 @@ def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux, f
         frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
         div, jac = stencil.assemble(0.0, frame, face_terms)
         ref_div, ref_matrix = per_iteration_assembly(stencil, frame, face_terms, tau)
-        assert np.array_equal(stencil.step_matrix(jac, tau).toarray(), ref_matrix.toarray())
+        assert np.array_equal(stencil.step_matrix(jac, tau).toarray(), ref_matrix)
         assert np.array_equal(div, ref_div)
         ref_residual_div = per_iteration_assembly(stencil, frame, _flux_faces, tau)[0]
         assert np.array_equal(stencil.divergence(0.0, frame), ref_residual_div)
@@ -406,6 +463,24 @@ def test_exhausted_iterations_raise_stall_error():
     with pytest.raises(SolverStallError) as err:
         solve_slice(problem)
     assert len(err.value.residual_history) >= 1
+
+
+def test_a_run_that_stalls_says_where(bundle):
+    """Zero data keep the residual exactly 0 until psi turns on after
+    t = 0.056, inside the second slice's third substep; one Newton step
+    cannot reach the tolerance there."""
+    scenario = dataclasses.replace(
+        bundle["plap3_fixed"][0], u0=parse_expr("0", ("x",)),
+        boundary=BoundaryData(psi=parse_expr("max(t - 0.056, 0)", TX)),
+        config=SolverConfig(max_newton=1, max_picard=0),
+    )
+    with pytest.raises(SolverStallError) as err:
+        run_scheme(scenario)
+    exc = err.value
+    assert (exc.slice, exc.step, exc.n_active) == (1, 2, 31)
+    assert exc.t == pytest.approx(0.0575, abs=1e-15)
+    assert f"(slice=1, step=2, t={exc.t}, n_active=31)" in str(exc)
+    assert len(exc.residual_history) == 2
 
 
 @pytest.mark.parametrize(
