@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import JacobianSingularError, NumericInputError, SlabflowError
 from .expressions import evaluate as eval_expr
+from .geometry import Grid
 
 STRUCTURE_TOLERANCE = 1e-12  # slack for roundoff + O(eps_reg^(p-1)) regularisation
 FD_STEP = 1e-6  # central differences step FD_STEP * (1 + |slot|) per point
@@ -41,15 +42,21 @@ class FluxModel:
     time_modulus: object = None  # expression in r, or None for 0
     components: tuple = ()  # custom only: expression per component
 
+    BUILTIN_KINDS = ("p_laplacian", "linear_diffusion", "z_modulated")
+    KINDS = BUILTIN_KINDS + ("custom",)
+
+    @classmethod
+    def check_kind(cls, kind):
+        if kind not in cls.KINDS:
+            raise SlabflowError(f"unknown flux kind {kind!r}, expected one of {', '.join(cls.KINDS)}")
+
     def __post_init__(self):
-        if self.kind not in ("p_laplacian", "linear_diffusion", "z_modulated", "custom"):
-            raise SlabflowError(f"unknown flux kind {self.kind!r}")
+        self.check_kind(self.kind)
         if not self.p > 1:
             raise SlabflowError(f"p must exceed 1, got {self.p}")
         if self.kind == "linear_diffusion" and self.p != 2:
             raise SlabflowError(f"linear_diffusion requires p = 2, got {self.p}")
-        if self.dim not in (1, 2):
-            raise SlabflowError(f"dim must be 1 or 2, got {self.dim}")
+        Grid.check_dim(self.dim)
         if not self.eps_reg >= 0:
             raise SlabflowError(f"eps_reg must be >= 0, got {self.eps_reg}")
         for key in ("growth_c", "coercivity_alpha", "lower_b", "lower_d", "z_lipschitz"):

@@ -55,9 +55,15 @@ class Grid:
     spacing: tuple
     counts: tuple
 
+    DIMS = (1, 2)  # the supported spatial dimensions
+
+    @classmethod
+    def check_dim(cls, dim):
+        if dim not in cls.DIMS:
+            raise GeometryError(f"dim must be {' or '.join(map(str, cls.DIMS))}, got {dim}")
+
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise GeometryError(f"dim must be 1 or 2, got {self.dim}")
+        self.check_dim(self.dim)
         for name, tup in (("origin", self.origin), ("spacing", self.spacing), ("counts", self.counts)):
             if len(tup) != self.dim:
                 raise GeometryError(f"{name} must have {self.dim} entries, got {len(tup)}")
@@ -286,11 +292,17 @@ class TimeDomain:
     box: tuple = None
     dim: int = 1
 
+    KINDS = ("moving_intervals", "implicit")
+
+    @classmethod
+    def check_kind(cls, kind):
+        if kind not in cls.KINDS:
+            raise GeometryError(f"unknown domain kind {kind!r}, expected one of {', '.join(cls.KINDS)}")
+
     def __post_init__(self):
         if not self.horizon > 0:
             raise GeometryError(f"horizon T must be positive, got {self.horizon}")
-        if self.kind not in ("moving_intervals", "implicit"):
-            raise GeometryError(f"unknown domain kind {self.kind!r}")
+        self.check_kind(self.kind)
         if self.kind == "moving_intervals":
             if self.dim != 1:
                 raise GeometryError("moving_intervals domains are one-dimensional")

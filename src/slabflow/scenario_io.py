@@ -177,8 +177,8 @@ def parse_scenario_text(text):
     xmin = g.number("xmin")
     xmax = g.number("xmax")
     h = g.number("h")
-    if dim not in (1, 2):
-        issues.append(f"[grid] dim must be 1 or 2, got {dim}")
+    if dim not in Grid.DIMS:
+        _build(issues, "grid", lambda: Grid.check_dim(dim))
         dim = 1
     if dim == 2:
         ymin = g.number("ymin")
@@ -254,7 +254,7 @@ def parse_scenario_text(text):
             domain = _build(issues, "domain",
                             lambda: TimeDomain.implicit(phi, grid.box, horizon, dim=dim))
     elif dom_type is not None:
-        issues.append(f"[domain] unknown type {dom_type!r}")
+        _build(issues, "domain", lambda: TimeDomain.check_kind(dom_type))
 
     # ---- flux
     fsec = _SectionReader("flux", sections["flux"], issues)
@@ -262,7 +262,7 @@ def parse_scenario_text(text):
     p = fsec.number("p")
     eps_reg = fsec.number("eps_reg", required=False, default=1e-8)
     flux = None
-    if flux_type in ("p_laplacian", "linear_diffusion", "z_modulated"):
+    if flux_type in FluxModel.BUILTIN_KINDS:
         fsec.reject_leftovers("only valid for type = custom")
         if p is not None:
             flux = _build(issues, "flux", {
@@ -291,7 +291,7 @@ def parse_scenario_text(text):
                 z_lipschitz=z_lip, time_modulus=omega,
             ))
     elif flux_type is not None:
-        issues.append(f"[flux] unknown type {flux_type!r}")
+        _build(issues, "flux", lambda: FluxModel.check_kind(flux_type))
 
     # ---- data
     data = _SectionReader("data", sections["data"], issues)

@@ -134,6 +134,7 @@ def test_solver_stall_has_its_own_exit_code(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error" in err and "(slice=0, step=0, t=10.0, n_active=15)" in err
+    assert "Newton residuals: 1.648e+10 4.882e+09" in err and "Picard residuals: none" in err
 
 
 def test_check_flux_passes_builtin(tmp_path, capsys):

@@ -223,6 +223,15 @@ def _custom_flux(line):
         (lambda: FluxModel.p_laplacian(3.0, eps_reg=np.nan),
          ("type = linear_diffusion\np = 2", "type = p_laplacian\np = 3\neps_reg = nan"), "[flux]",
          "eps_reg"),
+        (lambda: Grid(dim=3, origin=(0.0,) * 3, spacing=(0.5,) * 3, counts=(4,) * 3),
+         ("dim = 1", "dim = 3"), "[grid]", "dim must be 1 or 2, got 3"),
+        (lambda: FluxModel.p_laplacian(3.0, dim=3), ("dim = 1", "dim = 3"), "[grid]",
+         "dim must be 1 or 2, got 3"),
+        (lambda: FluxModel("parabolic", 2.0), ("type = linear_diffusion", "type = parabolic"),
+         "[flux]", "unknown flux kind 'parabolic', expected one of p_laplacian, linear_diffusion, "
+         "z_modulated, custom"),
+        (lambda: TimeDomain(1.0, "cone"), ("type = moving_intervals", "type = cone"), "[domain]",
+         "unknown domain kind 'cone', expected one of moving_intervals, implicit"),
         *[
             (lambda kw=kw: FluxModel.custom([CUSTOM_XI], 2.0, **kw), _custom_flux(line), "[flux]", key)
             for kw, line, key in (
@@ -239,7 +248,8 @@ def _custom_flux(line):
         "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
         "max_newton_fraction", "max_picard_negative", "frames_mode", "linear_diffusion_p3",
         "jump_at_zero", "jump_at_horizon", "zero_slices", "zero_substeps", "2d_flux_on_1d_grid",
-        "nan_spacing", "nan_eps_reg", "growth_c_nan", "growth_c_zero", "coercivity_alpha_nan",
+        "nan_spacing", "nan_eps_reg", "grid_dim_3", "flux_dim_3", "flux_kind", "domain_kind",
+        "growth_c_nan", "growth_c_zero", "coercivity_alpha_nan",
         "lower_b_negative", "lower_d_nan", "z_lipschitz_negative",
     ],
 )
