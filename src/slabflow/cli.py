@@ -38,7 +38,7 @@ def _cmd_run(args):
     paths = write_frames(
         field, out.directory, mode=out.frames_mode, scenario_digest=scenario_hash(scenario)
     )
-    print(f"slices={len(report.knots) - 1} delta={report.delta:.6g} "
+    print(f"slices={field.plan.n_slices} delta={field.plan.delta:.6g} "
           f"newton={report.total_newton()} wall={report.wall_time:.3f}s")
     print(f"wrote {len(paths)} files to {out.directory}")
     return 0

@@ -49,7 +49,7 @@ class UndefinedDistanceError(SlabflowError):
 
 
 class NumericInputError(SlabflowError):
-    """Non-finite numbers passed into a flux evaluation."""
+    """A slice's initial frame is not finite on its active and ghost nodes."""
 
 
 class JacobianSingularError(SlabflowError):

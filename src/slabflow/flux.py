@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import JacobianSingularError, NumericInputError, SlabflowError
+from .errors import JacobianSingularError, SlabflowError
 from .expressions import evaluate as eval_expr
 from .geometry import Grid
 
@@ -182,41 +182,11 @@ def _central(flux, t, x, z, xi, slot):
     return (fhi - flo) / (2.0 * step)[:, None]
 
 
-def _one_point(t, x, z, xi):
-    """One point as a batch of one; non-finite arguments raise."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if not np.all(np.isfinite(np.concatenate([[t], x, [z], xi]))):
-        raise NumericInputError(f"non-finite flux arguments: t={t}, x={x}, z={z}, xi={xi}")
-    return float(t), x[None, :], np.array([float(z)]), xi[None, :]
-
-
-def evaluate_flux(flux, t, x, z, xi):
-    """Single-point flux evaluation; validates inputs are finite."""
-    return evaluate_many(flux, *_one_point(t, x, z, xi))[0]
-
-
-def jacobian_xi(flux, t, x, z, xi):
-    """Derivative of the flux in its gradient slot at one point, (dim, dim).
-
-    Analytic for builtins; for custom fluxes the solver's central
-    differences.  Without regularisation the derivative blows up at
-    xi = 0 when p < 2; that raises.
-    """
-    t, x, z, xi = _one_point(t, x, z, xi)
-    if flux.kind == "custom":
-        return np.stack([_central(flux, t, x, z, xi, 1 + a)[0] for a in range(flux.dim)], axis=-1)
-    if flux.p == 2.0:  # m I exactly: 2g' = 0, and forming s could overflow
-        return _modulation(flux, z)[0] * np.eye(flux.dim)
-    (g,), (gp2,) = _radial(flux, xi, slope=True)
-    return _modulation(flux, z)[0] * (g * np.eye(flux.dim) + gp2 * np.outer(xi, xi))
-
-
 def _diag_jacobian_many(flux, t, x, z, xi, axis):
     """d(A_axis)/d(xi_axis) at many points (used for the Newton stencil)."""
     if flux.kind == "custom":
         return _central(flux, t, x, z, xi, 1 + axis)[:, axis]
-    if flux.p == 2.0:  # m exactly, as in jacobian_xi
+    if flux.p == 2.0:  # m exactly: 2g' = 0, and forming s could overflow
         return _modulation(flux, z)
     g, gp2 = _radial(flux, xi, slope=True)
     return _modulation(flux, z) * (g + gp2 * xi[:, axis] ** 2)

@@ -19,7 +19,7 @@ bitwise-identical outputs.
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

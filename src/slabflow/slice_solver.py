@@ -46,7 +46,7 @@ pivoting; on the 4,357-node h = 0.021 disk the 9-point Newton factor has
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
@@ -118,7 +118,8 @@ class BoundaryData:
 @dataclass(frozen=True)
 class SliceProblem:
     """One frozen-domain slice: mask, flux (time argument frozen at the
-    span's start), span to integrate over, data and solver knobs."""
+    span's start), span, its uniform substeps (``times``; construction
+    checks that each advances time), data and solver knobs."""
 
     mask: object
     flux: object
@@ -129,13 +130,25 @@ class SliceProblem:
     source: object = None
     config: SolverConfig = SolverConfig()
 
+    def __post_init__(self):
+        t0, t1 = self.span
+        if not t1 > t0:
+            raise SlabflowError(f"empty slice span {self.span}")
+        if self.substeps < 1:
+            raise SlabflowError(f"substeps must be >= 1, got {self.substeps}")
+        if not np.all(np.diff(self.times) > 0):
+            raise SlabflowError(f"{self.substeps} substeps of the span {self.span} do not all advance time")
+
+    @property
+    def times(self):
+        return np.linspace(*self.span, self.substeps + 1)
+
 
 @dataclass
 class StepStats:
     newton_iterations: int
     picard_iterations: int
     residual: float
-    history: list = field(default_factory=list)
 
 
 @dataclass
@@ -369,16 +382,6 @@ def _picard_faces(flux, t, a, ax, xi, z, xi_n):
     return c * xi_n, (-c / h, c / h), None
 
 
-def discrete_flux_divergence(mask, flux, t_freeze, frame):
-    """Face-centred divergence of the flux at the active nodes.
-
-    ``frame`` is a full-grid array defined on active + ghost nodes; the
-    result is a compact array in active (C-order) node order.
-    """
-    stencil = _Stencil(mask, flux)
-    return stencil.divergence(t_freeze, frame)[np.argsort(stencil.active_flat)]
-
-
 # ---------------------------------------------------------------------------
 # Implicit stepping
 
@@ -389,12 +392,15 @@ def _source_values(problem, stencil, t):
     return eval_on_points(problem.source, t, stencil.active_points)
 
 
-def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to, step=None):
+def _step(problem, stencil, frame_in, t_from, t_to, step):
+    """Backward-Euler substep ``step`` over [t_from, t_to]; returns (frame_out, stats).
+
+    ``frame_out`` keeps the input's undefined nodes untouched, carries
+    psi(t_to) on the ghost ring and the implicit solution on the active set.
+    """
     cfg = problem.config
     t_freeze = problem.span[0]
     tau = t_to - t_from
-    if tau <= 0:
-        raise ValueError(f"step must advance time, got [{t_from}, {t_to}]")
     u = frame_in.copy()
     if len(stencil.ghost_flat):
         u.ravel()[stencil.ghost_flat] = problem.boundary.values(t_to, stencil.ghost_points)
@@ -464,37 +470,20 @@ def _implicit_step_impl(problem, stencil, frame_in, t_from, t_to, step=None):
                 newton_history=newton_history, picard_history=picard_history,
                 step=step, t=t_to, n_active=stencil.n_active,
             )
-    return u, StepStats(newton_iterations=newton, picard_iterations=picard, residual=r_inf,
-                        history=newton_history + picard_history)
-
-
-def implicit_step(problem, frame_in, t_from, t_to):
-    """One backward-Euler substep; returns (frame_out, stats).
-
-    ``frame_out`` keeps the input's undefined nodes untouched, carries
-    psi(t_to) on the ghost ring and the implicit solution on the active set.
-    """
-    stencil = _Stencil(problem.mask, problem.flux)
-    return _implicit_step_impl(problem, stencil, frame_in, t_from, t_to)
+    return u, StepStats(newton_iterations=newton, picard_iterations=picard, residual=r_inf)
 
 
 def solve_slice(problem):
     """Integrate the slice over its span with uniform substeps."""
-    t0, t1 = problem.span
-    if not (t1 > t0):
-        raise ValueError(f"empty slice span {problem.span}")
-    if problem.substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {problem.substeps}")
     stencil = _Stencil(problem.mask, problem.flux)
     init = problem.initial
     if not np.all(np.isfinite(init.ravel()[np.flatnonzero(problem.mask.defined.ravel())])):
         raise NumericInputError("initial frame has non-finite values on active/ghost nodes")
-    times = np.linspace(t0, t1, problem.substeps + 1)
+    times = problem.times
     frames = [init.copy()]
     stats = []
     for m in range(problem.substeps):
-        frame, st = _implicit_step_impl(
-            problem, stencil, frames[-1], float(times[m]), float(times[m + 1]), step=m)
+        frame, st = _step(problem, stencil, frames[-1], float(times[m]), float(times[m + 1]), m)
         frames.append(frame)
         stats.append(st)
     return SliceSolution(times=times, frames=frames, stats=stats)

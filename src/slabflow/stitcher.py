@@ -15,7 +15,7 @@ right trace (start of the later one); ``knot_traces`` returns that pair.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -128,8 +128,6 @@ class SpaceTimeField:
 
 @dataclass
 class RunReport:
-    knots: np.ndarray
-    delta: float
     slice_stats: list
     wall_time: float
 
@@ -212,13 +210,7 @@ def run_scheme(scenario, plan=None):
         frames=np.array(frames),
         boundary=scenario.boundary,
     )
-    report = RunReport(
-        knots=plan.knots.copy(),
-        delta=plan.delta,
-        slice_stats=slice_stats,
-        wall_time=time.perf_counter() - t_start,
-    )
-    return field, report
+    return field, RunReport(slice_stats=slice_stats, wall_time=time.perf_counter() - t_start)
 
 
 def knot_traces(field, k):

@@ -137,6 +137,22 @@ def test_solver_stall_has_its_own_exit_code(tmp_path, capsys):
     assert "Newton residuals: 1.648e+10 4.882e+09" in err and "Picard residuals: none" in err
 
 
+def test_substeps_that_cannot_advance_time_are_an_input_error(tmp_path):
+    """T = 5e-323 loads, but 20 substeps of a slice of it cannot all advance
+    time: the run stops with one error line and exit code 2, no traceback."""
+    text = open(bundled_scenario_paths()["heat_fixed"]).read()
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(text.replace("T = 0.1", "T = 5e-323").replace("out/heat_fixed", str(tmp_path / "out")))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slabflow.cli", "run", str(cfg)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: 20 substeps of the span (0.0, 2.5e-323) do not all advance time"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_flux_passes_builtin(tmp_path, capsys):
     code = main(["check-flux", write_heat(tmp_path), "--samples", "500"])
     assert code == 0

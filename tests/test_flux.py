@@ -8,11 +8,8 @@ import pytest
 from slabflow import (
     FluxModel,
     JacobianSingularError,
-    NumericInputError,
     SlabflowError,
     check_structure,
-    evaluate_flux,
-    jacobian_xi,
     parse_expr,
 )
 from slabflow.flux import _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
@@ -20,10 +17,45 @@ from slabflow.flux import _diag_jacobian_many, _dz_many, _offdiag_jacobian_many,
 FLUX_VARS = ("t", "x", "y", "z", "xi1", "xi2")
 
 
+def flux_at(flux, t, x, z, xi):
+    """A(t, x, z, xi) at one point: ``evaluate_many`` on a batch of one."""
+    return evaluate_many(flux, t, np.atleast_2d(x), np.array([z], dtype=float), np.atleast_2d(xi))[0]
+
+
+def kernel_jacobian(flux, t, x, z, xi):
+    """dA/dxi at many points, (n, dim, dim), from the solver's kernels."""
+    dim = xi.shape[1]
+    J = np.empty((len(xi), dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            J[:, a, b] = (_diag_jacobian_many(flux, t, x, z, xi, a) if a == b
+                          else _offdiag_jacobian_many(flux, t, x, z, xi, a, b))
+    return J
+
+
+def jacobian_at(flux, xi, z=0.0):
+    """dA/dxi from the kernels at one point (t = 0, x = 0), (dim, dim)."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    return kernel_jacobian(flux, 0.0, np.zeros_like(xi), np.array([z]), xi)[0]
+
+
+def central_jacobian(flux, t, x, z, xi):
+    """dA/dxi at many points by central differences of ``evaluate_many``,
+    with a per-point step of 1e-4 times the radial scale (|xi|^2 + eps_reg^2)^(1/2)."""
+    step = 1e-4 * np.sqrt(np.sum(xi * xi, axis=1) + flux.eps_reg**2) + 1e-12
+    J = np.empty((len(xi), xi.shape[1], xi.shape[1]))
+    for b in range(xi.shape[1]):
+        hi, lo = xi.copy(), xi.copy()
+        hi[:, b] += step
+        lo[:, b] -= step
+        J[:, :, b] = (evaluate_many(flux, t, x, z, hi) - evaluate_many(flux, t, x, z, lo)) / (2 * step)[:, None]
+    return J
+
+
 def test_linear_flux_is_identity():
     flux = FluxModel.linear_diffusion(dim=2)
     xi = np.array([0.3, -0.7])
-    out = evaluate_flux(flux, 0.0, (0.0, 0.0), 0.0, xi)
+    out = flux_at(flux, 0.0, (0.0, 0.0), 0.0, xi)
     assert np.allclose(out, xi, atol=0, rtol=0)
 
 
@@ -31,7 +63,7 @@ def test_p4_flux_formula():
     # p = 4 without regularisation: |xi|^2 xi
     flux = FluxModel.p_laplacian(4.0, dim=2, eps_reg=0.0)
     xi = np.array([1.0, 2.0])
-    out = evaluate_flux(flux, 0.0, (0.0, 0.0), 0.0, xi)
+    out = flux_at(flux, 0.0, (0.0, 0.0), 0.0, xi)
     assert np.allclose(out, 5.0 * xi, rtol=1e-15)
 
 
@@ -43,7 +75,7 @@ def test_zero_gradient_maps_to_zero_for_all_builtins():
         FluxModel.z_modulated(2.0, dim=2),
     ):
         zero = np.zeros(flux.dim)
-        out = evaluate_flux(flux, 0.3, (0.1,) * flux.dim, 0.7, zero)
+        out = flux_at(flux, 0.3, (0.1,) * flux.dim, 0.7, zero)
         assert np.all(out == 0.0)
 
 
@@ -55,14 +87,6 @@ def test_p_must_exceed_one():
         FluxModel.p_laplacian(0.5, dim=1)
 
 
-def test_nonfinite_input_rejected():
-    flux = FluxModel.linear_diffusion(dim=1)
-    with pytest.raises(NumericInputError):
-        evaluate_flux(flux, 0.0, (np.nan,), 0.0, np.array([1.0]))
-    with pytest.raises(NumericInputError):
-        evaluate_flux(flux, 0.0, (0.0,), 0.0, np.array([np.inf]))
-
-
 def test_rotation_equivariance_of_isotropic_flux():
     """A(R xi) = R A(xi) for rotation matrices R."""
     flux = FluxModel.p_laplacian(3.0, dim=2)
@@ -71,36 +95,38 @@ def test_rotation_equivariance_of_isotropic_flux():
         theta = rng.uniform(0, 2 * np.pi)
         R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         xi = rng.normal(size=2)
-        lhs = evaluate_flux(flux, 0.0, (0.0, 0.0), 0.0, R @ xi)
-        rhs = R @ evaluate_flux(flux, 0.0, (0.0, 0.0), 0.0, xi)
+        lhs = flux_at(flux, 0.0, (0.0, 0.0), 0.0, R @ xi)
+        rhs = R @ flux_at(flux, 0.0, (0.0, 0.0), 0.0, xi)
         assert np.allclose(lhs, rhs, atol=1e-14)
 
 
 def test_custom_flux_matches_expression():
     comp = parse_expr("(1 + t)*xi1", FLUX_VARS)
     flux = FluxModel.custom([comp], p=2.0, dim=1, growth_c=2.0, coercivity_alpha=1.0)
-    out = evaluate_flux(flux, 0.5, (0.2,), 0.0, np.array([2.0]))
+    out = flux_at(flux, 0.5, (0.2,), 0.0, np.array([2.0]))
     assert out[0] == pytest.approx(3.0)
 
 
 def test_regularisation_error_is_second_order():
     """The smoothing parameter perturbs the flux by O(eps^2)."""
     xi = np.array([1.0])
-    exact = evaluate_flux(FluxModel.p_laplacian(3.0, dim=1, eps_reg=0.0), 0.0, (0.0,), 0.0, xi)
+    exact = flux_at(FluxModel.p_laplacian(3.0, dim=1, eps_reg=0.0), 0.0, (0.0,), 0.0, xi)
     errs = []
     for eps in (1e-2, 5e-3, 2.5e-3):
-        smoothed = evaluate_flux(FluxModel.p_laplacian(3.0, dim=1, eps_reg=eps), 0.0, (0.0,), 0.0, xi)
+        smoothed = flux_at(FluxModel.p_laplacian(3.0, dim=1, eps_reg=eps), 0.0, (0.0,), 0.0, xi)
         errs.append(abs(float(smoothed[0] - exact[0])))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 
 
 # --- Jacobians ---------------------------------------------------------------
+# The solver's kernels, checked against exact values and against central
+# differences of evaluate_many, the independent reference.
 
 
 def test_jacobian_p4_reference_point():
     flux = FluxModel.p_laplacian(4.0, dim=2, eps_reg=0.0)
-    J = jacobian_xi(flux, 0.0, (0.0, 0.0), 0.0, (1.0, 0.0))
+    J = jacobian_at(flux, (1.0, 0.0))
     assert np.allclose(J, [[3.0, 0.0], [0.0, 1.0]], atol=1e-14)
 
 
@@ -110,32 +136,32 @@ def test_jacobian_matches_finite_differences(p):
     rng = np.random.default_rng(int(10 * p))
     for _ in range(10):
         xi = rng.normal(size=2)
-        J = jacobian_xi(flux, 0.0, (0.0, 0.0), 0.0, xi)
+        J = jacobian_at(flux, xi)
         step = 1e-6 * (1 + np.linalg.norm(xi))
         fd = np.zeros((2, 2))
         for k in range(2):
             dxi = np.zeros(2)
             dxi[k] = step
-            hi = evaluate_flux(flux, 0.0, (0.0, 0.0), 0.0, xi + dxi)
-            lo = evaluate_flux(flux, 0.0, (0.0, 0.0), 0.0, xi - dxi)
+            hi = flux_at(flux, 0.0, (0.0, 0.0), 0.0, xi + dxi)
+            lo = flux_at(flux, 0.0, (0.0, 0.0), 0.0, xi - dxi)
             fd[:, k] = (hi - lo) / (2 * step)
         assert np.allclose(J, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_jacobian_at_zero_gradient():
     # p = 2: identity; p > 2: zero matrix; p < 2 unregularised: singular
-    J2 = jacobian_xi(FluxModel.linear_diffusion(dim=2), 0.0, (0.0, 0.0), 0.0, (0.0, 0.0))
+    J2 = jacobian_at(FluxModel.linear_diffusion(dim=2), (0.0, 0.0))
     assert np.allclose(J2, np.eye(2))
-    J4 = jacobian_xi(FluxModel.p_laplacian(4.0, dim=2, eps_reg=0.0), 0.0, (0.0, 0.0), 0.0, (0.0, 0.0))
+    J4 = jacobian_at(FluxModel.p_laplacian(4.0, dim=2, eps_reg=0.0), (0.0, 0.0))
     assert np.allclose(J4, 0.0)
     with pytest.raises(JacobianSingularError):
-        jacobian_xi(FluxModel.p_laplacian(1.5, dim=1, eps_reg=0.0), 0.0, (0.0,), 0.0, (0.0,))
+        jacobian_at(FluxModel.p_laplacian(1.5, dim=1, eps_reg=0.0), (0.0,))
 
 
 def test_custom_jacobian_uses_finite_differences():
     comp = parse_expr("xi1^3", FLUX_VARS)
     flux = FluxModel.custom([comp], p=4.0, dim=1, growth_c=1.0, coercivity_alpha=1.0)
-    J = jacobian_xi(flux, 0.0, (0.0,), 0.0, (2.0,))
+    J = jacobian_at(flux, (2.0,))
     assert J[0, 0] == pytest.approx(12.0, rel=1e-6)
 
 
@@ -158,9 +184,9 @@ def custom_z_flux(dim):
     ids=["p_laplacian", "linear_diffusion", "z_modulated", "custom"],
 )
 def test_solver_kernels_match_the_pointwise_jacobian(make_flux, dim):
-    """The Newton stencil's d(A_a)/d(xi_a) is jacobian_xi's diagonal, bit for
-    bit, its d(A_a)/d(xi_b) the off-diagonal entry (equal; a zero may differ
-    in sign), and its dA/dz is the derivative in the solution slot."""
+    """The Newton stencil's d(A_a)/d(xi_a) and d(A_a)/d(xi_b) are the central
+    differences of the flux in its gradient slots, and its dA/dz is the one
+    in the solution slot."""
     flux = make_flux(dim)
     rng = np.random.default_rng(17)
     n = 40
@@ -171,14 +197,11 @@ def test_solver_kernels_match_the_pointwise_jacobian(make_flux, dim):
     eps = 1e-6
     fhi, flo = (evaluate_many(flux, 0.3, x, z + dz, xi) for dz in (eps, -eps))
     dz_ref = (fhi - flo) / (2 * eps)
+    # atol: a custom kernel differences with the step FD_STEP near xi = 0, where
+    # this custom flux varies on the scale 1e-4 (error up to 7.4e-9 on 1.5e-4)
+    assert np.allclose(kernel_jacobian(flux, 0.3, x, z, xi), central_jacobian(flux, 0.3, x, z, xi),
+                       rtol=1e-6, atol=1e-8)
     for a in range(dim):
-        diag = _diag_jacobian_many(flux, 0.3, x, z, xi, a)
-        pointwise = [jacobian_xi(flux, 0.3, x[i], z[i], xi[i])[a, a] for i in range(n)]
-        assert diag.tobytes() == np.array(pointwise).tobytes()
-        for b in set(range(dim)) - {a}:
-            off = _offdiag_jacobian_many(flux, 0.3, x, z, xi, a, b)
-            pointwise = [jacobian_xi(flux, 0.3, x[i], z[i], xi[i])[a, b] for i in range(n)]
-            assert np.array_equal(off, pointwise)
         assert np.allclose(_dz_many(flux, 0.3, x, z, xi, a), dz_ref[:, a], rtol=1e-6, atol=1e-9)
 
 
@@ -198,9 +221,7 @@ def test_p2_jacobian_is_exactly_the_modulation(flux, z, xi):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         diag = _diag_jacobian_many(flux, 0.0, np.zeros((1, 1)), np.array([z]), np.array([[xi]]), 0)
-        pointwise = jacobian_xi(flux, 0.0, (0.0,), z, (xi,))
     assert diag.tolist() == [m]
-    assert pointwise.tolist() == [[m]]
 
 
 def test_jacobian_is_symmetric_for_gradient_fluxes():
@@ -208,7 +229,7 @@ def test_jacobian_is_symmetric_for_gradient_fluxes():
     rng = np.random.default_rng(9)
     for _ in range(10):
         xi = rng.normal(size=2)
-        J = jacobian_xi(flux, 0.0, (0.0, 0.0), 0.0, xi)
+        J = jacobian_at(flux, xi)
         assert np.allclose(J, J.T, atol=1e-12)
 
 

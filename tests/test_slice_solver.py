@@ -2,7 +2,8 @@
 
 The implicit-step reference values come from an independently assembled
 dense linear system (numpy.linalg.solve on a hand-built matrix), not
-from the sparse path under test.
+from the sparse path under test.  A step is taken through ``solve_slice``
+on a one-substep slice, the only way into the solver.
 """
 
 import dataclasses
@@ -19,14 +20,13 @@ from slabflow import (
     Grid,
     IntervalRegion,
     NumericInputError,
+    SlabflowError,
     SliceProblem,
     SolverConfig,
     SolverStallError,
     TimeDomain,
     build_slice_plan,
-    discrete_flux_divergence,
     eval_on_points,
-    implicit_step,
     parse_expr,
     rasterize,
     run_scheme,
@@ -59,6 +59,15 @@ def full_frame(grid, mask, fn):
     return vals.reshape(mask.active.shape)
 
 
+def c_order_divergence(mask, flux, frame):
+    """The stencil's div A at the active nodes, scattered through
+    ``active_flat`` onto the grid and read back in C order."""
+    stencil = _Stencil(mask, flux)
+    on_grid = np.full(frame.size, np.nan)
+    on_grid[stencil.active_flat] = stencil.divergence(0.0, frame)
+    return on_grid[mask.active.ravel()]
+
+
 # --- divergence stencil ------------------------------------------------------
 
 
@@ -66,7 +75,7 @@ def test_divergence_of_parabola_is_constant():
     """u = x(1-x) with the linear flux: second difference is exactly -2."""
     g, mask = unit_interval_mask(h=0.25)
     frame = full_frame(g, mask, lambda x: x * (1 - x))
-    div = discrete_flux_divergence(mask, FluxModel.linear_diffusion(dim=1), 0.0, frame)
+    div = c_order_divergence(mask, FluxModel.linear_diffusion(dim=1), frame)
     assert np.allclose(div, -2.0, atol=1e-13)
 
 
@@ -74,7 +83,7 @@ def test_divergence_of_constant_is_zero():
     g, mask = unit_interval_mask(h=0.125)
     frame = full_frame(g, mask, lambda x: np.full_like(x, 0.7))
     for flux in (FluxModel.linear_diffusion(dim=1), FluxModel.p_laplacian(3.0, dim=1)):
-        div = discrete_flux_divergence(mask, flux, 0.0, frame)
+        div = c_order_divergence(mask, flux, frame)
         assert np.allclose(div, 0.0, atol=1e-14)
 
 
@@ -84,7 +93,7 @@ def test_divergence_of_affine_is_zero():
     g, mask = unit_interval_mask(h=0.125)
     frame = full_frame(g, mask, lambda x: 0.3 * x + 0.1)
     for flux in (FluxModel.p_laplacian(1.5, dim=1), FluxModel.p_laplacian(4.0, dim=1)):
-        div = discrete_flux_divergence(mask, flux, 0.0, frame)
+        div = c_order_divergence(mask, flux, frame)
         assert np.allclose(div, 0.0, atol=1e-12)
 
 
@@ -97,14 +106,14 @@ def test_divergence_2d_quadratic():
     coords = g.node_coords()
     vals = np.where(mask.defined.ravel(), coords[:, 0] ** 2 + coords[:, 1] ** 2, np.nan)
     frame = vals.reshape(mask.active.shape)
-    div = discrete_flux_divergence(mask, FluxModel.linear_diffusion(dim=2), 0.0, frame)
+    div = c_order_divergence(mask, FluxModel.linear_diffusion(dim=2), frame)
     assert np.allclose(div, 4.0, atol=1e-12)
 
 
-def test_divergence_comes_back_in_c_order_on_a_2d_disk():
-    """The stencil numbers its unknowns in nested-dissection order; the
-    public result is still in C order. Non-constant, non-quadratic data give
-    every node its own value, so a permuted result would not match."""
+def test_divergence_scattered_through_active_flat_is_the_laplacian_on_a_2d_disk():
+    """The stencil numbers its unknowns in nested-dissection order, and
+    ``active_flat`` maps them back to the grid. Non-constant, non-quadratic
+    data give every node its own value, so a wrong map would not match."""
     g, mask = disk_mask(h=0.0625)
     x, y = g.node_coords().T
     frame = np.where(mask.defined.ravel(), np.exp(x) * np.sin(3 * y) + x**3 * y, np.nan)
@@ -113,14 +122,10 @@ def test_divergence_comes_back_in_c_order_on_a_2d_disk():
     laplacian = np.full(frame.shape, np.nan)
     laplacian[1:-1, 1:-1] = (frame[2:, 1:-1] + frame[:-2, 1:-1] + frame[1:-1, 2:] + frame[1:-1, :-2]
                              - 4 * frame[1:-1, 1:-1]) / h**2
-    div = discrete_flux_divergence(mask, FluxModel.linear_diffusion(dim=2), 0.0, frame)
+    div = c_order_divergence(mask, FluxModel.linear_diffusion(dim=2), frame)
     assert np.allclose(div, laplacian[mask.active], rtol=1e-12, atol=1e-9)
-    flux = FluxModel.p_laplacian(3.0, dim=2)
-    stencil = _Stencil(mask, flux)
-    on_grid = np.full(frame.size, np.nan)
-    on_grid[stencil.active_flat] = stencil.divergence(0.0, frame)
+    stencil = _Stencil(mask, FluxModel.p_laplacian(3.0, dim=2))
     assert not np.array_equal(stencil.active_flat, np.flatnonzero(mask.active))
-    assert np.array_equal(discrete_flux_divergence(mask, flux, 0.0, frame), on_grid[mask.active.ravel()])
 
 
 # --- Jacobians of the face assembly -------------------------------------------
@@ -395,7 +400,7 @@ def test_sparse_pattern_is_built_only_where_a_step_matrix_is_needed(bundle, monk
     monkeypatch.setattr(slice_solver, "coo_matrix", counting_coo_matrix)
     g, mask = disk_mask()
     frame = np.where(mask.defined, np.random.default_rng(3).uniform(-1, 1, mask.active.shape), np.nan)
-    discrete_flux_divergence(mask, FluxModel.p_laplacian(3.0, dim=2), 0.0, frame)
+    _Stencil(mask, FluxModel.p_laplacian(3.0, dim=2)).divergence(0.0, frame)
     assert calls == []
     scenario = bundle["heat_moving"][0]
     _, report = run_scheme(scenario)
@@ -437,6 +442,12 @@ def dense_heat_step(mask, grid, u_in, tau, psi_value, source=0.0):
     return np.linalg.solve(A, b)
 
 
+def one_step(problem):
+    """(frame, stats) of the single substep of a one-substep slice."""
+    solution = solve_slice(problem)
+    return solution.frames[-1], solution.stats[0]
+
+
 @pytest.mark.parametrize("psi_value", [0.0, 0.25])
 def test_implicit_heat_step_matches_dense_solve(psi_value):
     g, mask = unit_interval_mask(h=0.125)
@@ -452,13 +463,13 @@ def test_implicit_heat_step_matches_dense_solve(psi_value):
         boundary=BoundaryData(psi=parse_expr(repr(psi_value), TX)),
         initial=u_in,
     )
-    frame, stats = implicit_step(problem, u_in, 0.0, tau)
+    frame, stats = one_step(problem)
     expected = dense_heat_step(mask, g, u_in, tau, psi_value)
     assert np.allclose(frame[mask.active], expected, atol=1e-12)
     assert stats.newton_iterations == 1  # linear problem: a single solve
 
 
-def test_implicit_step_with_source_matches_dense_solve():
+def test_heat_step_with_source_matches_dense_solve():
     g, mask = unit_interval_mask(h=0.125)
     u_in = np.where(mask.defined, 0.0, np.nan)
     tau = 0.05
@@ -471,7 +482,7 @@ def test_implicit_step_with_source_matches_dense_solve():
         initial=u_in,
         source=parse_expr("3", TX),
     )
-    frame, _ = implicit_step(problem, u_in, 0.0, tau)
+    frame, _ = one_step(problem)
     expected = dense_heat_step(mask, g, u_in, tau, 0.0, source=3.0)
     assert np.allclose(frame[mask.active], expected, atol=1e-12)
 
@@ -488,8 +499,8 @@ def test_step_satisfies_its_own_residual():
         mask=mask, flux=flux, span=(0.0, tau), substeps=1,
         boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
     )
-    frame, stats = implicit_step(problem, u_in, 0.0, tau)
-    div = discrete_flux_divergence(mask, flux, 0.0, frame)
+    frame, stats = one_step(problem)
+    div = c_order_divergence(mask, flux, frame)
     residual = (frame[mask.active] - u_in[mask.active]) / tau - div
     assert np.max(np.abs(residual)) <= 1e-10
     assert stats.residual <= 1e-10
@@ -505,7 +516,7 @@ def test_constant_data_costs_one_newton_iteration():
         mask=mask, flux=FluxModel.p_laplacian(3.0, dim=1), span=(0.0, 0.1), substeps=1,
         boundary=BoundaryData(psi=parse_expr("0.7", TX)), initial=u_in,
     )
-    frame, stats = implicit_step(problem, u_in, 0.0, 0.1)
+    frame, stats = one_step(problem)
     assert stats.newton_iterations == 1
     assert stats.picard_iterations == 0
     assert np.allclose(frame[mask.defined], 0.7, atol=0)
@@ -636,12 +647,29 @@ def test_nonfinite_initial_frame_rejected():
 def test_empty_span_rejected():
     g, mask = unit_interval_mask(h=0.25)
     u_in = np.where(mask.defined, 0.0, np.nan)
-    problem = SliceProblem(
-        mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=(0.5, 0.5), substeps=1,
-        boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
-    )
-    with pytest.raises(ValueError):
-        solve_slice(problem)
+    with pytest.raises(SlabflowError, match="empty slice span"):
+        SliceProblem(
+            mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=(0.5, 0.5), substeps=1,
+            boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
+        )
+
+
+@pytest.mark.parametrize(
+    "span,substeps,message",
+    [((0.0, 0.1), 0, "substeps must be >= 1, got 0"),
+     ((0.0, 5e-323), 20, "20 substeps of the span (0.0, 5e-323) do not all advance time")],
+    ids=["no_substeps", "subnormal_span"],
+)
+def test_substeps_are_checked_at_construction(span, substeps, message):
+    """A span of a few subnormals is not empty, but linspace puts some of
+    its substeps at zero length; the problem is refused when built."""
+    g, mask = unit_interval_mask(h=0.25)
+    with pytest.raises(SlabflowError) as err:
+        SliceProblem(
+            mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=span, substeps=substeps,
+            boundary=BoundaryData(psi=parse_expr("0", TX)), initial=np.where(mask.defined, 0.0, np.nan),
+        )
+    assert str(err.value) == message
 
 
 # --- boundary data ----------------------------------------------------------------

@@ -281,4 +281,4 @@ def test_moving_domain_run_expands_active_set():
     last = field.mask_at(field.n_stamps - 1).active_count
     assert last > first
     assert len(report.slice_stats) == 4
-    assert report.delta == pytest.approx(0.125)
+    assert field.plan.delta == pytest.approx(0.125)
