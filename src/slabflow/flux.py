@@ -52,17 +52,18 @@ class FluxModel:
 
     def __post_init__(self):
         self.check_kind(self.kind)
-        if not self.p > 1:
-            raise SlabflowError(f"p must exceed 1, got {self.p}")
+        if not 1 < self.p < np.inf:
+            raise SlabflowError(f"p must exceed 1 and be finite, got {self.p}")
         if self.kind == "linear_diffusion" and self.p != 2:
             raise SlabflowError(f"linear_diffusion requires p = 2, got {self.p}")
         Grid.check_dim(self.dim)
-        if not self.eps_reg >= 0:
-            raise SlabflowError(f"eps_reg must be >= 0, got {self.eps_reg}")
+        if not 0 <= self.eps_reg < np.inf:
+            raise SlabflowError(f"eps_reg must be >= 0 and finite, got {self.eps_reg}")
         for key in ("growth_c", "coercivity_alpha", "lower_b", "lower_d", "z_lipschitz"):
             value, positive = getattr(self, key), key in ("growth_c", "coercivity_alpha")
-            if not (value > 0 if positive else value >= 0):
-                raise SlabflowError(f"{key} must be {'> 0' if positive else '>= 0'}, got {value}")
+            if not ((value > 0 if positive else value >= 0) and value < np.inf):
+                sign = "> 0" if positive else ">= 0"
+                raise SlabflowError(f"{key} must be {sign} and finite, got {value}")
         if self.kind == "custom" and len(self.components) != self.dim:
             raise SlabflowError(
                 f"custom flux needs {self.dim} component expression(s), got {len(self.components)}"

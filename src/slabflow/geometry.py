@@ -67,9 +67,11 @@ class Grid:
         for name, tup in (("origin", self.origin), ("spacing", self.spacing), ("counts", self.counts)):
             if len(tup) != self.dim:
                 raise GeometryError(f"{name} must have {self.dim} entries, got {len(tup)}")
-        if not all(h > 0 for h in self.spacing):
-            raise GeometryError(f"spacing must be positive, got {self.spacing}")
-        if any(int(c) != c or c < 3 for c in self.counts):
+        if not all(-math.inf < x < math.inf for x in self.origin):
+            raise GeometryError(f"origin must be finite, got {self.origin}")
+        if not all(0 < h < math.inf for h in self.spacing):
+            raise GeometryError(f"spacing must be positive and finite, got {self.spacing}")
+        if not all(3 <= c < math.inf and int(c) == c for c in self.counts):
             raise GeometryError(f"counts must be integers >= 3, got {self.counts}")
 
     @property
@@ -300,8 +302,8 @@ class TimeDomain:
             raise GeometryError(f"unknown domain kind {kind!r}, expected one of {', '.join(cls.KINDS)}")
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise GeometryError(f"horizon T must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise GeometryError(f"horizon T must be positive and finite, got {self.horizon}")
         self.check_kind(self.kind)
         if self.kind == "moving_intervals":
             if self.dim != 1:
@@ -621,17 +623,13 @@ def sample_slab(dom, plan, resolution):
     return np.vstack(rows)
 
 
-def hausdorff_distance(a, b, resolution=None):
-    """Symmetric Hausdorff distance between two point sets.
-
-    ``a`` and ``b`` may be (n, d) arrays or samplers (callables taking the
-    resolution and returning such an array).  Accuracy is O(resolution) of
-    whatever sampling produced the clouds.
-    """
+def hausdorff_distance(a, b):
+    """Symmetric Hausdorff distance between two (n, d) point sets.  Its
+    accuracy is O(resolution) of whatever sampling produced the clouds."""
     from scipy.spatial import cKDTree  # only here: it costs every import of the package
 
-    pts_a = np.atleast_2d(np.asarray(a(resolution) if callable(a) else a, dtype=float))
-    pts_b = np.atleast_2d(np.asarray(b(resolution) if callable(b) else b, dtype=float))
+    pts_a = np.atleast_2d(np.asarray(a, dtype=float))
+    pts_b = np.atleast_2d(np.asarray(b, dtype=float))
     if pts_a.size == 0 or pts_b.size == 0:
         raise UndefinedDistanceError("Hausdorff distance needs two non-empty point sets")
     d_ab = cKDTree(pts_b).query(pts_a, k=1)[0].max()
@@ -641,8 +639,4 @@ def hausdorff_distance(a, b, resolution=None):
 
 def slab_hausdorff(dom, plan, resolution):
     """Distance between the sliced body and the true space-time body."""
-    return hausdorff_distance(
-        lambda r: sample_slab(dom, plan, r),
-        lambda r: sample_spacetime(dom, r),
-        resolution,
-    )
+    return hausdorff_distance(sample_slab(dom, plan, resolution), sample_spacetime(dom, resolution))

@@ -11,7 +11,9 @@ the solution slot z is the arithmetic mean of the endpoints, and every
 other (transverse) component is the average of the endpoints' central
 differences (one-sided or zero where the frame is undefined).  With a
 linear flux this collapses to the standard (2d+1)-point Laplacian.  The
-stencil slices each axis the same way, whatever the grid's dimension.
+stencil knows a face only by the flat grid indices of its ends (``flats``);
+each transverse slot is a static linear map of the flat frame, built once,
+whose (face, node, weight) triplets are also Newton's transverse entries.
 
 One face-assembly routine (:meth:`_Stencil.assemble`) serves the whole
 step.  Per axis it evaluates the face fields once and gives each face's
@@ -40,15 +42,15 @@ median coordinate, number the part below the cut, the part above it, then
 the one-node-wide separator, and recurse until a part has at most
 ``DISSECTION_LEAF`` nodes or lies on one lattice line.  Such a line, and so
 every 1D mask, keeps C order, and its tridiagonal stays free of fill.
-SuperLU factors in that order (``permc_spec="NATURAL"``) with partial
-pivoting; on the 4,357-node h = 0.021 disk the 9-point Newton factor has
-0.65x the L+U nonzeros of SuperLU's default COLAMD ordering.
+:meth:`_Stencil.solve` has SuperLU factor in that order
+(``permc_spec="NATURAL"``) with partial pivoting; on the 4,357-node h = 0.021
+disk the 9-point Newton factor has 0.65x the L+U nonzeros of SuperLU's
+default COLAMD ordering.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 from scipy.sparse import coo_matrix, identity
@@ -69,7 +71,7 @@ def eval_on_points(expr, t, points):
     points = np.atleast_2d(points)
     env = {"t": t, **dict(zip(("x", "y"), points.T))}
     out = eval_expr(expr, env)
-    return np.broadcast_to(np.asarray(out, dtype=float), (len(points),)).copy()
+    return np.full(len(points), out, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ class SolverConfig:
     max_picard: int = 200
 
     def __post_init__(self):
-        if not self.newton_tol > 0:
-            raise SlabflowError(f"newton_tol must be positive, got {self.newton_tol}")
+        if not 0 < self.newton_tol < math.inf:
+            raise SlabflowError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         for key in ("max_newton", "max_picard"):
             value = getattr(self, key)
             if not (isinstance(value, (int, np.integer)) and value >= 0):
@@ -214,19 +216,20 @@ class _Stencil:
         self.ghost_flat = np.flatnonzero(mask.ghost.ravel())
         self.ghost_points = coords[self.ghost_flat]
 
-        # Per axis, ``ends``: the faces whose low / high end is active;
-        # ``couplings``: (row sign, column end, faces with both ends active)
-        # for (lo, lo), (lo, hi), (hi, lo), (hi, hi) -- the order of the maps.
+        # Per axis, ``flats``: the grid indices of each face's low / high end
+        # (faces with both ends defined, in C order); ``ends``: the faces whose
+        # low / high end is active; ``couplings``: (row sign, column end, faces
+        # with both ends active) for (lo, lo), (lo, hi), (hi, lo), (hi, hi) --
+        # the order of the maps.
         self.axes = []
         div_rows, rows, cols = [], [], []
         for a in range(self.dim):
-            h = grid.spacing[a]
+            h, stride = grid.spacing[a], int(np.prod(self.shape[a + 1:]))
             lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
-            fidx = np.nonzero(self.defined[hi] & self.defined[lo])
-            mids = np.column_stack([grid.axis_nodes(b)[fidx[b]] for b in range(self.dim)])
+            lo_flat = np.ravel_multi_index(np.nonzero(self.defined[hi] & self.defined[lo]), self.shape)
+            flats = lo_flat + np.array([[0], [stride]])
+            mids = coords[lo_flat]
             mids[:, a] += 0.5 * h
-            lo_flat = np.ravel_multi_index(fidx, self.shape)
-            flats = lo_flat + np.array([[0], [int(np.prod(self.shape[a + 1:]))]])  # lo, hi ends
             ranks = rank[flats]
             ends = [np.flatnonzero(r >= 0) for r in ranks]
             div_rows += [r[sel] for r, sel in zip(ranks, ends)]
@@ -237,34 +240,45 @@ class _Stencil:
                     couplings.append((sign, end, sel))
                     rows.append(row[sel])
                     cols.append(col[sel])
-            self.axes.append({"h": h, "lo": lo, "hi": hi, "fidx": fidx, "mids": mids,
-                              "flats": flats, "ends": ends, "couplings": couplings})
+            self.axes.append({"h": h, "stride": stride, "mids": mids, "flats": flats, "ends": ends,
+                              "couplings": couplings})
+        for a, ax in enumerate(self.axes):
+            ax["transverse"] = {b: self._transverse_map(ax["flats"], bx)
+                                for b, bx in enumerate(self.axes) if b != a}
 
         self.div_rows = np.concatenate(div_rows)
         self._rank, self._normal = rank, (rows, cols)
 
+    def _transverse_map(self, flats, bx):
+        """Triplets (faces, nodes, weights), in (end, offset, face) order, of
+        the static linear map from the flat frame to xi_b (b: the axis ``bx``)
+        at the faces ``flats``: each end n weighs n - e_b, n and n + e_b by half
+        of -1, 1 - 1 or +1 over h_b * w, w >= 1 counting the one-sided
+        differences along b at n whose two nodes are defined."""
+        marks = np.zeros((2, self.defined.size))  # where a difference along b starts / ends
+        marks[0, bx["flats"][0]] = marks[1, bx["flats"][1]] = 1.0
+        up, down = marks[:, flats]
+        weight = np.stack([-down, down - up, up], axis=1)  # on n - e_b, n, n + e_b
+        c = 0.5 * ((weight / bx["h"]) / np.maximum(up + down, 1.0)[:, None])
+        end, k, faces = np.nonzero(c)
+        return faces, flats[end, faces] + (k - 1) * bx["stride"], c[end, k, faces]
+
     @cached_property
     def _pattern(self):
         """Per face axis a, groups ``(b, faces, coeff)`` giving J values
-        ``dA_a/dxi_b[faces] * coeff / h_a`` (``coeff``: half an endpoint's weight on
-        n - e_b, n or n + e_b in ``_face_transverse``; none if the flux does not
-        couple its slots), and the (rows, cols) of all J values, endpoint ones first."""
+        ``dA_a/dxi_b[faces] * coeff / h_a`` (``coeff``: a transverse map weight
+        signed by the row's end; none if the flux does not couple its slots),
+        and the (rows, cols) of all J values, endpoint ones first."""
         (rows, cols), maps = map(list, self._normal), [[] for _ in self.axes]
         coupled = self.axes if self.flux.couples_gradient_slots else []
-        for (a, ax), (b, bx) in permutations(enumerate(coupled), 2):
-            up, down = np.zeros(self.shape), np.zeros(self.shape)
-            up[bx["lo"]] = down[bx["hi"]] = self.defined[bx["hi"]] & self.defined[bx["lo"]]
-            w, stride = np.maximum(up + down, 1.0), int(np.prod(self.shape[b + 1:]))
-            for end in ax["flats"]:
-                for k, weight in zip((-1, 0, 1), (-down, down - up, up)):
-                    c = (0.5 * ((weight / bx["h"]) / w)).ravel()[end]
-                    nz = np.flatnonzero(c)
-                    col = self._rank[end[nz] + k * stride]
-                    for row, sign in zip(self._rank[ax["flats"]], (1.0, -1.0)):
-                        keep = (row[nz] >= 0) & (col >= 0)
-                        maps[a].append((b, nz[keep], sign * c[nz[keep]]))
-                        rows.append(row[nz[keep]])
-                        cols.append(col[keep])
+        for a, ax in enumerate(coupled):
+            for b, (faces, nodes, weights) in ax["transverse"].items():
+                col = self._rank[nodes]
+                for row, sign in zip(self._rank[ax["flats"]], (1.0, -1.0)):
+                    keep = (row[faces] >= 0) & (col >= 0)
+                    maps[a].append((b, faces[keep], sign * weights[keep]))
+                    rows.append(row[faces[keep]])
+                    cols.append(col[keep])
         return maps, np.concatenate(rows), np.concatenate(cols)
 
     @cached_property
@@ -285,31 +299,18 @@ class _Stencil:
 
     # -- face field values ---------------------------------------------------
 
-    def _face_transverse(self, u, axis, face_ax):
-        """xi_axis at the faces of ``face_ax``: the mean of the endpoints'
-        averages of the available one-sided differences along ``axis``
-        (central where both neighbours are defined)."""
-        ax = self.axes[axis]
-        lo, hi = ax["lo"], ax["hi"]
-        d = np.zeros(self.shape)
-        w = np.zeros(self.shape)
-        valid = self.defined[hi] & self.defined[lo]
-        diff = np.where(valid, (u[hi] - u[lo]) / ax["h"], 0.0)
-        for end in (lo, hi):
-            d[end] += diff
-            w[end] += valid
-        ndt = np.where(w > 0, d / np.maximum(w, 1), 0.0)
-        return (0.5 * (ndt[face_ax["hi"]] + ndt[face_ax["lo"]]))[face_ax["fidx"]]
-
     def face_fields(self, u):
-        """Per axis: (xi_full, z, normal_xi) at the defined faces."""
-        out = []
+        """Per axis: (xi_full, z, normal_xi) at its faces, read from the flat
+        frame through ``flats`` and the transverse maps."""
+        flat, out = u.ravel(), []
         for a, ax in enumerate(self.axes):
-            lo, hi, fidx = ax["lo"], ax["hi"], ax["fidx"]
-            xi_n = ((u[hi] - u[lo]) / ax["h"])[fidx]
-            z = (0.5 * (u[hi] + u[lo]))[fidx]
-            xi = [xi_n if b == a else self._face_transverse(u, b, ax) for b in range(self.dim)]
-            out.append((np.column_stack(xi), z, xi_n))
+            lo, hi = flat[ax["flats"]]
+            xi_n = (hi - lo) / ax["h"]
+            xi = np.empty((len(xi_n), self.dim))
+            xi[:, a] = xi_n
+            for b, (faces, nodes, weights) in ax["transverse"].items():
+                xi[:, b] = np.bincount(faces, weights * flat[nodes], len(xi_n))
+            out.append((xi, 0.5 * (hi + lo), xi_n))
         return out
 
     # -- assembly --------------------------------------------------------------
@@ -346,6 +347,10 @@ class _Stencil:
         data[diag_slot] += 1.0 / tau
         self.matrix.data = data
         return self.matrix
+
+    def solve(self, jac, tau, rhs):
+        """x with (I/tau - J) x = rhs, J from its values ``jac``, factored in the stencil's order."""
+        return spsolve(self.step_matrix(jac, tau), rhs, permc_spec="NATURAL")
 
     def divergence(self, t_freeze, u):
         """div A at the active nodes (compact array, active order)."""
@@ -386,12 +391,6 @@ def _picard_faces(flux, t, a, ax, xi, z, xi_n):
 # Implicit stepping
 
 
-def _source_values(problem, stencil, t):
-    if problem.source is None:
-        return np.zeros(stencil.n_active)
-    return eval_on_points(problem.source, t, stencil.active_points)
-
-
 def _step(problem, stencil, frame_in, t_from, t_to, step):
     """Backward-Euler substep ``step`` over [t_from, t_to]; returns (frame_out, stats).
 
@@ -405,7 +404,8 @@ def _step(problem, stencil, frame_in, t_from, t_to, step):
     if len(stencil.ghost_flat):
         u.ravel()[stencil.ghost_flat] = problem.boundary.values(t_to, stencil.ghost_points)
     u_in_act = frame_in.ravel()[stencil.active_flat]
-    f_act = _source_values(problem, stencil, t_to)
+    f_act = (np.zeros(stencil.n_active) if problem.source is None
+             else eval_on_points(problem.source, t_to, stencil.active_points))
 
     def residual(v):
         """The step residual at the active nodes and its max norm."""
@@ -426,7 +426,7 @@ def _step(problem, stencil, frame_in, t_from, t_to, step):
     stalled = False
     while math.isfinite(r_inf) and newton < cfg.max_newton:
         jac = stencil.assemble(t_freeze, u, _newton_faces)[1]
-        delta = spsolve(stencil.step_matrix(jac, tau), -r, permc_spec="NATURAL")
+        delta = stencil.solve(jac, tau, -r)
         r_two = float(np.linalg.norm(r))
         lam = 1.0
         accepted = False
@@ -453,9 +453,8 @@ def _step(problem, stencil, frame_in, t_from, t_to, step):
     if not r_inf <= cfg.newton_tol:
         while math.isfinite(r_inf) and picard < cfg.max_picard:
             divlin, jac = stencil.assemble(t_freeze, u, _picard_faces)
-            uact = u.ravel()[stencil.active_flat]
-            g_lin = (uact - u_in_act) / tau - divlin - f_act
-            step_lin = spsolve(stencil.step_matrix(jac, tau), -g_lin, permc_spec="NATURAL")
+            g_lin = (u.ravel()[stencil.active_flat] - u_in_act) / tau - divlin - f_act
+            step_lin = stencil.solve(jac, tau, -g_lin)
             u = with_update(u, step_lin, 1.0)
             r, r_inf = residual(u)
             picard += 1

@@ -241,8 +241,29 @@ def _custom_flux(line):
                 ({"lower_b": -1.0}, "b = -1", "lower_b"),
                 ({"lower_d": np.nan}, "d = -0.5", "lower_d"),
                 ({"z_lipschitz": -1.0}, "C_z = -2", "z_lipschitz"),
+                ({"growth_c": np.inf}, "c = inf", "'c'"),
+                ({"coercivity_alpha": np.inf}, "alpha = inf", "'alpha'"),
+                ({"lower_b": np.inf}, "b = inf", "'b'"),
+                ({"lower_d": np.inf}, "d = inf", "'d'"),
+                ({"z_lipschitz": np.inf}, "C_z = inf", "'C_z'"),
             )
         ],
+        (lambda: SolverConfig(newton_tol=np.inf), _solver("newton_tol = inf"), "[solver]",
+         "newton_tol"),
+        (lambda: Grid(dim=1, origin=(0.0,), spacing=(0.5,), counts=(np.inf,)),
+         ("xmax = 1.125", "xmax = inf"), "[grid]", "'xmax'"),
+        (lambda: Grid(dim=1, origin=(0.0,), spacing=(0.5,), counts=(np.nan,)),
+         ("xmax = 1.125", "xmax = nan"), "[grid]", "'xmax'"),
+        (lambda: Grid(dim=1, origin=(-np.inf,), spacing=(0.5,), counts=(4,)),
+         ("xmin = -0.125", "xmin = -inf"), "[grid]", "'xmin'"),
+        (lambda: Grid(dim=1, origin=(0.0,), spacing=(np.inf,), counts=(4,)),
+         ("h = 0.03125", "h = inf"), "[grid]", "'h'"),
+        (_jumps_at(horizon=np.inf), ("T = 0.1", "T = inf"), "[time]", "'T'"),
+        (lambda: FluxModel.p_laplacian(np.inf),
+         ("type = linear_diffusion\np = 2", "type = p_laplacian\np = inf"), "[flux]", "'p'"),
+        (lambda: FluxModel.p_laplacian(3.0, eps_reg=np.inf),
+         ("type = linear_diffusion\np = 2", "type = p_laplacian\np = 3\neps_reg = inf"), "[flux]",
+         "eps_reg"),
     ],
     ids=[
         "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
@@ -250,7 +271,10 @@ def _custom_flux(line):
         "jump_at_zero", "jump_at_horizon", "zero_slices", "zero_substeps", "2d_flux_on_1d_grid",
         "nan_spacing", "nan_eps_reg", "grid_dim_3", "flux_dim_3", "flux_kind", "domain_kind",
         "growth_c_nan", "growth_c_zero", "coercivity_alpha_nan",
-        "lower_b_negative", "lower_d_nan", "z_lipschitz_negative",
+        "lower_b_negative", "lower_d_nan", "z_lipschitz_negative", "growth_c_inf",
+        "coercivity_alpha_inf", "lower_b_inf", "lower_d_inf", "z_lipschitz_inf", "newton_tol_inf",
+        "counts_inf", "counts_nan", "origin_inf", "spacing_inf", "horizon_inf", "p_inf",
+        "eps_reg_inf",
     ],
 )
 def test_code_built_and_loaded_settings_pass_the_same_rules(build, edit, section, key):

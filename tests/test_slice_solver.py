@@ -128,6 +128,38 @@ def test_divergence_scattered_through_active_flat_is_the_laplacian_on_a_2d_disk(
     assert not np.array_equal(stencil.active_flat, np.flatnonzero(mask.active))
 
 
+def test_transverse_slots_follow_the_averaged_one_sided_differences():
+    """A per-face loop over the grid, written from the module docstring: at
+    a face of axis a, xi_b (b != a) is the mean over its two ends of each
+    end's average of the one-sided differences along b whose other node is
+    defined (central where both are, zero where neither is)."""
+    g, mask = disk_mask(h=0.0625)
+    frame = np.where(mask.defined, np.random.default_rng(13).uniform(-1, 1, mask.active.shape), np.nan)
+    shape, h = mask.defined.shape, g.spacing
+
+    def end_average(node, b):
+        """The average of the one-sided differences along b at ``node``, and their count."""
+        diffs = []
+        for step in (-1, 1):
+            other = list(node)
+            other[b] += step
+            if 0 <= other[b] < shape[b] and mask.defined[tuple(other)]:
+                diffs.append(step * (frame[tuple(other)] - frame[node]) / h[b])
+        return (sum(diffs) / len(diffs) if diffs else 0.0), len(diffs)
+
+    counts = []
+    for a, (xi, _, _) in enumerate(_Stencil(mask, FluxModel.p_laplacian(3.0, dim=2)).face_fields(frame)):
+        b, expected = 1 - a, []
+        for lo in np.ndindex(shape):
+            hi = tuple(i + (d == a) for d, i in enumerate(lo))
+            if hi[a] < shape[a] and mask.defined[lo] and mask.defined[hi]:
+                (lo_avg, lo_count), (hi_avg, hi_count) = end_average(lo, b), end_average(hi, b)
+                expected.append(0.5 * (lo_avg + hi_avg))
+                counts += [lo_count, hi_count]
+        assert np.allclose(xi[:, b], expected, rtol=1e-13, atol=1e-13)
+    assert {1, 2} <= set(counts)
+
+
 # --- Jacobians of the face assembly -------------------------------------------
 
 
@@ -310,7 +342,7 @@ def per_iteration_assembly(stencil, frame, face_terms, tau):
     np.subtract.at (high ends) per axis; the Jacobian accumulated densely by
     np.add.at in face-loop order, the endpoint couplings of every axis
     first, then the transverse ones, with d(xi_b)/du found by probing
-    ``_face_transverse`` with unit vectors; then I/tau - J."""
+    ``face_fields`` with unit vectors; then I/tau - J."""
     n = stencil.n_active
     rank = np.full(frame.size, -1)
     rank[stencil.active_flat] = np.arange(n)
@@ -319,16 +351,14 @@ def per_iteration_assembly(stencil, frame, face_terms, tau):
     for a, (ax, (xi, z, xi_n)) in enumerate(zip(stencil.axes, stencil.face_fields(frame))):
         F, dF, dT = face_terms(stencil.flux, 0.0, a, ax, xi, z, xi_n)
         h = ax["h"]
-        lo_flat = np.ravel_multi_index(ax["fidx"], frame.shape)
-        lo_r = rank[lo_flat]
-        hi_r = rank[lo_flat + int(np.prod(frame.shape[a + 1:]))]
+        lo_r, hi_r = rank[ax["flats"]]
         if F is not None:
             sel = lo_r >= 0
             np.add.at(div, lo_r[sel], F[sel] / h)
             sel = hi_r >= 0
             np.subtract.at(div, hi_r[sel], F[sel] / h)
         if dT is not None:
-            transverse.append((ax, lo_r, hi_r, dT))
+            transverse.append((a, lo_r, hi_r, dT))
         if dF is None:
             continue
         for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
@@ -338,15 +368,16 @@ def per_iteration_assembly(stencil, frame, face_terms, tau):
                 cols.append(col[sel])
                 vals.append(sign * dF_col[sel] / h)
     units = np.eye(frame.size)[stencil.active_flat].reshape(-1, *frame.shape)
-    for ax, lo_r, hi_r, dT in transverse:
+    probes = [stencil.face_fields(unit) for unit in units]
+    for a, lo_r, hi_r, dT in transverse:
         for b, dA in dT.items():
-            dxi = np.column_stack([stencil._face_transverse(unit, b, ax) for unit in units])
+            dxi = np.column_stack([probe[a][0][:, b] for probe in probes])
             for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
                 for f in np.flatnonzero(row >= 0):
                     col = np.flatnonzero(dxi[f])
                     rows.append(np.full(len(col), row[f]))
                     cols.append(col)
-                    vals.append(sign * dA[f] * dxi[f, col] / ax["h"])
+                    vals.append(sign * dA[f] * dxi[f, col] / stencil.axes[a]["h"])
     if not vals:
         return div, None
     jdiv = np.zeros((n, n))
