@@ -25,7 +25,9 @@ with a message picked only then ("division by zero", ...).
 """
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +61,7 @@ class Num(Expr):
     value: float
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
+    tree: Expr = field(default=None, compare=False, repr=False)  # the subtree :func:`bind` replaced
 
 
 @dataclass(frozen=True)
@@ -107,17 +110,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.column})"
+Token = namedtuple("Token", "kind text line column")
 
 
 def _tokenize(text):
@@ -287,6 +280,8 @@ _BIN_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^"
 
 
 def _prec(node):
+    if isinstance(node, Num) and node.tree is not None:
+        return _prec(node.tree)
     if isinstance(node, Binary):
         return _BIN_PREC[node.op]
     if isinstance(node, Unary):
@@ -296,6 +291,8 @@ def _prec(node):
 
 def to_source(node):
     """Render a tree to canonical text; reparsing gives an equal tree."""
+    if isinstance(node, Num) and node.tree is not None:
+        return to_source(node.tree)
     if isinstance(node, Num):
         value = node.value
         if value == int(value) and abs(value) < 1e16:
@@ -396,5 +393,22 @@ def _walk(node, env):
 def evaluate(node, env):
     """Evaluate a tree against ``env`` (name -> finite scalar or ndarray); a
     non-finite intermediate raises :class:`NumericEvalError` naming it."""
+    if isinstance(node, Num):  # a value raises nothing
+        return node.value
     with np.errstate(all="raise", under="ignore"):
         return _walk(node, env)
+
+
+def bind(node, env):
+    """``node`` with each subtree reading only names in ``env`` replaced by a :class:`Num`
+    of its value that prints as the subtree; a node whose evaluation raises stays a node."""
+    if free_variables(node) <= env.keys():
+        with suppress(NumericEvalError):
+            return Num(evaluate(node, env), tree=node)
+    if isinstance(node, Unary):
+        return replace(node, operand=bind(node.operand, env))
+    if isinstance(node, Binary):
+        return replace(node, left=bind(node.left, env), right=bind(node.right, env))
+    if isinstance(node, Call):
+        return replace(node, args=tuple(bind(a, env) for a in node.args))
+    return node

@@ -319,6 +319,8 @@ class TimeDomain:
                 raise GeometryError("implicit domain needs phi and a search box")
             if len(self.box) != self.dim:
                 raise GeometryError("box must have one (lo, hi) pair per axis")
+            if not all(-math.inf < lo < hi < math.inf for lo, hi in self.box):
+                raise GeometryError(f"search box {self.box} must be finite with lo < hi on every axis")
 
     @staticmethod
     def moving_intervals(tracks, horizon):

@@ -487,7 +487,7 @@ def write_frames(field, out_dir, mode="knots", scenario_digest=""):
     coords = field.plan.masks[0].grid.node_coords()
     dim = coords.shape[1]
     header = "# t x" + (" y" if dim == 2 else "") + " u active u_ext"
-    fmt = ["%.17g"] * (dim + 2) + ["%d", "%.17g"]
+    row = " ".join(["%.17g"] * (dim + 2) + ["%d", "%.17g"]) + "\n"  # np.savetxt's row format
     paths = []
     manifest_rows = []
     for j, i in enumerate(_selected_stamps(field, mode)):
@@ -501,7 +501,9 @@ def write_frames(field, out_dir, mode="knots", scenario_digest=""):
         name = f"frame_{j:05d}.txt"
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
-            np.savetxt(fh, table, fmt=fmt, header=header, comments="")
+            fh.write(header + "\n")
+            for block in np.split(table, range(1024, len(table), 1024)):  # bounded memory
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
         paths.append(path)
         manifest_rows.append(f"{j} {int(field.slice_index[i])} {t:.17g} {name}")
     manifest = os.path.join(out_dir, "manifest.txt")

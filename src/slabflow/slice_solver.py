@@ -16,14 +16,17 @@ each transverse slot is a static linear map of the flat frame, built once,
 whose (face, node, weight) triplets are also Newton's transverse entries.
 
 One face-assembly routine (:meth:`_Stencil.assemble`) serves the whole
-step.  Per axis it evaluates the face fields once and gives each face's
-flux and endpoint derivatives.  The residual takes the flux only.  The
-two Jacobians differ only in the per-face derivatives: damped Newton
+step.  Per axis it gives each face's flux and endpoint derivatives.  The
+residual takes the flux only, and the assembly at an accepted iterate
+reuses the residual's face fields: one face pass per iterate.  psi on the
+ghost ring and the source are bound in space once per slice
+(:func:`expressions.bind`), so a substep walks only what reads t.  The two
+Jacobians differ only in the per-face derivatives: damped Newton
 (residual-norm backtracking, shrink 0.5 down to steps of 2^-20)
 differentiates the flux in every slot, so its J is the residual's exact
-derivative in every dimension; if it stalls, a lagged-coefficient
-(Picard) iteration replaces the flux by a frozen secant diffusivity times
-the normal difference.  Both solve with I/tau - J; exhausting both raises
+derivative in every dimension; if it stalls, a lagged-coefficient (Picard)
+iteration replaces the flux by a frozen secant diffusivity times the
+normal difference.  Both solve with I/tau - J; exhausting both raises
 :class:`SolverStallError` with the residual history and where it stalled.
 
 The domain is frozen on a slice, so all its systems share one sparsity
@@ -33,15 +36,16 @@ stencil), and two scatter maps, ``div_rows`` (each face end's div-A row)
 and the slots (each Jacobian value's matrix entry; Picard fills a prefix).
 They are built at a stencil's first ``step_matrix`` call, so a
 residual-only stencil never pays for them.  An iteration only fills
-values, with one ``np.bincount`` per map; it sums each target's terms in
-face-loop order from 0.0, bitwise as a sequential accumulation would.
+values, one flat gather per axis and one ``np.bincount`` per map; it sums
+each target's terms in face-loop order from 0.0, bitwise as a loop would.
 
 The stencil numbers its unknowns once, in nested-dissection order (George
 1973): split the active nodes along the axis of largest extent at the
 median coordinate, number the part below the cut, the part above it, then
-the one-node-wide separator, and recurse until a part has at most
-``DISSECTION_LEAF`` nodes or lies on one lattice line.  Such a line, and so
-every 1D mask, keeps C order, and its tridiagonal stays free of fill.
+the one-node-wide separator, and cut all parts of a level at once until
+each has at most ``DISSECTION_LEAF`` nodes or lies on one lattice line.
+Such a line, and so every 1D mask, keeps C order, and its tridiagonal
+stays free of fill.
 :meth:`_Stencil.solve` has SuperLU factor in that order
 (``permc_spec="NATURAL"``) with partial pivoting; on the 4,357-node h = 0.021
 disk the 9-point Newton factor has 0.65x the L+U nonzeros of SuperLU's
@@ -57,7 +61,7 @@ from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import spsolve
 
 from .errors import NumericInputError, SlabflowError, SolverStallError
-from .expressions import evaluate as eval_expr
+from .expressions import bind, evaluate as eval_expr
 from .flux import FD_STEP, _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
 from .geometry import along
 
@@ -164,34 +168,33 @@ class SliceSolution:
 # Face stencil machinery
 
 
-def _bisect(axes):
-    """Split lattice points, given as one coordinate array per axis, along
-    the axis of largest extent at the median coordinate: boolean masks
-    (below, above, on the cut), or None for a part that is small or one node
-    wide (it lies on one lattice line)."""
-    n = len(axes[0])
-    if n <= DISSECTION_LEAF:
-        return None
-    extent = [coord.max() - coord.min() for coord in axes]
-    if np.count_nonzero(extent) <= 1:
-        return None
-    coord = axes[np.argmax(extent)]
-    cut = np.sort(coord)[n // 2]
-    return coord < cut, coord > cut, coord == cut
-
-
 def _dissection_order(axes):
-    """Nested-dissection order of lattice points given in C order: the part
-    below the cut, the part above it, then the separator on the cut, each
-    part ordered the same way; unsplit parts keep C order (George, *Nested
-    dissection of a regular finite element mesh*, SIAM J. Numer. Anal. 1973).
-    A stencil coupling only nodes at most one lattice step apart per axis
-    never couples the two sides of a cut."""
-    split = _bisect(axes)
-    if split is None:
-        return np.arange(len(axes[0]))
-    return np.concatenate([np.flatnonzero(part)[_dissection_order([coord[part] for coord in axes])]
-                           for part in split])
+    """Nested-dissection order of lattice points given in C order, one
+    coordinate array per axis (George, SIAM J. Numer. Anal. 1973): cut a part
+    along its axis of largest extent at the median coordinate and order the
+    part below the cut, the part above it, then the separator, each the same
+    way; a part of at most ``DISSECTION_LEAF`` points or on one lattice line
+    keeps C order.  A stencil coupling only nodes at most one lattice step
+    apart per axis never couples the two sides of a cut.  Each level cuts all
+    its parts at once: ``order`` keeps every part contiguous from its entry in
+    ``starts``, and ``path`` spells a point's cuts in base 3 (below 0, above
+    1, separator 2)."""
+    n = len(axes[0])
+    order, path = np.arange(n), np.zeros(n, dtype=np.int64)
+    while True:
+        starts = np.flatnonzero(np.diff(path, prepend=-1))
+        c = np.array(axes)[:, order]
+        size = np.diff(starts, append=n)
+        extent = np.maximum.reduceat(c, starts, axis=1) - np.minimum.reduceat(c, starts, axis=1)
+        split = (size > DISSECTION_LEAF) & (np.count_nonzero(extent, axis=0) > 1)
+        if not split.any():
+            return order[np.lexsort((order, path))]
+        part = np.repeat(np.arange(len(starts)), size)
+        key = c[np.argmax(extent, axis=0)[part], np.arange(n)]
+        resort = np.lexsort((key, part))
+        order, key, path = order[resort], key[resort], path[resort]
+        cut = key[starts + size // 2][part]
+        path = 3 * path + np.where(split[part], (key > cut) + 2 * (key == cut), 0)
 
 
 class _Stencil:
@@ -217,10 +220,9 @@ class _Stencil:
         self.ghost_points = coords[self.ghost_flat]
 
         # Per axis, ``flats``: the grid indices of each face's low / high end
-        # (faces with both ends defined, in C order); ``ends``: the faces whose
-        # low / high end is active; ``couplings``: (row sign, column end, faces
-        # with both ends active) for (lo, lo), (lo, hi), (hi, lo), (hi, hi) --
-        # the order of the maps.
+        # (faces with both ends defined, in C order); ``*_take``/``*_sign``: flat
+        # gathers, signed by the row's end, from the face flux into the div-A rows
+        # (low ends, then high) and from (dF_lo, dF_hi) into J's (lo, lo) .. (hi, hi).
         self.axes = []
         div_rows, rows, cols = [], [], []
         for a in range(self.dim):
@@ -231,17 +233,15 @@ class _Stencil:
             mids = coords[lo_flat]
             mids[:, a] += 0.5 * h
             ranks = rank[flats]
-            ends = [np.flatnonzero(r >= 0) for r in ranks]
-            div_rows += [r[sel] for r, sel in zip(ranks, ends)]
-            couplings = []
-            for row, sign in zip(ranks, (1.0, -1.0)):
-                for end, col in enumerate(ranks):
-                    sel = np.flatnonzero((row >= 0) & (col >= 0))
-                    couplings.append((sign, end, sel))
-                    rows.append(row[sel])
-                    cols.append(col[sel])
-            self.axes.append({"h": h, "stride": stride, "mids": mids, "flats": flats, "ends": ends,
-                              "couplings": couplings})
+            active = ranks >= 0
+            end, faces = np.nonzero(active)
+            div_rows.append(ranks[end, faces])
+            row, col, pair = np.nonzero(active[:, None] & active[None])
+            rows.append(ranks[row, pair])
+            cols.append(ranks[col, pair])
+            self.axes.append({"h": h, "stride": stride, "mids": mids, "flats": flats,
+                              "div_take": faces, "div_sign": 1.0 - 2.0 * end,
+                              "jac_take": col * len(lo_flat) + pair, "jac_sign": 1.0 - 2.0 * row})
         for a, ax in enumerate(self.axes):
             ax["transverse"] = {b: self._transverse_map(ax["flats"], bx)
                                 for b, bx in enumerate(self.axes) if b != a}
@@ -315,24 +315,23 @@ class _Stencil:
 
     # -- assembly --------------------------------------------------------------
 
-    def assemble(self, t_freeze, u, face_terms):
+    def assemble(self, t_freeze, u, face_terms, fields=None):
         """One pass over the faces: div A at the active nodes and the values
         of d(div)/d(u_active) in the order of ``slot``.
 
-        ``face_terms(flux, t_freeze, a, ax, xi, z, xi_n)`` gives each face's
-        flux ``F``, its endpoint derivatives ``(dF_lo, dF_hi)`` and its
-        transverse ones ``{b: dA_a/dxi_b}``; each may be None, and the matching
-        output then is zeros / None / absent (a prefix of the slots).
+        ``face_terms(flux, t_freeze, a, ax, xi, z, xi_n)`` gives each face's flux ``F``,
+        its endpoint derivatives ``(dF_lo, dF_hi)`` and its transverse ones
+        ``{b: dA_a/dxi_b}``; each may be None, and the matching output then is zeros /
+        None / absent (a prefix of the slots).  ``fields``: ``face_fields(u)``, if known.
         """
         flux_parts, jac_parts, trans_parts = [], [], []
-        for a, (ax, (xi, z, xi_n)) in enumerate(zip(self.axes, self.face_fields(u))):
+        for a, (ax, (xi, z, xi_n)) in enumerate(zip(self.axes, fields or self.face_fields(u))):
             F, dF, dT = face_terms(self.flux, t_freeze, a, ax, xi, z, xi_n)
             h = ax["h"]
             if F is not None:
-                lo_faces, hi_faces = ax["ends"]
-                flux_parts += [F[lo_faces] / h, -(F[hi_faces] / h)]
+                flux_parts.append(F[ax["div_take"]] * ax["div_sign"] / h)
             if dF is not None:
-                jac_parts += [sign * dF[end][sel] / h for sign, end, sel in ax["couplings"]]
+                jac_parts.append(np.concatenate(dF)[ax["jac_take"]] * ax["jac_sign"] / h)
             if dT is not None:
                 trans_parts += [dT[b][faces] * coeff / h for b, faces, coeff in self._pattern[0][a]]
         div = np.zeros(self.n_active)
@@ -352,9 +351,9 @@ class _Stencil:
         """x with (I/tau - J) x = rhs, J from its values ``jac``, factored in the stencil's order."""
         return spsolve(self.step_matrix(jac, tau), rhs, permc_spec="NATURAL")
 
-    def divergence(self, t_freeze, u):
+    def divergence(self, t_freeze, u, fields=None):
         """div A at the active nodes (compact array, active order)."""
-        return self.assemble(t_freeze, u, _flux_faces)[0]
+        return self.assemble(t_freeze, u, _flux_faces, fields)[0]
 
 
 def _flux_faces(flux, t, a, ax, xi, z, xi_n):
@@ -391,27 +390,27 @@ def _picard_faces(flux, t, a, ax, xi, z, xi_n):
 # Implicit stepping
 
 
-def _step(problem, stencil, frame_in, t_from, t_to, step):
-    """Backward-Euler substep ``step`` over [t_from, t_to]; returns (frame_out, stats).
-
-    ``frame_out`` keeps the input's undefined nodes untouched, carries
-    psi(t_to) on the ghost ring and the implicit solution on the active set.
-    """
+def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
+    """Backward-Euler substep ``step`` over [t_from, t_to], psi and the source (or
+    None) bound in space; returns (frame_out, stats).  ``frame_out`` keeps the
+    input's undefined nodes untouched, carries psi(t_to) on the ghost ring and
+    the implicit solution on the active set."""
     cfg = problem.config
     t_freeze = problem.span[0]
     tau = t_to - t_from
     u = frame_in.copy()
     if len(stencil.ghost_flat):
-        u.ravel()[stencil.ghost_flat] = problem.boundary.values(t_to, stencil.ghost_points)
+        u.ravel()[stencil.ghost_flat] = eval_on_points(psi, t_to, stencil.ghost_points)
     u_in_act = frame_in.ravel()[stencil.active_flat]
-    f_act = (np.zeros(stencil.n_active) if problem.source is None
-             else eval_on_points(problem.source, t_to, stencil.active_points))
+    f_act = (np.zeros(stencil.n_active) if source is None
+             else eval_on_points(source, t_to, stencil.active_points))
 
     def residual(v):
-        """The step residual at the active nodes and its max norm."""
+        """The step residual at the active nodes, its max norm and the face fields it read."""
+        fields = stencil.face_fields(v)
         vact = v.ravel()[stencil.active_flat]
-        r = (vact - u_in_act) / tau - stencil.divergence(t_freeze, v) - f_act
-        return r, float(np.max(np.abs(r), initial=0.0))
+        r = (vact - u_in_act) / tau - stencil.divergence(t_freeze, v, fields) - f_act
+        return r, float(np.abs(r).max(initial=0.0)), fields
 
     def with_update(v, delta, lam):
         out = v.copy()
@@ -420,24 +419,24 @@ def _step(problem, stencil, frame_in, t_from, t_to, step):
 
     # A non-finite residual is never converged: it ends both iterations,
     # and a trial step that reaches one is rejected.
-    r, r_inf = residual(u)
+    r, r_inf, fields = residual(u)
     newton_history, picard_history = [r_inf], []
     newton = picard = 0
     stalled = False
     while math.isfinite(r_inf) and newton < cfg.max_newton:
-        jac = stencil.assemble(t_freeze, u, _newton_faces)[1]
+        jac = stencil.assemble(t_freeze, u, _newton_faces, fields)[1]
         delta = stencil.solve(jac, tau, -r)
-        r_two = float(np.linalg.norm(r))
+        r_two = math.sqrt(r @ r)
         lam = 1.0
         accepted = False
         while lam >= MIN_LINE_STEP:
             u_try = with_update(u, delta, lam)
-            r_try, r_try_inf = residual(u_try)
-            r_try_two = float(np.linalg.norm(r_try))
+            r_try, r_try_inf, fields_try = residual(u_try)
+            r_try_two = math.sqrt(r_try @ r_try)
             if math.isfinite(r_try_two) and (
                 r_try_two <= r_two * (1.0 - 1e-4 * lam) or r_try_inf <= cfg.newton_tol
             ):
-                u, r, r_inf = u_try, r_try, r_try_inf
+                u, r, r_inf, fields = u_try, r_try, r_try_inf, fields_try
                 accepted = True
                 break
             lam *= LINE_SEARCH_SHRINK
@@ -452,11 +451,11 @@ def _step(problem, stencil, frame_in, t_from, t_to, step):
 
     if not r_inf <= cfg.newton_tol:
         while math.isfinite(r_inf) and picard < cfg.max_picard:
-            divlin, jac = stencil.assemble(t_freeze, u, _picard_faces)
+            divlin, jac = stencil.assemble(t_freeze, u, _picard_faces, fields)
             g_lin = (u.ravel()[stencil.active_flat] - u_in_act) / tau - divlin - f_act
             step_lin = stencil.solve(jac, tau, -g_lin)
             u = with_update(u, step_lin, 1.0)
-            r, r_inf = residual(u)
+            r, r_inf, fields = residual(u)
             picard += 1
             picard_history.append(r_inf)
             if r_inf <= cfg.newton_tol:
@@ -473,8 +472,11 @@ def _step(problem, stencil, frame_in, t_from, t_to, step):
 
 
 def solve_slice(problem):
-    """Integrate the slice over its span with uniform substeps."""
+    """Integrate the slice over its span with uniform substeps, psi and the source bound in space once."""
     stencil = _Stencil(problem.mask, problem.flux)
+    ghost, active = (dict(zip(("x", "y"), p.T)) for p in (stencil.ghost_points, stencil.active_points))
+    psi = bind(problem.boundary.psi, ghost)
+    source = None if problem.source is None else bind(problem.source, active)
     init = problem.initial
     if not np.all(np.isfinite(init.ravel()[np.flatnonzero(problem.mask.defined.ravel())])):
         raise NumericInputError("initial frame has non-finite values on active/ghost nodes")
@@ -482,7 +484,7 @@ def solve_slice(problem):
     frames = [init.copy()]
     stats = []
     for m in range(problem.substeps):
-        frame, st = _step(problem, stencil, frames[-1], float(times[m]), float(times[m + 1]), m)
+        frame, st = _step(problem, stencil, psi, source, frames[-1], float(times[m]), float(times[m + 1]), m)
         frames.append(frame)
         stats.append(st)
     return SliceSolution(times=times, frames=frames, stats=stats)

@@ -20,7 +20,7 @@ from slabflow import (
     parse_expr,
     to_source,
 )
-from slabflow.expressions import free_variables
+from slabflow.expressions import bind, free_variables
 
 REFERENCE = [
     ("2^3^2", {}, 512.0),
@@ -348,4 +348,45 @@ def test_evaluate_matches_the_per_node_scan_evaluator(raw, env):
     got = evaluate(tree, env)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+# --- binding the names that do not change ------------------------------------
+
+
+def test_bind_folds_each_subtree_that_reads_only_bound_names():
+    x = np.array([0.25, 0.5])
+    assert isinstance(bind(parse_expr("0"), {"x": x}), Num)
+    tree = parse_expr("exp(-t)*sin(pi*x)", ("t", "x"))
+    bound = bind(tree, {"x": x})
+    assert isinstance(bound.right, Num) and not isinstance(bound.left, Num)
+    assert to_source(bound) == to_source(tree)
+    assert evaluate(bound, {"t": 0.5, "x": x}).tobytes() == evaluate(tree, {"t": 0.5, "x": x}).tobytes()
+
+
+def test_bind_keeps_a_subtree_that_raises():
+    bound = bind(parse_expr("t + 1/x", ("t", "x")), {"x": np.array([0.0, 1.0])})
+    assert isinstance(bound.right, Binary)
+    with pytest.raises(NumericEvalError, match="division by zero in subterm '1/x'"):
+        evaluate(bound, {"t": 1.0})
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.recursive(_leaves, _interior, max_leaves=12), env=_environments())
+def test_bind_then_evaluate_matches_one_walk(raw, env):
+    """x and y bound first, then the walk with t: bitwise the values of one
+    walk, or the same NumericEvalError."""
+    tree = parse_expr(to_source(raw), FUZZ_VARIABLES)
+    bound = bind(tree, {"x": env["x"], "y": env["y"]})
+    try:
+        want = evaluate(tree, env)
+    except NumericEvalError as ref:
+        with pytest.raises(NumericEvalError) as err:
+            evaluate(bound, env)
+        got = err.value
+        assert type(got) is type(ref) and str(got) == str(ref)
+        assert (got.subterm, got.line, got.column) == (ref.subterm, ref.line, ref.column)
+        return
+    got = evaluate(bound, env)
+    assert np.shape(got) == np.shape(want)
     assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()

@@ -18,6 +18,7 @@ from slabflow import (
     IntervalRegion,
     IntervalTrack,
     MarginError,
+    SlabflowError,
     TimeDomain,
     TrackSegment,
     build_slice_plan,
@@ -235,6 +236,17 @@ def test_implicit_domain_never_jumps():
     assert dom.jump_times() == ()
     grown, lost = classify_jump(dom, 0.5)
     assert grown is EMPTY_REGION and lost is EMPTY_REGION
+
+
+@pytest.mark.parametrize("box", [((-np.inf, 1.0),), ((np.nan, 1.0),), ((1.0, -1.0),)],
+                         ids=["infinite", "nan", "reversed"])
+def test_implicit_domain_rejects_a_non_finite_or_reversed_box(box):
+    """The search box must be finite with lo < hi; before this rule each of
+    these boxes planned to a wrong 'no active nodes' section."""
+    phi = parse_expr("x^2 - 0.25", ("t", "x"))
+    with pytest.raises(SlabflowError) as err:
+        TimeDomain.implicit(phi, box, 1.0)
+    assert str(box) in str(err.value)
 
 
 def test_implicit_1d_section_recovers_interval():

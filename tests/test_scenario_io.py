@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import os
 
 import numpy as np
@@ -514,3 +515,32 @@ def test_bundled_scenarios_all_load():
 def test_load_missing_file_raises_scenario_error(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(str(tmp_path / "nope.cfg"))
+
+
+def savetxt_frame(field, i):
+    """Stamp i's frame file as np.savetxt writes the table of write_frames."""
+    coords = field.plan.masks[0].grid.node_coords()
+    mask = field.mask_at(i)
+    flags = np.where(mask.active.ravel(), 1, np.where(mask.ghost.ravel(), 0, -1))
+    table = np.column_stack([np.full(len(coords), field.times[i]), coords, field.frames[i].ravel(),
+                             flags, field.extended_frame(i).ravel()])
+    dim = coords.shape[1]
+    header = "# t x" + (" y" if dim == 2 else "") + " u active u_ext"
+    fmt = ["%.17g"] * (dim + 2) + ["%d", "%.17g"]
+    buffer = io.StringIO()
+    np.savetxt(buffer, table, fmt=fmt, header=header, comments="")
+    return table, buffer.getvalue()
+
+
+@pytest.mark.parametrize("name", ["heat_moving", "disk2d"])
+def test_frame_files_are_byte_identical_to_savetxt(bundle, tmp_path, name):
+    """Every stamp's file, with NaN outside the defined nodes, negative
+    coordinates and all three flags, is byte for byte np.savetxt's text."""
+    field = bundle[name][1]
+    paths = write_frames(field, str(tmp_path), mode="all")
+    for i, path in enumerate(paths[:-1]):
+        table, text = savetxt_frame(field, i)
+        assert np.isnan(table[:, -3]).any() and (table[:, 1] < 0).any()
+        assert set(table[:, -2]) == {-1.0, 0.0, 1.0}
+        with open(path, "rb") as fh:
+            assert fh.read() == text.encode("utf-8")

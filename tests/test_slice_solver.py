@@ -35,7 +35,7 @@ from slabflow import (
 )
 from slabflow import slice_solver
 from slabflow.slice_solver import (
-    _bisect,
+    DISSECTION_LEAF,
     _dissection_order,
     _flux_faces,
     _newton_faces,
@@ -280,6 +280,57 @@ def test_one_node_wide_sets_keep_c_order(nodes, fixed, axis):
     assert np.array_equal(_dissection_order(line_2d), np.arange(len(along_line)))
 
 
+def reference_bisect(axes):
+    """One split of the recursive rule: lattice points, one coordinate array
+    per axis, cut along the axis of largest extent at the median coordinate,
+    as boolean masks (below, above, on the cut); None for a part that is
+    small or lies on one lattice line."""
+    n = len(axes[0])
+    if n <= DISSECTION_LEAF:
+        return None
+    extent = [coord.max() - coord.min() for coord in axes]
+    if np.count_nonzero(extent) <= 1:
+        return None
+    coord = axes[np.argmax(extent)]
+    cut = np.sort(coord)[n // 2]
+    return coord < cut, coord > cut, coord == cut
+
+
+def reference_dissection_order(axes):
+    """The nested-dissection order by recursion, one split at a time: the
+    part below the cut, the part above it, then the separator, each ordered
+    the same way; unsplit parts keep C order."""
+    split = reference_bisect(axes)
+    if split is None:
+        return np.arange(len(axes[0]))
+    return np.concatenate([np.flatnonzero(part)[reference_dissection_order([coord[part] for coord in axes])]
+                           for part in split])
+
+
+def benchmark_disk_mask():
+    """The bench's disk2d_p3 mask at t = 0 (h = 0.021, 4,357 active nodes)."""
+    h = 0.021
+    g = Grid(dim=2, origin=(-1.05, -1.05), spacing=(h, h), counts=(101, 101))
+    phi = parse_expr("x^2 + y^2 - (0.8 - 0.2*t)^2", ("t", "x", "y"))
+    return g, rasterize(section(TimeDomain.implicit(phi, g.box, 1.0, dim=2), 0.0), g)
+
+
+def test_level_synchronous_dissection_matches_the_recursive_rule(bundle):
+    scenario = bundle["disk2d"][0]
+    masks = [benchmark_disk_mask()[1], disk_mask(h=1 / 32)[1],
+             *build_slice_plan(scenario.domain, scenario.grid, scenario.n_slices).masks]
+    for mask in masks:
+        axes = np.nonzero(mask.active)
+        assert np.array_equal(_dissection_order(axes), reference_dissection_order(axes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=st.sets(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=400))
+def test_dissection_of_random_point_sets_matches_the_recursive_rule(points):
+    axes = tuple(np.array(sorted(points), dtype=np.intp).reshape(-1, 2).T)
+    assert np.array_equal(_dissection_order(axes), reference_dissection_order(axes))
+
+
 @pytest.mark.parametrize("mask_of", [unit_interval_mask, lambda h: isolated_node_mask()])
 def test_1d_masks_keep_c_order(mask_of):
     g, mask = mask_of(h=1 / 128)
@@ -290,7 +341,7 @@ def test_1d_masks_keep_c_order(mask_of):
 def dissection_siblings(axes, ranks):
     """(below, above, separator) unknown numbers of every split of the
     dissection of the points ``axes`` whose unknowns are ``ranks``."""
-    split = _bisect(axes)
+    split = reference_bisect(axes)
     if split is None:
         return
     yield tuple(ranks[part] for part in split)
@@ -319,10 +370,7 @@ def test_dissection_order_cuts_the_fill_of_the_benchmark_disk():
     Newton matrix factored in the stencil's order has at most 0.75x the L+U
     nonzeros that SuperLU's default COLAMD ordering gives (0.60-0.66
     measured), and the solution agrees with the default spsolve."""
-    h = 0.021
-    g = Grid(dim=2, origin=(-1.05, -1.05), spacing=(h, h), counts=(101, 101))
-    phi = parse_expr("x^2 + y^2 - (0.8 - 0.2*t)^2", ("t", "x", "y"))
-    mask = rasterize(section(TimeDomain.implicit(phi, g.box, 1.0, dim=2), 0.0), g)
+    g, mask = benchmark_disk_mask()
     x, y = g.node_coords().T
     u0 = np.exp(-4 * ((x - 0.1) ** 2 + (y + 0.05) ** 2)).reshape(mask.active.shape)
     frame = np.where(mask.active, u0, np.where(mask.ghost, 0.0, np.nan))
