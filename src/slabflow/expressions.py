@@ -25,7 +25,6 @@ with a message picked only then ("division by zero", ...).
 """
 
 import re
-from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
@@ -110,7 +109,17 @@ _TOKEN_RE = re.compile(
 )
 
 
-Token = namedtuple("Token", "kind text line column")
+class Token:
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind, text, line, column):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+
+    def __repr__(self):
+        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.column})"
 
 
 def _tokenize(text):
@@ -280,8 +289,7 @@ _BIN_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^"
 
 
 def _prec(node):
-    if isinstance(node, Num) and node.tree is not None:
-        return _prec(node.tree)
+    node = getattr(node, "tree", None) or node  # a bound value ranks as its subtree
     if isinstance(node, Binary):
         return _BIN_PREC[node.op]
     if isinstance(node, Unary):
@@ -291,8 +299,7 @@ def _prec(node):
 
 def to_source(node):
     """Render a tree to canonical text; reparsing gives an equal tree."""
-    if isinstance(node, Num) and node.tree is not None:
-        return to_source(node.tree)
+    node = getattr(node, "tree", None) or node  # a bound value prints as its subtree
     if isinstance(node, Num):
         value = node.value
         if value == int(value) and abs(value) < 1e16:

@@ -16,12 +16,11 @@ each transverse slot is a static linear map of the flat frame, built once,
 whose (face, node, weight) triplets are also Newton's transverse entries.
 
 One face-assembly routine (:meth:`_Stencil.assemble`) serves the whole
-step.  Per axis it gives each face's flux and endpoint derivatives.  The
-residual takes the flux only, and the assembly at an accepted iterate
-reuses the residual's face fields: one face pass per iterate.  psi on the
-ghost ring and the source are bound in space once per slice
-(:func:`expressions.bind`), so a substep walks only what reads t.  The two
-Jacobians differ only in the per-face derivatives: damped Newton
+step.  Per axis it gives each face's flux and endpoint derivatives from the
+face fields the residual read at the iterate: one face pass per iterate.
+The residual takes the flux only; psi and the source are bound in space once
+per slice (:func:`expressions.bind`), so a substep walks only what reads t.
+The Jacobians differ only in the per-face derivatives: damped Newton
 (residual-norm backtracking, shrink 0.5 down to steps of 2^-20)
 differentiates the flux in every slot, so its J is the residual's exact
 derivative in every dimension; if it stalls, a lagged-coefficient (Picard)
@@ -44,8 +43,7 @@ The stencil numbers its unknowns once, in nested-dissection order (George
 median coordinate, number the part below the cut, the part above it, then
 the one-node-wide separator, and cut all parts of a level at once until
 each has at most ``DISSECTION_LEAF`` nodes or lies on one lattice line.
-Such a line, and so every 1D mask, keeps C order, and its tridiagonal
-stays free of fill.
+Such a line, and so every 1D mask, keeps C order and a fill-free tridiagonal.
 :meth:`_Stencil.solve` has SuperLU factor in that order
 (``permc_spec="NATURAL"``) with partial pivoting; on the 4,357-node h = 0.021
 disk the 9-point Newton factor has 0.65x the L+U nonzeros of SuperLU's
@@ -169,16 +167,12 @@ class SliceSolution:
 
 
 def _dissection_order(axes):
-    """Nested-dissection order of lattice points given in C order, one
-    coordinate array per axis (George, SIAM J. Numer. Anal. 1973): cut a part
-    along its axis of largest extent at the median coordinate and order the
-    part below the cut, the part above it, then the separator, each the same
-    way; a part of at most ``DISSECTION_LEAF`` points or on one lattice line
-    keeps C order.  A stencil coupling only nodes at most one lattice step
-    apart per axis never couples the two sides of a cut.  Each level cuts all
-    its parts at once: ``order`` keeps every part contiguous from its entry in
-    ``starts``, and ``path`` spells a point's cuts in base 3 (below 0, above
-    1, separator 2)."""
+    """Nested-dissection order (module docstring; George, SIAM J. Numer.
+    Anal. 1973) of lattice points given in C order, one coordinate array per
+    axis; a stencil coupling nodes at most one lattice step apart per axis
+    never couples the two sides of a cut.  Each level cuts all its parts at
+    once: ``order`` keeps every part contiguous from its entry in ``starts``,
+    and ``path`` spells a point's cuts in base 3 (below 0, above 1, separator 2)."""
     n = len(axes[0])
     order, path = np.arange(n), np.zeros(n, dtype=np.int64)
     while True:
@@ -220,9 +214,9 @@ class _Stencil:
         self.ghost_points = coords[self.ghost_flat]
 
         # Per axis, ``flats``: the grid indices of each face's low / high end
-        # (faces with both ends defined, in C order); ``*_take``/``*_sign``: flat
-        # gathers, signed by the row's end, from the face flux into the div-A rows
-        # (low ends, then high) and from (dF_lo, dF_hi) into J's (lo, lo) .. (hi, hi).
+        # (faces with both ends defined, in C order); ``*_take``: flat gathers from
+        # (F, -F) into the div-A rows (low ends, then high) and from (dF_lo, dF_hi,
+        # -dF_lo, -dF_hi) into J's (lo, lo) .. (hi, hi): a high-end row takes -values.
         self.axes = []
         div_rows, rows, cols = [], [], []
         for a in range(self.dim):
@@ -234,14 +228,14 @@ class _Stencil:
             mids[:, a] += 0.5 * h
             ranks = rank[flats]
             active = ranks >= 0
-            end, faces = np.nonzero(active)
-            div_rows.append(ranks[end, faces])
-            row, col, pair = np.nonzero(active[:, None] & active[None])
+            coupled = active[:, None] & active[None]
+            div_take, jac_take = np.flatnonzero(active), np.flatnonzero(coupled)
+            div_rows.append(ranks.ravel()[div_take])
+            row, col, pair = np.unravel_index(jac_take, coupled.shape)
             rows.append(ranks[row, pair])
             cols.append(ranks[col, pair])
             self.axes.append({"h": h, "stride": stride, "mids": mids, "flats": flats,
-                              "div_take": faces, "div_sign": 1.0 - 2.0 * end,
-                              "jac_take": col * len(lo_flat) + pair, "jac_sign": 1.0 - 2.0 * row})
+                              "div_take": div_take, "jac_take": jac_take})
         for a, ax in enumerate(self.axes):
             ax["transverse"] = {b: self._transverse_map(ax["flats"], bx)
                                 for b, bx in enumerate(self.axes) if b != a}
@@ -260,8 +254,8 @@ class _Stencil:
         up, down = marks[:, flats]
         weight = np.stack([-down, down - up, up], axis=1)  # on n - e_b, n, n + e_b
         c = 0.5 * ((weight / bx["h"]) / np.maximum(up + down, 1.0)[:, None])
-        end, k, faces = np.nonzero(c)
-        return faces, flats[end, faces] + (k - 1) * bx["stride"], c[end, k, faces]
+        end, k, faces = np.nonzero(c)  # views of one (n, 3) array: keep a copy of faces
+        return faces.copy(), flats[end, faces] + (k - 1) * bx["stride"], c[end, k, faces]
 
     @cached_property
     def _pattern(self):
@@ -310,28 +304,28 @@ class _Stencil:
             xi[:, a] = xi_n
             for b, (faces, nodes, weights) in ax["transverse"].items():
                 xi[:, b] = np.bincount(faces, weights * flat[nodes], len(xi_n))
-            out.append((xi, 0.5 * (hi + lo), xi_n))
+            out.append((xi, 0.5 * (hi + lo), xi[:, a]))
         return out
 
     # -- assembly --------------------------------------------------------------
 
-    def assemble(self, t_freeze, u, face_terms, fields=None):
-        """One pass over the faces: div A at the active nodes and the values
-        of d(div)/d(u_active) in the order of ``slot``.
+    def assemble(self, t_freeze, fields, face_terms):
+        """One pass over the faces of ``face_fields(u)``: div A at the active
+        nodes and the values of d(div)/d(u_active) in the order of ``slot``.
 
-        ``face_terms(flux, t_freeze, a, ax, xi, z, xi_n)`` gives each face's flux ``F``,
-        its endpoint derivatives ``(dF_lo, dF_hi)`` and its transverse ones
-        ``{b: dA_a/dxi_b}``; each may be None, and the matching output then is zeros /
-        None / absent (a prefix of the slots).  ``fields``: ``face_fields(u)``, if known.
+        ``face_terms(flux, t_freeze, a, ax, xi, z, xi_n)`` gives each face's
+        flux ``F``, its endpoint derivatives ``(dF_lo, dF_hi)`` and its
+        transverse ones ``{b: dA_a/dxi_b}``; each may be None, and the matching
+        output then is zeros / None / absent (a prefix of the slots).
         """
         flux_parts, jac_parts, trans_parts = [], [], []
-        for a, (ax, (xi, z, xi_n)) in enumerate(zip(self.axes, fields or self.face_fields(u))):
+        for a, (ax, (xi, z, xi_n)) in enumerate(zip(self.axes, fields)):
             F, dF, dT = face_terms(self.flux, t_freeze, a, ax, xi, z, xi_n)
             h = ax["h"]
             if F is not None:
-                flux_parts.append(F[ax["div_take"]] * ax["div_sign"] / h)
+                flux_parts.append(np.concatenate((F, -F))[ax["div_take"]] / h)
             if dF is not None:
-                jac_parts.append(np.concatenate(dF)[ax["jac_take"]] * ax["jac_sign"] / h)
+                jac_parts.append(np.concatenate((*dF, *np.negative(dF)))[ax["jac_take"]] / h)
             if dT is not None:
                 trans_parts += [dT[b][faces] * coeff / h for b, faces, coeff in self._pattern[0][a]]
         div = np.zeros(self.n_active)
@@ -351,9 +345,9 @@ class _Stencil:
         """x with (I/tau - J) x = rhs, J from its values ``jac``, factored in the stencil's order."""
         return spsolve(self.step_matrix(jac, tau), rhs, permc_spec="NATURAL")
 
-    def divergence(self, t_freeze, u, fields=None):
-        """div A at the active nodes (compact array, active order)."""
-        return self.assemble(t_freeze, u, _flux_faces, fields)[0]
+    def divergence(self, t_freeze, fields):
+        """div A at the active nodes (compact array, active order) from ``face_fields(u)``."""
+        return self.assemble(t_freeze, fields, _flux_faces)[0]
 
 
 def _flux_faces(flux, t, a, ax, xi, z, xi_n):
@@ -391,10 +385,9 @@ def _picard_faces(flux, t, a, ax, xi, z, xi_n):
 
 
 def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
-    """Backward-Euler substep ``step`` over [t_from, t_to], psi and the source (or
-    None) bound in space; returns (frame_out, stats).  ``frame_out`` keeps the
-    input's undefined nodes untouched, carries psi(t_to) on the ghost ring and
-    the implicit solution on the active set."""
+    """Backward-Euler substep ``step`` over [t_from, t_to], psi and the source (or None)
+    bound in space; returns (frame_out, stats): the input's undefined nodes untouched,
+    psi(t_to) on the ghost ring and the implicit solution on the active set."""
     cfg = problem.config
     t_freeze = problem.span[0]
     tau = t_to - t_from
@@ -409,7 +402,7 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
         """The step residual at the active nodes, its max norm and the face fields it read."""
         fields = stencil.face_fields(v)
         vact = v.ravel()[stencil.active_flat]
-        r = (vact - u_in_act) / tau - stencil.divergence(t_freeze, v, fields) - f_act
+        r = (vact - u_in_act) / tau - stencil.divergence(t_freeze, fields) - f_act
         return r, float(np.abs(r).max(initial=0.0)), fields
 
     def with_update(v, delta, lam):
@@ -424,7 +417,7 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
     newton = picard = 0
     stalled = False
     while math.isfinite(r_inf) and newton < cfg.max_newton:
-        jac = stencil.assemble(t_freeze, u, _newton_faces, fields)[1]
+        jac = stencil.assemble(t_freeze, fields, _newton_faces)[1]
         delta = stencil.solve(jac, tau, -r)
         r_two = math.sqrt(r @ r)
         lam = 1.0
@@ -451,7 +444,7 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
 
     if not r_inf <= cfg.newton_tol:
         while math.isfinite(r_inf) and picard < cfg.max_picard:
-            divlin, jac = stencil.assemble(t_freeze, u, _picard_faces, fields)
+            divlin, jac = stencil.assemble(t_freeze, fields, _picard_faces)
             g_lin = (u.ravel()[stencil.active_flat] - u_in_act) / tau - divlin - f_act
             step_lin = stencil.solve(jac, tau, -g_lin)
             u = with_update(u, step_lin, 1.0)
@@ -474,9 +467,8 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
 def solve_slice(problem):
     """Integrate the slice over its span with uniform substeps, psi and the source bound in space once."""
     stencil = _Stencil(problem.mask, problem.flux)
-    ghost, active = (dict(zip(("x", "y"), p.T)) for p in (stencil.ghost_points, stencil.active_points))
-    psi = bind(problem.boundary.psi, ghost)
-    source = None if problem.source is None else bind(problem.source, active)
+    psi = bind(problem.boundary.psi, dict(zip("xy", stencil.ghost_points.T)))
+    source = None if problem.source is None else bind(problem.source, dict(zip("xy", stencil.active_points.T)))
     init = problem.initial
     if not np.all(np.isfinite(init.ravel()[np.flatnonzero(problem.mask.defined.ravel())])):
         raise NumericInputError("initial frame has non-finite values on active/ghost nodes")

@@ -64,7 +64,7 @@ def c_order_divergence(mask, flux, frame):
     ``active_flat`` onto the grid and read back in C order."""
     stencil = _Stencil(mask, flux)
     on_grid = np.full(frame.size, np.nan)
-    on_grid[stencil.active_flat] = stencil.divergence(0.0, frame)
+    on_grid[stencil.active_flat] = stencil.divergence(0.0, stencil.face_fields(frame))
     return on_grid[mask.active.ravel()]
 
 
@@ -174,7 +174,7 @@ def central_difference_jacobian(stencil, frame, tau, eps=1e-6):
     source terms do not depend on u), one active node at a time."""
 
     def residual(v):
-        return v.ravel()[stencil.active_flat] / tau - stencil.divergence(0.0, v)
+        return v.ravel()[stencil.active_flat] / tau - stencil.divergence(0.0, stencil.face_fields(v))
 
     columns = []
     for flat in stencil.active_flat:
@@ -214,7 +214,7 @@ def test_newton_matrix_matches_central_differences(make_mask, flux):
     stencil = _Stencil(mask, flux)
     for _ in range(3):
         frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
-        jac = stencil.assemble(0.0, frame, _newton_faces)[1]
+        jac = stencil.assemble(0.0, stencil.face_fields(frame), _newton_faces)[1]
         newton = stencil.step_matrix(jac, tau).toarray()
         reference = central_difference_jacobian(stencil, frame, tau)
         assert np.allclose(newton, reference, rtol=1e-6, atol=1e-7 * np.abs(reference).max())
@@ -375,7 +375,7 @@ def test_dissection_order_cuts_the_fill_of_the_benchmark_disk():
     u0 = np.exp(-4 * ((x - 0.1) ** 2 + (y + 0.05) ** 2)).reshape(mask.active.shape)
     frame = np.where(mask.active, u0, np.where(mask.ghost, 0.0, np.nan))
     stencil = _Stencil(mask, FluxModel.p_laplacian(3.0, dim=2))
-    matrix = stencil.step_matrix(stencil.assemble(0.0, frame, _newton_faces)[1], 1.0 / 32)
+    matrix = stencil.step_matrix(stencil.assemble(0.0, stencil.face_fields(frame), _newton_faces)[1], 1.0 / 32)
     assert stencil.n_active == 4357
     ordered, colamd = splu(matrix, permc_spec="NATURAL"), splu(matrix)
     assert ordered.L.nnz + ordered.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
@@ -459,12 +459,12 @@ def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux, f
     stencil = _Stencil(mask, flux)
     for _ in range(3):
         frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
-        div, jac = stencil.assemble(0.0, frame, face_terms)
+        div, jac = stencil.assemble(0.0, stencil.face_fields(frame), face_terms)
         ref_div, ref_matrix = per_iteration_assembly(stencil, frame, face_terms, tau)
         assert np.array_equal(stencil.step_matrix(jac, tau).toarray(), ref_matrix)
         assert np.array_equal(div, ref_div)
         ref_residual_div = per_iteration_assembly(stencil, frame, _flux_faces, tau)[0]
-        assert np.array_equal(stencil.divergence(0.0, frame), ref_residual_div)
+        assert np.array_equal(stencil.divergence(0.0, stencil.face_fields(frame)), ref_residual_div)
     rows_nnz = np.diff(stencil.matrix.tocsr().indptr)
     assert (rows_nnz == 1).any() == (make_mask is isolated_node_mask)
 
@@ -479,7 +479,8 @@ def test_sparse_pattern_is_built_only_where_a_step_matrix_is_needed(bundle, monk
     monkeypatch.setattr(slice_solver, "coo_matrix", counting_coo_matrix)
     g, mask = disk_mask()
     frame = np.where(mask.defined, np.random.default_rng(3).uniform(-1, 1, mask.active.shape), np.nan)
-    _Stencil(mask, FluxModel.p_laplacian(3.0, dim=2)).divergence(0.0, frame)
+    stencil = _Stencil(mask, FluxModel.p_laplacian(3.0, dim=2))
+    stencil.divergence(0.0, stencil.face_fields(frame))
     assert calls == []
     scenario = bundle["heat_moving"][0]
     _, report = run_scheme(scenario)
