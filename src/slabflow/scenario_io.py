@@ -25,7 +25,7 @@ from .errors import GeometryError, NumericEvalError, ScenarioError, SlabflowErro
 from .expressions import Num, parse_expr, to_source
 from .flux import FluxModel
 from .geometry import Grid, IntervalTrack, TimeDomain, TrackSegment, build_slice_plan
-from .slice_solver import BoundaryData, SolverConfig, eval_on_points
+from .slice_solver import SolverConfig, eval_on_points
 from .stitcher import OutputConfig, Scenario
 
 _SECTIONS = {
@@ -322,7 +322,7 @@ def parse_scenario_text(text):
         n_slices=n_slices,
         substeps=substeps,
         flux=flux,
-        boundary=BoundaryData(psi=psi),
+        psi=psi,
         u0=u0,
         source=source,
         config=cfg,
@@ -337,7 +337,6 @@ def parse_scenario_text(text):
         except GeometryError as exc:
             issues.append(f"geometry: {exc}")
     if plan is not None:
-        boundary = scenario.boundary
         try:
             vals = eval_on_points(u0, 0.0, plan.masks[0].active_points())
             if not np.all(np.isfinite(vals)):
@@ -347,7 +346,7 @@ def parse_scenario_text(text):
         nodes = grid.node_coords()
         for t in plan.knots:
             try:
-                vals = boundary.values(float(t), nodes)
+                vals = eval_on_points(psi, float(t), nodes)
                 if not np.all(np.isfinite(vals)):
                     issues.append(f"[data] psi is not finite on the grid at t={t}")
                     break
@@ -392,7 +391,7 @@ def format_scenario(scenario):
     (equal expression trees, bit-equal numbers)."""
     grid = scenario.grid
     if len(set(grid.spacing)) != 1:
-        raise ValueError("the file format carries a single spacing h for all axes")
+        raise ScenarioError([f"[grid] the file format has one spacing h, got {grid.spacing}"])
     lines = ["[grid]", f"dim = {grid.dim}"]
     for name, (lo, hi) in zip("xy", grid.box):
         lines += [f"{name}min = {_fmt(lo)}", f"{name}max = {_fmt(hi)}"]
@@ -410,7 +409,7 @@ def format_scenario(scenario):
     lines += ["", "[domain]"]
     if dom.kind == "moving_intervals":
         if len(dom.tracks) != 1:
-            raise ValueError("the file format carries a single moving interval track")
+            raise ScenarioError([f"[domain] the file format has one track, got {len(dom.tracks)}"])
         segs = dom.tracks[0].segments
         lines.append("type = moving_intervals")
         lines.append(f'left = "{to_source(segs[0].left)}"')
@@ -440,9 +439,8 @@ def format_scenario(scenario):
             lines.append(f'omega = "{to_source(flux.time_modulus)}"')
 
     lines += ["", "[data]", f'u0 = "{to_source(scenario.u0)}"']
-    lines.append(f'psi = "{to_source(scenario.boundary.psi)}"')
-    source = scenario.source if scenario.source is not None else Num(0.0)
-    lines.append(f'source = "{to_source(source)}"')
+    lines.append(f'psi = "{to_source(scenario.psi)}"')
+    lines.append(f'source = "{to_source(scenario.source)}"')
 
     cfg = scenario.config
     lines += [

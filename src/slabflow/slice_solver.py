@@ -59,8 +59,8 @@ from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import spsolve
 
 from .errors import NumericInputError, SlabflowError, SolverStallError
-from .expressions import bind, evaluate as eval_expr
-from .flux import FD_STEP, _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
+from .expressions import Expr, Num, bind, evaluate as eval_expr
+from .flux import _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
 from .geometry import along
 
 LINE_SEARCH_SHRINK = 0.5  # Newton backtracking factor
@@ -92,49 +92,24 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class BoundaryData:
-    """Dirichlet extension data psi(t, x); its time derivative and its
-    gradient are central differences."""
-
-    psi: object
-
-    def values(self, t, points):
-        return eval_on_points(self.psi, t, points)
-
-    def time_derivative(self, t, points):
-        dt = FD_STEP * (1.0 + abs(t))
-        return (self.values(t + dt, points) - self.values(t - dt, points)) / (2.0 * dt)
-
-    def gradient(self, t, points):
-        points = np.atleast_2d(points)
-        dim = points.shape[1]
-        out = np.empty_like(points)
-        for a in range(dim):
-            step = FD_STEP * (1.0 + np.abs(points[:, a]).max(initial=0.0))
-            hi = points.copy()
-            hi[:, a] += step
-            lo = points.copy()
-            lo[:, a] -= step
-            out[:, a] = (self.values(t, hi) - self.values(t, lo)) / (2.0 * step)
-        return out
-
-
-@dataclass(frozen=True)
 class SliceProblem:
     """One frozen-domain slice: mask, flux (time argument frozen at the
     span's start), span, its uniform substeps (``times``; construction
-    checks that each advances time), data and solver knobs."""
+    checks that each advances time), data (``psi``, ``source``: expressions;
+    no source is ``Num(0.0)``), initial frame and solver knobs."""
 
     mask: object
     flux: object
     span: tuple
     substeps: int
-    boundary: BoundaryData
+    psi: object
     initial: np.ndarray
-    source: object = None
+    source: object = Num(0.0)
     config: SolverConfig = SolverConfig()
 
     def __post_init__(self):
+        if not isinstance(self.source, Expr):
+            raise SlabflowError(f"source must be an expression (none: Num(0.0)), got {self.source!r}")
         t0, t1 = self.span
         if not t1 > t0:
             raise SlabflowError(f"empty slice span {self.span}")
@@ -294,8 +269,8 @@ class _Stencil:
     # -- face field values ---------------------------------------------------
 
     def face_fields(self, u):
-        """Per axis: (xi_full, z, normal_xi) at its faces, read from the flat
-        frame through ``flats`` and the transverse maps."""
+        """Per axis: (xi, z) at its faces, read from the flat frame through
+        ``flats`` and the transverse maps."""
         flat, out = u.ravel(), []
         for a, ax in enumerate(self.axes):
             lo, hi = flat[ax["flats"]]
@@ -304,7 +279,7 @@ class _Stencil:
             xi[:, a] = xi_n
             for b, (faces, nodes, weights) in ax["transverse"].items():
                 xi[:, b] = np.bincount(faces, weights * flat[nodes], len(xi_n))
-            out.append((xi, 0.5 * (hi + lo), xi[:, a]))
+            out.append((xi, 0.5 * (hi + lo)))
         return out
 
     # -- assembly --------------------------------------------------------------
@@ -313,14 +288,14 @@ class _Stencil:
         """One pass over the faces of ``face_fields(u)``: div A at the active
         nodes and the values of d(div)/d(u_active) in the order of ``slot``.
 
-        ``face_terms(flux, t_freeze, a, ax, xi, z, xi_n)`` gives each face's
+        ``face_terms(flux, t_freeze, a, ax, xi, z)`` gives each face's
         flux ``F``, its endpoint derivatives ``(dF_lo, dF_hi)`` and its
         transverse ones ``{b: dA_a/dxi_b}``; each may be None, and the matching
         output then is zeros / None / absent (a prefix of the slots).
         """
         flux_parts, jac_parts, trans_parts = [], [], []
-        for a, (ax, (xi, z, xi_n)) in enumerate(zip(self.axes, fields)):
-            F, dF, dT = face_terms(self.flux, t_freeze, a, ax, xi, z, xi_n)
+        for a, (ax, (xi, z)) in enumerate(zip(self.axes, fields)):
+            F, dF, dT = face_terms(self.flux, t_freeze, a, ax, xi, z)
             h = ax["h"]
             if F is not None:
                 flux_parts.append(np.concatenate((F, -F))[ax["div_take"]] / h)
@@ -350,12 +325,12 @@ class _Stencil:
         return self.assemble(t_freeze, fields, _flux_faces)[0]
 
 
-def _flux_faces(flux, t, a, ax, xi, z, xi_n):
+def _flux_faces(flux, t, a, ax, xi, z):
     """The residual: the face flux, no derivatives."""
     return evaluate_many(flux, t, ax["mids"], z, xi)[:, a], None, None
 
 
-def _newton_faces(flux, t, a, ax, xi, z, xi_n):
+def _newton_faces(flux, t, a, ax, xi, z):
     """Newton: the face flux differentiated in every slot -- the normal
     gradient and z through the endpoints, each transverse gradient slot
     through its static map -- so J is the residual's exact derivative in
@@ -368,10 +343,10 @@ def _newton_faces(flux, t, a, ax, xi, z, xi_n):
     return None, (-dA / h + 0.5 * dz, dA / h + 0.5 * dz), dT
 
 
-def _picard_faces(flux, t, a, ax, xi, z, xi_n):
+def _picard_faces(flux, t, a, ax, xi, z):
     """Picard: the face flux replaced by c_f * (normal difference), with the
     secant diffusivity c_f >= 0 frozen at the current iterate."""
-    h = ax["h"]
+    h, xi_n = ax["h"], xi[:, a]
     F = evaluate_many(flux, t, ax["mids"], z, xi)[:, a]
     dA = _diag_jacobian_many(flux, t, ax["mids"], z, xi, a)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -385,18 +360,16 @@ def _picard_faces(flux, t, a, ax, xi, z, xi_n):
 
 
 def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
-    """Backward-Euler substep ``step`` over [t_from, t_to], psi and the source (or None)
+    """Backward-Euler substep ``step`` over [t_from, t_to], psi and the source
     bound in space; returns (frame_out, stats): the input's undefined nodes untouched,
     psi(t_to) on the ghost ring and the implicit solution on the active set."""
     cfg = problem.config
     t_freeze = problem.span[0]
     tau = t_to - t_from
     u = frame_in.copy()
-    if len(stencil.ghost_flat):
-        u.ravel()[stencil.ghost_flat] = eval_on_points(psi, t_to, stencil.ghost_points)
+    u.ravel()[stencil.ghost_flat] = eval_on_points(psi, t_to, stencil.ghost_points)
     u_in_act = frame_in.ravel()[stencil.active_flat]
-    f_act = (np.zeros(stencil.n_active) if source is None
-             else eval_on_points(source, t_to, stencil.active_points))
+    f_act = eval_on_points(source, t_to, stencil.active_points)
 
     def residual(v):
         """The step residual at the active nodes, its max norm and the face fields it read."""
@@ -467,8 +440,8 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
 def solve_slice(problem):
     """Integrate the slice over its span with uniform substeps, psi and the source bound in space once."""
     stencil = _Stencil(problem.mask, problem.flux)
-    psi = bind(problem.boundary.psi, dict(zip("xy", stencil.ghost_points.T)))
-    source = None if problem.source is None else bind(problem.source, dict(zip("xy", stencil.active_points.T)))
+    psi = bind(problem.psi, dict(zip("xy", stencil.ghost_points.T)))
+    source = bind(problem.source, dict(zip("xy", stencil.active_points.T)))
     init = problem.initial
     if not np.all(np.isfinite(init.ravel()[np.flatnonzero(problem.mask.defined.ravel())])):
         raise NumericInputError("initial frame has non-finite values on active/ghost nodes")

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ScenarioError, SlabflowError, SolverStallError
+from .expressions import Expr, Num
 from .geometry import build_slice_plan
 from .slice_solver import SliceProblem, SolverConfig, eval_on_points, solve_slice
 
@@ -37,17 +38,17 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to run the scheme once.  Construction checks the
-    rules that span parts (ScenarioError); fields left as None are skipped."""
+    """Everything needed to run the scheme once; no source is ``Num(0.0)``.
+    Construction checks cross-part rules (ScenarioError); other None fields are skipped."""
 
     grid: object
     domain: object
     n_slices: int
     substeps: int
     flux: object
-    boundary: object
+    psi: object
     u0: object
-    source: object = None
+    source: object = Num(0.0)
     config: SolverConfig = SolverConfig()
     output: OutputConfig = None
 
@@ -57,6 +58,8 @@ class Scenario:
             for key, value in (("slices", self.n_slices), ("substeps", self.substeps))
             if value is not None and value < 1
         ]
+        if not isinstance(self.source, Expr):
+            issues.append(f"[data] source must be an expression (none: Num(0.0)), got {self.source!r}")
         flux, grid = self.flux, self.grid
         if flux is not None and grid is not None and flux.dim != grid.dim:
             issues.append(f"[flux] a {flux.dim}D flux cannot run on a {grid.dim}D grid")
@@ -71,14 +74,14 @@ class SpaceTimeField:
     ``times``/``slice_index`` are parallel: stamp i happened at
     ``times[i]`` inside slice ``slice_index[i]`` (interior knots appear
     twice, once as each neighbour's trace).  ``frames[i]`` is a full-grid
-    array; ``boundary`` is the psi that extends it off its active set.
+    array; ``psi`` is the expression that extends it off its active set.
     """
 
     plan: object
     times: np.ndarray
     slice_index: np.ndarray
     frames: np.ndarray
-    boundary: object
+    psi: object
 
     @property
     def n_stamps(self):
@@ -93,7 +96,7 @@ class SpaceTimeField:
     def extended_frame(self, i):
         """Stamp i extended by psi(times[i]) off its active set: total on the grid box."""
         mask = self.mask_at(i)
-        psi_all = self.boundary.values(float(self.times[i]), mask.grid.node_coords())
+        psi_all = eval_on_points(self.psi, float(self.times[i]), mask.grid.node_coords())
         return np.where(mask.active, self.frames[i], psi_all.reshape(mask.active.shape))
 
     @cached_property
@@ -102,7 +105,7 @@ class SpaceTimeField:
         nodes = self.plan.masks[0].grid.node_coords()
         worst = 0.0
         for t in np.unique(self.times):
-            worst = max(worst, float(np.max(np.abs(self.boundary.values(float(t), nodes)))))
+            worst = max(worst, float(np.max(np.abs(eval_on_points(self.psi, float(t), nodes)))))
         return worst
 
     @property
@@ -135,7 +138,7 @@ class RunReport:
         return sum(s["newton"] for s in self.slice_stats)
 
 
-def transfer(frame_end, mask_prev, mask_next, boundary, t_knot):
+def transfer(frame_end, mask_prev, mask_next, psi, t_knot):
     """Map a slice-final frame onto the next slice's mask.
 
     Copy on surviving active nodes, psi(t_knot) on newly active nodes and
@@ -146,12 +149,8 @@ def transfer(frame_end, mask_prev, mask_next, boundary, t_knot):
     out = np.full(mask_next.grid.shape, np.nan)
     keep = mask_prev.active & mask_next.active
     out[keep] = frame_end[keep]
-    fresh = mask_next.active & ~mask_prev.active
-    if fresh.any():
-        pts = mask_next.grid.node_coords()[fresh.ravel()]
-        out[fresh] = boundary.values(t_knot, pts)
-    if mask_next.ghost.any():
-        out[mask_next.ghost] = boundary.values(t_knot, mask_next.ghost_points())
+    from_psi = mask_next.defined & ~keep
+    out[from_psi] = eval_on_points(psi, t_knot, mask_next.grid.node_coords()[from_psi.ravel()])
     return out
 
 
@@ -159,8 +158,7 @@ def initial_frame(scenario, mask, t0=0.0):
     """u0 on the active set, psi(t0) on the ghost ring, NaN elsewhere."""
     out = np.full(mask.grid.shape, np.nan)
     out[mask.active] = eval_on_points(scenario.u0, t0, mask.active_points())
-    if mask.ghost.any():
-        out[mask.ghost] = scenario.boundary.values(t0, mask.ghost_points())
+    out[mask.ghost] = eval_on_points(scenario.psi, t0, mask.ghost_points())
     return out
 
 
@@ -179,7 +177,7 @@ def run_scheme(scenario, plan=None):
             flux=scenario.flux,
             span=(t0, t1),
             substeps=scenario.substeps,
-            boundary=scenario.boundary,
+            psi=scenario.psi,
             initial=current,
             source=scenario.source,
             config=scenario.config,
@@ -202,13 +200,13 @@ def run_scheme(scenario, plan=None):
             }
         )
         if k + 1 < plan.n_slices:
-            current = transfer(sol.frames[-1], plan.masks[k], plan.masks[k + 1], scenario.boundary, t1)
+            current = transfer(sol.frames[-1], plan.masks[k], plan.masks[k + 1], scenario.psi, t1)
     field = SpaceTimeField(
         plan=plan,
         times=np.array(times),
         slice_index=np.array(slice_idx, dtype=np.int64),
         frames=np.array(frames),
-        boundary=scenario.boundary,
+        psi=scenario.psi,
     )
     return field, RunReport(slice_stats=slice_stats, wall_time=time.perf_counter() - t_start)
 

@@ -8,7 +8,6 @@ the lines are replayed in the terminal summary after the run.
 import numpy as np
 
 from slabflow import (
-    BoundaryData,
     FluxModel,
     Grid,
     IntervalTrack,
@@ -17,6 +16,7 @@ from slabflow import (
     TrackSegment,
     check_structure,
     energy_report,
+    eval_on_points,
     knot_traces,
     l1_contraction_report,
     max_principle_report,
@@ -54,7 +54,7 @@ def interval_scenario(u0, psi, flux, *, h, horizon, n_slices, substeps,
     grid = Grid(dim=1, origin=(xmin,), spacing=(h,), counts=(round((xmax - xmin) / h),))
     return Scenario(
         grid=grid, domain=dom, n_slices=n_slices, substeps=substeps, flux=flux,
-        boundary=BoundaryData(psi=parse_expr(psi, TX)), u0=parse_expr(u0, X_),
+        psi=parse_expr(psi, TX), u0=parse_expr(u0, X_),
     )
 
 
@@ -237,7 +237,7 @@ def test_criterion_08_jump_traces(acceptance, bundle):
     kept = nxt.active & prev.active
     t_k = float(field.plan.knots[k])
     grid = scenario.grid
-    psi = scenario.boundary.values(t_k, grid.node_coords()).reshape(nxt.active.shape)
+    psi = eval_on_points(scenario.psi, t_k, grid.node_coords()).reshape(nxt.active.shape)
     assert fresh.sum() > 0
     expansion_ok = np.array_equal(after[fresh], psi[fresh]) and np.array_equal(
         after[kept], before[kept]

@@ -5,9 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slabflow import diagnostics
+from slabflow import diagnostics, stitcher
 from slabflow import (
-    BoundaryData,
     FluxModel,
     Grid,
     InapplicableDiagnosticError,
@@ -43,7 +42,7 @@ def interval_domain(left, right, horizon, jumps=()):
 
 
 def make_scenario(u0="sin(pi*x)", psi="0", flux=None, h=1 / 32, horizon=0.1,
-                  n_slices=2, substeps=20, right="1", jumps=(), source=None,
+                  n_slices=2, substeps=20, right="1", jumps=(), source="0",
                   xmin=-0.125, xmax=1.125):
     dom = interval_domain("0", right, horizon, jumps)
     counts = round((xmax - xmin) / h)
@@ -51,9 +50,9 @@ def make_scenario(u0="sin(pi*x)", psi="0", flux=None, h=1 / 32, horizon=0.1,
     return Scenario(
         grid=g, domain=dom, n_slices=n_slices, substeps=substeps,
         flux=flux or FluxModel.linear_diffusion(dim=1),
-        boundary=BoundaryData(psi=parse_expr(psi, TX)),
+        psi=parse_expr(psi, TX),
         u0=parse_expr(u0, X_),
-        source=parse_expr(source, TX) if source else None,
+        source=parse_expr(source, TX),
     )
 
 
@@ -166,14 +165,14 @@ def test_bound_reports_evaluate_sup_psi_once_per_field(monkeypatch):
     scenario = load_scenario(bundled_scenario_paths()["heat_fixed"])
     field, _ = run_scheme(scenario)
     full_grid = []
-    values = BoundaryData.values
+    values = stitcher.eval_on_points
 
-    def counting_values(self, t, points):
+    def counting_values(expr, t, points):
         if len(points) == scenario.grid.n_nodes:
             full_grid.append(t)
-        return values(self, t, points)
+        return values(expr, t, points)
 
-    monkeypatch.setattr(BoundaryData, "values", counting_values)
+    monkeypatch.setattr(stitcher, "eval_on_points", counting_values)
     assert max_principle_report(scenario, field_=field).passed
     assert energy_report(scenario, field_=field).passed
     assert len(full_grid) == len(np.unique(field.times)) == 41
@@ -324,7 +323,7 @@ def test_refinement_needs_two_levels():
 
 def test_mms_exact_constant_gives_zero_error():
     scen = make_scenario(u0="0.7", psi="0.7", n_slices=2, substeps=2)
-    report = mms_report(scen, parse_expr("0.7", TX), temporal_reference_factor=4)
+    report = mms_report(scen, parse_expr("0.7", TX))
     assert report.linf_error == pytest.approx(0.0, abs=1e-14)
     assert report.l1_error == pytest.approx(0.0, abs=1e-14)
 
@@ -333,7 +332,7 @@ def test_mms_measures_second_order_in_space():
     scen = make_scenario(h=1 / 16, n_slices=1, substeps=400,
                          source="(pi^2 - 1)*exp(-t)*sin(pi*x)")
     exact = parse_expr("exp(-t)*sin(pi*x)", TX)
-    report = mms_report(scen, exact, temporal_reference_factor=4)
+    report = mms_report(scen, exact)
     assert report.spatial_order_linf == pytest.approx(2.0, abs=0.15)
     assert report.temporal_order >= 0.8
     lines = report.summary_lines()

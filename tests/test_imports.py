@@ -5,6 +5,7 @@ and marks, per scope, the names it imports and the names it reads; a
 local variable that shadows an imported name does not count as a read.
 """
 
+import ast
 import symtable
 from collections import Counter
 from pathlib import Path
@@ -46,3 +47,10 @@ def test_all_names_resolve_and_appear_once():
     counts = Counter(slabflow.__all__)
     assert [name for name, n in counts.items() if n > 1] == []
     assert [name for name in counts if not hasattr(slabflow, name)] == []
+
+
+def test_init_imports_exactly_the_names_in_all():
+    tree = ast.parse(Path(slabflow.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported == set(slabflow.__all__)

@@ -14,11 +14,14 @@ from slabflow import (
     IntervalTrack,
     Num,
     OutputConfig,
+    Scenario,
     ScenarioError,
     SlabflowError,
+    SliceProblem,
     SolverConfig,
     TimeDomain,
     TrackSegment,
+    build_slice_plan,
     bundled_scenario_paths,
     format_scenario,
     load_scenario,
@@ -325,9 +328,43 @@ def test_canonical_round_trip_is_stable():
     assert scenario_hash(scen) == scenario_hash(again)
     assert again.grid == scen.grid
     assert again.u0 == scen.u0
-    assert again.boundary.psi == scen.boundary.psi
+    assert again.psi == scen.psi
     assert again.source == scen.source
     assert again.config == scen.config
+
+
+def test_absent_source_has_one_spelling():
+    """A code-built scenario that omits its source prints and reloads equal;
+    None is not a second spelling of "no source"."""
+    base = parse_scenario_text(MINIMAL)
+    parts = dict(grid=base.grid, domain=base.domain, n_slices=base.n_slices,
+                 substeps=base.substeps, flux=base.flux, psi=base.psi, u0=base.u0)
+    scen = Scenario(**parts, output=base.output)
+    assert scen.source == Num(0.0)
+    assert parse_scenario_text(format_scenario(scen)) == scen
+    with pytest.raises(ScenarioError) as err:
+        Scenario(**parts, source=None)
+    assert any(issue.startswith("[data] source") for issue in err.value.issues)
+    mask = build_slice_plan(base.domain, base.grid, 1).masks[0]
+    with pytest.raises(SlabflowError, match="source"):
+        SliceProblem(mask=mask, flux=base.flux, span=(0.0, 0.1), substeps=1, psi=base.psi,
+                     initial=np.zeros(base.grid.shape), source=None)
+
+
+def test_unprintable_scenarios_raise_scenario_errors():
+    disk = load_scenario(bundled_scenario_paths()["disk2d"])
+    g = disk.grid
+    coarse_y = dataclasses.replace(g, spacing=(g.spacing[0], 2 * g.spacing[1]),
+                                   counts=(g.counts[0], g.counts[1] // 2))
+    base = parse_scenario_text(MINIMAL)
+    tracks = [IntervalTrack(segments=(TrackSegment(0.0, parse_expr(a, ("t",)), parse_expr(b, ("t",))),))
+              for a, b in (("0", "0.25"), ("0.5", "1"))]
+    two_tracks = TimeDomain.moving_intervals(tracks, base.domain.horizon)
+    for scen, section in ((dataclasses.replace(disk, grid=coarse_y), "[grid]"),
+                          (dataclasses.replace(base, domain=two_tracks), "[domain]")):
+        with pytest.raises(ScenarioError) as err:
+            scenario_hash(scen)
+        assert err.value.issues[0].startswith(section)
 
 
 def test_hash_is_sha256_of_canonical_text():

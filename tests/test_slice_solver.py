@@ -15,7 +15,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu, spsolve
 
 from slabflow import (
-    BoundaryData,
     FluxModel,
     Grid,
     IntervalRegion,
@@ -34,6 +33,7 @@ from slabflow import (
     solve_slice,
 )
 from slabflow import slice_solver
+from slabflow.diagnostics import _gradient, _time_derivative
 from slabflow.slice_solver import (
     DISSECTION_LEAF,
     _dissection_order,
@@ -148,7 +148,7 @@ def test_transverse_slots_follow_the_averaged_one_sided_differences():
         return (sum(diffs) / len(diffs) if diffs else 0.0), len(diffs)
 
     counts = []
-    for a, (xi, _, _) in enumerate(_Stencil(mask, FluxModel.p_laplacian(3.0, dim=2)).face_fields(frame)):
+    for a, (xi, _) in enumerate(_Stencil(mask, FluxModel.p_laplacian(3.0, dim=2)).face_fields(frame)):
         b, expected = 1 - a, []
         for lo in np.ndindex(shape):
             hi = tuple(i + (d == a) for d, i in enumerate(lo))
@@ -230,7 +230,7 @@ def test_exact_newton_converges_fast_on_a_2d_p3_disk():
     frame = np.where(mask.active, u0, np.where(mask.ghost, 0.0, np.nan))
     sol = solve_slice(SliceProblem(
         mask=mask, flux=FluxModel.p_laplacian(3.0, dim=2), span=(0.0, 0.05), substeps=4,
-        boundary=BoundaryData(psi=parse_expr("0", ("t", "x", "y"))), initial=frame,
+        psi=parse_expr("0", ("t", "x", "y")), initial=frame,
     ))
     assert max(s.newton_iterations for s in sol.stats) <= 5
     assert all(s.picard_iterations == 0 for s in sol.stats)
@@ -396,8 +396,8 @@ def per_iteration_assembly(stencil, frame, face_terms, tau):
     rank[stencil.active_flat] = np.arange(n)
     div = np.zeros(n)
     rows, cols, vals, transverse = [], [], [], []
-    for a, (ax, (xi, z, xi_n)) in enumerate(zip(stencil.axes, stencil.face_fields(frame))):
-        F, dF, dT = face_terms(stencil.flux, 0.0, a, ax, xi, z, xi_n)
+    for a, (ax, (xi, z)) in enumerate(zip(stencil.axes, stencil.face_fields(frame))):
+        F, dF, dT = face_terms(stencil.flux, 0.0, a, ax, xi, z)
         h = ax["h"]
         lo_r, hi_r = rank[ax["flats"]]
         if F is not None:
@@ -540,7 +540,7 @@ def test_implicit_heat_step_matches_dense_solve(psi_value):
         flux=FluxModel.linear_diffusion(dim=1),
         span=(0.0, tau),
         substeps=1,
-        boundary=BoundaryData(psi=parse_expr(repr(psi_value), TX)),
+        psi=parse_expr(repr(psi_value), TX),
         initial=u_in,
     )
     frame, stats = one_step(problem)
@@ -558,7 +558,7 @@ def test_heat_step_with_source_matches_dense_solve():
         flux=FluxModel.linear_diffusion(dim=1),
         span=(0.0, tau),
         substeps=1,
-        boundary=BoundaryData(psi=parse_expr("0", TX)),
+        psi=parse_expr("0", TX),
         initial=u_in,
         source=parse_expr("3", TX),
     )
@@ -577,7 +577,7 @@ def test_step_satisfies_its_own_residual():
     flux = FluxModel.p_laplacian(3.0, dim=1)
     problem = SliceProblem(
         mask=mask, flux=flux, span=(0.0, tau), substeps=1,
-        boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
+        psi=parse_expr("0", TX), initial=u_in,
     )
     frame, stats = one_step(problem)
     div = c_order_divergence(mask, flux, frame)
@@ -594,7 +594,7 @@ def test_constant_data_costs_one_newton_iteration():
     u_in = np.where(mask.defined, 0.7, np.nan)
     problem = SliceProblem(
         mask=mask, flux=FluxModel.p_laplacian(3.0, dim=1), span=(0.0, 0.1), substeps=1,
-        boundary=BoundaryData(psi=parse_expr("0.7", TX)), initial=u_in,
+        psi=parse_expr("0.7", TX), initial=u_in,
     )
     frame, stats = one_step(problem)
     assert stats.newton_iterations == 1
@@ -609,7 +609,7 @@ def test_linear_diffusion_converges_in_exactly_one_iteration():
     u_in = np.where(mask.active, vals, np.where(mask.ghost, 0.0, np.nan))
     problem = SliceProblem(
         mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=(0.0, 0.02), substeps=4,
-        boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
+        psi=parse_expr("0", TX), initial=u_in,
     )
     solution = solve_slice(problem)
     assert [s.newton_iterations for s in solution.stats] == [1, 1, 1, 1]
@@ -628,7 +628,7 @@ def test_sup_norm_decays_under_zero_boundary():
         problem = SliceProblem(
             mask=mask, flux=FluxModel.p_laplacian(p, dim=1),
             span=(0.0, 0.05), substeps=10,
-            boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
+            psi=parse_expr("0", TX), initial=u_in,
         )
         solution = solve_slice(problem)
         sups = [np.nanmax(np.abs(f)) for f in solution.frames]
@@ -645,7 +645,7 @@ def test_step_l1_contraction_between_two_solutions():
     for p in (2.0, 3.0):
         flux = FluxModel.p_laplacian(p, dim=1)
         kw = dict(mask=mask, flux=flux, span=(0.0, 0.05), substeps=10,
-                  boundary=BoundaryData(psi=parse_expr("0", TX)))
+                  psi=parse_expr("0", TX))
         sol_a = solve_slice(SliceProblem(initial=a0, **kw))
         sol_b = solve_slice(SliceProblem(initial=b0, **kw))
         dist = [np.sum(np.abs(fa[mask.active] - fb[mask.active]))
@@ -663,7 +663,7 @@ def test_exhausted_iterations_raise_stall_error():
     u_in = np.where(mask.active, vals, np.where(mask.ghost, 0.0, np.nan))
     problem = SliceProblem(
         mask=mask, flux=FluxModel.p_laplacian(4.0, dim=1), span=(0.0, 10.0), substeps=1,
-        boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
+        psi=parse_expr("0", TX), initial=u_in,
         config=SolverConfig(max_newton=1, max_picard=0),
     )
     with pytest.raises(SolverStallError) as err:
@@ -677,7 +677,7 @@ def test_a_run_that_stalls_says_where(bundle):
     cannot reach the tolerance there."""
     scenario = dataclasses.replace(
         bundle["plap3_fixed"][0], u0=parse_expr("0", ("x",)),
-        boundary=BoundaryData(psi=parse_expr("max(t - 0.056, 0)", TX)),
+        psi=parse_expr("max(t - 0.056, 0)", TX),
         config=SolverConfig(max_newton=1, max_picard=0),
     )
     with pytest.raises(SolverStallError) as err:
@@ -718,7 +718,7 @@ def test_nonfinite_initial_frame_rejected():
     u_in[tuple(np.argwhere(mask.active)[0])] = np.inf
     problem = SliceProblem(
         mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=(0.0, 0.1), substeps=1,
-        boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
+        psi=parse_expr("0", TX), initial=u_in,
     )
     with pytest.raises(NumericInputError):
         solve_slice(problem)
@@ -730,7 +730,7 @@ def test_empty_span_rejected():
     with pytest.raises(SlabflowError, match="empty slice span"):
         SliceProblem(
             mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=(0.5, 0.5), substeps=1,
-            boundary=BoundaryData(psi=parse_expr("0", TX)), initial=u_in,
+            psi=parse_expr("0", TX), initial=u_in,
         )
 
 
@@ -747,7 +747,7 @@ def test_substeps_are_checked_at_construction(span, substeps, message):
     with pytest.raises(SlabflowError) as err:
         SliceProblem(
             mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=span, substeps=substeps,
-            boundary=BoundaryData(psi=parse_expr("0", TX)), initial=np.where(mask.defined, 0.0, np.nan),
+            psi=parse_expr("0", TX), initial=np.where(mask.defined, 0.0, np.nan),
         )
     assert str(err.value) == message
 
@@ -757,18 +757,16 @@ def test_substeps_are_checked_at_construction(span, substeps, message):
 
 def test_boundary_time_derivative_fallback_matches_analytic():
     psi = parse_expr("exp(-t)*x", TX)
-    bd = BoundaryData(psi=psi)
     pts = np.array([[0.5], [1.0]])
-    got = bd.time_derivative(0.3, pts)
+    got = _time_derivative(psi, 0.3, pts)
     want = -np.exp(-0.3) * pts.ravel()
     assert np.allclose(got, want, atol=1e-8)
 
 
 def test_boundary_gradient_fallback():
     psi = parse_expr("x^2", TX)
-    bd = BoundaryData(psi=psi)
     pts = np.array([[0.5], [1.5]])
-    grad = bd.gradient(0.0, pts)
+    grad = _gradient(psi, 0.0, pts)
     assert grad.shape == (2, 1)
     assert np.allclose(grad.ravel(), [1.0, 3.0], atol=1e-6)
 

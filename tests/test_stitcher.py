@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slabflow import (
-    BoundaryData,
     FluxModel,
     Grid,
     IntervalRegion,
@@ -45,7 +44,7 @@ def heat_scenario(h=1 / 64, n_slices=2, substeps=50):
         n_slices=n_slices,
         substeps=substeps,
         flux=FluxModel.linear_diffusion(dim=1),
-        boundary=BoundaryData(psi=parse_expr("0", TX)),
+        psi=parse_expr("0", TX),
         u0=parse_expr("sin(pi*x)", ("x",)),
     )
 
@@ -58,8 +57,7 @@ def test_transfer_identity_on_unchanged_mask():
     mask = rasterize(IntervalRegion(((0.0, 1.0),)), g)
     rng = np.random.default_rng(4)
     frame = np.where(mask.defined, rng.uniform(size=mask.active.shape), np.nan)
-    bd = BoundaryData(psi=parse_expr("0.5", TX))
-    out = transfer(frame, mask, mask, bd, 0.3)
+    out = transfer(frame, mask, mask, parse_expr("0.5", TX), 0.3)
     assert np.array_equal(out[mask.active], frame[mask.active])
     assert np.allclose(out[mask.ghost], 0.5)
     assert np.all(np.isnan(out[~mask.defined]))
@@ -70,8 +68,7 @@ def test_transfer_expansion_uses_boundary_datum():
     small = rasterize(IntervalRegion(((0.0, 1.0),)), g)
     large = rasterize(IntervalRegion(((0.0, 1.5),)), g)
     frame = np.where(small.defined, 2.0, np.nan)
-    bd = BoundaryData(psi=parse_expr("t + x", TX))
-    out = transfer(frame, small, large, bd, 0.25)
+    out = transfer(frame, small, large, parse_expr("t + x", TX), 0.25)
     fresh = large.active & ~small.active
     x = g.node_coords().ravel().reshape(large.active.shape)
     assert np.allclose(out[fresh], 0.25 + x[fresh])
@@ -85,11 +82,15 @@ def test_transfer_contraction_restricts_previous_values():
     small = rasterize(IntervalRegion(((0.25, 1.25),)), g)
     rng = np.random.default_rng(8)
     frame = np.where(large.defined, rng.uniform(size=large.active.shape), np.nan)
-    bd = BoundaryData(psi=parse_expr("0", TX))
-    out = transfer(frame, large, small, bd, 0.3)
+    out = transfer(frame, large, small, parse_expr("t + x", TX), 0.3)
     kept = small.active & large.active
     assert np.array_equal(out[kept], frame[kept])
     assert np.all(np.isnan(out[~small.defined]))
+    # Nodes active before the knot and ghosts after it take psi(t_knot), not their old values.
+    demoted = large.active & small.ghost
+    x = g.node_coords().ravel().reshape(small.active.shape)
+    assert demoted.any()
+    assert np.allclose(out[demoted], 0.3 + x[demoted])
 
 
 def test_transfer_rejects_mismatched_grids():
@@ -99,7 +100,7 @@ def test_transfer_rejects_mismatched_grids():
     m2 = rasterize(IntervalRegion(((0.0, 1.0),)), g2)
     frame = np.where(m1.defined, 1.0, np.nan)
     with pytest.raises(ValueError):
-        transfer(frame, m1, m2, BoundaryData(psi=parse_expr("0", TX)), 0.0)
+        transfer(frame, m1, m2, parse_expr("0", TX), 0.0)
 
 
 def test_initial_frame_layout():
@@ -170,7 +171,7 @@ def test_hold_index_matches_the_owning_slice_rule(jumping, n_slices, substeps, s
     scen = Scenario(
         grid=g, domain=dom, n_slices=n_slices, substeps=substeps,
         flux=FluxModel.linear_diffusion(dim=1),
-        boundary=BoundaryData(psi=parse_expr("0.1", TX)),
+        psi=parse_expr("0.1", TX),
         u0=parse_expr("sin(pi*x)", ("x",)),
     )
     field, _ = run_scheme(scen)
@@ -189,7 +190,7 @@ def test_hold_index_matches_the_owning_slice_rule(jumping, n_slices, substeps, s
 
 def test_extended_field_carries_boundary_datum_off_domain():
     scen = dataclasses.replace(heat_scenario(n_slices=1, substeps=2),
-                               boundary=BoundaryData(psi=parse_expr("0.3", TX)))
+                               psi=parse_expr("0.3", TX))
     field, _ = run_scheme(scen)
     mask = field.mask_at(0)
     assert np.allclose(field.extended_frame(0)[~mask.active], 0.3)
@@ -202,7 +203,7 @@ def test_constant_data_survive_jumps():
     scen = Scenario(
         grid=g, domain=dom, n_slices=2, substeps=4,
         flux=FluxModel.p_laplacian(3.0, dim=1),
-        boundary=BoundaryData(psi=parse_expr("0.7", TX)),
+        psi=parse_expr("0.7", TX),
         u0=parse_expr("0.7", ("x",)),
     )
     field, _ = run_scheme(scen)
@@ -217,7 +218,7 @@ def test_knot_traces_straddle_the_jump():
     scen = Scenario(
         grid=g, domain=dom, n_slices=2, substeps=4,
         flux=FluxModel.linear_diffusion(dim=1),
-        boundary=BoundaryData(psi=parse_expr("0.1", TX)),
+        psi=parse_expr("0.1", TX),
         u0=parse_expr("sin(pi*x)", ("x",)),
     )
     field, _ = run_scheme(scen)
@@ -273,7 +274,7 @@ def test_moving_domain_run_expands_active_set():
     scen = Scenario(
         grid=g, domain=dom, n_slices=4, substeps=5,
         flux=FluxModel.linear_diffusion(dim=1),
-        boundary=BoundaryData(psi=parse_expr("0", TX)),
+        psi=parse_expr("0", TX),
         u0=parse_expr("sin(pi*x)", ("x",)),
     )
     field, report = run_scheme(scen)
