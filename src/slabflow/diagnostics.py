@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InapplicableDiagnosticError
+from .errors import InapplicableDiagnosticError, SlabflowError
 from .expressions import free_variables
 from .flux import FD_STEP
 from .geometry import along, build_slice_plan, slab_hausdorff
@@ -317,7 +317,7 @@ def refinement_study(scenario, levels=3):
     gap between consecutive extensions and each level's slab Hausdorff
     distance (resolution delta/8, floored at half a cell)."""
     if levels < 2:
-        raise ValueError("refinement_study needs at least 2 levels")
+        raise SlabflowError("refinement_study needs at least 2 levels")
     runs = []
     infos = []
     for i in range(levels):

@@ -10,7 +10,8 @@ Grammar (binding tightest last):
 so ``^`` binds tighter than unary minus (``-x^2`` is ``-(x^2)``) and
 ``2^3^2`` is ``2^(3^2) = 512``.  Constants: pi, e.  Which variable names
 are legal is decided by the caller; everything else is rejected at parse
-time with a line/column position.
+time with a line/column position.  A scenario's jump endpoints
+``left, right`` are read as two comma-separated sums (:func:`parse_pair`).
 
 ``FUNCTIONS`` is the one function table (name -> numpy ufunc; the parser
 takes a call's arity from the ufunc's ``nin``).  Operators are ufuncs too,
@@ -25,6 +26,7 @@ with a message picked only then ("division by zero", ...).
 """
 
 import re
+from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
@@ -103,51 +105,27 @@ _TOKEN_RE = re.compile(
     (?P<number>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^(),])
+  | (?P<newline>\n)
   | (?P<ws>[ \t]+)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-
-class Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.column})"
+Token = namedtuple("Token", "kind text line column")  # an operator's kind is its text
 
 
 def _tokenize(text):
-    tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos] == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        col = pos - line_start + 1
-        if m.lastgroup == "number":
-            tokens.append(Token("number", m.group(), line, col))
-        elif m.lastgroup == "name":
-            tokens.append(Token("name", m.group(), line, col))
-        elif m.lastgroup == "op":
-            tokens.append(Token(m.group(), m.group(), line, col))
-        pos = m.end()
-    tokens.append(Token("end", "", line, n - line_start + 1))
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ExpressionError(f"unexpected character {m.group()!r}", line, col)
+        elif kind != "ws":
+            tokens.append(Token(m.group() if kind == "op" else kind, m.group(), line, col))
+    tokens.append(Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -176,28 +154,30 @@ class _Parser:
             raise ExpressionError(f"expected {kind!r}, found {what}", tok.line, tok.column)
         return self.advance()
 
-    def parse(self):
-        node = self.sum()
+    def parse(self, count):
+        """``count`` comma-separated sums making up the whole input."""
+        nodes = [self.sum()]
+        while len(nodes) < count:
+            self.expect(",")
+            nodes.append(self.sum())
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionError(f"unexpected {tok.text!r}", tok.line, tok.column)
+        return nodes
+
+    def _chain(self, ops, operand):
+        """operand (op operand)*, grouped to the left."""
+        node = operand()
+        while self.peek().kind in ops:
+            tok = self.advance()
+            node = Binary(tok.kind, node, operand(), tok.line, tok.column)
         return node
 
     def sum(self):
-        node = self.product()
-        while self.peek().kind in ("+", "-"):
-            tok = self.advance()
-            rhs = self.product()
-            node = Binary(tok.kind, node, rhs, tok.line, tok.column)
-        return node
+        return self._chain(("+", "-"), self.product)
 
     def product(self):
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            tok = self.advance()
-            rhs = self.unary()
-            node = Binary(tok.kind, node, rhs, tok.line, tok.column)
-        return node
+        return self._chain(("*", "/"), self.unary)
 
     def unary(self):
         tok = self.peek()
@@ -273,7 +253,12 @@ def parse_expr(text, variables=DEFAULT_VARIABLES):
     fields differ: initial data sees x/y, fluxes see xi1/xi2, the time
     modulus sees r).  Unknown names are parse errors, not runtime errors.
     """
-    return _Parser(_tokenize(text), variables).parse()
+    return _Parser(_tokenize(text), variables).parse(1)[0]
+
+
+def parse_pair(text, variables=DEFAULT_VARIABLES):
+    """Parse ``text`` as two comma-separated sums, as in a jump entry's ``left, right``."""
+    return tuple(_Parser(_tokenize(text), variables).parse(2))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from .errors import GeometryError, NumericEvalError, ScenarioError, SlabflowError
-from .expressions import Num, parse_expr, to_source
+from .expressions import Num, parse_expr, parse_pair, to_source
 from .flux import FluxModel
 from .geometry import Grid, IntervalTrack, TimeDomain, TrackSegment, build_slice_plan
 from .slice_solver import SolverConfig, eval_on_points
@@ -220,29 +220,19 @@ def parse_scenario_text(text):
             issues.append("[domain] moving_intervals requires dim = 1")
         left = d.expression("left", ("t",))
         right = d.expression("right", ("t",))
-        jumps_raw = d.word("jumps", required=False)
+        jumps_raw = d.word("jumps", required=False, default="")
         d.reject_leftovers("only valid for type = implicit")
         segments = []
         if left is not None and right is not None:
             segments.append(TrackSegment(start=0.0, left=left, right=right))
-        if jumps_raw:
-            for piece in jumps_raw.split(";"):
-                piece = piece.strip()
-                if not piece:
-                    continue
-                try:
-                    when, values = piece.split(":", 1)
-                    lval, rval = values.split(",", 1)
-                    t_jump = float(when)
-                    segments.append(
-                        TrackSegment(
-                            start=t_jump,
-                            left=parse_expr(lval.strip(), ("t",)),
-                            right=parse_expr(rval.strip(), ("t",)),
-                        )
-                    )
-                except (ValueError, SlabflowError) as exc:
-                    issues.append(f"[domain] bad jump entry {piece!r}: {exc}")
+        for piece in filter(None, (entry.strip() for entry in jumps_raw.split(";"))):
+            when, colon, values = piece.partition(":")
+            try:
+                if not colon:
+                    raise ValueError("expected the form 't: left, right'")
+                segments.append(TrackSegment(float(when), *parse_pair(values, ("t",))))
+            except (ValueError, SlabflowError) as exc:
+                issues.append(f"[domain] bad jump entry {piece!r}: {exc}")
         if segments and horizon is not None:
             domain = _build(issues, "domain", lambda: TimeDomain.moving_intervals(
                 [IntervalTrack(segments=tuple(segments))], horizon))
@@ -297,8 +287,8 @@ def parse_scenario_text(text):
     data = _SectionReader("data", sections["data"], issues)
     space_vars = ("x", "y") if dim == 2 else ("x",)
     txy_vars = ("t",) + space_vars
-    u0 = data.expression("u0", space_vars)
-    psi = data.expression("psi", txy_vars)
+    u0 = data.expression("u0", space_vars, default=Num(0.0))  # a missing or bad one is already an issue
+    psi = data.expression("psi", txy_vars, default=Num(0.0))
     source = data.expression("source", txy_vars, required=False, default=Num(0.0))
 
     # ---- solver
@@ -331,7 +321,7 @@ def parse_scenario_text(text):
 
     # ---- cross-cutting eager checks
     plan = None
-    if not issues and None not in (grid, domain, flux, u0, psi):
+    if not issues and None not in (grid, domain, flux):
         try:
             plan = build_slice_plan(domain, grid, n_slices)
         except GeometryError as exc:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ScenarioError, SlabflowError, SolverStallError
+from .errors import DomainRangeError, GeometryError, ScenarioError, SlabflowError, SolverStallError
 from .expressions import Expr, Num
 from .geometry import build_slice_plan
 from .slice_solver import SliceProblem, SolverConfig, eval_on_points, solve_slice
@@ -39,7 +39,8 @@ class OutputConfig:
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed to run the scheme once; no source is ``Num(0.0)``.
-    Construction checks cross-part rules (ScenarioError); other None fields are skipped."""
+    Construction checks cross-part rules and that the data are expressions
+    (ScenarioError); a None grid, domain, flux, count or output is skipped."""
 
     grid: object
     domain: object
@@ -58,8 +59,11 @@ class Scenario:
             for key, value in (("slices", self.n_slices), ("substeps", self.substeps))
             if value is not None and value < 1
         ]
-        if not isinstance(self.source, Expr):
-            issues.append(f"[data] source must be an expression (none: Num(0.0)), got {self.source!r}")
+        issues += [
+            f"[data] {key} must be an expression, got {value!r}"
+            for key, value in (("u0", self.u0), ("psi", self.psi), ("source", self.source))
+            if not isinstance(value, Expr)
+        ]
         flux, grid = self.flux, self.grid
         if flux is not None and grid is not None and flux.dim != grid.dim:
             issues.append(f"[flux] a {flux.dim}D flux cannot run on a {grid.dim}D grid")
@@ -121,7 +125,7 @@ class SpaceTimeField:
         an array of times."""
         knots, t_arr = self.plan.knots, np.asarray(t)
         if not np.all((knots[0] <= t_arr) & (t_arr <= knots[-1])):
-            raise ValueError(f"t={t} outside [{knots[0]}, {knots[-1]}]")
+            raise DomainRangeError(f"t={t} outside [{knots[0]}, {knots[-1]}]")
         idx = np.searchsorted(self.times, t, side="right") - 1
         return int(idx) if np.ndim(idx) == 0 else idx
 
@@ -145,7 +149,7 @@ def transfer(frame_end, mask_prev, mask_next, psi, t_knot):
     on the new ghost ring, NaN elsewhere.
     """
     if mask_prev.grid != mask_next.grid:
-        raise ValueError("transfer requires masks on the same grid")
+        raise GeometryError("transfer requires masks on the same grid")
     out = np.full(mask_next.grid.shape, np.nan)
     keep = mask_prev.active & mask_next.active
     out[keep] = frame_end[keep]

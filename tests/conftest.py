@@ -57,13 +57,7 @@ def bundle():
 
 @pytest.fixture(scope="session")
 def zero_source_bundle(bundle):
-    from slabflow import Num
-
-    return {
-        name: triple
-        for name, triple in bundle.items()
-        if triple[0].source is None or triple[0].source == Num(0.0)
-    }
+    return {name: triple for name, triple in bundle.items() if triple[0].source == sf.Num(0.0)}
 
 
 @pytest.fixture(scope="session")

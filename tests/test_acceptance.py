@@ -7,13 +7,11 @@ the lines are replayed in the terminal summary after the run.
 
 import numpy as np
 
+from helpers import interval_domain
 from slabflow import (
     FluxModel,
     Grid,
-    IntervalTrack,
     Scenario,
-    TimeDomain,
-    TrackSegment,
     check_structure,
     energy_report,
     eval_on_points,
@@ -25,7 +23,6 @@ from slabflow import (
     run_scheme,
 )
 
-T_ = ("t",)
 X_ = ("x",)
 TX = ("t", "x")
 FLUX_VARS = ("t", "x", "y", "z", "xi1", "xi2")
@@ -47,13 +44,10 @@ BUNDLE_KINDS = {
 
 def interval_scenario(u0, psi, flux, *, h, horizon, n_slices, substeps,
                       right="1", jumps=(), xmin=-0.125, xmax=1.125):
-    segs = [TrackSegment(0.0, parse_expr("0", T_), parse_expr(right, T_))]
-    for start, jl, jr in jumps:
-        segs.append(TrackSegment(start, parse_expr(jl, T_), parse_expr(jr, T_)))
-    dom = TimeDomain.moving_intervals([IntervalTrack(segments=tuple(segs))], horizon)
     grid = Grid(dim=1, origin=(xmin,), spacing=(h,), counts=(round((xmax - xmin) / h),))
     return Scenario(
-        grid=grid, domain=dom, n_slices=n_slices, substeps=substeps, flux=flux,
+        grid=grid, domain=interval_domain("0", right, horizon, jumps), n_slices=n_slices,
+        substeps=substeps, flux=flux,
         psi=parse_expr(psi, TX), u0=parse_expr(u0, X_),
     )
 

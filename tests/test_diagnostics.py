@@ -5,16 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import interval_domain
 from slabflow import diagnostics, stitcher
 from slabflow import (
     FluxModel,
     Grid,
     InapplicableDiagnosticError,
-    IntervalTrack,
     Scenario,
+    SlabflowError,
     SpaceTimeField,
-    TimeDomain,
-    TrackSegment,
     bundled_scenario_paths,
     energy_report,
     l1_contraction_report,
@@ -29,16 +28,8 @@ from slabflow import (
     IntervalRegion,
 )
 
-T_ = ("t",)
 TX = ("t", "x")
 X_ = ("x",)
-
-
-def interval_domain(left, right, horizon, jumps=()):
-    segs = [TrackSegment(0.0, parse_expr(left, T_), parse_expr(right, T_))]
-    for start, jl, jr in jumps:
-        segs.append(TrackSegment(start, parse_expr(jl, T_), parse_expr(jr, T_)))
-    return TimeDomain.moving_intervals([IntervalTrack(segments=tuple(segs))], horizon)
 
 
 def make_scenario(u0="sin(pi*x)", psi="0", flux=None, h=1 / 32, horizon=0.1,
@@ -314,7 +305,7 @@ def test_refinement_study_derives_each_stamp_extension_once(monkeypatch):
 
 
 def test_refinement_needs_two_levels():
-    with pytest.raises(ValueError):
+    with pytest.raises(SlabflowError):
         refinement_study(make_scenario(), levels=1)
 
 

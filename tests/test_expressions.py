@@ -20,7 +20,7 @@ from slabflow import (
     parse_expr,
     to_source,
 )
-from slabflow.expressions import bind, free_variables
+from slabflow.expressions import _tokenize, bind, free_variables
 
 REFERENCE = [
     ("2^3^2", {}, 512.0),
@@ -168,6 +168,38 @@ def test_arity_error_mentions_function():
     with pytest.raises(ExpressionError) as err:
         parse_expr("min(1)")
     assert "min" in str(err.value)
+
+
+def _offset(text, line, column):
+    """Index into ``text`` of a 1-based (line, column) position."""
+    starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    return starts[line - 1] + column - 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet="0123456789.eE+-*/^(),_xtsin \t\n$", max_size=30))
+def test_tokens_reproduce_the_text_they_were_read_from(text):
+    """Either the lexer stops at the first character no token can start with
+    ('$', or a '.' without a digit after it) and names its position, or each
+    token's text sits at its position, the tokens cover the non-blank text in
+    order and one end token closes the list."""
+    try:
+        tokens = _tokenize(text)
+    except ExpressionError as exc:
+        at = _offset(text, exc.line, exc.column)
+        ch = text[at]
+        assert ch == "$" or (ch == "." and not text[at + 1:at + 2].isdigit())
+        assert repr(ch) in str(exc)
+        _tokenize(text[:at])  # everything before it reads
+        return
+    *body, end = tokens
+    assert (end.kind, end.text) == ("end", "")
+    assert _offset(text, end.line, end.column) == len(text)
+    offsets = [_offset(text, tok.line, tok.column) for tok in body]
+    assert all(text[at:at + len(tok.text)] == tok.text for at, tok in zip(offsets, body))
+    assert offsets == sorted(offsets)
+    assert "".join(tok.text for tok in body) == "".join(text.split())
+    assert all(tok.kind in ("number", "name", tok.text) for tok in body)
 
 
 # --- evaluation errors -----------------------------------------------------

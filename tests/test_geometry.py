@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import slabflow
+from helpers import interval_domain
 from slabflow import (
     DegenerateSectionError,
     DomainRangeError,
@@ -44,13 +45,6 @@ def expr(text):
 
 def fixed_track(left, right):
     return IntervalTrack(segments=(TrackSegment(0.0, expr(left), expr(right)),))
-
-
-def interval_domain(left, right, horizon, jumps=()):
-    segs = [TrackSegment(0.0, expr(left), expr(right))]
-    for start, jl, jr in jumps:
-        segs.append(TrackSegment(start, expr(jl), expr(jr)))
-    return TimeDomain.moving_intervals([IntervalTrack(segments=tuple(segs))], horizon)
 
 
 # --- grids -------------------------------------------------------------------
@@ -358,6 +352,16 @@ def test_cone_slab_distance_equals_delta():
     plan = build_slice_plan(dom, g, 4)
     d = slab_hausdorff(dom, plan, resolution=0.01)
     assert d == pytest.approx(0.25, abs=0.02)
+
+
+def test_slab_hausdorff_of_the_disk_meets_its_bound():
+    """The implicit-region clouds: the bundled disk's radius 0.8 - 0.2t moves
+    at speed L = 0.2, so d_H <= (1 + L) * delta, sampled as refinement_study does."""
+    disk = slabflow.load_scenario(slabflow.bundled_scenario_paths()["disk2d"])
+    g = Grid(dim=2, origin=(-1.05, -1.05), spacing=(0.021, 0.021), counts=(100, 100))
+    plan = build_slice_plan(disk.domain, g, 4)
+    resolution = max(plan.delta / 8.0, 0.021 / 2.0)
+    assert slab_hausdorff(disk.domain, plan, resolution) <= (1 + 0.2) * plan.delta
 
 
 def test_slab_distance_shrinks_with_refinement():

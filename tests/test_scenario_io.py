@@ -170,6 +170,32 @@ def test_jumps_are_parsed():
     assert scen.domain.jump_times() == (0.05,)
 
 
+def test_jump_endpoints_are_full_expressions():
+    jumps = 'jumps = "0.05: max(t, 0.1) - 0.1, min(1 + t, 0.9)"'
+    scen = parse_scenario_text(MINIMAL.replace('right = "1"', f'right = "1"\n{jumps}'))
+    jump = scen.domain.tracks[0].segments[1]
+    assert jump.start == 0.05
+    assert jump.left == parse_expr("max(t, 0.1) - 0.1", ("t",))
+    assert jump.right == parse_expr("min(1 + t, 0.9)", ("t",))
+
+
+def test_code_built_jump_endpoints_round_trip():
+    base = parse_scenario_text(MINIMAL)
+    jump = TrackSegment(0.05, parse_expr("max(0, t - 0.05)", ("t",)), Num(0.9))
+    segments = (base.domain.tracks[0].segments[0], jump)
+    scen = dataclasses.replace(base, domain=TimeDomain.moving_intervals(
+        [IntervalTrack(segments)], base.domain.horizon))
+    assert parse_scenario_text(format_scenario(scen)) == scen
+
+
+def test_jump_entry_without_colon_names_its_form():
+    text = MINIMAL.replace('right = "1"', 'right = "1"\njumps = "0.05 0, 1"')
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    (issue,) = err.value.issues
+    assert issue.startswith("[domain] bad jump entry") and "'t: left, right'" in issue
+
+
 def test_jump_time_outside_horizon_rejected():
     text = MINIMAL.replace('right = "1"', 'right = "1"\njumps = "0.5: 0, 1"')
     with pytest.raises(ScenarioError) as err:
@@ -349,6 +375,20 @@ def test_absent_source_has_one_spelling():
     with pytest.raises(SlabflowError, match="source"):
         SliceProblem(mask=mask, flux=base.flux, span=(0.0, 0.1), substeps=1, psi=base.psi,
                      initial=np.zeros(base.grid.shape), source=None)
+
+
+@pytest.mark.parametrize("key", ["u0", "psi"])
+def test_data_must_be_expressions(key):
+    """A code-built scenario without u0 or psi raises at construction; a file
+    missing one reports that key once."""
+    base = parse_scenario_text(MINIMAL)
+    with pytest.raises(ScenarioError) as err:
+        dataclasses.replace(base, **{key: None})
+    assert err.value.issues == [f"[data] {key} must be an expression, got None"]
+    line = next(line for line in MINIMAL.splitlines() if line.startswith(f"{key} ="))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(MINIMAL.replace(line + "\n", ""))
+    assert err.value.issues == [f"[data] missing required key {key!r}"]
 
 
 def test_unprintable_scenarios_raise_scenario_errors():

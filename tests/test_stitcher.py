@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import interval_domain
 from slabflow import (
+    DomainRangeError,
     FluxModel,
+    GeometryError,
     Grid,
     IntervalRegion,
-    IntervalTrack,
     Scenario,
     ScenarioError,
-    TimeDomain,
-    TrackSegment,
     initial_frame,
     knot_traces,
     parse_expr,
@@ -23,15 +23,7 @@ from slabflow import (
     transfer,
 )
 
-T_ = ("t",)
 TX = ("t", "x")
-
-
-def interval_domain(left, right, horizon, jumps=()):
-    segs = [TrackSegment(0.0, parse_expr(left, T_), parse_expr(right, T_))]
-    for start, jl, jr in jumps:
-        segs.append(TrackSegment(start, parse_expr(jl, T_), parse_expr(jr, T_)))
-    return TimeDomain.moving_intervals([IntervalTrack(segments=tuple(segs))], horizon)
 
 
 def heat_scenario(h=1 / 64, n_slices=2, substeps=50):
@@ -99,7 +91,7 @@ def test_transfer_rejects_mismatched_grids():
     m1 = rasterize(IntervalRegion(((0.0, 1.0),)), g1)
     m2 = rasterize(IntervalRegion(((0.0, 1.0),)), g2)
     frame = np.where(m1.defined, 1.0, np.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(GeometryError):
         transfer(frame, m1, m2, parse_expr("0", TX), 0.0)
 
 
@@ -184,7 +176,7 @@ def test_hold_index_matches_the_owning_slice_rule(jumping, n_slices, substeps, s
     for t, i in zip(probes, expected):
         assert np.array_equal(field.sample_extended(float(t)), field.extended_frame(i))
     for bad in (np.nan, -1e-9, 0.6 + 1e-9, np.array([0.1, np.nan])):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainRangeError):
             field.hold_index(bad)
 
 
