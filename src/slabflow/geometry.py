@@ -6,11 +6,17 @@ layer has two jobs: answer continuous queries about the moving domain
 turn a frozen section into a node mask on a fixed background grid.
 
 Masks follow a ghost-node convention: a node is *active* when it and all
-its axis neighbours lie in the (closed) section, and *ghost* when it is
-not active but neighbours an active node.  Ghost nodes carry Dirichlet
-data; everything else is outside and stays undefined.  The boundary is
-therefore resolved to first order -- intentional, the time-slicing error
-dominates anyway.
+its axis neighbours lie in the (closed) section and, in 2D, it lies in an
+all-active 2x2 block (the block core; 1D keeps an isolated active node, a
+valid 3-point row).  A node is *ghost* when it is not active but
+neighbours an active node.  Ghost nodes carry Dirichlet data; everything
+else is outside and stays undefined.  The boundary is therefore resolved
+to first order -- intentional, the time-slicing error dominates anyway.
+
+One rule, the same in every dimension, refuses a section the grid cannot
+represent: each connected piece (through axis neighbours) of the nodes in
+the section must hold exactly one connected piece of the active set, and
+each piece the region itself knows (an interval) must hold a node.
 
 All operations here are pure functions of their arguments: same inputs,
 bitwise-identical outputs.
@@ -137,18 +143,9 @@ class IntervalRegion:
             last = b
 
     @property
-    def is_empty(self):
-        return not self.intervals
-
-    @property
-    def min_width(self):
-        return min((b - a for a, b in self.intervals), default=0.0)
-
-    @property
-    def bounds(self):
-        if self.is_empty:
-            return None
-        return (self.intervals[0][0], self.intervals[-1][1])
+    def pieces(self):
+        """The connected pieces, one region per interval."""
+        return tuple(IntervalRegion((iv,)) for iv in self.intervals)
 
     def contains(self, x):
         """Closure membership, vectorised (used for node classification)."""
@@ -171,53 +168,35 @@ class ImplicitRegion:
     box: tuple  # ((lo, hi), ...) one pair per axis
     dim: int
 
+    pieces = ()  # a level set's pieces are known only through the grid nodes
+
     def phi_values(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         env = {"t": self.t, **dict(zip(("x", "y"), points.T))}
-        return np.asarray(evaluate(self.phi, env), dtype=float)
+        return np.full(len(points), evaluate(self.phi, env), dtype=float)  # phi may not read x
 
     def contains(self, points):
         return self.phi_values(points) <= 0.0
 
     def to_intervals(self):
         """1D only: extract the sublevel set as intervals by sampling the
-        box and bisecting each sign change."""
+        box and bisecting every sign change at once."""
         if self.dim != 1:
             raise GeometryError("interval extraction is only defined in 1D")
         lo, hi = self.box[0]
         xs = np.linspace(lo, hi, INTERVAL_SAMPLES + 1)
-        inside = self.phi_values(xs[:, None]) <= 0.0
-
-        def _phi(x):
-            return float(self.phi_values(np.array([[x]]))[0])
-
-        def _bisect(xa, xb):
-            # invariant: inside-ness differs between xa and xb
-            fa = _phi(xa)
-            for _ in range(200):
-                if xb - xa <= INTERVAL_TOL:
-                    break
-                xm = 0.5 * (xa + xb)
-                fm = _phi(xm)
-                if (fa <= 0.0) == (fm <= 0.0):
-                    xa, fa = xm, fm
-                else:
-                    xb = xm
-            return 0.5 * (xa + xb)
-
-        intervals = []
-        start = None
-        for i in range(len(xs)):
-            if inside[i] and start is None:
-                start = xs[i] if i == 0 else _bisect(xs[i - 1], xs[i])
-            elif not inside[i] and start is not None:
-                end = _bisect(xs[i - 1], xs[i])
-                if end > start:
-                    intervals.append((start, end))
-                start = None
-        if start is not None:
-            intervals.append((start, xs[-1]))
-        return IntervalRegion(tuple(intervals))
+        inside = self.contains(xs[:, None])
+        change = np.flatnonzero(inside[1:] != inside[:-1])
+        xa, xb, side = xs[change], xs[change + 1], inside[change]
+        for _ in range(200):  # invariant: inside-ness is ``side`` at xa and differs at xb
+            live = xb - xa > INTERVAL_TOL
+            if not live.any():
+                break
+            xm = 0.5 * (xa + xb)
+            same = self.contains(xm[:, None]) == side
+            xa, xb = np.where(live & same, xm, xa), np.where(live & ~same, xm, xb)
+        ends = [*xs[:1][inside[:1]], *(0.5 * (xa + xb)), *xs[-1:][inside[-1:]]]
+        return IntervalRegion(tuple((a, b) for a, b in zip(ends[::2], ends[1::2]) if b > a))
 
 
 def interval_difference(a, b):
@@ -455,78 +434,91 @@ def _dilate(mask):
     return out
 
 
-def _check_margin(region, grid):
-    tol = 1e-12 * max(abs(hi) + abs(lo) + 1.0 for lo, hi in grid.box)
-    if isinstance(region, IntervalRegion):
-        if region.is_empty:
-            return
-        (lo, hi), = grid.box
-        h = grid.spacing[0]
-        a, b = region.bounds
-        if a < lo + 2 * h - tol or b > hi - 2 * h + tol:
-            raise MarginError(
-                f"section [{a}, {b}] needs a margin of 2h={2 * h} inside the grid box [{lo}, {hi}]"
-            )
-    else:
-        # implicit: discrete check on the outer two-node ring
-        pts = grid.node_coords()
-        inside = region.contains(pts).reshape(grid.shape)
-        ring = np.zeros(grid.shape, dtype=bool)
-        for a in range(grid.dim):
-            ring[along(a, slice(None, 2))] = ring[along(a, slice(-2, None))] = True
-        if np.any(inside & ring):
-            raise MarginError(
-                "implicit section reaches within two cells of the grid box boundary"
-            )
+def _block_core(active):
+    """Union of the all-active blocks of 2^dim nodes.  It is an opening, so
+    every node it keeps lies in a block it keeps: one pass is the fixed
+    point of dropping nodes that lie in no all-active block."""
+    corners = list(itertools.product((slice(None, -1), slice(1, None)), repeat=active.ndim))
+    blocks = np.logical_and.reduce([active[c] for c in corners])
+    core = np.zeros_like(active)
+    for c in corners:
+        core[c] |= blocks
+    return core
+
+
+def _pieces(mask):
+    """Connected pieces of ``mask`` through axis neighbours: (labels, count),
+    labels 0..count-1 on the mask and meaningless off it.  Runs along the
+    last axis are labelled by a cumulative sum; only their contacts across
+    the other axes go to a graph search."""
+    start = mask.copy()
+    start[..., 1:] &= ~mask[..., :-1]
+    run = np.cumsum(start).reshape(mask.shape) - 1
+    n_runs = int(np.count_nonzero(start))
+    if mask.ndim == 1 or n_runs == 0:
+        return run, n_runs
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    pairs = []
+    for a in range(mask.ndim - 1):
+        lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
+        both = mask[lo] & mask[hi]
+        pairs.append((run[lo][both], run[hi][both]))
+    rows, cols = np.concatenate(pairs, axis=1)
+    graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(n_runs, n_runs))
+    count, comp = connected_components(graph, directed=False)
+    return comp[run], count
+
+
+def _fmt_box(box):
+    return " x ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in box)
+
+
+def _node_box(grid, sel):
+    """Bounding box of the nodes where ``sel`` holds."""
+    pts = grid.node_coords()[sel.ravel()]
+    return _fmt_box(zip(pts.min(axis=0), pts.max(axis=0)))
 
 
 def rasterize(region, grid):
-    """Classify grid nodes against a frozen section.
+    """Classify grid nodes against a frozen section (see the module notes).
 
-    Active nodes are those strictly interior in the discrete sense (the
-    node and all axis neighbours belong to the section's closure); ghost
-    nodes are the remaining neighbours of active nodes.
+    Raises MarginError when a node of the section lies in the grid's outer
+    two-node ring (the stencil needs two cells of room), and
+    DegenerateSectionError naming the box of a piece that holds no node,
+    keeps no active node or splits into several active pieces.
     """
     if isinstance(region, IntervalRegion) and grid.dim != 1:
         raise GeometryError("interval regions rasterize on 1D grids only")
-    _check_margin(region, grid)
-    if isinstance(region, IntervalRegion):
-        inside = region.contains(grid.axis_nodes(0))
-    else:
-        inside = region.contains(grid.node_coords()).reshape(grid.shape)
+    inside = region.contains(grid.node_coords()).reshape(grid.shape)
+    interior = np.zeros(grid.shape, dtype=bool)
+    interior[(slice(2, -2),) * grid.dim] = True
+    if np.any(inside & ~interior):
+        raise MarginError(
+            f"section nodes at {_node_box(grid, inside)} reach within two cells of the grid box "
+            f"{_fmt_box(grid.box)}; the stencil needs a margin of two cells"
+        )
+    for piece in region.pieces:
+        if not piece.contains(grid.node_coords()).any():
+            raise DegenerateSectionError(
+                f"piece at {_fmt_box(piece.intervals)} holds no grid node at spacing {grid.spacing}"
+            )
+    if not inside.any():
+        raise DegenerateSectionError(f"section holds no node of the grid box {_fmt_box(grid.box)}")
     active = _neighbour_all(inside)
-    if not active.any():
-        if isinstance(region, IntervalRegion):
-            detail = f"minimum feature size {region.min_width} vs spacing {grid.spacing[0]}"
-        else:
-            detail = f"no interior nodes at spacing {grid.spacing}"
-        raise DegenerateSectionError(f"section has no active nodes ({detail})")
+    if grid.dim > 1:
+        active = _block_core(active)
+    inside_label, n_inside = _pieces(inside)
+    first = np.unique(_pieces(active)[0][active], return_index=True)[1]  # a node of each active piece
+    held = np.bincount(inside_label[active][first], minlength=n_inside)
+    for k in np.flatnonzero(held != 1)[:1]:
+        what = "keeps no active node" if held[k] == 0 else f"splits into {held[k]} active pieces"
+        raise DegenerateSectionError(
+            f"piece at {_node_box(grid, inside & (inside_label == k))} {what}"
+        )
     ghost = _dilate(active) & ~active
     return DomainMask(grid=grid, active=active, ghost=ghost)
-
-
-def _check_resolvable(region, mask, grid):
-    """Stand-in for boundary-regularity hypotheses: refuse sections the
-    grid cannot honestly represent."""
-    if isinstance(region, IntervalRegion):
-        h = grid.spacing[0]
-        for a, b in region.intervals:
-            if b - a < 2 * h:
-                raise DegenerateSectionError(
-                    f"interval ({a}, {b}) spans {(b - a) / h:.3g} cells; need >= 2"
-                )
-    else:
-        # every active node must sit in some fully-active block of 2^dim nodes
-        act = mask.active
-        corners = list(itertools.product((slice(None, -1), slice(1, None)), repeat=act.ndim))
-        blocks = np.logical_and.reduce([act[c] for c in corners])
-        covered = np.zeros_like(act)
-        for c in corners:
-            covered[c] |= blocks
-        if np.any(act & ~covered):
-            raise DegenerateSectionError(
-                "active set is thinner than two cells somewhere (no 2x2 block cover)"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +563,6 @@ def build_slice_plan(dom, grid, n_slices):
         region = side_limits(dom, float(t))[1]
         try:
             mask = rasterize(region, grid)
-            _check_resolvable(region, mask, grid)
         except GeometryError as exc:
             raise type(exc)(f"at knot t={t}: {exc}") from exc
         masks.append(mask)
@@ -596,33 +587,26 @@ def _region_points(region, resolution):
     return lattice[region.contains(lattice)]
 
 
+def _stack(stamped):
+    """One (n, 1 + dim) cloud from (t, points) pairs."""
+    return np.vstack([np.column_stack([np.full(len(pts), t), pts]) for t, pts in stamped])
+
+
 def sample_spacetime(dom, resolution):
     """Point cloud filling the space-time body {(t, x): x in section(t)}."""
-    rows = []
-    for t in _samples(0.0, dom.horizon, resolution):
-        pts = _region_points(section(dom, float(t)), resolution)
-        if len(pts):
-            rows.append(np.column_stack([np.full(len(pts), t), pts]))
-    if not rows:
-        return np.empty((0, 1 + dom.dim))
-    return np.vstack(rows)
+    times = _samples(0.0, dom.horizon, resolution)
+    return _stack((t, _region_points(section(dom, float(t)), resolution)) for t in times)
 
 
 def sample_slab(dom, plan, resolution):
     """Point cloud filling the sliced body: on [t_k, t_{k+1}) the section
     frozen at t_k+ (closures sampled; Hausdorff is closure-blind)."""
-    rows = []
+    stamped = []
     for k in range(plan.n_slices):
         t0, t1 = float(plan.knots[k]), float(plan.knots[k + 1])
-        region = side_limits(dom, t0)[1]
-        pts = _region_points(region, resolution)
-        if not len(pts):
-            continue
-        for t in _samples(t0, t1, resolution):
-            rows.append(np.column_stack([np.full(len(pts), t), pts]))
-    if not rows:
-        return np.empty((0, 1 + dom.dim))
-    return np.vstack(rows)
+        pts = _region_points(side_limits(dom, t0)[1], resolution)
+        stamped += [(t, pts) for t in _samples(t0, t1, resolution)]
+    return _stack(stamped)
 
 
 def hausdorff_distance(a, b):

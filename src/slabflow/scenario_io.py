@@ -26,7 +26,7 @@ from .expressions import Num, parse_expr, parse_pair, to_source
 from .flux import FluxModel
 from .geometry import Grid, IntervalTrack, TimeDomain, TrackSegment, build_slice_plan
 from .slice_solver import SolverConfig, eval_on_points
-from .stitcher import OutputConfig, Scenario
+from .stitcher import OutputConfig, Scenario, count_issues
 
 _SECTIONS = {
     "grid": {"dim", "xmin", "xmax", "ymin", "ymax", "h"},
@@ -306,22 +306,25 @@ def parse_scenario_text(text):
     frames_mode = out.word("frames", required=False, default="knots")
     output = _build(issues, "output", lambda: OutputConfig(out_dir, frames_mode))
 
-    scenario = _build(issues, "scenario", lambda: Scenario(
-        grid=grid,
-        domain=domain,
-        n_slices=n_slices,
-        substeps=substeps,
-        flux=flux,
-        psi=psi,
-        u0=u0,
-        source=source,
-        config=cfg,
-        output=output,
-    ))
+    if None in (grid, domain, flux, n_slices, substeps, cfg):  # each is an issue already
+        issues += count_issues(n_slices, substeps)
+    else:
+        scenario = _build(issues, "scenario", lambda: Scenario(
+            grid=grid,
+            domain=domain,
+            n_slices=n_slices,
+            substeps=substeps,
+            flux=flux,
+            psi=psi,
+            u0=u0,
+            source=source,
+            config=cfg,
+            output=output,
+        ))
 
     # ---- cross-cutting eager checks
     plan = None
-    if not issues and None not in (grid, domain, flux):
+    if not issues:
         try:
             plan = build_slice_plan(domain, grid, n_slices)
         except GeometryError as exc:

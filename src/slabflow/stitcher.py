@@ -36,11 +36,23 @@ class OutputConfig:
             raise SlabflowError(f"frames must be 'knots' or 'all', got {self.frames_mode!r}")
 
 
+def count_issues(n_slices, substeps):
+    """[time] issues of the slice and substep counts; a None count is skipped."""
+    counts = {"slices": n_slices, "substeps": substeps}
+    return [f"[time] {key} must be >= 1, got {n}" for key, n in counts.items() if n is not None and n < 1]
+
+
+def cross_part_issues(grid, flux):
+    """Issues between built parts: a flux runs only on a grid of its dimension."""
+    return [f"[flux] a {flux.dim}D flux cannot run on a {grid.dim}D grid"] if flux.dim != grid.dim else []
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed to run the scheme once; no source is ``Num(0.0)``.
-    Construction checks cross-part rules and that the data are expressions
-    (ScenarioError); a None grid, domain, flux, count or output is skipped."""
+    Construction requires every part but the output and checks the counts,
+    that the data are expressions and, once those hold, the cross-part
+    rules (ScenarioError)."""
 
     grid: object
     domain: object
@@ -53,20 +65,19 @@ class Scenario:
     config: SolverConfig = SolverConfig()
     output: OutputConfig = None
 
+    REQUIRED = (("grid", "grid"), ("domain", "domain"), ("time", "n_slices"),
+                ("time", "substeps"), ("flux", "flux"), ("solver", "config"))
+
     def __post_init__(self):
-        issues = [
-            f"[time] {key} must be >= 1, got {value}"
-            for key, value in (("slices", self.n_slices), ("substeps", self.substeps))
-            if value is not None and value < 1
-        ]
+        issues = [f"[{section}] {key} is required, got None"
+                  for section, key in self.REQUIRED if getattr(self, key) is None]
+        issues += count_issues(self.n_slices, self.substeps)
         issues += [
             f"[data] {key} must be an expression, got {value!r}"
             for key, value in (("u0", self.u0), ("psi", self.psi), ("source", self.source))
             if not isinstance(value, Expr)
         ]
-        flux, grid = self.flux, self.grid
-        if flux is not None and grid is not None and flux.dim != grid.dim:
-            issues.append(f"[flux] a {flux.dim}D flux cannot run on a {grid.dim}D grid")
+        issues = issues or cross_part_issues(self.grid, self.flux)
         if issues:
             raise ScenarioError(issues)
 

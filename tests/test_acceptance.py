@@ -6,6 +6,7 @@ the lines are replayed in the terminal summary after the run.
 """
 
 import numpy as np
+import pytest
 
 from helpers import interval_domain
 from slabflow import (
@@ -20,6 +21,7 @@ from slabflow import (
     max_principle_report,
     mms_report,
     parse_expr,
+    refinement_study,
     run_scheme,
 )
 
@@ -209,6 +211,16 @@ def test_criterion_07_l1_cauchy(acceptance, cone_study):
         f"cone heat: consecutive L1(Q_T) gaps {[f'{g:.3e}' for g in gaps]} "
         f"decay with ratios {[round(q, 3) for q in ratios]} (<= 0.7)",
     )
+
+
+@pytest.mark.parametrize("name", ["jump_expand", "jump_contract", "disk2d"])
+def test_l1_cauchy_refinement_across_jumps_and_in_2d(bundle, name):
+    """Criterion 7's bound where the paper makes its claim beyond the cone:
+    across jumps in time, and in 2D (the disk's second level did not plan
+    while 2D sections had to pass a 2x2 block cover test)."""
+    gaps = refinement_study(bundle[name][0], levels=4).gaps
+    ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1)]
+    assert all(q <= 0.7 for q in ratios), f"{name}: gaps {gaps}, ratios {ratios}"
 
 
 # -- 8: jump trace conditions -----------------------------------------------------

@@ -1,12 +1,14 @@
 """Grids, moving domains, rasterization, slice plans, Hausdorff distance."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slabflow
 from helpers import interval_domain
@@ -306,6 +308,138 @@ def test_plan_rejects_narrow_component():
     with pytest.raises(DegenerateSectionError) as err:
         build_slice_plan(dom, g, 2)
     assert "t=0" in str(err.value)
+
+
+DISK_SPACINGS = (0.075, 0.07, 0.06, 0.05, 0.042, 0.035, 0.03, 0.025, 0.021, 0.015, 0.0125, 0.01)
+
+
+def disk_on_grid(h):
+    """The bundled disk2d domain on its box [-1.05, 1.05]^2 at spacing h."""
+    scenario = slabflow.load_scenario(slabflow.bundled_scenario_paths()["disk2d"])
+    n = round(2.1 / h)
+    return scenario, Grid(dim=2, origin=(-1.05, -1.05), spacing=(h, h), counts=(n, n))
+
+
+def test_disk_plans_at_every_spacing_and_slice_count():
+    """The 2x2 block cover test refused 6 of these spacings and 29 of the
+    slice counts 1-64 at h = 0.021; the block core plans them all."""
+    for h in DISK_SPACINGS:
+        scenario, g = disk_on_grid(h)
+        assert scenario.grid.box == g.box
+        build_slice_plan(scenario.domain, g, scenario.n_slices)
+    scenario, g = disk_on_grid(0.021)
+    for n_slices in range(1, 65):
+        plan = build_slice_plan(scenario.domain, g, n_slices)
+        assert plan.n_slices == n_slices
+
+
+def two_interval_domain(second):
+    return TimeDomain.moving_intervals([fixed_track("0", "1"), fixed_track(*second)], 1.0)
+
+
+def test_plan_names_a_lost_interval():
+    """(1.205, 1.455) is 2.5 cells wide and holds the nodes 1.3 and 1.4, but
+    none of them is active: the interval used to vanish from the plan."""
+    g = Grid(dim=1, origin=(-0.5,), spacing=(0.1,), counts=(25,))
+    with pytest.raises(DegenerateSectionError) as err:
+        build_slice_plan(two_interval_domain(("1.205", "1.455")), g, 2)
+    assert "piece at [1.3, 1.4] keeps no active node" in str(err.value)
+    with pytest.raises(DegenerateSectionError) as err:
+        build_slice_plan(two_interval_domain(("1.21", "1.29")), g, 2)
+    assert "piece at [1.21, 1.29] holds no grid node" in str(err.value)
+
+
+def test_plan_refuses_a_section_that_splits():
+    """A dumbbell whose neck is one active node wide: the block core cuts
+    the neck, so one inside piece would hold two active pieces."""
+    g = Grid(dim=2, origin=(-1.0, -1.0), spacing=(0.1, 0.1), counts=(20, 20))
+    phi = parse_expr("min(max(abs(x) - 0.7, abs(y) - 0.15), (abs(x) - 0.45)^2 + y^2 - 0.09)",
+                     ("t", "x", "y"))
+    with pytest.raises(DegenerateSectionError, match="splits into 2 active pieces"):
+        rasterize(section(TimeDomain.implicit(phi, g.box, 1.0, dim=2), 0.0), g)
+
+
+@pytest.mark.parametrize("phi,error", [("-1", MarginError), ("1", DegenerateSectionError)],
+                         ids=["everywhere", "nowhere"])
+def test_constant_level_set_is_a_typed_error(phi, error):
+    """A phi that does not read x used to leak a ValueError from a reshape."""
+    g = Grid(dim=2, origin=(-1.0, -1.0), spacing=(0.25, 0.25), counts=(8, 8))
+    dom = TimeDomain.implicit(parse_expr(phi, ("t", "x", "y")), g.box, 1.0, dim=2)
+    with pytest.raises(error):
+        rasterize(section(dom, 0.0), g)
+
+
+def _components(mask):
+    """Connected pieces through axis neighbours, by flood fill (reference)."""
+    seen, pieces = np.zeros_like(mask), []
+    for start in zip(*np.nonzero(mask)):
+        if seen[start]:
+            continue
+        piece, stack = np.zeros_like(mask), [start]
+        seen[start] = piece[start] = True
+        while stack:
+            node = stack.pop()
+            for a in range(mask.ndim):
+                for step in (-1, 1):
+                    nb = node[:a] + (node[a] + step,) + node[a + 1:]
+                    if 0 <= nb[a] < mask.shape[a] and mask[nb] and not seen[nb]:
+                        seen[nb] = piece[nb] = True
+                        stack.append(nb)
+        pieces.append(piece)
+    return pieces
+
+
+def _check_mask_invariants(mask, inside):
+    active = mask.active
+    neighbours = np.zeros_like(active)
+    for a in range(active.ndim):
+        lo, hi = (slice(None),) * a + (slice(None, -1),), (slice(None),) * a + (slice(1, None),)
+        neighbours[lo] |= active[hi]
+        neighbours[hi] |= active[lo]
+    assert not np.any(neighbours & ~mask.defined)
+    if active.ndim == 2:
+        block = active[:-1, :-1] & active[1:, :-1] & active[:-1, 1:] & active[1:, 1:]
+        covered = np.zeros_like(active)
+        for c in ((slice(None, -1), slice(None, -1)), (slice(1, None), slice(None, -1)),
+                  (slice(None, -1), slice(1, None)), (slice(1, None), slice(1, None))):
+            covered[c] |= block
+        assert not np.any(active & ~covered)
+    active_pieces = _components(active)
+    for piece in _components(inside):
+        assert sum(bool(np.any(piece & p)) for p in active_pieces) == 1
+
+
+@st.composite
+def _sections(draw):
+    """A 2D disk or ellipse, or a 1D union of one to three intervals, and a grid."""
+    if draw(st.booleans()):
+        h = draw(st.floats(0.04, 0.2))
+        n = int(np.ceil(2.0 / h))
+        g = Grid(dim=2, origin=(-1.0, -1.0), spacing=(h, h), counts=(n, n))
+        cx, cy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+        rx, ry = draw(st.floats(0.02, 0.7)), draw(st.floats(0.02, 0.7))
+        phi = parse_expr(f"((x - {cx!r})/{rx!r})^2 + ((y - {cy!r})/{ry!r})^2 - 1", ("t", "x", "y"))
+        return section(TimeDomain.implicit(phi, g.box, 1.0, dim=2), 0.0), g
+    h = draw(st.floats(0.02, 0.2))
+    g = Grid(dim=1, origin=(-0.5,), spacing=(h,), counts=(int(np.ceil(2.8 / h)),))
+    cuts = sorted(draw(st.lists(st.floats(-0.3, 2.4), min_size=2, max_size=6, unique=True)))
+    cuts = cuts[: len(cuts) // 2 * 2]
+    return IntervalRegion(tuple(zip(cuts[::2], cuts[1::2]))), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_sections())
+def test_masks_that_plan_keep_their_invariants(drawn):
+    """Each draw plans, or is refused with an error naming a box; a planned
+    mask has its active neighbours defined, its 2D active nodes in
+    all-active 2x2 blocks, and one active piece per inside piece."""
+    region, g = drawn
+    try:
+        mask = rasterize(region, g)
+    except (DegenerateSectionError, MarginError) as exc:
+        assert re.search(r"\[[^\]]+, [^\]]+\]", str(exc)), str(exc)
+        return
+    _check_mask_invariants(mask, region.contains(g.node_coords()).reshape(g.shape))
 
 
 def test_plan_masks_follow_expansion():

@@ -275,3 +275,11 @@ def test_moving_domain_run_expands_active_set():
     assert last > first
     assert len(report.slice_stats) == 4
     assert field.plan.delta == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("part", ["grid", "domain", "flux"])
+def test_a_scenario_built_in_code_requires_every_part(part):
+    """A None part used to construct and then leak an AttributeError from run_scheme."""
+    with pytest.raises(ScenarioError) as err:
+        run_scheme(dataclasses.replace(heat_scenario(), **{part: None}))
+    assert err.value.issues == [f"[{part}] {part} is required, got None"]
