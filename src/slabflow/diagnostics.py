@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InapplicableDiagnosticError, SlabflowError
-from .expressions import free_variables
+from .expressions import evaluate as eval_expr, free_variables
 from .flux import FD_STEP
 from .geometry import along, build_slice_plan, slab_hausdorff
 from .slice_solver import eval_on_points
@@ -52,17 +52,6 @@ class EstimateReport:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _require_zero_source(scenario, plan, what):
-    for k, mask in enumerate(plan.masks):
-        t0, t1 = float(plan.knots[k]), float(plan.knots[k + 1])
-        pts = mask.active_points()
-        for t in (t0, 0.5 * (t0 + t1), t1):
-            if np.any(eval_on_points(scenario.source, t, pts) != 0.0):
-                raise InapplicableDiagnosticError(
-                    f"{what} needs a source-free scenario (f != 0 at t={t})"
-                )
 
 
 def _u0_max(field_):
@@ -102,14 +91,13 @@ def _gradient(psi, t, points):
 
 
 def _source_free_field(scenario, field_, what):
-    """``field_``, or a fresh run when it is None; the source check comes
-    first, on the slice plan, so a scenario with a source is never run."""
-    if field_ is None:
-        plan = build_slice_plan(scenario.domain, scenario.grid, scenario.n_slices)
-        _require_zero_source(scenario, plan, what)
-        return run_scheme(scenario, plan=plan)[0]
-    _require_zero_source(scenario, field_.plan, what)
-    return field_
+    """``field_``, or a fresh run when it is None, of a source-free scenario:
+    one whose source reads no variable and evaluates to 0.  Any other source
+    is refused before a run."""
+    source = scenario.source
+    if free_variables(source) or eval_expr(source, {}) != 0.0:
+        raise InapplicableDiagnosticError(f"{what} needs a source-free scenario, got source {source}")
+    return run_scheme(scenario)[0] if field_ is None else field_
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,6 @@ def parse_scenario_text(text):
     dom_type = d.word("type")
     domain = None
     if dom_type == "moving_intervals":
-        if dim != 1:
-            issues.append("[domain] moving_intervals requires dim = 1")
         left = d.expression("left", ("t",))
         right = d.expression("right", ("t",))
         jumps_raw = d.word("jumps", required=False, default="")
@@ -331,18 +329,13 @@ def parse_scenario_text(text):
             issues.append(f"geometry: {exc}")
     if plan is not None:
         try:
-            vals = eval_on_points(u0, 0.0, plan.masks[0].active_points())
-            if not np.all(np.isfinite(vals)):
-                issues.append("[data] u0 is not finite on the initial section")
+            eval_on_points(u0, 0.0, plan.masks[0].active_points())
         except NumericEvalError as exc:
             issues.append(f"[data] u0 does not evaluate on the initial section: {exc}")
         nodes = grid.node_coords()
         for t in plan.knots:
             try:
-                vals = eval_on_points(psi, float(t), nodes)
-                if not np.all(np.isfinite(vals)):
-                    issues.append(f"[data] psi is not finite on the grid at t={t}")
-                    break
+                eval_on_points(psi, float(t), nodes)
             except NumericEvalError as exc:
                 issues.append(f"[data] psi does not evaluate at t={t}: {exc}")
                 break

@@ -15,18 +15,17 @@ stencil knows a face only by the flat grid indices of its ends (``flats``);
 each transverse slot is a static linear map of the flat frame, built once,
 whose (face, node, weight) triplets are also Newton's transverse entries.
 
-One face-assembly routine (:meth:`_Stencil.assemble`) serves the whole
-step.  Per axis it gives each face's flux and endpoint derivatives from the
-face fields the residual read at the iterate: one face pass per iterate.
-The residual takes the flux only; psi and the source are bound in space once
-per slice (:func:`expressions.bind`), so a substep walks only what reads t.
-The Jacobians differ only in the per-face derivatives: damped Newton
-(residual-norm backtracking, shrink 0.5 down to steps of 2^-20)
-differentiates the flux in every slot, so its J is the residual's exact
-derivative in every dimension; if it stalls, a lagged-coefficient (Picard)
-iteration replaces the flux by a frozen secant diffusivity times the
-normal difference.  Both solve with I/tau - J; exhausting both raises
-:class:`SolverStallError` with the residual history and where it stalled.
+The step has one residual, r(u) above, and one flux pass computes it
+(:meth:`_Stencil.divergence`); psi and the source are bound in space once per
+slice (:func:`expressions.bind`), so a substep walks only what reads t.  Both
+iterations solve (I/tau - J) delta = -r and differ only in the per-face
+derivatives that :meth:`_Stencil.jacobian` reads from the residual's face
+fields: one face pass per iterate.  Damped Newton (residual-norm backtracking,
+shrink 0.5 down to steps of 2^-20) differentiates the flux in every slot, so
+its J is exact in every dimension; if it stalls, Picard, Newton with the
+secant matrix of :func:`_picard_faces` for J (Kelley 2003, ch. 1-2), takes
+full steps.  Exhausting both raises :class:`SolverStallError` with the
+residual history and where it stalled.
 
 The domain is frozen on a slice, so all its systems share one sparsity
 pattern: a CSC matrix holding the diagonal, each face's couplings between
@@ -284,29 +283,28 @@ class _Stencil:
 
     # -- assembly --------------------------------------------------------------
 
-    def assemble(self, t_freeze, fields, face_terms):
-        """One pass over the faces of ``face_fields(u)``: div A at the active
-        nodes and the values of d(div)/d(u_active) in the order of ``slot``.
-
-        ``face_terms(flux, t_freeze, a, ax, xi, z)`` gives each face's
-        flux ``F``, its endpoint derivatives ``(dF_lo, dF_hi)`` and its
-        transverse ones ``{b: dA_a/dxi_b}``; each may be None, and the matching
-        output then is zeros / None / absent (a prefix of the slots).
-        """
-        flux_parts, jac_parts, trans_parts = [], [], []
+    def divergence(self, t_freeze, fields):
+        """div A at the active nodes (compact array, active order) from
+        ``face_fields(u)``: the residual's one flux pass."""
+        parts = []
         for a, (ax, (xi, z)) in enumerate(zip(self.axes, fields)):
-            F, dF, dT = face_terms(self.flux, t_freeze, a, ax, xi, z)
+            F = evaluate_many(self.flux, t_freeze, ax["mids"], z, xi)[:, a]
+            parts.append(np.concatenate((F, -F))[ax["div_take"]] / ax["h"])
+        return np.bincount(self.div_rows, np.concatenate(parts), self.n_active)
+
+    def jacobian(self, t_freeze, fields, face_terms):
+        """The values of d(div A)/d(u_active), in slot order, from ``face_fields(u)``:
+        ``face_terms(flux, t_freeze, a, ax, xi, z)`` gives each face's endpoint
+        derivatives ``(dF_lo, dF_hi)`` and its transverse ones ``{b: dA_a/dxi_b}``
+        or None (the values then fill a prefix of the slots)."""
+        normal, transverse = [], []
+        for a, (ax, (xi, z)) in enumerate(zip(self.axes, fields)):
+            dF, dT = face_terms(self.flux, t_freeze, a, ax, xi, z)
             h = ax["h"]
-            if F is not None:
-                flux_parts.append(np.concatenate((F, -F))[ax["div_take"]] / h)
-            if dF is not None:
-                jac_parts.append(np.concatenate((*dF, *np.negative(dF)))[ax["jac_take"]] / h)
+            normal.append(np.concatenate((*dF, *np.negative(dF)))[ax["jac_take"]] / h)
             if dT is not None:
-                trans_parts += [dT[b][faces] * coeff / h for b, faces, coeff in self._pattern[0][a]]
-        div = np.zeros(self.n_active)
-        if flux_parts:
-            div = np.bincount(self.div_rows, np.concatenate(flux_parts), self.n_active)
-        return div, (np.concatenate(jac_parts + trans_parts) if jac_parts else None)
+                transverse += [dT[b][faces] * coeff / h for b, faces, coeff in self._pattern[0][a]]
+        return np.concatenate(normal + transverse)
 
     def step_matrix(self, jac, tau):
         """I/tau - J from J's values ``jac``, written into the stencil's matrix."""
@@ -320,15 +318,6 @@ class _Stencil:
         """x with (I/tau - J) x = rhs, J from its values ``jac``, factored in the stencil's order."""
         return spsolve(self.step_matrix(jac, tau), rhs, permc_spec="NATURAL")
 
-    def divergence(self, t_freeze, fields):
-        """div A at the active nodes (compact array, active order) from ``face_fields(u)``."""
-        return self.assemble(t_freeze, fields, _flux_faces)[0]
-
-
-def _flux_faces(flux, t, a, ax, xi, z):
-    """The residual: the face flux, no derivatives."""
-    return evaluate_many(flux, t, ax["mids"], z, xi)[:, a], None, None
-
 
 def _newton_faces(flux, t, a, ax, xi, z):
     """Newton: the face flux differentiated in every slot -- the normal
@@ -340,19 +329,22 @@ def _newton_faces(flux, t, a, ax, xi, z):
     dz = _dz_many(flux, t, ax["mids"], z, xi, a)
     dT = {b: _offdiag_jacobian_many(flux, t, ax["mids"], z, xi, a, b)
           for b in range(xi.shape[1]) if b != a}
-    return None, (-dA / h + 0.5 * dz, dA / h + 0.5 * dz), dT
+    return (-dA / h + 0.5 * dz, dA / h + 0.5 * dz), dT
 
 
 def _picard_faces(flux, t, a, ax, xi, z):
-    """Picard: the face flux replaced by c_f * (normal difference), with the
-    secant diffusivity c_f >= 0 frozen at the current iterate."""
+    """Picard: the secant matrix.  Each face flux is read as c_f times the
+    normal difference, with the secant diffusivity c_f = A_a / xi_a
+    (dA_a/dxi_a where xi_a vanishes) clamped at 0 and frozen at the iterate;
+    J is the derivative of that in the endpoint values alone, so I/tau - J
+    is a (2d+1)-point M-matrix."""
     h, xi_n = ax["h"], xi[:, a]
     F = evaluate_many(flux, t, ax["mids"], z, xi)[:, a]
     dA = _diag_jacobian_many(flux, t, ax["mids"], z, xi, a)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(np.abs(xi_n) > 1e-30, F / xi_n, dA)
     c = np.maximum(c, 0.0)
-    return c * xi_n, (-c / h, c / h), None
+    return (-c / h, c / h), None
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +382,7 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
     newton = picard = 0
     stalled = False
     while math.isfinite(r_inf) and newton < cfg.max_newton:
-        jac = stencil.assemble(t_freeze, fields, _newton_faces)[1]
+        jac = stencil.jacobian(t_freeze, fields, _newton_faces)
         delta = stencil.solve(jac, tau, -r)
         r_two = math.sqrt(r @ r)
         lam = 1.0
@@ -417,10 +409,8 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
 
     if not r_inf <= cfg.newton_tol:
         while math.isfinite(r_inf) and picard < cfg.max_picard:
-            divlin, jac = stencil.assemble(t_freeze, fields, _picard_faces)
-            g_lin = (u.ravel()[stencil.active_flat] - u_in_act) / tau - divlin - f_act
-            step_lin = stencil.solve(jac, tau, -g_lin)
-            u = with_update(u, step_lin, 1.0)
+            jac = stencil.jacobian(t_freeze, fields, _picard_faces)
+            u = with_update(u, stencil.solve(jac, tau, -r), 1.0)
             r, r_inf, fields = residual(u)
             picard += 1
             picard_history.append(r_inf)
@@ -448,8 +438,9 @@ def solve_slice(problem):
     times = problem.times
     frames = [init.copy()]
     stats = []
-    for m in range(problem.substeps):
-        frame, st = _step(problem, stencil, psi, source, frames[-1], float(times[m]), float(times[m + 1]), m)
-        frames.append(frame)
-        stats.append(st)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing iterate ends as a typed stall
+        for m in range(problem.substeps):
+            frame, st = _step(problem, stencil, psi, source, frames[-1], float(times[m]), float(times[m + 1]), m)
+            frames.append(frame)
+            stats.append(st)
     return SliceSolution(times=times, frames=frames, stats=stats)

@@ -42,9 +42,10 @@ def count_issues(n_slices, substeps):
     return [f"[time] {key} must be >= 1, got {n}" for key, n in counts.items() if n is not None and n < 1]
 
 
-def cross_part_issues(grid, flux):
-    """Issues between built parts: a flux runs only on a grid of its dimension."""
-    return [f"[flux] a {flux.dim}D flux cannot run on a {grid.dim}D grid"] if flux.dim != grid.dim else []
+def cross_part_issues(grid, domain, flux):
+    """Issues between built parts: a domain or a flux runs only on a grid of its dimension."""
+    return [f"[{key}] a {part.dim}D {key} cannot run on a {grid.dim}D grid"
+            for key, part in (("domain", domain), ("flux", flux)) if part.dim != grid.dim]
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class Scenario:
             for key, value in (("u0", self.u0), ("psi", self.psi), ("source", self.source))
             if not isinstance(value, Expr)
         ]
-        issues = issues or cross_part_issues(self.grid, self.flux)
+        issues = issues or cross_part_issues(self.grid, self.domain, self.flux)
         if issues:
             raise ScenarioError(issues)
 

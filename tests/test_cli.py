@@ -137,6 +137,17 @@ def test_solver_stall_has_its_own_exit_code(tmp_path, capsys):
     assert "Newton residuals: 1.648e+10 4.882e+09" in err and "Picard residuals: none" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_run_is_a_stall_with_no_warning(tmp_path, capsys):
+    """At u = 1e100 the p = 4 flux overflows; the run ends in the stall exit
+    code, with no numpy RuntimeWarning escaping the CLI untyped."""
+    cfg = tmp_path / "overflow.cfg"
+    text = STALL.format(out=tmp_path / "out").replace("50*sin(7*pi*x)", "1e100*sin(pi*x)")
+    cfg.write_text(text.replace("max_newton = 1\nmax_picard = 0\n", ""))
+    assert main(["run", str(cfg)]) == 3
+    assert "fallback iterations" in capsys.readouterr().err
+
+
 def test_substeps_that_cannot_advance_time_are_an_input_error(tmp_path):
     """T = 5e-323 loads, but 20 substeps of a slice of it cannot all advance
     time: the run stops with one error line and exit code 2, no traceback."""

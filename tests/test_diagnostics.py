@@ -83,9 +83,10 @@ def test_max_principle_detects_injected_spike():
 
 
 def test_max_principle_needs_zero_source():
-    scen = make_scenario(source="1")
-    with pytest.raises(InapplicableDiagnosticError):
-        max_principle_report(scen)
+    """The bump vanishes at every knot and slice midpoint, yet moves the frames."""
+    for source in ("1", "1000*max(0, 0.01 - abs(t - 0.0125))"):
+        with pytest.raises(InapplicableDiagnosticError):
+            max_principle_report(make_scenario(source=source))
 
 
 # --- energy inequality ------------------------------------------------------------

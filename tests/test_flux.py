@@ -279,3 +279,14 @@ def test_undersized_growth_constant_is_caught():
     report = check_structure(flux, samples=2000, seed=3)
     assert not report.conditions["growth"].passed
     assert report.conditions["monotonicity"].passed
+
+
+def test_a_declared_time_modulus_covers_a_time_dependent_flux():
+    """A = (1 + sin(t)/2) xi moves by at most |t - s|/2 |xi| in time: omega = r/2
+    covers that, and without omega the continuity condition fails."""
+    comp = [parse_expr("(1 + 0.5*sin(t))*xi1", FLUX_VARS)]
+    for omega, passed in ((parse_expr("0.5*r", ("r",)), True), (None, False)):
+        flux = FluxModel.custom(comp, p=2.0, growth_c=1.5, coercivity_alpha=0.5, time_modulus=omega)
+        report = check_structure(flux, samples=3000, seed=0)
+        assert report.conditions["continuity"].passed is passed
+        assert all(c.passed for name, c in report.conditions.items() if name != "continuity")

@@ -153,6 +153,15 @@ def test_unevaluable_initial_datum_caught():
     assert any("u0" in issue for issue in err.value.issues)
 
 
+def test_unevaluable_boundary_datum_caught():
+    """psi is read at every knot of the plan; heat_fixed has one at t = 0.05."""
+    text = open(bundled_scenario_paths()["heat_fixed"]).read().replace('psi = "0"', 'psi = "1/(t - 0.05)"')
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert len(err.value.issues) == 1
+    assert err.value.issues[0].startswith("[data] psi does not evaluate at t=0.05: ")
+
+
 def test_spacing_must_divide_the_box():
     text = MINIMAL.replace("h = 0.03125", "h = 0.03")
     with pytest.raises(ScenarioError) as err:

@@ -34,10 +34,10 @@ from slabflow import (
 )
 from slabflow import slice_solver
 from slabflow.diagnostics import _gradient, _time_derivative
+from slabflow.flux import evaluate_many
 from slabflow.slice_solver import (
     DISSECTION_LEAF,
     _dissection_order,
-    _flux_faces,
     _newton_faces,
     _picard_faces,
     _Stencil,
@@ -214,7 +214,7 @@ def test_newton_matrix_matches_central_differences(make_mask, flux):
     stencil = _Stencil(mask, flux)
     for _ in range(3):
         frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
-        jac = stencil.assemble(0.0, stencil.face_fields(frame), _newton_faces)[1]
+        jac = stencil.jacobian(0.0, stencil.face_fields(frame), _newton_faces)
         newton = stencil.step_matrix(jac, tau).toarray()
         reference = central_difference_jacobian(stencil, frame, tau)
         assert np.allclose(newton, reference, rtol=1e-6, atol=1e-7 * np.abs(reference).max())
@@ -375,7 +375,7 @@ def test_dissection_order_cuts_the_fill_of_the_benchmark_disk():
     u0 = np.exp(-4 * ((x - 0.1) ** 2 + (y + 0.05) ** 2)).reshape(mask.active.shape)
     frame = np.where(mask.active, u0, np.where(mask.ghost, 0.0, np.nan))
     stencil = _Stencil(mask, FluxModel.p_laplacian(3.0, dim=2))
-    matrix = stencil.step_matrix(stencil.assemble(0.0, stencil.face_fields(frame), _newton_faces)[1], 1.0 / 32)
+    matrix = stencil.step_matrix(stencil.jacobian(0.0, stencil.face_fields(frame), _newton_faces), 1.0 / 32)
     assert stencil.n_active == 4357
     ordered, colamd = splu(matrix, permc_spec="NATURAL"), splu(matrix)
     assert ordered.L.nnz + ordered.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
@@ -386,8 +386,9 @@ def test_dissection_order_cuts_the_fill_of_the_benchmark_disk():
 
 
 def per_iteration_assembly(stencil, frame, face_terms, tau):
-    """Reference for the fixed pattern: div A by np.add.at (low ends) and
-    np.subtract.at (high ends) per axis; the Jacobian accumulated densely by
+    """Reference for the fixed pattern: div A of the flux from evaluate_many
+    by np.add.at (low ends) and np.subtract.at (high ends) per axis; the
+    Jacobian of ``face_terms`` accumulated densely by
     np.add.at in face-loop order, the endpoint couplings of every axis
     first, then the transverse ones, with d(xi_b)/du found by probing
     ``face_fields`` with unit vectors; then I/tau - J."""
@@ -397,18 +398,16 @@ def per_iteration_assembly(stencil, frame, face_terms, tau):
     div = np.zeros(n)
     rows, cols, vals, transverse = [], [], [], []
     for a, (ax, (xi, z)) in enumerate(zip(stencil.axes, stencil.face_fields(frame))):
-        F, dF, dT = face_terms(stencil.flux, 0.0, a, ax, xi, z)
+        F = evaluate_many(stencil.flux, 0.0, ax["mids"], z, xi)[:, a]
+        dF, dT = face_terms(stencil.flux, 0.0, a, ax, xi, z)
         h = ax["h"]
         lo_r, hi_r = rank[ax["flats"]]
-        if F is not None:
-            sel = lo_r >= 0
-            np.add.at(div, lo_r[sel], F[sel] / h)
-            sel = hi_r >= 0
-            np.subtract.at(div, hi_r[sel], F[sel] / h)
+        sel = lo_r >= 0
+        np.add.at(div, lo_r[sel], F[sel] / h)
+        sel = hi_r >= 0
+        np.subtract.at(div, hi_r[sel], F[sel] / h)
         if dT is not None:
             transverse.append((a, lo_r, hi_r, dT))
-        if dF is None:
-            continue
         for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
             for col, dF_col in zip((lo_r, hi_r), dF):
                 sel = (row >= 0) & (col >= 0)
@@ -426,8 +425,6 @@ def per_iteration_assembly(stencil, frame, face_terms, tau):
                     rows.append(np.full(len(col), row[f]))
                     cols.append(col)
                     vals.append(sign * dA[f] * dxi[f, col] / stencil.axes[a]["h"])
-    if not vals:
-        return div, None
     jdiv = np.zeros((n, n))
     np.add.at(jdiv, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(vals))
     return div, np.eye(n) / tau - jdiv
@@ -459,12 +456,11 @@ def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux, f
     stencil = _Stencil(mask, flux)
     for _ in range(3):
         frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
-        div, jac = stencil.assemble(0.0, stencil.face_fields(frame), face_terms)
+        fields = stencil.face_fields(frame)
         ref_div, ref_matrix = per_iteration_assembly(stencil, frame, face_terms, tau)
+        jac = stencil.jacobian(0.0, fields, face_terms)
         assert np.array_equal(stencil.step_matrix(jac, tau).toarray(), ref_matrix)
-        assert np.array_equal(div, ref_div)
-        ref_residual_div = per_iteration_assembly(stencil, frame, _flux_faces, tau)[0]
-        assert np.array_equal(stencil.divergence(0.0, stencil.face_fields(frame)), ref_residual_div)
+        assert np.array_equal(stencil.divergence(0.0, fields), ref_div)
     rows_nnz = np.diff(stencil.matrix.tocsr().indptr)
     assert (rows_nnz == 1).any() == (make_mask is isolated_node_mask)
 
@@ -705,7 +701,7 @@ def test_non_finite_residual_is_a_stall(bundle, amplitude, counts):
         bundle["plap3_fixed"][0], flux=FluxModel.p_laplacian(4.0, dim=1),
         u0=parse_expr(f"{amplitude}*sin(pi*x)", ("x",)),
     )
-    with np.errstate(all="ignore"), pytest.raises(SolverStallError) as err:
+    with pytest.raises(SolverStallError) as err:
         run_scheme(scenario)
     assert counts in str(err.value)
     history = err.value.residual_history  # iterating stops at the first non-finite residual

@@ -15,6 +15,7 @@ from slabflow import (
     IntervalRegion,
     Scenario,
     ScenarioError,
+    TimeDomain,
     initial_frame,
     knot_traces,
     parse_expr,
@@ -251,8 +252,11 @@ def test_runs_are_bitwise_deterministic():
         ({"flux": FluxModel.p_laplacian(3.0, dim=2)}, "2D flux cannot run on a 1D grid"),
         ({"substeps": 0}, "substeps must be >= 1"),
         ({"n_slices": 0}, "slices must be >= 1"),
+        ({"domain": TimeDomain.implicit(parse_expr("x^2 + y^2 - 0.25", ("t", "x", "y")),
+                                        ((-1.0, 1.0), (-1.0, 1.0)), 0.1, dim=2)},
+         "[domain] a 2D domain cannot run on a 1D grid"),
     ],
-    ids=["2d_flux_on_1d_grid", "zero_substeps", "zero_slices"],
+    ids=["2d_flux_on_1d_grid", "zero_substeps", "zero_slices", "2d_domain_on_1d_grid"],
 )
 def test_run_validates_a_scenario_built_in_code(change, issue):
     with pytest.raises(ScenarioError) as err:
