@@ -129,7 +129,7 @@ def build_parser():
     check = sub.add_parser("check-flux", help="sampled structure-condition check")
     check.add_argument("scenario")
     check.add_argument("--samples", type=_at_least(1), default=10000)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_at_least(0), default=0)
     check.set_defaults(func=_cmd_check_flux)
 
     geom = sub.add_parser("geometry", help="print knots, sections and jumps")

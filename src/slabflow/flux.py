@@ -107,6 +107,11 @@ class FluxModel:
         """Whether dA_a/dxi_b (a != b) can be nonzero: not for a p = 2 builtin, A = m(z) xi."""
         return not (self.is_builtin and self.p == 2.0)
 
+    @property
+    def constant_jacobian(self):
+        """Whether dA/d(z, xi) is one constant: a p = 2 builtin whose modulation ignores z, A = xi."""
+        return self.is_builtin and self.p == 2.0 and self.kind != "z_modulated"
+
     def modulus(self, r):
         """Continuity-in-(t, x) modulus omega(r); identically 0 by default."""
         r = np.asarray(r, dtype=float)

@@ -449,8 +449,8 @@ def _block_core(active):
 def _pieces(mask):
     """Connected pieces of ``mask`` through axis neighbours: (labels, count),
     labels 0..count-1 on the mask and meaningless off it.  Runs along the
-    last axis are labelled by a cumulative sum; only their contacts across
-    the other axes go to a graph search."""
+    last axis are labelled by a cumulative sum; their contacts across the
+    other axes go to a graph search, one per pair: where either run starts."""
     start = mask.copy()
     start[..., 1:] &= ~mask[..., :-1]
     run = np.cumsum(start).reshape(mask.shape) - 1
@@ -463,7 +463,7 @@ def _pieces(mask):
     pairs = []
     for a in range(mask.ndim - 1):
         lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
-        both = mask[lo] & mask[hi]
+        both = mask[lo] & mask[hi] & (start[lo] | start[hi])
         pairs.append((run[lo][both], run[hi][both]))
     rows, cols = np.concatenate(pairs, axis=1)
     graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(n_runs, n_runs))

@@ -32,10 +32,13 @@ pattern: a CSC matrix holding the diagonal, each face's couplings between
 active endpoints and, in 2D, those through its transverse slots (a 9-point
 stencil), and two scatter maps, ``div_rows`` (each face end's div-A row)
 and the slots (each Jacobian value's matrix entry; Picard fills a prefix).
-They are built at a stencil's first ``step_matrix`` call, so a
+They are built at a stencil's first :meth:`_Stencil.jacobian` call, so a
 residual-only stencil never pays for them.  An iteration only fills
 values, one flat gather per axis and one ``np.bincount`` per map; it sums
 each target's terms in face-loop order from 0.0, bitwise as a loop would.
+A flux law with a constant J (:attr:`FluxModel.constant_jacobian`) has Newton's
+-J assembled once per slice (Kelley 2003, ch. 2).  Each iteration still factors
+with ``spsolve``: keeping factors waits for a benchmark that counts them.
 
 The stencil numbers its unknowns once, in nested-dissection order (George
 1973): split the active nodes along the axis of largest extent at the
@@ -293,7 +296,7 @@ class _Stencil:
         return np.bincount(self.div_rows, np.concatenate(parts), self.n_active)
 
     def jacobian(self, t_freeze, fields, face_terms):
-        """The values of d(div A)/d(u_active), in slot order, from ``face_fields(u)``:
+        """-J as ``matrix``'s data, J = d(div A)/d(u_active) from ``face_fields(u)``:
         ``face_terms(flux, t_freeze, a, ax, xi, z)`` gives each face's endpoint
         derivatives ``(dF_lo, dF_hi)`` and its transverse ones ``{b: dA_a/dxi_b}``
         or None (the values then fill a prefix of the slots)."""
@@ -304,19 +307,23 @@ class _Stencil:
             normal.append(np.concatenate((*dF, *np.negative(dF)))[ax["jac_take"]] / h)
             if dT is not None:
                 transverse += [dT[b][faces] * coeff / h for b, faces, coeff in self._pattern[0][a]]
-        return np.concatenate(normal + transverse)
+        jac = np.concatenate(normal + transverse)
+        return -np.bincount(self._slots[0][: len(jac)], jac, self.matrix.nnz)
 
-    def step_matrix(self, jac, tau):
-        """I/tau - J from J's values ``jac``, written into the stencil's matrix."""
-        slot, diag_slot = self._slots
-        data = -np.bincount(slot[: len(jac)], jac, self.matrix.nnz)
-        data[diag_slot] += 1.0 / tau
-        self.matrix.data = data
+    @cached_property
+    def constant_jacobian(self):
+        """Newton's :meth:`jacobian` for a flux whose J is constant (any u and t give it): at u = 0."""
+        return self.jacobian(0.0, self.face_fields(np.zeros(self.shape)), _newton_faces)
+
+    def step_matrix(self, minus_j, tau):
+        """I/tau - J from -J as ``matrix``'s data (:meth:`jacobian`), written into the stencil's matrix."""
+        self.matrix.data[:] = minus_j
+        self.matrix.data[self._slots[1]] += 1.0 / tau
         return self.matrix
 
-    def solve(self, jac, tau, rhs):
-        """x with (I/tau - J) x = rhs, J from its values ``jac``, factored in the stencil's order."""
-        return spsolve(self.step_matrix(jac, tau), rhs, permc_spec="NATURAL")
+    def solve(self, minus_j, tau, rhs):
+        """x with (I/tau - J) x = rhs, -J as ``matrix``'s data, factored in the stencil's order."""
+        return spsolve(self.step_matrix(minus_j, tau), rhs, permc_spec="NATURAL")
 
 
 def _newton_faces(flux, t, a, ax, xi, z):
@@ -353,15 +360,16 @@ def _picard_faces(flux, t, a, ax, xi, z):
 
 def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
     """Backward-Euler substep ``step`` over [t_from, t_to], psi and the source
-    bound in space; returns (frame_out, stats): the input's undefined nodes untouched,
-    psi(t_to) on the ghost ring and the implicit solution on the active set."""
+    as t -> values (:func:`_on_points`); returns (frame_out, stats): the input's
+    undefined nodes untouched, psi(t_to) on the ghost ring and the implicit
+    solution on the active set."""
     cfg = problem.config
     t_freeze = problem.span[0]
     tau = t_to - t_from
     u = frame_in.copy()
-    u.ravel()[stencil.ghost_flat] = eval_on_points(psi, t_to, stencil.ghost_points)
+    u.ravel()[stencil.ghost_flat] = psi(t_to)
     u_in_act = frame_in.ravel()[stencil.active_flat]
-    f_act = eval_on_points(source, t_to, stencil.active_points)
+    f_act = source(t_to)
 
     def residual(v):
         """The step residual at the active nodes, its max norm and the face fields it read."""
@@ -382,8 +390,9 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
     newton = picard = 0
     stalled = False
     while math.isfinite(r_inf) and newton < cfg.max_newton:
-        jac = stencil.jacobian(t_freeze, fields, _newton_faces)
-        delta = stencil.solve(jac, tau, -r)
+        constant = problem.flux.constant_jacobian
+        minus_j = stencil.constant_jacobian if constant else stencil.jacobian(t_freeze, fields, _newton_faces)
+        delta = stencil.solve(minus_j, tau, -r)
         r_two = math.sqrt(r @ r)
         lam = 1.0
         accepted = False
@@ -409,8 +418,7 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
 
     if not r_inf <= cfg.newton_tol:
         while math.isfinite(r_inf) and picard < cfg.max_picard:
-            jac = stencil.jacobian(t_freeze, fields, _picard_faces)
-            u = with_update(u, stencil.solve(jac, tau, -r), 1.0)
+            u = with_update(u, stencil.solve(stencil.jacobian(t_freeze, fields, _picard_faces), tau, -r), 1.0)
             r, r_inf, fields = residual(u)
             picard += 1
             picard_history.append(r_inf)
@@ -427,14 +435,23 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
     return u, StepStats(newton_iterations=newton, picard_iterations=picard, residual=r_inf)
 
 
+def _on_points(expr, points):
+    """t -> ``expr`` on (n, dim) ``points``, bound in space once (a tree that reads no t is then a ``Num``)."""
+    env = dict(zip("xy", points.T))
+    bound = bind(expr, env)
+    if isinstance(bound, Num):
+        return lambda t, fixed=np.full(len(points), bound.value, dtype=float): fixed
+    return lambda t: np.full(len(points), eval_expr(bound, {**env, "t": t}), dtype=float)
+
+
 def solve_slice(problem):
     """Integrate the slice over its span with uniform substeps, psi and the source bound in space once."""
     stencil = _Stencil(problem.mask, problem.flux)
-    psi = bind(problem.psi, dict(zip("xy", stencil.ghost_points.T)))
-    source = bind(problem.source, dict(zip("xy", stencil.active_points.T)))
     init = problem.initial
     if not np.all(np.isfinite(init.ravel()[np.flatnonzero(problem.mask.defined.ravel())])):
         raise NumericInputError("initial frame has non-finite values on active/ghost nodes")
+    psi = _on_points(problem.psi, stencil.ghost_points)
+    source = _on_points(problem.source, stencil.active_points)
     times = problem.times
     frames = [init.copy()]
     stats = []

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainRangeError, GeometryError, ScenarioError, SlabflowError, SolverStallError
-from .expressions import Expr, Num
+from .expressions import Expr, Num, bind
 from .geometry import build_slice_plan
 from .slice_solver import SliceProblem, SolverConfig, eval_on_points, solve_slice
 
@@ -109,20 +109,23 @@ class SpaceTimeField:
     def stamps_of_slice(self, k):
         return np.flatnonzero(self.slice_index == k)
 
+    @cached_property
+    def _bound_psi(self):
+        """psi bound on the grid nodes (:func:`expressions.bind`): a stamp walks only what reads t."""
+        return bind(self.psi, dict(zip("xy", self.plan.masks[0].grid.node_coords().T)))
+
     def extended_frame(self, i):
         """Stamp i extended by psi(times[i]) off its active set: total on the grid box."""
         mask = self.mask_at(i)
-        psi_all = eval_on_points(self.psi, float(self.times[i]), mask.grid.node_coords())
+        psi_all = eval_on_points(self._bound_psi, float(self.times[i]), mask.grid.node_coords())
         return np.where(mask.active, self.frames[i], psi_all.reshape(mask.active.shape))
 
     @cached_property
     def psi_sup(self):
         """sup |psi| on the grid nodes over the distinct stamp times (derived once)."""
         nodes = self.plan.masks[0].grid.node_coords()
-        worst = 0.0
-        for t in np.unique(self.times):
-            worst = max(worst, float(np.max(np.abs(eval_on_points(self.psi, float(t), nodes)))))
-        return worst
+        return max(float(np.max(np.abs(eval_on_points(self._bound_psi, float(t), nodes))))
+                   for t in np.unique(self.times))
 
     @property
     def extended(self):

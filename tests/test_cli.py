@@ -247,8 +247,9 @@ def test_verify_runs_the_scheme_once_per_datum(
         (["refine", "heat", "--levels", "1"], 2, "must be at least 2, got 1"),
         (["check-flux", "heat", "--samples", "0"], 2, "must be at least 1, got 0"),
         (["check-flux", "heat", "--samples", "-5"], 2, "must be at least 1, got -5"),
+        (["check-flux", "heat", "--seed", "-1"], 2, "must be at least 0, got -1"),
     ],
-    ids=["geometry_2d", "refine_one_level", "zero_samples", "negative_samples"],
+    ids=["geometry_2d", "refine_one_level", "zero_samples", "negative_samples", "negative_seed"],
 )
 def test_no_untyped_exception_leaves_the_cli(tmp_path, capsys, argv, code, printed):
     paths = {"disk2d": bundled_scenario_paths()["disk2d"], "heat": write_heat(tmp_path)}

@@ -224,6 +224,31 @@ def test_p2_jacobian_is_exactly_the_modulation(flux, z, xi):
     assert diag.tolist() == [m]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "make_flux,constant",
+    [
+        (lambda dim: FluxModel.linear_diffusion(dim=dim), True),
+        (lambda dim: FluxModel.p_laplacian(2.0, dim=dim), True),
+        (lambda dim: FluxModel.p_laplacian(3.0, dim=dim), False),
+        (lambda dim: FluxModel.z_modulated(2.0, dim=dim), False),
+        (lambda dim: FluxModel.custom([parse_expr(f"xi{a + 1}", FLUX_VARS) for a in range(dim)],
+                                      p=2.0, dim=dim), False),
+    ],
+    ids=["linear_diffusion", "p_laplacian_p2", "p_laplacian_p3", "z_modulated_p2", "custom_linear"],
+)
+def test_only_a_p2_builtin_without_z_modulation_has_a_constant_jacobian(make_flux, constant, dim):
+    """The property is read off the flux law; where it holds, the solver's
+    kernels give dA/dxi = I and dA/dz = 0 exactly at every point."""
+    flux = make_flux(dim)
+    assert flux.constant_jacobian is constant
+    if constant:
+        rng = np.random.default_rng(4)
+        x, z, xi = rng.normal(size=(50, dim)), rng.normal(size=50) * 10, rng.normal(size=(50, dim)) * 1e3
+        assert np.array_equal(kernel_jacobian(flux, 0.7, x, z, xi), np.broadcast_to(np.eye(dim), (50, dim, dim)))
+        assert all(np.array_equal(_dz_many(flux, 0.7, x, z, xi, a), np.zeros(50)) for a in range(dim))
+
+
 def test_jacobian_is_symmetric_for_gradient_fluxes():
     flux = FluxModel.p_laplacian(3.0, dim=2)
     rng = np.random.default_rng(9)

@@ -26,6 +26,7 @@ from slabflow import (
     TimeDomain,
     build_slice_plan,
     eval_on_points,
+    initial_frame,
     parse_expr,
     rasterize,
     run_scheme,
@@ -492,6 +493,97 @@ def test_picard_fallback_alone_converges_to_the_newton_solution(bundle, name):
     assert sum(s["picard"] for s in report.slice_stats) > 0
     act = field.mask_at(field.n_stamps - 1).active
     assert np.max(np.abs(field.frames[-1][act] - newton_field.frames[-1][act])) <= 1e-8
+
+
+# --- slice-constant Newton matrix ---------------------------------------------
+
+
+def count_jacobians(monkeypatch):
+    """Record the face terms of every ``_Stencil.jacobian`` call."""
+    calls = []
+    jacobian = _Stencil.jacobian
+
+    def counting_jacobian(self, t_freeze, fields, face_terms):
+        calls.append(face_terms)
+        return jacobian(self, t_freeze, fields, face_terms)
+
+    monkeypatch.setattr(_Stencil, "jacobian", counting_jacobian)
+    return calls
+
+
+def test_a_constant_jacobian_is_assembled_once_per_slice(bundle, monkeypatch):
+    calls = count_jacobians(monkeypatch)
+    g, mask = unit_interval_mask(h=0.0625)
+    u_in = np.where(mask.active, 0.5, np.where(mask.ghost, 0.0, np.nan))
+    solution = solve_slice(SliceProblem(
+        mask=mask, flux=FluxModel.linear_diffusion(dim=1), span=(0.0, 0.02), substeps=4,
+        psi=parse_expr("0", TX), initial=u_in,
+    ))
+    assert sum(s.newton_iterations for s in solution.stats) >= 4
+    assert calls == [_newton_faces]
+    calls.clear()
+    _, report = run_scheme(bundle["disk2d"][0])
+    assert report.total_newton() > len(report.slice_stats)
+    assert calls == [_newton_faces] * len(report.slice_stats)
+
+
+@pytest.mark.parametrize("flux", [FluxModel.z_modulated(2.0), FluxModel.p_laplacian(3.0)],
+                         ids=["z_modulated_p2", "p_laplacian_p3"])
+def test_any_other_jacobian_is_assembled_once_per_newton_iteration(flux, monkeypatch):
+    calls = count_jacobians(monkeypatch)
+    g, mask = unit_interval_mask(h=0.0625)
+    x = g.node_coords().ravel()
+    u_in = np.where(mask.active.ravel(), np.sin(np.pi * np.clip(x, 0, 1)), 0.0)
+    u_in = np.where(mask.defined.ravel(), u_in, np.nan).reshape(mask.active.shape)
+    solution = solve_slice(SliceProblem(
+        mask=mask, flux=flux, span=(0.0, 0.02), substeps=4, psi=parse_expr("0", TX), initial=u_in,
+    ))
+    newton = sum(s.newton_iterations for s in solution.stats)
+    assert newton > 4
+    assert all(s.picard_iterations == 0 for s in solution.stats)
+    assert calls == [_newton_faces] * newton
+
+
+@pytest.mark.parametrize("name", ["disk2d", "heat_moving", "mms_moving", "jump_contract"])
+def test_a_slice_constant_jacobian_gives_the_frames_of_per_iteration_assembly(bundle, name, monkeypatch):
+    scenario, field, report = bundle[name]
+    assert scenario.flux.constant_jacobian
+    calls = count_jacobians(monkeypatch)
+    monkeypatch.setattr(FluxModel, "constant_jacobian", property(lambda self: False))
+    assembled, assembled_report = run_scheme(scenario)
+    assert len(calls) == assembled_report.total_newton() > len(report.slice_stats)
+    assert assembled.frames.tobytes() == field.frames.tobytes()
+    assert assembled_report.slice_stats == report.slice_stats
+
+
+def count_data_evaluations(monkeypatch):
+    """The number of points of each data evaluation in ``slice_solver``."""
+    rows = []
+    evaluate = slice_solver.eval_expr
+
+    def counting_evaluate(expr, env):
+        rows.append(len(env["x"]))
+        return evaluate(expr, env)
+
+    monkeypatch.setattr(slice_solver, "eval_expr", counting_evaluate)
+    return rows
+
+
+@pytest.mark.parametrize("name,per_substep", [("heat_moving", False), ("mms_moving", True)])
+def test_data_that_read_no_t_are_evaluated_once_per_slice(bundle, name, per_substep, monkeypatch):
+    """heat_moving: psi = 0, no source, so binding them in space leaves values
+    that no substep evaluates again.  mms_moving's psi and source read t: both
+    are evaluated at every substep, psi on the ghost ring first."""
+    scenario = bundle[name][0]
+    mask = build_slice_plan(scenario.domain, scenario.grid, scenario.n_slices).masks[0]
+    problem = SliceProblem(
+        mask=mask, flux=scenario.flux, span=(0.0, 0.01), substeps=scenario.substeps,
+        psi=scenario.psi, source=scenario.source, initial=initial_frame(scenario, mask),
+    )
+    rows = count_data_evaluations(monkeypatch)
+    solve_slice(problem)
+    ghost_ring_then_active = [int(mask.ghost.sum()), mask.active_count]
+    assert rows == ghost_ring_then_active * (scenario.substeps if per_substep else 0)
 
 
 # --- implicit step vs dense oracle -------------------------------------------

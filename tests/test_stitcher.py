@@ -16,6 +16,7 @@ from slabflow import (
     Scenario,
     ScenarioError,
     TimeDomain,
+    eval_on_points,
     initial_frame,
     knot_traces,
     parse_expr,
@@ -23,6 +24,8 @@ from slabflow import (
     run_scheme,
     transfer,
 )
+from slabflow import stitcher
+from slabflow.expressions import bind
 
 TX = ("t", "x")
 
@@ -188,6 +191,30 @@ def test_extended_field_carries_boundary_datum_off_domain():
     mask = field.mask_at(0)
     assert np.allclose(field.extended_frame(0)[~mask.active], 0.3)
     assert np.all(np.isfinite(field.extended_frame(0)))
+
+
+@pytest.mark.parametrize("name", ["mms_moving", "cone_heat"])
+def test_psi_is_bound_on_the_grid_nodes_once_per_field(bundle, name, monkeypatch):
+    """Each stamp's extension equals psi evaluated unbound, bitwise, also
+    where psi reads t (mms_moving); the binding happens once per field."""
+    scenario, run_field, _ = bundle[name]
+    field = dataclasses.replace(run_field)  # nothing derived yet
+    binds = []
+
+    def counting_bind(expr, env):
+        binds.append(expr)
+        return bind(expr, env)
+
+    monkeypatch.setattr(stitcher, "bind", counting_bind)
+    nodes = field.plan.masks[0].grid.node_coords()
+    sup = 0.0
+    for i in range(field.n_stamps):
+        psi = eval_on_points(scenario.psi, float(field.times[i]), nodes)
+        expected = np.where(field.mask_at(i).active, field.frames[i], psi.reshape(field.frames[i].shape))
+        assert field.extended_frame(i).tobytes() == expected.tobytes()
+        sup = max(sup, float(np.max(np.abs(psi))))
+    assert field.psi_sup == sup
+    assert binds == [scenario.psi]
 
 
 def test_constant_data_survive_jumps():
