@@ -5,7 +5,7 @@ Subcommands::
     slabflow run <scenario>             solve and write frames + manifest
     slabflow refine <scenario>          refinement study across halved steps
     slabflow check-flux <scenario>      sampled structure-condition report
-    slabflow geometry <scenario>        sections at 0, T and each jump
+    slabflow geometry <scenario>        grid nodes of the sections at 0, T and each jump
     slabflow verify <scenario>          a-posteriori estimate reports
 
 Exit codes: 0 success, 1 a verification report failed, 2 bad input,
@@ -26,7 +26,7 @@ from .diagnostics import (
 from .errors import InapplicableDiagnosticError, ScenarioError, SlabflowError, SolverStallError
 from .expressions import parse_expr
 from .flux import check_structure
-from .geometry import IntervalRegion, classify_jump, section, side_limits
+from .geometry import _node_box, side_limits
 from .scenario_io import load_scenario, scenario_hash, write_frames
 from .stitcher import run_scheme
 
@@ -62,27 +62,22 @@ def _cmd_check_flux(args):
 
 def _cmd_geometry(args):
     scenario = load_scenario(args.scenario)
-    dom = scenario.domain
+    dom, grid = scenario.domain, scenario.grid
     jumps = dom.jump_times()
 
-    def fmt(region):
-        """A 1D section's intervals, or the count of grid nodes inside a 2D one."""
-        if not isinstance(region, IntervalRegion):
-            return f"{int(region.contains(scenario.grid.node_coords()).sum())} grid nodes inside"
-        if not region.intervals:
-            return "(empty)"
-        return " ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in region.intervals)
+    def fmt(inside):
+        """A set of grid nodes: its count and bounding box."""
+        count = int(inside.sum())
+        return f"{count} grid nodes in {_node_box(grid, inside)}" if count else "0 grid nodes"
 
-    print(f"kind={dom.kind} horizon={dom.horizon:.6g} jumps={len(jumps)}")
+    print(f"segments={len(dom.segments)} jumps={len(jumps)} horizon={dom.horizon:.6g}")
     for t in (0.0, *jumps, dom.horizon):
-        before, after = side_limits(dom, t)
-        if t in (0.0, dom.horizon):
-            reg = section(dom, t) if t == 0.0 else before
-            print(f"t={t:.6g} section={fmt(reg)}")
-        else:
-            grow, shrink = classify_jump(dom, t)
+        before, after = (region.contains(grid.node_coords()) for region in side_limits(dom, t))
+        if t in jumps:
             print(f"t={t:.6g} before={fmt(before)} after={fmt(after)} "
-                  f"new={fmt(grow)} lost={fmt(shrink)}")
+                  f"new={fmt(after & ~before)} lost={fmt(before & ~after)}")
+        else:
+            print(f"t={t:.6g} section={fmt(after)}")
     return 0
 
 

@@ -29,7 +29,7 @@ class NumericEvalError(SlabflowError):
 
 
 class GeometryError(SlabflowError):
-    """Inconsistent geometric input (overlapping tracks, empty interval...)."""
+    """Inconsistent geometric input (a bad box, jump times out of order...)."""
 
 
 class DomainRangeError(GeometryError):

@@ -10,8 +10,8 @@ Grammar (binding tightest last):
 so ``^`` binds tighter than unary minus (``-x^2`` is ``-(x^2)``) and
 ``2^3^2`` is ``2^(3^2) = 512``.  Constants: pi, e.  Which variable names
 are legal is decided by the caller; everything else is rejected at parse
-time with a line/column position.  A scenario's jump endpoints
-``left, right`` are read as two comma-separated sums (:func:`parse_pair`).
+time with a line/column position.  A scenario's jump entry is read as
+comma-separated sums, ``left, right`` or ``phi`` (:func:`parse_exprs`).
 
 ``FUNCTIONS`` is the one function table (name -> numpy ufunc; the parser
 takes a call's arity from the ufunc's ``nin``).  Operators are ufuncs too,
@@ -256,9 +256,10 @@ def parse_expr(text, variables=DEFAULT_VARIABLES):
     return _Parser(_tokenize(text), variables).parse(1)[0]
 
 
-def parse_pair(text, variables=DEFAULT_VARIABLES):
-    """Parse ``text`` as two comma-separated sums, as in a jump entry's ``left, right``."""
-    return tuple(_Parser(_tokenize(text), variables).parse(2))
+def parse_exprs(text, count, variables=DEFAULT_VARIABLES):
+    """Parse ``text`` as ``count`` comma-separated sums, as in a jump entry's
+    ``left, right`` (two) or ``phi`` (one)."""
+    return tuple(_Parser(_tokenize(text), variables).parse(count))
 
 
 # ---------------------------------------------------------------------------

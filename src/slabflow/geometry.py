@@ -2,8 +2,14 @@
 
 The scheme freezes the spatial domain on each time slice, so the geometry
 layer has two jobs: answer continuous queries about the moving domain
-(sections, one-sided limits at jumps, expansion/contraction regions) and
-turn a frozen section into a node mask on a fixed background grid.
+(sections and one-sided limits at jumps) and turn a frozen section into a
+node mask on a fixed background grid.
+
+There is one domain model in every dimension: a :class:`TimeDomain` is a
+sequence of segments (start, phi), each section the sublevel set
+{phi(t, .) <= 0} of the segment in force, and the later starts are the
+declared jumps.  A 1D interval [left, right] is the level set
+max(left - x, x - right) (:func:`interval_phi`).
 
 Masks follow a ghost-node convention: a node is *active* when it and all
 its axis neighbours lie in the (closed) section and, in 2D, it lies in an
@@ -15,8 +21,9 @@ to first order -- intentional, the time-slicing error dominates anyway.
 
 One rule, the same in every dimension, refuses a section the grid cannot
 represent: each connected piece (through axis neighbours) of the nodes in
-the section must hold exactly one connected piece of the active set, and
-each piece the region itself knows (an interval) must hold a node.
+the section must hold exactly one connected piece of the active set.  In
+1D a piece that falls between two nodes is refused too, as seen on
+samples of the section's box.
 
 All operations here are pure functions of their arguments: same inputs,
 bitwise-identical outputs.
@@ -26,7 +33,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,10 +44,10 @@ from .errors import (
     MarginError,
     UndefinedDistanceError,
 )
-from .expressions import evaluate
+from .expressions import Binary, Call, Name, evaluate
 
-INTERVAL_SAMPLES = 2048  # sampling cells of a 1D implicit section's box
-INTERVAL_TOL = 1e-12  # bisection width of a 1D implicit section's endpoints
+INTERVAL_SAMPLES = 2048  # sampling cells of a 1D section's box (nodeless pieces)
+INTERVAL_TOL = 1e-12  # bisection width of a refused 1D piece's printed ends
 
 # ---------------------------------------------------------------------------
 # Background grid
@@ -128,38 +135,6 @@ def along(axis, sl):
 
 
 @dataclass(frozen=True)
-class IntervalRegion:
-    """Finite union of disjoint open intervals on the line."""
-
-    intervals: tuple  # ((a, b), ...) sorted by a, pairwise disjoint
-
-    def __post_init__(self):
-        last = -math.inf
-        for a, b in self.intervals:
-            if not (a < b):
-                raise GeometryError(f"empty interval ({a}, {b})")
-            if a < last:
-                raise GeometryError(f"intervals overlap or are unsorted near {a}")
-            last = b
-
-    @property
-    def pieces(self):
-        """The connected pieces, one region per interval."""
-        return tuple(IntervalRegion((iv,)) for iv in self.intervals)
-
-    def contains(self, x):
-        """Closure membership, vectorised (used for node classification)."""
-        x = np.asarray(x)
-        out = np.zeros(x.shape, dtype=bool)
-        for a, b in self.intervals:
-            out |= (x >= a) & (x <= b)
-        return out
-
-
-EMPTY_REGION = IntervalRegion(())
-
-
-@dataclass(frozen=True)
 class ImplicitRegion:
     """Sublevel set {phi(t, .) <= 0} at a frozen time, searched inside a box."""
 
@@ -168,55 +143,17 @@ class ImplicitRegion:
     box: tuple  # ((lo, hi), ...) one pair per axis
     dim: int
 
-    pieces = ()  # a level set's pieces are known only through the grid nodes
-
-    def phi_values(self, points):
+    def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         env = {"t": self.t, **dict(zip(("x", "y"), points.T))}
-        return np.full(len(points), evaluate(self.phi, env), dtype=float)  # phi may not read x
-
-    def contains(self, points):
-        return self.phi_values(points) <= 0.0
-
-    def to_intervals(self):
-        """1D only: extract the sublevel set as intervals by sampling the
-        box and bisecting every sign change at once."""
-        if self.dim != 1:
-            raise GeometryError("interval extraction is only defined in 1D")
-        lo, hi = self.box[0]
-        xs = np.linspace(lo, hi, INTERVAL_SAMPLES + 1)
-        inside = self.contains(xs[:, None])
-        change = np.flatnonzero(inside[1:] != inside[:-1])
-        xa, xb, side = xs[change], xs[change + 1], inside[change]
-        for _ in range(200):  # invariant: inside-ness is ``side`` at xa and differs at xb
-            live = xb - xa > INTERVAL_TOL
-            if not live.any():
-                break
-            xm = 0.5 * (xa + xb)
-            same = self.contains(xm[:, None]) == side
-            xa, xb = np.where(live & same, xm, xa), np.where(live & ~same, xm, xb)
-        ends = [*xs[:1][inside[:1]], *(0.5 * (xa + xb)), *xs[-1:][inside[-1:]]]
-        return IntervalRegion(tuple((a, b) for a, b in zip(ends[::2], ends[1::2]) if b > a))
+        return np.full(len(points), evaluate(self.phi, env), dtype=float) <= 0.0  # phi may not read x
 
 
-def interval_difference(a, b):
-    """Set difference of two interval regions (zero-width slivers dropped)."""
-    out = []
-    for lo, hi in a.intervals:
-        pieces = [(lo, hi)]
-        for blo, bhi in b.intervals:
-            nxt = []
-            for plo, phi in pieces:
-                if bhi <= plo or blo >= phi:
-                    nxt.append((plo, phi))
-                    continue
-                if blo > plo:
-                    nxt.append((plo, min(blo, phi)))
-                if bhi < phi:
-                    nxt.append((max(bhi, plo), phi))
-            pieces = nxt
-        out.extend(p for p in pieces if p[1] > p[0])
-    return IntervalRegion(tuple(out))
+def interval_phi(left, right):
+    """The level set max(left - x, x - right) of the interval [left, right];
+    in floating point phi <= 0 holds exactly where left <= x <= right."""
+    x = Name("x")
+    return Call("max", (Binary("-", left, x), Binary("-", x, right)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,126 +161,61 @@ def interval_difference(a, b):
 
 
 @dataclass(frozen=True)
-class TrackSegment:
-    """One smooth stretch of a moving interval: endpoints as expressions of
-    t, valid from ``start`` until the next segment takes over."""
-
-    start: float
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class IntervalTrack:
-    segments: tuple  # TrackSegment, sorted by start; segments[0].start == 0
-
-    def __post_init__(self):
-        if not self.segments:
-            raise GeometryError("track needs at least one segment")
-        if self.segments[0].start != 0.0:
-            raise GeometryError("first track segment must start at t = 0")
-        starts = [s.start for s in self.segments]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise GeometryError(f"jump times must increase and exceed 0, got {starts[1:]}")
-
-    def endpoints(self, t, side="plus"):
-        starts = [s.start for s in self.segments]
-        i = bisect_right(starts, t) - 1
-        if side == "minus" and i > 0 and starts[i] == t:
-            i -= 1
-        seg = self.segments[i]
-        env = {"t": t}
-        return float(evaluate(seg.left, env)), float(evaluate(seg.right, env))
-
-
-@dataclass(frozen=True)
 class TimeDomain:
-    """A domain t -> section(t) on [0, horizon].
+    """A domain t -> section(t) on [0, horizon], piecewise in time.
 
-    Two variants: ``moving_intervals`` (1D, explicit endpoint tracks with
-    finitely many jumps, right-continuous at each jump) and ``implicit``
-    (sublevel set of phi(t, x[, y]), assumed jump-free; the box bounds the
-    search region for sampling and section extraction).
+    ``segments`` is ((start, phi), ...): from ``start`` on, the section is
+    the sublevel set {phi(t, .) <= 0} inside ``box``, with phi an
+    expression over t, x (and y in 2D).  The first segment starts at 0;
+    each later start is a declared jump, strictly inside (0, horizon), at
+    which the domain is right-continuous.
     """
 
     horizon: float
-    kind: str
-    tracks: tuple = ()
-    phi: object = None
-    box: tuple = None
-    dim: int = 1
-
-    KINDS = ("moving_intervals", "implicit")
-
-    @classmethod
-    def check_kind(cls, kind):
-        if kind not in cls.KINDS:
-            raise GeometryError(f"unknown domain kind {kind!r}, expected one of {', '.join(cls.KINDS)}")
+    box: tuple  # ((lo, hi), ...) one pair per axis
+    dim: int
+    segments: tuple
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
             raise GeometryError(f"horizon T must be positive and finite, got {self.horizon}")
-        self.check_kind(self.kind)
-        if self.kind == "moving_intervals":
-            if self.dim != 1:
-                raise GeometryError("moving_intervals domains are one-dimensional")
-            if not self.tracks:
-                raise GeometryError("moving_intervals needs at least one track")
-            bad = [s.start for tr in self.tracks for s in tr.segments[1:]
-                   if not 0.0 < s.start < self.horizon]
-            if bad:
-                raise GeometryError(f"jump times must lie strictly inside (0, T): {bad}")
-        else:
-            if self.phi is None or self.box is None:
-                raise GeometryError("implicit domain needs phi and a search box")
-            if len(self.box) != self.dim:
-                raise GeometryError("box must have one (lo, hi) pair per axis")
-            if not all(-math.inf < lo < hi < math.inf for lo, hi in self.box):
-                raise GeometryError(f"search box {self.box} must be finite with lo < hi on every axis")
-
-    @staticmethod
-    def moving_intervals(tracks, horizon):
-        return TimeDomain(horizon=float(horizon), kind="moving_intervals", tracks=tuple(tracks))
+        Grid.check_dim(self.dim)
+        if len(self.box) != self.dim:
+            raise GeometryError("box must have one (lo, hi) pair per axis")
+        if not all(-math.inf < lo < hi < math.inf for lo, hi in self.box):
+            raise GeometryError(f"search box {self.box} must be finite with lo < hi on every axis")
+        if not self.segments or self.segments[0][0] != 0.0:
+            raise GeometryError("the first segment must start at t = 0")
+        starts = [start for start, _ in self.segments]
+        if not all(a < b for a, b in zip(starts, starts[1:] + [self.horizon])):
+            raise GeometryError(f"jump times must increase strictly inside (0, T): {starts[1:]}")
 
     @staticmethod
     def implicit(phi, box, horizon, dim=1):
-        return TimeDomain(horizon=float(horizon), kind="implicit", phi=phi,
-                          box=tuple(tuple(p) for p in box), dim=dim)
+        """A jump-free domain: one segment."""
+        return TimeDomain(float(horizon), tuple(tuple(p) for p in box), dim, ((0.0, phi),))
 
     def jump_times(self):
         """Declared discontinuity times, strictly inside (0, horizon)."""
-        if self.kind != "moving_intervals":
-            return ()
-        return tuple(sorted({s.start for tr in self.tracks for s in tr.segments[1:]}))
+        return tuple(start for start, _ in self.segments[1:])
 
     def _check_time(self, t):
         if not (0.0 <= t <= self.horizon):
             raise DomainRangeError(f"t={t} outside [0, {self.horizon}]")
 
-    def _intervals_at(self, t, side):
-        pairs = sorted(tr.endpoints(t, side) for tr in self.tracks)
-        for a, b in pairs:
-            if not (a < b):
-                raise DegenerateSectionError(f"track interval ({a}, {b}) empty at t={t}")
-        for (_, b0), (a1, _) in zip(pairs, pairs[1:]):
-            if a1 <= b0:
-                raise GeometryError(f"tracks overlap at t={t}: ...{b0}) meets ({a1}...")
-        return IntervalRegion(tuple(pairs))
+    def _region(self, t, side):
+        """The section at t of the segment in force on ``side`` ('minus' or 'plus') of t."""
+        starts = [start for start, _ in self.segments]
+        i = bisect_right(starts, t) - 1
+        if side == "minus" and i > 0 and starts[i] == t:
+            i -= 1
+        return ImplicitRegion(self.segments[i][1], float(t), self.box, self.dim)
 
 
 def section(dom, t):
-    """The spatial domain frozen at time t (right-continuous value).
-
-    Returns an :class:`IntervalRegion` in 1D and an
-    :class:`ImplicitRegion` handle in 2D.
-    """
+    """The spatial domain frozen at time t (right-continuous value)."""
     dom._check_time(t)
-    if dom.kind == "moving_intervals":
-        return dom._intervals_at(t, "plus")
-    region = ImplicitRegion(dom.phi, float(t), dom.box, dom.dim)
-    if dom.dim == 1:
-        return region.to_intervals()
-    return region
+    return dom._region(t, "plus")
 
 
 def side_limits(dom, t):
@@ -352,25 +224,7 @@ def side_limits(dom, t):
     The left limit at t = 0 is defined as the right one.
     """
     dom._check_time(t)
-    plus = section(dom, t)
-    if dom.kind != "moving_intervals":
-        return plus, plus
-    minus = dom._intervals_at(t, "minus")
-    return minus, plus
-
-
-def classify_jump(dom, t):
-    """Split a knot into (expansion, contraction) regions.
-
-    expansion = section(t+) minus section(t-)  (newly created space),
-    contraction = section(t-) minus section(t+) (space removed).  Away
-    from jumps both are empty; implicit domains never jump.
-    """
-    if dom.kind != "moving_intervals":
-        dom._check_time(t)
-        return EMPTY_REGION, EMPTY_REGION
-    minus, plus = side_limits(dom, t)
-    return interval_difference(plus, minus), interval_difference(minus, plus)
+    return dom._region(t, "minus"), dom._region(t, "plus")
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +335,54 @@ def _node_box(grid, sel):
     return _fmt_box(zip(pts.min(axis=0), pts.max(axis=0)))
 
 
+def _boundary(region, x_in, x_out):
+    """1D: where phi changes sign between an inside and an outside abscissa, to INTERVAL_TOL."""
+    for _ in range(200):
+        if abs(x_out - x_in) <= INTERVAL_TOL:
+            break
+        xm = 0.5 * (x_in + x_out)
+        if region.contains([[xm]])[0]:
+            x_in = xm
+        else:
+            x_out = xm
+    return 0.5 * (x_in + x_out)
+
+
+@lru_cache(maxsize=16)
+def _box_samples(lo, hi):
+    """INTERVAL_SAMPLES + 1 abscissae of [lo, hi] framed by -inf and inf (read-only, cached)."""
+    framed = np.concatenate([[-math.inf], np.linspace(lo, hi, INTERVAL_SAMPLES + 1), [math.inf]])
+    framed.setflags(write=False)
+    return framed
+
+
+def _refuse_nodeless_piece(region, inside_x, spacing):
+    """1D: raise for an inside run of the box samples that holds none of the
+    inside nodes ``inside_x`` (ascending).  Node classification cannot see a
+    piece lying between two nodes; its ends are bisected only to name it."""
+    framed = _box_samples(*region.box[0])
+    xs = framed[1:-1]
+    inside = np.concatenate([[False], region.contains(xs[:, None]), [False]])
+    starts, stops = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2).T
+    # run k lies strictly between the outside samples framed[starts[k]] and framed[stops[k] + 1]
+    held = (np.searchsorted(inside_x, framed[stops + 1], side="left")
+            - np.searchsorted(inside_x, framed[starts], side="right"))
+    for k in np.flatnonzero(held == 0)[:1]:
+        lo = xs[0] if starts[k] == 0 else _boundary(region, xs[starts[k]], xs[starts[k] - 1])
+        hi = xs[-1] if stops[k] == len(xs) else _boundary(region, xs[stops[k] - 1], xs[stops[k]])
+        raise DegenerateSectionError(
+            f"piece at {_fmt_box([(lo, hi)])} holds no grid node at spacing {spacing}")
+
+
 def rasterize(region, grid):
     """Classify grid nodes against a frozen section (see the module notes).
 
     Raises MarginError when a node of the section lies in the grid's outer
     two-node ring (the stencil needs two cells of room), and
-    DegenerateSectionError naming the box of a piece that holds no node,
+    DegenerateSectionError naming the box of a piece that holds no node
+    (in 1D, a run of INTERVAL_SAMPLES + 1 samples of the region's box),
     keeps no active node or splits into several active pieces.
     """
-    if isinstance(region, IntervalRegion) and grid.dim != 1:
-        raise GeometryError("interval regions rasterize on 1D grids only")
     inside = region.contains(grid.node_coords()).reshape(grid.shape)
     interior = np.zeros(grid.shape, dtype=bool)
     interior[(slice(2, -2),) * grid.dim] = True
@@ -499,11 +391,8 @@ def rasterize(region, grid):
             f"section nodes at {_node_box(grid, inside)} reach within two cells of the grid box "
             f"{_fmt_box(grid.box)}; the stencil needs a margin of two cells"
         )
-    for piece in region.pieces:
-        if not piece.contains(grid.node_coords()).any():
-            raise DegenerateSectionError(
-                f"piece at {_fmt_box(piece.intervals)} holds no grid node at spacing {grid.spacing}"
-            )
+    if grid.dim == 1:
+        _refuse_nodeless_piece(region, grid.axis_nodes(0)[inside], grid.spacing)
     if not inside.any():
         raise DegenerateSectionError(f"section holds no node of the grid box {_fmt_box(grid.box)}")
     active = _neighbour_all(inside)
@@ -580,9 +469,6 @@ def _samples(lo, hi, resolution):
 
 
 def _region_points(region, resolution):
-    if isinstance(region, IntervalRegion):
-        chunks = [_samples(a, b, resolution) for a, b in region.intervals]
-        return np.concatenate(chunks)[:, None] if chunks else np.empty((0, 1))
     lattice = _lattice([_samples(lo, hi, resolution) for lo, hi in region.box])
     return lattice[region.contains(lattice)]
 

@@ -4,7 +4,7 @@ The format is INI-like with six sections ([solver] optional)::
 
     [grid]    dim, xmin, xmax, h          (+ ymin, ymax when dim = 2)
     [time]    T, slices, substeps
-    [domain]  type = moving_intervals (left, right, jumps?) | implicit (phi)
+    [domain]  type = implicit (phi, jumps?) | moving_intervals (left, right, jumps?)
     [flux]    type, p, eps_reg?; custom adds a1 (a2), c, alpha, b?, d?, C_z?, omega?
     [data]    u0, psi, source?
     [solver]  newton_tol?, max_newton?, max_picard?
@@ -14,6 +14,12 @@ The format is INI-like with six sections ([solver] optional)::
 keys are errors.  Loading reads every key it can reach, builds each part
 through its own constructor (which holds that part's rules) and raises a
 single :class:`ScenarioError` listing every problem found.
+
+A domain is a level set phi(t, x[, y]) <= 0 on the grid box, with
+``jumps = "t: phi; ..."`` starting a new phi at each t.  ``type =
+moving_intervals`` is input only: its interval [left, right] (and each
+``t: left, right`` jump) compiles to phi = max(left - x, x - right), and
+the canonical text prints that compiled form.
 """
 
 import hashlib
@@ -22,9 +28,9 @@ import os
 import numpy as np
 
 from .errors import GeometryError, NumericEvalError, ScenarioError, SlabflowError
-from .expressions import Num, parse_expr, parse_pair, to_source
+from .expressions import Num, parse_expr, parse_exprs, to_source
 from .flux import FluxModel
-from .geometry import Grid, IntervalTrack, TimeDomain, TrackSegment, build_slice_plan
+from .geometry import Grid, TimeDomain, build_slice_plan, interval_phi
 from .slice_solver import SolverConfig, eval_on_points
 from .stitcher import OutputConfig, Scenario, count_issues
 
@@ -211,38 +217,35 @@ def parse_scenario_text(text):
     n_slices = tsec.integer("slices")
     substeps = tsec.integer("substeps")
 
-    # ---- domain
+    # ---- domain: every type compiles to level-set segments (start, phi)
     d = _SectionReader("domain", sections["domain"], issues)
     dom_type = d.word("type")
     domain = None
-    if dom_type == "moving_intervals":
-        left = d.expression("left", ("t",))
-        right = d.expression("right", ("t",))
+    forms = {  # type -> (dimension, keys of one segment, their variables, the segment's phi)
+        "implicit": (dim, ("phi",), ("t", "x", "y")[:dim + 1], lambda phi: phi),
+        "moving_intervals": (1, ("left", "right"), ("t",), interval_phi),
+    }
+    if dom_type in forms:
+        dom_dim, keys, variables, compile_phi = forms[dom_type]
+        first = [d.expression(key, variables) for key in keys]
         jumps_raw = d.word("jumps", required=False, default="")
-        d.reject_leftovers("only valid for type = implicit")
-        segments = []
-        if left is not None and right is not None:
-            segments.append(TrackSegment(start=0.0, left=left, right=right))
+        d.reject_leftovers(f"not read by type = {dom_type}")
+        segments = [(0.0, compile_phi(*first))] if None not in first else []
         for piece in filter(None, (entry.strip() for entry in jumps_raw.split(";"))):
             when, colon, values = piece.partition(":")
             try:
                 if not colon:
-                    raise ValueError("expected the form 't: left, right'")
-                segments.append(TrackSegment(float(when), *parse_pair(values, ("t",))))
+                    raise ValueError(f"expected the form 't: {', '.join(keys)}'")
+                exprs = parse_exprs(values, len(keys), variables)
+                segments.append((float(when), compile_phi(*exprs)))
             except (ValueError, SlabflowError) as exc:
                 issues.append(f"[domain] bad jump entry {piece!r}: {exc}")
-        if segments and horizon is not None:
-            domain = _build(issues, "domain", lambda: TimeDomain.moving_intervals(
-                [IntervalTrack(segments=tuple(segments))], horizon))
-    elif dom_type == "implicit":
-        variables = ("t", "x", "y") if dim == 2 else ("t", "x")
-        phi = d.expression("phi", variables)
-        d.reject_leftovers("only valid for type = moving_intervals")
-        if phi is not None and grid is not None and horizon is not None:
-            domain = _build(issues, "domain",
-                            lambda: TimeDomain.implicit(phi, grid.box, horizon, dim=dim))
+        if segments and grid is not None and horizon is not None:
+            domain = _build(issues, "domain", lambda: TimeDomain(
+                horizon, grid.box[:dom_dim], dom_dim, tuple(segments)))
     elif dom_type is not None:
-        _build(issues, "domain", lambda: TimeDomain.check_kind(dom_type))
+        issues.append(f"[domain] unknown domain type {dom_type!r}, "
+                      f"expected one of {', '.join(forms)}")
 
     # ---- flux
     fsec = _SectionReader("flux", sections["flux"], issues)
@@ -392,22 +395,12 @@ def format_scenario(scenario):
     ]
 
     dom = scenario.domain
-    lines += ["", "[domain]"]
-    if dom.kind == "moving_intervals":
-        if len(dom.tracks) != 1:
-            raise ScenarioError([f"[domain] the file format has one track, got {len(dom.tracks)}"])
-        segs = dom.tracks[0].segments
-        lines.append("type = moving_intervals")
-        lines.append(f'left = "{to_source(segs[0].left)}"')
-        lines.append(f'right = "{to_source(segs[0].right)}"')
-        if len(segs) > 1:
-            jumps = "; ".join(
-                f"{_fmt(s.start)}: {to_source(s.left)}, {to_source(s.right)}" for s in segs[1:]
-            )
-            lines.append(f'jumps = "{jumps}"')
-    else:
-        lines.append("type = implicit")
-        lines.append(f'phi = "{to_source(dom.phi)}"')
+    if dom.box != grid.box:
+        raise ScenarioError([f"[domain] the file format takes the box from [grid], got {dom.box}"])
+    lines += ["", "[domain]", "type = implicit", f'phi = "{to_source(dom.segments[0][1])}"']
+    if len(dom.segments) > 1:
+        jumps = "; ".join(f"{_fmt(start)}: {to_source(phi)}" for start, phi in dom.segments[1:])
+        lines.append(f'jumps = "{jumps}"')
 
     flux = scenario.flux
     lines += ["", "[flux]", f"type = {flux.kind}", f"p = {_fmt(flux.p)}"]

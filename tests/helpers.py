@@ -1,14 +1,53 @@
 """Builders shared by the test modules."""
 
-from slabflow import IntervalTrack, TimeDomain, TrackSegment, parse_expr
+from functools import reduce
+
+from slabflow import (
+    Call,
+    ImplicitRegion,
+    Num,
+    TimeDomain,
+    bundled_scenario_paths,
+    interval_phi,
+    parse_expr,
+)
 
 T_ = ("t",)
 
 
-def interval_domain(left, right, horizon, jumps=()):
+def interval_domain(left, right, horizon, jumps=(), box=(-1.0, 3.0)):
     """One moving interval [left, right] on [0, horizon]; each jump is a
-    (start, left, right) triple, endpoints as expression text in t."""
-    segs = [TrackSegment(0.0, parse_expr(left, T_), parse_expr(right, T_))]
+    (start, left, right) triple, endpoints as expression text in t.  The
+    box bounds the sampling of the 1D sections (the loader uses the grid's)."""
+    segs = [(0.0, interval_phi(parse_expr(left, T_), parse_expr(right, T_)))]
     for start, jl, jr in jumps:
-        segs.append(TrackSegment(start, parse_expr(jl, T_), parse_expr(jr, T_)))
-    return TimeDomain.moving_intervals([IntervalTrack(segments=tuple(segs))], horizon)
+        segs.append((start, interval_phi(parse_expr(jl, T_), parse_expr(jr, T_))))
+    return TimeDomain(float(horizon), (tuple(box),), 1, tuple(segs))
+
+
+def union_phi(*intervals):
+    """The level set of a union of closed intervals (a, b): the min of their phis."""
+    phis = [interval_phi(Num(a), Num(b)) for a, b in intervals]
+    return reduce(lambda p, q: Call("min", (p, q)), phis)
+
+
+def interval_region(grid, *intervals):
+    """The frozen 1D section made of ``intervals``, searched inside the grid's box."""
+    return ImplicitRegion(union_phi(*intervals), 0.0, grid.box, 1)
+
+
+def disk_jump_text(r_before, r_after, u0="exp(-4*(x^2 + y^2))", psi="0.3"):
+    """The bundled disk2d scenario with a disk of radius ``r_before`` that
+    jumps to radius ``r_after`` at t = 0.5 (a declared 2D jump)."""
+    with open(bundled_scenario_paths()["disk2d"], encoding="utf-8") as fh:
+        text = fh.read()
+    edits = {
+        'phi = "x^2 + y^2 - (0.8 - 0.2*t)^2"':
+            f'phi = "x^2 + y^2 - {r_before}^2"\njumps = "0.5: x^2 + y^2 - {r_after}^2"',
+        'u0 = "exp(-4*(x^2 + y^2))"': f'u0 = "{u0}"',
+        'psi = "0"': f'psi = "{psi}"',
+    }
+    for old, new in edits.items():
+        assert old in text, old
+        text = text.replace(old, new)
+    return text

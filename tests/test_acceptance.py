@@ -5,10 +5,12 @@ and records a single PASS/FAIL line through the ``acceptance`` fixture;
 the lines are replayed in the terminal summary after the run.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import interval_domain
+from helpers import disk_jump_text, interval_domain
 from slabflow import (
     FluxModel,
     Grid,
@@ -21,6 +23,7 @@ from slabflow import (
     max_principle_report,
     mms_report,
     parse_expr,
+    parse_scenario_text,
     refinement_study,
     run_scheme,
 )
@@ -48,7 +51,8 @@ def interval_scenario(u0, psi, flux, *, h, horizon, n_slices, substeps,
                       right="1", jumps=(), xmin=-0.125, xmax=1.125):
     grid = Grid(dim=1, origin=(xmin,), spacing=(h,), counts=(round((xmax - xmin) / h),))
     return Scenario(
-        grid=grid, domain=interval_domain("0", right, horizon, jumps), n_slices=n_slices,
+        grid=grid, domain=interval_domain("0", right, horizon, jumps, box=(xmin, xmax)),
+        n_slices=n_slices,
         substeps=substeps, flux=flux,
         psi=parse_expr(psi, TX), u0=parse_expr(u0, X_),
     )
@@ -213,12 +217,17 @@ def test_criterion_07_l1_cauchy(acceptance, cone_study):
     )
 
 
-@pytest.mark.parametrize("name", ["jump_expand", "jump_contract", "disk2d"])
+@pytest.mark.parametrize("name", ["jump_expand", "jump_contract", "disk2d", "disk2d_jump"])
 def test_l1_cauchy_refinement_across_jumps_and_in_2d(bundle, name):
     """Criterion 7's bound where the paper makes its claim beyond the cone:
     across jumps in time, and in 2D (the disk's second level did not plan
-    while 2D sections had to pass a 2x2 block cover test)."""
-    gaps = refinement_study(bundle[name][0], levels=4).gaps
+    while 2D sections had to pass a 2x2 block cover test), also across a
+    2D jump (the disk's radius 0.5 -> 0.8 at t = 0.5)."""
+    if name == "disk2d_jump":
+        scenario = parse_scenario_text(disk_jump_text(0.5, 0.8))
+    else:
+        scenario = bundle[name][0]
+    gaps = refinement_study(scenario, levels=4).gaps
     ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1)]
     assert all(q <= 0.7 for q in ratios), f"{name}: gaps {gaps}, ratios {ratios}"
 
@@ -265,6 +274,32 @@ def test_criterion_08_jump_traces(acceptance, bundle):
         f"exactly, survivors copied; contraction at t=0.3: new frame equals "
         f"the previous trace restricted, nodewise",
     )
+
+
+@pytest.mark.parametrize("radii", [(0.5, 0.8), (0.8, 0.5)], ids=["expand", "contract"])
+def test_2d_jumps_meet_criteria_1_2_5_and_8(radii):
+    """The disk2d grid with the radius jumping at t = 0.5 and psi = 0.3:
+    fresh nodes start from psi exactly, survivors are copied bitwise, the
+    maximum principle and the energy bound hold, and u0 = psi = 0.7 stays
+    constant across the jump."""
+    scenario = parse_scenario_text(disk_jump_text(*radii))
+    field, _ = run_scheme(scenario)
+    k = _jump_knot(field, 0.5)
+    before, after = knot_traces(field, k)
+    prev, nxt = field.plan.masks[k - 1], field.plan.masks[k]
+    fresh, kept = nxt.active & ~prev.active, nxt.active & prev.active
+    assert fresh.any() == (radii[1] > radii[0])
+    assert np.all(after[fresh] == 0.3)
+    assert after[kept].tobytes() == before[kept].tobytes()
+    assert max_principle_report(scenario, field_=field).passed
+    assert energy_report(scenario, field_=field).passed
+
+    constant = parse_scenario_text(disk_jump_text(*radii, u0="0.7", psi="0.7"))
+    field_c, _ = run_scheme(constant)
+    for i in range(field_c.n_stamps):
+        defined = field_c.mask_at(i).defined
+        assert np.max(np.abs(field_c.frames[i][defined] - 0.7)) <= 1e-10
+        assert np.max(np.abs(field_c.extended_frame(i) - 0.7)) <= 1e-10
 
 
 # -- 9: structure checks ----------------------------------------------------------
@@ -327,3 +362,16 @@ def test_criterion_10_manufactured_order(acceptance, bundle):
         f"{moving.temporal_order:.2f} (>= 1); fixed domain: spatial "
         f"{fixed_spatial:.2f} (>= 1.9)",
     )
+
+
+def test_manufactured_order_on_the_shrinking_disk(bundle):
+    """Criterion 10's fixed-domain bound in 2D: u = exp(-t) sin(pi x) sin(pi y)
+    on the bundled disk, linear diffusion, psi = u, f = (2 pi^2 - 1) u."""
+    txy = ("t", "x", "y")
+    u = "exp(-t)*sin(pi*x)*sin(pi*y)"
+    scenario = dataclasses.replace(
+        bundle["disk2d"][0], u0=parse_expr("sin(pi*x)*sin(pi*y)", ("x", "y")),
+        psi=parse_expr(u, txy), source=parse_expr(f"(2*pi^2 - 1)*{u}", txy))
+    report = mms_report(scenario, parse_expr(u, txy))
+    assert min(report.spatial_order_linf, report.spatial_order_l1) >= 1.9, report
+    assert report.temporal_order >= 1.0, report

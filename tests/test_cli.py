@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from helpers import disk_jump_text
 from slabflow import bundled_scenario_paths, diagnostics
 from slabflow.cli import main
 
@@ -198,8 +199,9 @@ def test_geometry_prints_jump_summary(tmp_path, capsys):
     code = main(["geometry", str(cfg)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "jumps=1" in out
-    assert "new=" in out
+    assert "segments=2 jumps=1" in out
+    assert ("t=0.05 before=33 grid nodes in [0, 1] after=45 grid nodes in [0, 1.375] "
+            "new=12 grid nodes in [1.03125, 1.375] lost=0 grid nodes") in out
 
 
 def test_verify_passes_on_heat(tmp_path, capsys):
@@ -243,7 +245,7 @@ def test_verify_runs_the_scheme_once_per_datum(
 @pytest.mark.parametrize(
     "argv,code,printed",
     [
-        (["geometry", "disk2d"], 0, "t=0 section=357 grid nodes inside"),
+        (["geometry", "disk2d"], 0, "t=0 section=357 grid nodes in [-0.75, 0.75] x [-0.75, 0.75]"),
         (["refine", "heat", "--levels", "1"], 2, "must be at least 2, got 1"),
         (["check-flux", "heat", "--samples", "0"], 2, "must be at least 1, got 0"),
         (["check-flux", "heat", "--samples", "-5"], 2, "must be at least 1, got -5"),
@@ -276,4 +278,20 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
-    assert "kind=moving_intervals" in proc.stdout
+    assert "segments=1 jumps=0" in proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenario_paths()))
+def test_geometry_runs_on_every_bundled_scenario(name, capsys):
+    assert main(["geometry", bundled_scenario_paths()[name]]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("segments=") and "Traceback" not in out
+
+
+def test_geometry_shows_a_2d_jump(tmp_path, capsys):
+    """The one printer names the nodes a 2D jump creates and removes."""
+    cfg = tmp_path / "disk_jump.cfg"
+    cfg.write_text(disk_jump_text(0.8, 0.5))
+    assert main(["geometry", str(cfg)]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("t=0.5 "))
+    assert line.endswith("new=0 grid nodes lost=220 grid nodes in [-0.75, 0.75] x [-0.75, 0.75]")

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import interval_domain
+from helpers import interval_domain, interval_region
 from slabflow import diagnostics, stitcher
 from slabflow import (
     FluxModel,
@@ -25,7 +25,6 @@ from slabflow import (
     rasterize,
     refinement_study,
     run_scheme,
-    IntervalRegion,
 )
 
 TX = ("t", "x")
@@ -35,7 +34,7 @@ X_ = ("x",)
 def make_scenario(u0="sin(pi*x)", psi="0", flux=None, h=1 / 32, horizon=0.1,
                   n_slices=2, substeps=20, right="1", jumps=(), source="0",
                   xmin=-0.125, xmax=1.125):
-    dom = interval_domain("0", right, horizon, jumps)
+    dom = interval_domain("0", right, horizon, jumps, box=(xmin, xmax))
     counts = round((xmax - xmin) / h)
     g = Grid(dim=1, origin=(xmin,), spacing=(h,), counts=(counts,))
     return Scenario(
@@ -52,7 +51,7 @@ def make_scenario(u0="sin(pi*x)", psi="0", flux=None, h=1 / 32, horizon=0.1,
 
 def test_node_gradients_exact_for_quadratic():
     g = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(24,))
-    mask = rasterize(IntervalRegion(((0.0, 1.0),)), g)
+    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
     x = g.node_coords().ravel()
     frame = np.where(mask.defined.ravel(), x**2, np.nan).reshape(mask.active.shape)
     grads = node_gradients(frame, mask)

@@ -11,23 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slabflow
-from helpers import interval_domain
+from helpers import interval_domain, interval_region, union_phi
 from slabflow import (
     DegenerateSectionError,
     DomainRangeError,
-    EMPTY_REGION,
     GeometryError,
     Grid,
-    IntervalRegion,
-    IntervalTrack,
     MarginError,
     SlabflowError,
     TimeDomain,
-    TrackSegment,
     build_slice_plan,
-    classify_jump,
     hausdorff_distance,
-    interval_difference,
     parse_expr,
     rasterize,
     sample_slab,
@@ -38,15 +32,17 @@ from slabflow import (
 )
 from slabflow.geometry import _lattice
 
-T_ONLY = ("t",)
+XS = np.linspace(-0.5, 2.0, 41)  # spacing 1/16, exact in binary
 
 
-def expr(text):
-    return parse_expr(text, T_ONLY)
+def span(lo, hi):
+    """The points of XS in the closed interval [lo, hi]."""
+    return (XS >= lo) & (XS <= hi)
 
 
-def fixed_track(left, right):
-    return IntervalTrack(segments=(TrackSegment(0.0, expr(left), expr(right)),))
+def members(region):
+    """Which points of XS lie in a 1D section."""
+    return region.contains(XS[:, None])
 
 
 # --- grids -------------------------------------------------------------------
@@ -109,7 +105,7 @@ def test_importing_the_package_leaves_scipy_spatial_unloaded():
 def test_rasterize_unit_interval_on_quarter_grid():
     """Hand enumeration: nodes -0.5, -0.25, ..., 2.5; closure [0, 1]."""
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.25,), counts=(12,))
-    mask = rasterize(IntervalRegion(((0.0, 1.0),)), g)
+    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
     assert mask.active_points().ravel().tolist() == [0.25, 0.5, 0.75]
     assert mask.ghost_points().ravel().tolist() == [0.0, 1.0]
     assert mask.active_count == 3
@@ -119,13 +115,13 @@ def test_rasterize_uses_closure_membership():
     # endpoints on nodes: 0.0 and 1.0 belong to the closure, so 0.25 keeps
     # both neighbours inside and stays active
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.25,), counts=(12,))
-    mask = rasterize(IntervalRegion(((0.0, 1.0),)), g)
+    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
     assert 0.25 in mask.active_points().ravel()
 
 
 def test_ghost_layer_is_dilation_minus_active():
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.125,), counts=(24,))
-    mask = rasterize(IntervalRegion(((0.0, 1.0),)), g)
+    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
     active = mask.active
     shifted = np.zeros_like(active)
     shifted[1:] |= active[:-1]
@@ -137,13 +133,13 @@ def test_ghost_layer_is_dilation_minus_active():
 def test_rasterize_empty_section_raises():
     g = Grid(dim=1, origin=(-0.75,), spacing=(0.25,), counts=(10,))
     with pytest.raises(DegenerateSectionError):
-        rasterize(IntervalRegion(((0.1, 0.2),)), g)
+        rasterize(interval_region(g, (0.1, 0.2)), g)
 
 
 def test_rasterize_margin_enforced():
     g = Grid(dim=1, origin=(0.0,), spacing=(0.25,), counts=(4,))
     with pytest.raises(MarginError):
-        rasterize(IntervalRegion(((0.0, 1.0),)), g)
+        rasterize(interval_region(g, (0.0, 1.0)), g)
 
 
 def test_rasterize_2d_disk():
@@ -162,8 +158,8 @@ def test_rasterize_2d_disk():
 
 def test_rasterize_is_deterministic():
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.25,), counts=(12,))
-    a = rasterize(IntervalRegion(((0.0, 1.0),)), g)
-    b = rasterize(IntervalRegion(((0.0, 1.0),)), g)
+    a = rasterize(interval_region(g, (0.0, 1.0)), g)
+    b = rasterize(interval_region(g, (0.0, 1.0)), g)
     assert a == b
 
 
@@ -174,8 +170,8 @@ def test_nested_regions_give_nested_masks():
         lo = rng.uniform(-0.5, 0.2)
         hi = rng.uniform(lo + 0.5, 1.5)
         pad = rng.uniform(0.0, 0.2)
-        inner = rasterize(IntervalRegion(((lo, hi),)), g)
-        outer = rasterize(IntervalRegion(((lo - pad, hi + pad),)), g)
+        inner = rasterize(interval_region(g, (lo, hi)), g)
+        outer = rasterize(interval_region(g, (lo - pad, hi + pad)), g)
         assert not np.any(inner.active & ~outer.active)
 
 
@@ -184,8 +180,8 @@ def test_nested_regions_give_nested_masks():
 
 def test_section_tracks_the_moving_interval():
     dom = interval_domain("0", "1 + t/2", 1.0)
-    assert section(dom, 0.0).intervals == ((0.0, 1.0),)
-    assert section(dom, 1.0).intervals == ((0.0, 1.5),)
+    assert np.array_equal(members(section(dom, 0.0)), span(0.0, 1.0))
+    assert np.array_equal(members(section(dom, 1.0)), span(0.0, 1.5))
 
 
 def test_time_range_is_validated():
@@ -199,39 +195,45 @@ def test_time_range_is_validated():
 def test_side_limits_agree_away_from_jumps():
     dom = interval_domain("0", "1 + t", 1.0)
     before, after = side_limits(dom, 0.5)
-    assert before.intervals == after.intervals == ((0.0, 1.5),)
+    assert before == after
+    assert np.array_equal(members(after), span(0.0, 1.5))
 
 
 def test_jump_side_limits_and_classification():
+    """At a jump the segment in force changes: the nodes new after it are
+    after & ~before, the nodes lost before & ~after."""
     dom = interval_domain("0", "1", 0.6, jumps=((0.3, "0", "1.5"),))
     assert dom.jump_times() == (0.3,)
-    before, after = side_limits(dom, 0.3)
-    assert before.intervals == ((0.0, 1.0),)
-    assert after.intervals == ((0.0, 1.5),)
-    grown, lost = classify_jump(dom, 0.3)
-    assert grown.intervals == ((1.0, 1.5),)
-    assert lost.intervals == ()
+    before, after = (members(region) for region in side_limits(dom, 0.3))
+    assert np.array_equal(before, span(0.0, 1.0))
+    assert np.array_equal(after, span(0.0, 1.5))
+    assert np.array_equal(after & ~before, span(1.0, 1.5) & ~span(1.0, 1.0))
+    assert not np.any(before & ~after)
 
 
 def test_contraction_classification():
     dom = interval_domain("0", "1.5", 0.6, jumps=((0.3, "0.25", "1.25"),))
-    grown, lost = classify_jump(dom, 0.3)
-    assert grown.intervals == ()
-    assert lost.intervals == ((0.0, 0.25), (1.25, 1.5))
+    before, after = (members(region) for region in side_limits(dom, 0.3))
+    assert not np.any(after & ~before)
+    assert np.array_equal(before & ~after, span(0.0, 1.5) & ~span(0.25, 1.25))
 
 
 def test_classify_away_from_jump_is_empty():
     dom = interval_domain("0", "1", 0.6, jumps=((0.3, "0", "1.5"),))
-    grown, lost = classify_jump(dom, 0.15)
-    assert grown.intervals == () and lost.intervals == ()
+    before, after = side_limits(dom, 0.15)
+    assert before == after
 
 
-def test_implicit_domain_never_jumps():
-    phi = parse_expr("abs(x) - (1 + t)", ("t", "x"))
-    dom = TimeDomain.implicit(phi, ((-3.0, 3.0),), 1.0, dim=1)
-    assert dom.jump_times() == ()
-    grown, lost = classify_jump(dom, 0.5)
-    assert grown is EMPTY_REGION and lost is EMPTY_REGION
+def test_implicit_domain_reports_declared_jumps():
+    """A level-set domain jumps where a later segment starts, in any dimension."""
+    disk = parse_expr("x^2 + y^2 - 0.25", ("t", "x", "y"))
+    wide = parse_expr("x^2 + y^2 - 0.64", ("t", "x", "y"))
+    dom = TimeDomain(1.0, ((-1.0, 1.0), (-1.0, 1.0)), 2, ((0.0, disk), (0.5, wide)))
+    assert dom.jump_times() == (0.5,)
+    before, after = side_limits(dom, 0.5)
+    assert (before.phi, after.phi) == (disk, wide)
+    assert side_limits(dom, 0.25) == (section(dom, 0.25),) * 2
+    assert section(dom, 1.0).phi == wide
 
 
 @pytest.mark.parametrize("box", [((-np.inf, 1.0),), ((np.nan, 1.0),), ((1.0, -1.0),)],
@@ -248,35 +250,12 @@ def test_implicit_domain_rejects_a_non_finite_or_reversed_box(box):
 def test_implicit_1d_section_recovers_interval():
     phi = parse_expr("abs(x) - (1 + t)", ("t", "x"))
     dom = TimeDomain.implicit(phi, ((-3.0, 3.0),), 1.0, dim=1)
-    ((lo, hi),) = section(dom, 0.5).intervals
-    assert lo == pytest.approx(-1.5, abs=1e-9)
-    assert hi == pytest.approx(1.5, abs=1e-9)
-
-
-def test_overlapping_tracks_rejected():
-    a = fixed_track("0", "1")
-    b = fixed_track("0.5", "2")
-    dom = TimeDomain.moving_intervals([a, b], 1.0)
-    with pytest.raises(GeometryError):
-        section(dom, 0.0)
+    assert np.array_equal(members(section(dom, 0.5)), span(-1.5, 1.5))
 
 
 def test_track_must_start_at_zero():
     with pytest.raises(GeometryError):
-        IntervalTrack(segments=(TrackSegment(0.1, expr("0"), expr("1")),))
-
-
-# --- interval difference -----------------------------------------------------
-
-
-def test_interval_difference_cases():
-    A = IntervalRegion(((0.0, 1.5),))
-    B = IntervalRegion(((0.0, 1.0),))
-    assert interval_difference(A, B).intervals == ((1.0, 1.5),)
-    assert interval_difference(B, A).intervals == ()
-    C = IntervalRegion(((0.25, 1.25),))
-    assert interval_difference(A, C).intervals == ((0.0, 0.25), (1.25, 1.5))
-    assert interval_difference(A, EMPTY_REGION).intervals == A.intervals
+        TimeDomain(1.0, ((0.0, 1.0),), 1, ((0.1, union_phi((0.0, 1.0))),))
 
 
 # --- slice plans --------------------------------------------------------------
@@ -301,10 +280,8 @@ def test_jump_times_become_knots():
 
 
 def test_plan_rejects_narrow_component():
-    wide = fixed_track("0", "1")
-    sliver = fixed_track("1.4", "1.7")
-    dom = TimeDomain.moving_intervals([wide, sliver], 1.0)
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.25,), counts=(12,))
+    dom = TimeDomain.implicit(union_phi((0.0, 1.0), (1.4, 1.7)), g.box, 1.0)
     with pytest.raises(DegenerateSectionError) as err:
         build_slice_plan(dom, g, 2)
     assert "t=0" in str(err.value)
@@ -334,7 +311,7 @@ def test_disk_plans_at_every_spacing_and_slice_count():
 
 
 def two_interval_domain(second):
-    return TimeDomain.moving_intervals([fixed_track("0", "1"), fixed_track(*second)], 1.0)
+    return TimeDomain.implicit(union_phi((0.0, 1.0), second), ((-0.5, 2.0),), 1.0)
 
 
 def test_plan_names_a_lost_interval():
@@ -342,10 +319,10 @@ def test_plan_names_a_lost_interval():
     none of them is active: the interval used to vanish from the plan."""
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.1,), counts=(25,))
     with pytest.raises(DegenerateSectionError) as err:
-        build_slice_plan(two_interval_domain(("1.205", "1.455")), g, 2)
+        build_slice_plan(two_interval_domain((1.205, 1.455)), g, 2)
     assert "piece at [1.3, 1.4] keeps no active node" in str(err.value)
     with pytest.raises(DegenerateSectionError) as err:
-        build_slice_plan(two_interval_domain(("1.21", "1.29")), g, 2)
+        build_slice_plan(two_interval_domain((1.21, 1.29)), g, 2)
     assert "piece at [1.21, 1.29] holds no grid node" in str(err.value)
 
 
@@ -424,7 +401,7 @@ def _sections(draw):
     g = Grid(dim=1, origin=(-0.5,), spacing=(h,), counts=(int(np.ceil(2.8 / h)),))
     cuts = sorted(draw(st.lists(st.floats(-0.3, 2.4), min_size=2, max_size=6, unique=True)))
     cuts = cuts[: len(cuts) // 2 * 2]
-    return IntervalRegion(tuple(zip(cuts[::2], cuts[1::2]))), g
+    return interval_region(g, *zip(cuts[::2], cuts[1::2])), g
 
 
 @settings(max_examples=150, deadline=None)
@@ -440,6 +417,28 @@ def test_masks_that_plan_keep_their_invariants(drawn):
         assert re.search(r"\[[^\]]+, [^\]]+\]", str(exc)), str(exc)
         return
     _check_mask_invariants(mask, region.contains(g.node_coords()).reshape(g.shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(16, 64), a0=st.floats(0.0, 0.4), width=st.floats(0.6, 1.0),
+       a1=st.floats(-0.2, 0.2), b1=st.floats(-0.2, 0.2), n_slices=st.integers(1, 12))
+def test_compiled_interval_plans_match_an_endpoint_oracle(n, a0, width, a1, b1, n_slices):
+    """A moving interval compiled to max(left - x, x - right) plans, at every
+    knot, the masks that comparing x with its endpoints gives."""
+    g = Grid(dim=1, origin=(-0.5,), spacing=(1.0 / n,), counts=(3 * n,))
+    b0 = a0 + width
+    dom = interval_domain(f"{a0!r} + {a1!r}*t", f"{b0!r} + {b1!r}*t", 1.0, box=g.box[0])
+    plan = build_slice_plan(dom, g, n_slices)
+    x = g.axis_nodes(0)
+    for t, mask in zip(plan.knots, plan.masks):
+        inside = (x >= a0 + a1 * t) & (x <= b0 + b1 * t)
+        active = np.zeros_like(inside)
+        active[1:-1] = inside[:-2] & inside[1:-1] & inside[2:]
+        ghost = np.zeros_like(inside)
+        ghost[1:] |= active[:-1]
+        ghost[:-1] |= active[1:]
+        assert np.array_equal(mask.active, active)
+        assert np.array_equal(mask.ghost, ghost & ~active)
 
 
 def test_plan_masks_follow_expansion():

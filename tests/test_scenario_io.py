@@ -8,10 +8,10 @@ import os
 import numpy as np
 import pytest
 
+from helpers import disk_jump_text
 from slabflow import (
     FluxModel,
     Grid,
-    IntervalTrack,
     Num,
     OutputConfig,
     Scenario,
@@ -20,10 +20,10 @@ from slabflow import (
     SliceProblem,
     SolverConfig,
     TimeDomain,
-    TrackSegment,
     build_slice_plan,
     bundled_scenario_paths,
     format_scenario,
+    interval_phi,
     load_scenario,
     parse_expr,
     parse_scenario_text,
@@ -182,18 +182,17 @@ def test_jumps_are_parsed():
 def test_jump_endpoints_are_full_expressions():
     jumps = 'jumps = "0.05: max(t, 0.1) - 0.1, min(1 + t, 0.9)"'
     scen = parse_scenario_text(MINIMAL.replace('right = "1"', f'right = "1"\n{jumps}'))
-    jump = scen.domain.tracks[0].segments[1]
-    assert jump.start == 0.05
-    assert jump.left == parse_expr("max(t, 0.1) - 0.1", ("t",))
-    assert jump.right == parse_expr("min(1 + t, 0.9)", ("t",))
+    start, phi = scen.domain.segments[1]
+    assert start == 0.05
+    assert phi == interval_phi(parse_expr("max(t, 0.1) - 0.1", ("t",)),
+                               parse_expr("min(1 + t, 0.9)", ("t",)))
 
 
 def test_code_built_jump_endpoints_round_trip():
     base = parse_scenario_text(MINIMAL)
-    jump = TrackSegment(0.05, parse_expr("max(0, t - 0.05)", ("t",)), Num(0.9))
-    segments = (base.domain.tracks[0].segments[0], jump)
-    scen = dataclasses.replace(base, domain=TimeDomain.moving_intervals(
-        [IntervalTrack(segments)], base.domain.horizon))
+    jump = (0.05, interval_phi(parse_expr("max(0, t - 0.05)", ("t",)), Num(0.9)))
+    scen = dataclasses.replace(base, domain=dataclasses.replace(
+        base.domain, segments=(*base.domain.segments, jump)))
     assert parse_scenario_text(format_scenario(scen)) == scen
 
 
@@ -217,8 +216,8 @@ def _heat(**change):
 
 
 def _jumps_at(*starts, horizon=0.1):
-    segments = tuple(TrackSegment(t, Num(0.0), Num(1.0)) for t in (0.0, *starts))
-    return lambda: TimeDomain.moving_intervals([IntervalTrack(segments)], horizon)
+    segments = tuple((t, interval_phi(Num(0.0), Num(1.0))) for t in (0.0, *starts))
+    return lambda: TimeDomain(horizon, ((-0.125, 1.125),), 1, segments)
 
 
 def _solver(line):
@@ -269,8 +268,6 @@ def _custom_flux(line):
         (lambda: FluxModel("parabolic", 2.0), ("type = linear_diffusion", "type = parabolic"),
          "[flux]", "unknown flux kind 'parabolic', expected one of p_laplacian, linear_diffusion, "
          "z_modulated, custom"),
-        (lambda: TimeDomain(1.0, "cone"), ("type = moving_intervals", "type = cone"), "[domain]",
-         "unknown domain kind 'cone', expected one of moving_intervals, implicit"),
         *[
             (lambda kw=kw: FluxModel.custom([CUSTOM_XI], 2.0, **kw), _custom_flux(line), "[flux]", key)
             for kw, line, key in (
@@ -308,7 +305,7 @@ def _custom_flux(line):
         "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
         "max_newton_fraction", "max_picard_negative", "frames_mode", "linear_diffusion_p3",
         "jump_at_zero", "jump_at_horizon", "zero_slices", "zero_substeps", "2d_flux_on_1d_grid",
-        "nan_spacing", "nan_eps_reg", "grid_dim_3", "flux_dim_3", "flux_kind", "domain_kind",
+        "nan_spacing", "nan_eps_reg", "grid_dim_3", "flux_dim_3", "flux_kind",
         "growth_c_nan", "growth_c_zero", "coercivity_alpha_nan",
         "lower_b_negative", "lower_d_nan", "z_lipschitz_negative", "growth_c_inf",
         "coercivity_alpha_inf", "lower_b_inf", "lower_d_inf", "z_lipschitz_inf", "newton_tol_inf",
@@ -325,6 +322,22 @@ def test_code_built_and_loaded_settings_pass_the_same_rules(build, edit, section
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(MINIMAL.replace(*edit))
     assert any(issue.startswith(section) and key in issue for issue in err.value.issues)
+
+
+def test_unknown_domain_type_is_an_issue():
+    """A file's domain type is input syntax only: every type compiles to the
+    one level-set model, so the loader alone names an unknown type."""
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(MINIMAL.replace("type = moving_intervals", "type = cone"))
+    assert err.value.issues == [
+        "[domain] unknown domain type 'cone', expected one of implicit, moving_intervals"]
+
+
+def test_moving_intervals_are_one_dimensional():
+    text = MINIMAL.replace("dim = 1", "dim = 2").replace("h = ", "ymin = -0.125\nymax = 1.125\nh = ")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.issues == ["[domain] a 1D domain cannot run on a 2D grid"]
 
 
 def test_picard_only_file_runs_like_the_code_built_config():
@@ -368,6 +381,23 @@ def test_canonical_round_trip_is_stable():
     assert again.config == scen.config
 
 
+ROUND_TRIP_TEXTS = {**bundled_scenario_paths(), "disk_jump": None}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_TEXTS))
+def test_canonical_round_trip_keeps_the_hash(name):
+    """format -> parse keeps the scenario and its hash: the 1D files print
+    their compiled level sets, the 2D jump file its declared jump."""
+    if name == "disk_jump":
+        scen = parse_scenario_text(disk_jump_text(0.5, 0.8))
+        assert scen.domain.jump_times() == (0.5,)
+    else:
+        scen = load_scenario(ROUND_TRIP_TEXTS[name])
+    again = parse_scenario_text(format_scenario(scen))
+    assert again == scen
+    assert scenario_hash(again) == scenario_hash(scen)
+
+
 def test_absent_source_has_one_spelling():
     """A code-built scenario that omits its source prints and reloads equal;
     None is not a second spelling of "no source"."""
@@ -406,11 +436,9 @@ def test_unprintable_scenarios_raise_scenario_errors():
     coarse_y = dataclasses.replace(g, spacing=(g.spacing[0], 2 * g.spacing[1]),
                                    counts=(g.counts[0], g.counts[1] // 2))
     base = parse_scenario_text(MINIMAL)
-    tracks = [IntervalTrack(segments=(TrackSegment(0.0, parse_expr(a, ("t",)), parse_expr(b, ("t",))),))
-              for a, b in (("0", "0.25"), ("0.5", "1"))]
-    two_tracks = TimeDomain.moving_intervals(tracks, base.domain.horizon)
+    other_box = dataclasses.replace(base.domain, box=((-1.0, 2.0),))
     for scen, section in ((dataclasses.replace(disk, grid=coarse_y), "[grid]"),
-                          (dataclasses.replace(base, domain=two_tracks), "[domain]")):
+                          (dataclasses.replace(base, domain=other_box), "[domain]")):
         with pytest.raises(ScenarioError) as err:
             scenario_hash(scen)
         assert err.value.issues[0].startswith(section)
@@ -460,7 +488,7 @@ dir = out/custom
     canon = format_scenario(scen)
     again = parse_scenario_text(canon)
     assert format_scenario(again) == canon
-    assert again.domain.tracks[0].segments == scen.domain.tracks[0].segments
+    assert again.domain == scen.domain
     assert again.flux.components == scen.flux.components
     assert again.flux.z_lipschitz == scen.flux.z_lipschitz
 

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu, spsolve
 
+from helpers import interval_region
 from slabflow import (
     FluxModel,
     Grid,
-    IntervalRegion,
     NumericInputError,
     SlabflowError,
     SliceProblem,
@@ -51,7 +51,7 @@ FLUX_VARS = ("t", "x", "y", "z", "xi1", "xi2")
 def unit_interval_mask(h=0.25, pad=2):
     n = round(1.0 / h)
     g = Grid(dim=1, origin=(-pad * h,), spacing=(h,), counts=(n + 2 * pad,))
-    return g, rasterize(IntervalRegion(((0.0, 1.0),)), g)
+    return g, rasterize(interval_region(g, (0.0, 1.0)), g)
 
 
 def full_frame(grid, mask, fn):
@@ -436,7 +436,7 @@ def isolated_node_mask():
     neighbours only, so its matrix row is the diagonal alone."""
     h = 0.0625
     g = Grid(dim=1, origin=(-2 * h,), spacing=(h,), counts=(32,))
-    return g, rasterize(IntervalRegion(((0.0, 1.0), (1.25, 1.25 + 2 * h))), g)
+    return g, rasterize(interval_region(g, (0.0, 1.0), (1.25, 1.25 + 2 * h)), g)
 
 
 @pytest.mark.parametrize(

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import interval_domain
+from helpers import interval_domain, interval_region
 from slabflow import (
     DomainRangeError,
     FluxModel,
     GeometryError,
     Grid,
-    IntervalRegion,
     Scenario,
     ScenarioError,
     TimeDomain,
@@ -50,7 +49,7 @@ def heat_scenario(h=1 / 64, n_slices=2, substeps=50):
 
 def test_transfer_identity_on_unchanged_mask():
     g = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(24,))
-    mask = rasterize(IntervalRegion(((0.0, 1.0),)), g)
+    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
     rng = np.random.default_rng(4)
     frame = np.where(mask.defined, rng.uniform(size=mask.active.shape), np.nan)
     out = transfer(frame, mask, mask, parse_expr("0.5", TX), 0.3)
@@ -61,8 +60,8 @@ def test_transfer_identity_on_unchanged_mask():
 
 def test_transfer_expansion_uses_boundary_datum():
     g = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(32,))
-    small = rasterize(IntervalRegion(((0.0, 1.0),)), g)
-    large = rasterize(IntervalRegion(((0.0, 1.5),)), g)
+    small = rasterize(interval_region(g, (0.0, 1.0)), g)
+    large = rasterize(interval_region(g, (0.0, 1.5)), g)
     frame = np.where(small.defined, 2.0, np.nan)
     out = transfer(frame, small, large, parse_expr("t + x", TX), 0.25)
     fresh = large.active & ~small.active
@@ -74,8 +73,8 @@ def test_transfer_expansion_uses_boundary_datum():
 
 def test_transfer_contraction_restricts_previous_values():
     g = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(32,))
-    large = rasterize(IntervalRegion(((0.0, 1.5),)), g)
-    small = rasterize(IntervalRegion(((0.25, 1.25),)), g)
+    large = rasterize(interval_region(g, (0.0, 1.5)), g)
+    small = rasterize(interval_region(g, (0.25, 1.25)), g)
     rng = np.random.default_rng(8)
     frame = np.where(large.defined, rng.uniform(size=large.active.shape), np.nan)
     out = transfer(frame, large, small, parse_expr("t + x", TX), 0.3)
@@ -92,8 +91,8 @@ def test_transfer_contraction_restricts_previous_values():
 def test_transfer_rejects_mismatched_grids():
     g1 = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(24,))
     g2 = Grid(dim=1, origin=(-0.25,), spacing=(0.125,), counts=(12,))
-    m1 = rasterize(IntervalRegion(((0.0, 1.0),)), g1)
-    m2 = rasterize(IntervalRegion(((0.0, 1.0),)), g2)
+    m1 = rasterize(interval_region(g1, (0.0, 1.0)), g1)
+    m2 = rasterize(interval_region(g2, (0.0, 1.0)), g2)
     frame = np.where(m1.defined, 1.0, np.nan)
     with pytest.raises(GeometryError):
         transfer(frame, m1, m2, parse_expr("0", TX), 0.0)
