@@ -3,7 +3,10 @@
 Each report states an inequality the discrete solution is expected to
 satisfy, evaluates both sides by node-value x cell-volume quadrature
 (previous-frame hold for data integrals in time) and records the margin.
-Suprema of the data are estimated on grid nodes and substep times.
+Suprema of the data are estimated on grid nodes and substep times; the
+data's derivatives are exact, the trees :func:`expressions.derivative`
+builds from them.  The L1 contraction report applies to a flux whose
+components read no z.
 
 These are diagnostics, not proofs: they sample; a pass means the bound
 held at the resolution run.
@@ -14,9 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InapplicableDiagnosticError, SlabflowError
-from .expressions import evaluate as eval_expr, free_variables
-from .flux import FD_STEP
+from .errors import InapplicableDiagnosticError, NumericEvalError, SlabflowError
+from .expressions import derivative, evaluate as eval_expr, free_variables
 from .geometry import along, build_slice_plan, slab_hausdorff
 from .slice_solver import eval_on_points
 from .stitcher import run_scheme
@@ -69,25 +71,6 @@ def node_gradients(frame, mask):
         g = (frame[along(a, slice(2, None))] - frame[along(a, slice(None, -2))]) / (2.0 * h)
         cols.append(g[mask.active[along(a, slice(1, -1))]])
     return np.column_stack(cols)
-
-
-def _time_derivative(psi, t, points):
-    dt = FD_STEP * (1.0 + abs(t))
-    return (eval_on_points(psi, t + dt, points) - eval_on_points(psi, t - dt, points)) / (2.0 * dt)
-
-
-def _gradient(psi, t, points):
-    """Central differences of psi along each axis at (n, dim) points, shape (n, dim)."""
-    dim = points.shape[1]
-    out = np.empty_like(points)
-    for a in range(dim):
-        step = FD_STEP * (1.0 + np.abs(points[:, a]).max(initial=0.0))
-        hi = points.copy()
-        hi[:, a] += step
-        lo = points.copy()
-        lo[:, a] -= step
-        out[:, a] = (eval_on_points(psi, t, hi) - eval_on_points(psi, t, lo)) / (2.0 * step)
-    return out
 
 
 def _source_free_field(scenario, field_, what):
@@ -144,8 +127,11 @@ def energy_report(scenario, field_=None):
 
     where Cbar = max(sup|u0|, sup|psi|).  The u-gradient is summed over
     substep right endpoints (mirroring the implicit dissipation identity);
-    data integrals use left-endpoint hold.  The report's lhs/rhs are the
-    worst slice's; the summed global bound sits in the details.
+    data integrals use left-endpoint hold, with psi_t and grad psi from psi's
+    exact derivative trees; where one does not evaluate on the active nodes
+    the report raises :class:`InapplicableDiagnosticError` naming the
+    subterm.  The report's lhs/rhs are the worst slice's; the summed global
+    bound sits in the details.
     """
     field_ = _source_free_field(scenario, field_, "energy_report")
     flux = scenario.flux
@@ -157,6 +143,7 @@ def energy_report(scenario, field_=None):
     cbar = max(_u0_max(field_), field_.psi_sup)
     vol = scenario.grid.cell_volume
     plan = field_.plan
+    rates = [derivative(scenario.psi, name) for name in ("t", "x", "y")[: scenario.grid.dim + 1]]
 
     per_slice = []
     grad_total = 0.0
@@ -178,43 +165,28 @@ def energy_report(scenario, field_=None):
         for i in idx[1:]:
             g = node_gradients(field_.frames[i], mask)
             grad_term += tau * vol * float(np.sum(np.linalg.norm(g, axis=1) ** p))
-        psit_term = 0.0
-        gpsi_term = 0.0
-        for m in range(len(idx) - 1):
-            t = float(ts[m])
-            psit_term += tau * vol * float(np.sum(np.abs(_time_derivative(scenario.psi, t, pts))))
-            gp = _gradient(scenario.psi, t, pts)
-            gpsi_term += tau * vol * float(np.sum(np.linalg.norm(gp, axis=1) ** p))
+        psit_term = gpsi_term = 0.0
+        for t in map(float, ts[:-1]):
+            try:
+                psi_t, *gp = (eval_on_points(rate, t, pts) for rate in rates)
+            except NumericEvalError as exc:
+                raise InapplicableDiagnosticError(
+                    f"energy_report needs the derivatives of psi on the active nodes at t={t}: {exc}"
+                ) from None
+            psit_term += tau * vol * float(np.sum(np.abs(psi_t)))
+            gpsi_term += tau * vol * float(np.sum(np.linalg.norm(np.column_stack(gp), axis=1) ** p))
         volume_k = (float(ts[-1]) - float(ts[0])) * vol * mask.active_count
         lhs_k = end + 0.5 * alpha * grad_term
-        rhs_k = (
-            start
-            + 2.0 * cbar * psit_term
-            + kpsi * gpsi_term
-            + (1.0 / pprime) * b**pprime * volume_k
-            + d * volume_k
-        )
+        rhs_k = (start + 2.0 * cbar * psit_term + kpsi * gpsi_term
+                 + (1.0 / pprime) * b**pprime * volume_k + d * volume_k)
         grad_total += grad_term
-        per_slice.append(
-            {
-                "slice": k,
-                "lhs": lhs_k,
-                "rhs": rhs_k,
-                "margin": rhs_k - lhs_k,
-                "start_l2": start,
-                "end_l2": end,
-            }
-        )
+        per_slice.append({"slice": k, "lhs": lhs_k, "rhs": rhs_k, "margin": rhs_k - lhs_k,
+                          "start_l2": start, "end_l2": end})
 
-    drops = []
-    for k in range(1, plan.n_slices):
-        drops.append(per_slice[k - 1]["end_l2"] - per_slice[k]["start_l2"])
-
+    drops = [per_slice[k - 1]["end_l2"] - per_slice[k]["start_l2"] for k in range(1, plan.n_slices)]
     worst = min(per_slice, key=lambda s: s["margin"])
     global_lhs = per_slice[-1]["end_l2"] + 0.5 * alpha * grad_total
-    global_rhs = per_slice[0]["start_l2"] + sum(
-        s["rhs"] - s["start_l2"] for s in per_slice
-    )
+    global_rhs = per_slice[0]["start_l2"] + sum(s["rhs"] - s["start_l2"] for s in per_slice)
     return EstimateReport(
         name="energy",
         lhs=worst["lhs"],
@@ -239,11 +211,9 @@ def energy_report(scenario, field_=None):
 def l1_contraction_report(scenario, u0_a, u0_b, field_=None):
     """Run the scheme with each initial datum swapped in (``field_``, when
     given, is the run from ``u0_a``, and its plan is reused) and track the
-    L1 distance of the two solutions over their shared active sets."""
-    flux = scenario.flux
-    if flux.kind == "z_modulated" or (
-        flux.kind == "custom" and any("z" in free_variables(comp) for comp in flux.components)
-    ):
+    L1 distance of the two solutions over their shared active sets.  The
+    flux's components must read no z."""
+    if any("z" in free_variables(comp) for comp in scenario.flux.law.components):
         raise InapplicableDiagnosticError(
             "l1_contraction_report needs a flux independent of the solution slot"
         )
@@ -309,22 +279,12 @@ def refinement_study(scenario, levels=3):
     runs = []
     infos = []
     for i in range(levels):
-        sc = replace(
-            scenario,
-            n_slices=scenario.n_slices * 2**i,
-            substeps=scenario.substeps * 2**i,
-        )
+        sc = replace(scenario, n_slices=scenario.n_slices * 2**i, substeps=scenario.substeps * 2**i)
         plan = build_slice_plan(sc.domain, sc.grid, sc.n_slices)
         field_, _ = run_scheme(sc, plan=plan)
         res = max(plan.delta / 8.0, min(scenario.grid.spacing) / 2.0)
-        infos.append(
-            {
-                "n_slices": sc.n_slices,
-                "substeps": sc.substeps,
-                "delta": plan.delta,
-                "hausdorff": slab_hausdorff(sc.domain, plan, res),
-            }
-        )
+        infos.append({"n_slices": sc.n_slices, "substeps": sc.substeps, "delta": plan.delta,
+                      "hausdorff": slab_hausdorff(sc.domain, plan, res)})
         runs.append(field_)
     vol, horizon = scenario.grid.cell_volume, scenario.domain.horizon
     exts = [f.extended for f in runs]  # each level's extension, derived once

@@ -22,7 +22,8 @@ in one walk under ``np.errstate(all="raise", under="ignore")``: by IEEE
 754 an operation on finite operands returns a non-finite value exactly
 when it raises the overflow, invalid or divide-by-zero flag.  The node
 whose ufunc raises becomes a :class:`NumericEvalError` naming its subterm,
-with a message picked only then ("division by zero", ...).
+with a message picked only then ("division by zero", ...).  :func:`derivative`
+builds a tree's exact derivative as another tree.
 """
 
 import re
@@ -386,8 +387,8 @@ def _walk(node, env):
 def evaluate(node, env):
     """Evaluate a tree against ``env`` (name -> finite scalar or ndarray); a
     non-finite intermediate raises :class:`NumericEvalError` naming it."""
-    if isinstance(node, Num):  # a value raises nothing
-        return node.value
+    if isinstance(node, (Num, Name)):  # a leaf raises no IEEE flag
+        return _walk(node, env)
     with np.errstate(all="raise", under="ignore"):
         return _walk(node, env)
 
@@ -395,6 +396,8 @@ def evaluate(node, env):
 def bind(node, env):
     """``node`` with each subtree reading only names in ``env`` replaced by a :class:`Num`
     of its value that prints as the subtree; a node whose evaluation raises stays a node."""
+    if isinstance(node, Num):
+        return node
     if free_variables(node) <= env.keys():
         with suppress(NumericEvalError):
             return Num(evaluate(node, env), tree=node)
@@ -405,3 +408,70 @@ def bind(node, env):
     if isinstance(node, Call):
         return replace(node, args=tuple(bind(a, env) for a in node.args))
     return node
+
+
+# ---------------------------------------------------------------------------
+# Differentiation
+
+_ZERO, _ONE, _TWO, _MINUS = Num(0.0), Num(1.0), Num(2.0), Num(-1.0)  # compared by value
+
+
+def _op(op, a, b=None):
+    """``a op b`` or the call ``op(a[, b])``, with a zero term or a one factor
+    dropped, and the :class:`Num` of its value where its operands are numbers."""
+    if op == "*" and _ZERO in (a, b) or op == "/" and a == _ZERO:
+        return _ZERO
+    if op in ("+", "-") and b == _ZERO or op in ("*", "/", "^") and b == _ONE:
+        return a
+    if op == "+" and a == _ZERO or op == "*" and a == _ONE:
+        return b
+    operands = (a,) if b is None else (a, b)
+    node = Binary(op, a, b) if op in _OPERATORS else Call(op, operands)
+    if all(isinstance(c, Num) for c in operands):
+        with suppress(NumericEvalError):
+            return Num(float(evaluate(node, {})))
+    return node
+
+
+_CHAIN = {  # f -> f'(u) from u and f(u), for the one-argument entries of FUNCTIONS
+    "sin": lambda u, f: _op("cos", u),
+    "cos": lambda u, f: _op("*", _MINUS, _op("sin", u)),
+    "exp": lambda u, f: f,
+    "log": lambda u, f: _op("/", _ONE, u),
+    "abs": lambda u, f: _op("sign", u),
+    "sqrt": lambda u, f: _op("/", _ONE, _op("*", _TWO, f)),
+    "sign": lambda u, f: _ZERO,
+}
+
+
+def _d(node, name):
+    if isinstance(node, (Num, Name)):
+        return _ONE if getattr(node, "ident", None) == name else _ZERO
+    if isinstance(node, Unary):
+        return _op("*", _MINUS, _d(node.operand, name))
+    if isinstance(node, Call) and node.func in ("min", "max"):
+        a, b = node.args  # ``first``: 1 where a is taken, 0 where b is, 1/2 at a tie
+        first = _op("/", _op("+", _ONE, _op("sign", _op("-", *((a, b) if node.func == "max" else (b, a))))), _TWO)
+        return _op("+", _op("*", _d(a, name), first), _op("*", _d(b, name), _op("-", _ONE, first)))
+    if isinstance(node, Call):
+        return _op("*", _CHAIN[node.func](node.args[0], node), _d(node.args[0], name))
+    a, b, da, db = node.left, node.right, _d(node.left, name), _d(node.right, name)
+    if node.op in ("+", "-"):
+        return _op(node.op, da, db)
+    if node.op == "*":
+        return _op("+", _op("*", da, b), _op("*", a, db))
+    if node.op == "/":
+        return _op("/", _op("-", da, _op("*", _op("/", a, b), db)), b)
+    # a^b: b a^(b-1) a' + a^b log(a) b', a term dropped where its factor a' or b' is 0
+    return _op("+", _op("*", _op("*", b, _op("^", a, _op("-", b, _ONE))), da),
+               _op("*", _op("*", node, _op("log", a)), db))
+
+
+def derivative(node, name):
+    """d(node)/d(name) as a tree, by the sum, product, quotient, power and chain
+    rules with one rule per ``FUNCTIONS`` entry (Griewank and Walther, *Evaluating
+    Derivatives*, 2008): ``abs`` has sign(u) u', ``sign`` 0, ``min``/``max`` the
+    derivative of the argument taken (their mean at a tie).  A factor whose
+    derivative is 0 is dropped unevaluated, and :func:`bind` folds what reads no
+    name: the derivative of a term linear in ``name`` is a number."""
+    return bind(_d(node, name), {})

@@ -1,29 +1,61 @@
 """Nonlinear flux models A(t, x, z, xi) and their structural checks.
 
-Builtin kinds (all with the gradient regularised through
-s = |xi|^2 + eps_reg^2):
+Every flux is one :class:`Law`: components A_a, expression trees over t, x,
+y, z, xi1, xi2 (1D ones see y = xi2 = 0), and their dA_a/dxi_b and dA_a/dz
+trees from :func:`expressions.derivative`, built once per flux and read by
+the residual, both face terms, ``constant_jacobian`` and the 9-point rule.
+A ``custom`` flux gives its components; a builtin kind is a template in
+(p, eps_reg), written m * xi at p = 2, with s = |xi|^2 + eps_reg^2:
 
     p_laplacian       A = s^((p-2)/2) * xi
     linear_diffusion  A = xi                     (p = 2)
     z_modulated       A = (1 + sin(z)^2 / 2) * s^((p-2)/2) * xi
 
-plus ``custom`` fluxes given as one expression per component over
-t, x, y, z, xi1, xi2.  Builtins carry their structural constants
-(growth, coercivity, offsets, z-Lipschitz bound, time modulus); custom
-fluxes declare them and ``check_structure`` samples whether the declared
-inequalities actually hold.
+At eps_reg = 0 and p != 2 it takes its limits where s = 0: A = dA/dz = 0,
+dA/dxi = 0 for p > 2, :class:`JacobianSingularError` for p < 2.  Builtins
+carry their structural constants (growth, coercivity, offsets, z-Lipschitz
+bound, time modulus); custom fluxes declare them and ``check_structure``
+samples whether the declared inequalities actually hold.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import JacobianSingularError, SlabflowError
-from .expressions import evaluate as eval_expr
+from .expressions import Num, derivative, evaluate as eval_expr, parse_expr
 from .geometry import Grid
 
 STRUCTURE_TOLERANCE = 1e-12  # slack for roundoff + O(eps_reg^(p-1)) regularisation
-FD_STEP = 1e-6  # central differences step FD_STEP * (1 + |slot|) per point
+
+
+class Law(NamedTuple):
+    """Components A_a, dA_a/dxi_b (``dxi[a][b]``) and dA_a/dz as trees, and the
+    tree of s where the law takes its limits at s = 0 (None: nowhere)."""
+
+    components: tuple
+    dxi: tuple
+    dz: tuple
+    radius: object
+
+
+def _law(components, radius=None):
+    slots = ("xi1", "xi2")[:len(components)]  # one gradient slot per axis
+    return Law(tuple(components), tuple(tuple(derivative(c, xi) for xi in slots) for c in components),
+               tuple(derivative(c, "z") for c in components), radius)
+
+
+def _template(kind, p, eps_reg, dim):
+    """The law of a builtin kind (module docstring)."""
+    slots = ("xi1", "xi2")[:dim]
+    m = "(1 + 0.5*sin(z)^2)*" if kind == "z_modulated" else ""
+    if p == 2.0:
+        return _law([parse_expr(f"{m}{xi}") for xi in slots])
+    s = " + ".join([f"{xi}^2" for xi in slots] + ([repr(eps_reg**2)] if eps_reg**2 else []))
+    radius = None if eps_reg**2 else parse_expr(s)
+    return _law([parse_expr(f"{m}({s})^{0.5 * (p - 2.0)!r}*{xi}") for xi in slots], radius)
 
 
 @dataclass(frozen=True)
@@ -69,6 +101,13 @@ class FluxModel:
                 f"custom flux needs {self.dim} component expression(s), got {len(self.components)}"
             )
 
+    @cached_property
+    def law(self):
+        """The flux law, built once: the given components, or the kind's template."""
+        if self.kind == "custom":
+            return _law(self.components)
+        return _template(self.kind, self.p, self.eps_reg, self.dim)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -98,19 +137,15 @@ class FluxModel:
             components=tuple(components),
         )
 
-    @property
-    def is_builtin(self):
-        return self.kind != "custom"
-
-    @property
+    @cached_property
     def couples_gradient_slots(self):
-        """Whether dA_a/dxi_b (a != b) can be nonzero: not for a p = 2 builtin, A = m(z) xi."""
-        return not (self.is_builtin and self.p == 2.0)
+        """Whether some dA_a/dxi_b (a != b) is not the number 0."""
+        return any(tree != Num(0.0) for a, row in enumerate(self.law.dxi) for b, tree in enumerate(row) if a != b)
 
-    @property
+    @cached_property
     def constant_jacobian(self):
-        """Whether dA/d(z, xi) is one constant: a p = 2 builtin whose modulation ignores z, A = xi."""
-        return self.is_builtin and self.p == 2.0 and self.kind != "z_modulated"
+        """Whether dA/d(z, xi) is one constant: every derivative tree of the law is a number."""
+        return all(isinstance(tree, Num) for row in self.law.dxi for tree in row + self.law.dz)
 
     def modulus(self, r):
         """Continuity-in-(t, x) modulus omega(r); identically 0 by default."""
@@ -120,100 +155,44 @@ class FluxModel:
         return np.asarray(eval_expr(self.time_modulus, {"r": r}), dtype=float)
 
 
-def _modulation(flux, z):
-    if flux.kind == "z_modulated":
-        return 1.0 + 0.5 * np.sin(z) ** 2
-    return np.ones_like(z)
-
-
-def _custom_env(flux, t, x, z, xi):
-    env = {"t": t, "x": x[..., 0], "z": z, "xi1": xi[..., 0]}
+def _at_points(flux, trees, t, x, z, xi, slope=False):
+    """``trees`` of the law at many points, one column each: ``x``, ``xi`` (n, dim)
+    and ``z`` (n,) arrays, ``t`` scalar or (n,).  Where the law's radius is 0
+    each tree takes its limit, 0; ``slope`` marks dA/dxi trees, which have none
+    there for p < 2."""
+    env = {"t": t, "z": z, "x": x[:, 0], "xi1": xi[:, 0], "y": 0.0, "xi2": 0.0}
     if flux.dim == 2:
-        env["y"] = x[..., 1]
-        env["xi2"] = xi[..., 1]
-    else:
-        env["y"] = np.zeros_like(env["x"])
-        env["xi2"] = np.zeros_like(env["xi1"])
-    return env
-
-
-def _radial(flux, xi, slope=False):
-    """g(s) = s^((p-2)/2) at s = |xi|^2 + eps_reg^2 and, with ``slope``, 2 g'(s):
-    A = m g xi and dA/dxi = m (g I + 2g' xi xi^T).  At s = 0 (xi = 0, no
-    regularisation) both take their limits, g = 1 for p = 2 else 0 and
-    2g' = 0; for p < 2 dA/dxi has none, so ``slope`` raises."""
-    s = np.sum(xi * xi, axis=-1) + flux.eps_reg**2
-    pos = s > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(pos, s ** (0.5 * (flux.p - 2.0)), 1.0 if flux.p == 2.0 else 0.0)
-        if not slope:
-            return g
-        if flux.p < 2.0 and not np.all(pos):
-            raise JacobianSingularError(
-                f"gradient Jacobian singular at xi=0 for p={flux.p} without regularisation"
-            )
-        return g, np.where(pos, (flux.p - 2.0) * s ** (0.5 * (flux.p - 4.0)), 0.0)
+        env.update(y=x[:, 1], xi2=xi[:, 1])
+    out = np.zeros((len(trees), len(z)))  # one row per tree, returned as columns
+    rows = slice(None)
+    if flux.law.radius is not None and not np.all(s := eval_expr(flux.law.radius, env)):
+        if slope and flux.p < 2.0:
+            raise JacobianSingularError(f"gradient Jacobian singular at xi=0 for p={flux.p} without regularisation")
+        rows = s != 0.0
+        env = {k: v[rows] if np.ndim(v) else v for k, v in env.items()}
+    for k, tree in enumerate(trees):
+        out[k, rows] = eval_expr(tree, env)
+    return out.T
 
 
 def evaluate_many(flux, t, x, z, xi):
-    """Vectorised flux evaluation.
-
-    ``x``, ``xi``: (n, dim); ``z``: (n,); ``t``: scalar or (n,).
-    Returns (n, dim).  The gradient slot is total for every p > 1: at
-    s = 0 the continuous extension A = 0 is used.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if flux.kind == "custom":
-        out = [
-            np.asarray(eval_expr(comp, _custom_env(flux, t, x, z, xi)), dtype=float)
-            for comp in flux.components
-        ]
-        return np.stack(np.broadcast_arrays(*out, z * 0.0)[: flux.dim], axis=-1)
-    if flux.kind == "linear_diffusion":
-        return xi.copy()
-    return (_modulation(flux, z) * _radial(flux, xi))[..., None] * xi
-
-
-def _central(flux, t, x, z, xi, slot):
-    """dA/d(slot) at many points, (n, dim), by central differences with the
-    per-point step FD_STEP * (1 + |slot|); slot 0 is z, slot 1 + a is xi_a."""
-    w = np.column_stack([z, xi])
-    step = FD_STEP * (1.0 + np.abs(w[:, slot]))
-    hi, lo = w.copy(), w.copy()
-    hi[:, slot] += step
-    lo[:, slot] -= step
-    fhi, flo = (evaluate_many(flux, t, x, v[:, 0], v[:, 1:]) for v in (hi, lo))
-    return (fhi - flo) / (2.0 * step)[:, None]
+    """A(t, x, z, xi) at many points, (n, dim) (arguments as in :func:`_at_points`)."""
+    return _at_points(flux, flux.law.components, t, x, z, xi)
 
 
 def _diag_jacobian_many(flux, t, x, z, xi, axis):
     """d(A_axis)/d(xi_axis) at many points (used for the Newton stencil)."""
-    if flux.kind == "custom":
-        return _central(flux, t, x, z, xi, 1 + axis)[:, axis]
-    if flux.p == 2.0:  # m exactly: 2g' = 0, and forming s could overflow
-        return _modulation(flux, z)
-    g, gp2 = _radial(flux, xi, slope=True)
-    return _modulation(flux, z) * (g + gp2 * xi[:, axis] ** 2)
+    return _at_points(flux, flux.law.dxi[axis][axis:axis + 1], t, x, z, xi, slope=True)[:, 0]
 
 
 def _offdiag_jacobian_many(flux, t, x, z, xi, axis, other):
-    """d(A_axis)/d(xi_other), other != axis, at many points; exactly 0 for p = 2 builtins."""
-    if flux.kind == "custom":
-        return _central(flux, t, x, z, xi, 1 + other)[:, axis]
-    if not flux.couples_gradient_slots:
-        return np.zeros(len(xi))
-    return _modulation(flux, z) * (_radial(flux, xi, slope=True)[1] * (xi[:, axis] * xi[:, other]))
+    """d(A_axis)/d(xi_other), other != axis, at many points."""
+    return _at_points(flux, flux.law.dxi[axis][other:other + 1], t, x, z, xi, slope=True)[:, 0]
 
 
 def _dz_many(flux, t, x, z, xi, axis):
     """d(A_axis)/dz at many points (z enters the stencil via face means)."""
-    if flux.kind == "custom":
-        return _central(flux, t, x, z, xi, 0)[:, axis]
-    if flux.kind != "z_modulated":
-        return np.zeros(len(xi))
-    return np.sin(z) * np.cos(z) * _radial(flux, xi) * xi[:, axis]
+    return _at_points(flux, flux.law.dz[axis:axis + 1], t, x, z, xi)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +226,8 @@ class StructureReport:
         return all(c.passed for c in self.conditions.values())
 
     def summary_lines(self):
-        lines = []
-        for name, cond in self.conditions.items():
-            status = "PASS" if cond.passed else "FAIL"
-            lines.append(f"{status} {name:16s} margin={cond.margin: .6e}")
-        return lines
+        return [f"{'PASS' if cond.passed else 'FAIL'} {name:16s} margin={cond.margin: .6e}"
+                for name, cond in self.conditions.items()]
 
 
 SAMPLE_BOX = {"t": (0.0, 1.0), "x": (-1.0, 1.0), "z": (-2.0, 2.0), "xi": (-2.0, 2.0)}
@@ -297,30 +273,18 @@ def check_structure(flux, samples=10000, seed=0):
         margin, worst = _worst(margins, args)
         conditions[name] = ConditionResult(margin=margin, passed=margin >= -STRUCTURE_TOLERANCE, worst=worst)
 
-    record(
-        "growth",
-        flux.growth_c * nrm1 ** (flux.p - 1.0) + flux.lower_b - mag1,
-        t=t1, x=x1, z=z1, xi=xi1,
-    )
-    record(
-        "coercivity",
-        pairing - flux.coercivity_alpha * nrm1**flux.p + flux.lower_d,
-        t=t1, x=x1, z=z1, xi=xi1,
-    )
+    record("growth", flux.growth_c * nrm1 ** (flux.p - 1.0) + flux.lower_b - mag1,
+           t=t1, x=x1, z=z1, xi=xi1)
+    record("coercivity", pairing - flux.coercivity_alpha * nrm1**flux.p + flux.lower_d,
+           t=t1, x=x1, z=z1, xi=xi1)
     a_other = evaluate_many(flux, t1, x1, z1, xi2)
-    record(
-        "monotonicity",
-        np.sum((a1 - a_other) * (xi1 - xi2), axis=-1),
-        t=t1, x=x1, z=z1, xi=xi1, eta=xi2,
-    )
+    record("monotonicity", np.sum((a1 - a_other) * (xi1 - xi2), axis=-1),
+           t=t1, x=x1, z=z1, xi=xi1, eta=xi2)
     a_moved = evaluate_many(flux, t2, x2, z2, xi1)
     r = np.abs(t1 - t2) + np.linalg.norm(x1 - x2, axis=-1)
     allowance = (flux.modulus(r) + flux.z_lipschitz * np.abs(z1 - z2)) * nrm1 ** (flux.p - 1.0)
-    record(
-        "continuity",
-        allowance - np.linalg.norm(a1 - a_moved, axis=-1),
-        t=t1, s=t2, x=x1, y_pt=x2, z=z1, w=z2, xi=xi1,
-    )
+    record("continuity", allowance - np.linalg.norm(a1 - a_moved, axis=-1),
+           t=t1, s=t2, x=x1, y_pt=x2, z=z1, w=z2, xi=xi1)
     a_zero = evaluate_many(flux, t1, x1, z1, np.zeros((n, d)))
     record("zero_at_zero", -np.linalg.norm(a_zero, axis=-1), t=t1, x=x1, z=z1)
     record("nonneg_pairing", pairing, t=t1, x=x1, z=z1, xi=xi1)

@@ -194,8 +194,8 @@ def parse_scenario_text(text):
         g.reject_leftovers("only valid when dim = 2")
 
     grid = None
+    spans = ((xmin, xmax),) + (((ymin, ymax),) if dim == 2 else ())
     if not issues:
-        spans = [(xmin, xmax)] + ([(ymin, ymax)] if dim == 2 else [])
         counts, origin = [], []
         for lo, hi in spans:
             if hi <= lo:
@@ -240,9 +240,12 @@ def parse_scenario_text(text):
                 segments.append((float(when), compile_phi(*exprs)))
             except (ValueError, SlabflowError) as exc:
                 issues.append(f"[domain] bad jump entry {piece!r}: {exc}")
-        if segments and grid is not None and horizon is not None:
+        # the grid's box or, where only the grid failed, the file's ordered axis ranges
+        ranges = all(None not in span and span[0] < span[1] for span in spans)
+        box = grid.box if grid is not None else spans if ranges else None
+        if segments and box is not None and horizon is not None:
             domain = _build(issues, "domain", lambda: TimeDomain(
-                horizon, grid.box[:dom_dim], dom_dim, tuple(segments)))
+                horizon, box[:dom_dim], dom_dim, tuple(segments)))
     elif dom_type is not None:
         issues.append(f"[domain] unknown domain type {dom_type!r}, "
                       f"expected one of {', '.join(forms)}")
@@ -406,14 +409,10 @@ def format_scenario(scenario):
     lines += ["", "[flux]", f"type = {flux.kind}", f"p = {_fmt(flux.p)}"]
     lines.append(f"eps_reg = {_fmt(flux.eps_reg)}")
     if flux.kind == "custom":
-        lines.append(f'a1 = "{to_source(flux.components[0])}"')
-        if flux.dim == 2:
-            lines.append(f'a2 = "{to_source(flux.components[1])}"')
-        lines.append(f"c = {_fmt(flux.growth_c)}")
-        lines.append(f"alpha = {_fmt(flux.coercivity_alpha)}")
-        lines.append(f"b = {_fmt(flux.lower_b)}")
-        lines.append(f"d = {_fmt(flux.lower_d)}")
-        lines.append(f"C_z = {_fmt(flux.z_lipschitz)}")
+        lines += [f'a{a} = "{to_source(comp)}"' for a, comp in enumerate(flux.components, 1)]
+        lines += [f"{key} = {_fmt(getattr(flux, name))}" for key, name in (
+            ("c", "growth_c"), ("alpha", "coercivity_alpha"), ("b", "lower_b"), ("d", "lower_d"),
+            ("C_z", "z_lipschitz"))]
         if flux.time_modulus is not None:
             lines.append(f'omega = "{to_source(flux.time_modulus)}"')
 

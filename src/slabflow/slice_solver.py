@@ -17,28 +17,29 @@ whose (face, node, weight) triplets are also Newton's transverse entries.
 
 The step has one residual, r(u) above, and one flux pass computes it
 (:meth:`_Stencil.divergence`); psi and the source are bound in space once per
-slice (:func:`expressions.bind`), so a substep walks only what reads t.  Both
-iterations solve (I/tau - J) delta = -r and differ only in the per-face
-derivatives that :meth:`_Stencil.jacobian` reads from the residual's face
-fields: one face pass per iterate.  Damped Newton (residual-norm backtracking,
-shrink 0.5 down to steps of 2^-20) differentiates the flux in every slot, so
-its J is exact in every dimension; if it stalls, Picard, Newton with the
-secant matrix of :func:`_picard_faces` for J (Kelley 2003, ch. 1-2), takes
+slice (:func:`expressions.bind`), so a substep walks only what reads t.  A
+flux that does not evaluate (:class:`NumericEvalError`, as on an overflow)
+gives a non-finite residual: never converged, and never accepted as a trial.
+Both iterations solve (I/tau - J) delta = -r with J read from the residual's
+face fields.  Damped Newton (residual-norm backtracking, shrink 0.5 down to
+steps of 2^-20) reads the flux law's derivative trees in every slot, so its J
+is exact for every flux in every dimension; if it stalls, Picard, Newton with
+the secant matrix of :func:`_picard_faces` for J (Kelley 2003, ch. 1-2), takes
 full steps.  Exhausting both raises :class:`SolverStallError` with the
 residual history and where it stalled.
 
 The domain is frozen on a slice, so all its systems share one sparsity
 pattern: a CSC matrix holding the diagonal, each face's couplings between
-active endpoints and, in 2D, those through its transverse slots (a 9-point
-stencil), and two scatter maps, ``div_rows`` (each face end's div-A row)
-and the slots (each Jacobian value's matrix entry; Picard fills a prefix).
-They are built at a stencil's first :meth:`_Stencil.jacobian` call, so a
-residual-only stencil never pays for them.  An iteration only fills
-values, one flat gather per axis and one ``np.bincount`` per map; it sums
+active endpoints and, where some dA_a/dxi_b (a != b) of the law is not the
+number 0, those through the transverse slots (a 9-point stencil in 2D), and
+two scatter maps, ``div_rows`` (each face end's div-A row) and the slots
+(each Jacobian value's matrix entry; Picard fills a prefix), built at a
+stencil's first :meth:`_Stencil.jacobian` call.  An iteration only fills
+values, one flat gather per axis and one ``np.bincount`` per map, summing
 each target's terms in face-loop order from 0.0, bitwise as a loop would.
-A flux law with a constant J (:attr:`FluxModel.constant_jacobian`) has Newton's
--J assembled once per slice (Kelley 2003, ch. 2).  Each iteration still factors
-with ``spsolve``: keeping factors waits for a benchmark that counts them.
+Where every derivative tree of the law is a number
+(:attr:`FluxModel.constant_jacobian`), Newton's -J is assembled once per
+slice (Kelley 2003, ch. 2); each iteration still factors with ``spsolve``.
 
 The stencil numbers its unknowns once, in nested-dissection order (George
 1973): split the active nodes along the axis of largest extent at the
@@ -60,7 +61,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import spsolve
 
-from .errors import NumericInputError, SlabflowError, SolverStallError
+from .errors import NumericEvalError, NumericInputError, SlabflowError, SolverStallError
 from .expressions import Expr, Num, bind, evaluate as eval_expr
 from .flux import _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
 from .geometry import along
@@ -372,10 +373,14 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
     f_act = source(t_to)
 
     def residual(v):
-        """The step residual at the active nodes, its max norm and the face fields it read."""
+        """The step residual at the active nodes, its max norm and the face fields it read;
+        a flux that does not evaluate (:class:`NumericEvalError`) gives a non-finite one."""
         fields = stencil.face_fields(v)
         vact = v.ravel()[stencil.active_flat]
-        r = (vact - u_in_act) / tau - stencil.divergence(t_freeze, fields) - f_act
+        try:
+            r = (vact - u_in_act) / tau - stencil.divergence(t_freeze, fields) - f_act
+        except NumericEvalError:
+            r = np.full(stencil.n_active, math.inf)
         return r, float(np.abs(r).max(initial=0.0)), fields
 
     def with_update(v, delta, lam):

@@ -170,7 +170,7 @@ def test_criterion_04_l1_contraction(acceptance, bundle):
 def test_criterion_05_energy_inequality(acceptance, zero_source_bundle):
     worst = np.inf
     for name, (scenario, field, _) in sorted(zero_source_bundle.items()):
-        assert scenario.flux.is_builtin
+        assert scenario.flux.kind != "custom"
         report = energy_report(scenario, field_=field)
         assert report.passed, f"{name}: {report.line()}"
         worst = min(worst, report.margin)

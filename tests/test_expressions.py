@@ -6,7 +6,7 @@ Python's own operators and ``math`` functions and then frozen.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from slabflow import (
     Binary,
@@ -20,7 +20,7 @@ from slabflow import (
     parse_expr,
     to_source,
 )
-from slabflow.expressions import _tokenize, bind, free_variables
+from slabflow.expressions import FUNCTIONS, _tokenize, bind, derivative, free_variables
 
 REFERENCE = [
     ("2^3^2", {}, 512.0),
@@ -422,3 +422,133 @@ def test_bind_then_evaluate_matches_one_walk(raw, env):
     got = evaluate(bound, env)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+# --- derivative trees -------------------------------------------------------------
+
+DIFF_VARIABLES = ("t", "x", "z", "xi1")
+
+
+@pytest.mark.parametrize(
+    "text,name,printed",
+    [
+        ("x^3", "x", "3*x^2"),
+        ("x^2", "x", "2*x"),
+        ("2*x + 5", "x", "2"),
+        ("t*x - x", "x", "t-1"),
+        ("sin(t)*x", "t", "cos(t)*x"),
+        ("x/t", "x", "1/t"),
+        ("2^x", "x", "2^x*0.6931471805599453"),
+        ("exp(2*pi)*x", "x", "exp(2*pi)"),
+        ("-x", "x", "-1"),
+        ("sign(x)*t", "x", "0"),
+        ("x", "t", "0"),
+    ],
+)
+def test_derivative_drops_zero_and_one_terms_and_folds_constants(text, name, printed):
+    assert to_source(derivative(parse_expr(text, DIFF_VARIABLES), name)) == printed
+
+
+FUNCTION_RULES = [
+    ("sin(x)", 0.5, np.cos(0.5)),
+    ("cos(x)", 0.5, -np.sin(0.5)),
+    ("exp(x)", 0.5, np.exp(0.5)),
+    ("log(x)", 0.5, 2.0),
+    ("abs(x)", -0.5, -1.0),
+    ("sqrt(x)", 0.25, 1.0),
+    ("sign(x)", 0.5, 0.0),
+    ("min(x, 2*x)", 0.5, 1.0),
+    ("min(x, 2*x)", -0.5, 2.0),
+    ("max(x, 2*x)", 0.5, 2.0),
+    ("max(3, x)", 4.0, 1.0),
+    ("max(x, 1 - x)", 0.5, 0.0),  # a tie: the mean of both derivatives
+    ("x^x", 2.0, 4.0 * (1.0 + np.log(2.0))),
+    ("1/x", 2.0, -0.25),
+]
+
+
+def test_every_function_has_a_rule_case():
+    assert {text.split("(")[0] for text, _, _ in FUNCTION_RULES} >= set(FUNCTIONS)
+
+
+@pytest.mark.parametrize("text,x,want", FUNCTION_RULES)
+def test_each_function_has_its_rule(text, x, want):
+    got = evaluate(derivative(parse_expr(text, DIFF_VARIABLES), "x"), {"x": x})
+    assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_a_factor_whose_derivative_is_zero_is_never_evaluated():
+    """log(x) does not evaluate at x = -2, but d(x^t)/dx has no log term: t reads no x."""
+    tree = derivative(parse_expr("x^t", DIFF_VARIABLES), "x")
+    assert "log" not in to_source(tree)
+    assert evaluate(tree, {"x": -2.0, "t": 3.0}) == 12.0
+
+
+def _kinks(node):
+    """The subtrees whose sign change is a kink or a tie: abs and sign
+    arguments, and a - b for min(a, b) and max(a, b)."""
+    if isinstance(node, Call):
+        inner = [k for a in node.args for k in _kinks(a)]
+        if node.func in ("abs", "sign"):
+            return inner + [node.args[0]]
+        if node.func in ("min", "max"):
+            return inner + [Binary("-", *node.args)]
+        return inner
+    if isinstance(node, Binary):
+        return _kinks(node.left) + _kinks(node.right)
+    if isinstance(node, Unary):
+        return _kinks(node.operand)
+    return []
+
+
+_diff_leaves = st.one_of(  # two in three leaves a variable
+    st.sampled_from(DIFF_VARIABLES).map(Name),
+    st.sampled_from(DIFF_VARIABLES).map(Name),
+    st.one_of(st.floats(min_value=0.1, max_value=3.0).map(Num), st.just(Name("pi"))),
+)
+
+
+ROOTS = ("-",) + tuple("+-*/^") + tuple(sorted(FUNCTIONS))  # unary minus, operators, functions
+
+
+def _root(key, a, b):
+    """The node ``ROOTS[key]`` over the operands a (and b)."""
+    op = ROOTS[key]
+    if key == 0:
+        return Unary("-", a)
+    if op in "+-*/^":
+        return Binary(op, a, b)
+    return Call(op, (a, b)[: FUNCTIONS[op].nin])
+
+
+def _diff_interior(children):
+    return st.builds(_root, st.integers(0, len(ROOTS) - 1), children, children)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(key=st.integers(0, len(ROOTS) - 1),
+       operands=st.lists(st.recursive(_diff_leaves, _diff_interior, max_leaves=4), min_size=2, max_size=2),
+       point=st.tuples(*[st.floats(min_value=-1.0, max_value=2.0)] * 4),
+       name=st.sampled_from(DIFF_VARIABLES))
+def test_derivative_matches_central_differences_away_from_kinks_and_ties(key, operands, point, name):
+    """Random trees over t, x, z, xi1 with every operator and every
+    ``FUNCTIONS`` entry (each example has one of them at its root), against
+    central differences with the steps h and h/2 that agree with each other
+    (no singularity between them), at a point where no abs/sign argument
+    and no min/max difference changes sign within the steps."""
+    tree = parse_expr(to_source(_root(key, *operands)), DIFF_VARIABLES)
+    env = dict(zip(DIFF_VARIABLES, point))
+    h = 1e-4 * (1.0 + abs(env[name]))
+    shifted = [{**env, name: env[name] + k * h} for k in (-1.0, -0.5, 0.5, 1.0)]
+    try:
+        exact = evaluate(derivative(tree, name), env)
+        lo, half_lo, half_hi, hi = (evaluate(tree, e) for e in shifted)
+        kinks = [[evaluate(k, e) for e in [env] + shifted] for k in _kinks(tree)]
+    except NumericEvalError:
+        assume(False)
+    assume(all(min(v) > 0 or max(v) < 0 for v in kinks))
+    coarse, fine = (hi - lo) / (2 * h), (half_hi - half_lo) / h
+    scale = 1.0 + abs(fine) + max(abs(lo), abs(hi)) * 1e-4
+    assume(abs(coarse - fine) <= 1e-4 * scale)  # smooth enough for the difference quotients
+    assert abs(exact - fine) <= 1e-4 * scale

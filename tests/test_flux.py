@@ -159,10 +159,30 @@ def test_jacobian_at_zero_gradient():
 
 
 def test_custom_jacobian_uses_finite_differences():
+    """A custom flux's Jacobian is its exact derivative tree, not a difference quotient."""
     comp = parse_expr("xi1^3", FLUX_VARS)
     flux = FluxModel.custom([comp], p=4.0, dim=1, growth_c=1.0, coercivity_alpha=1.0)
+    assert str(flux.law.dxi[0][0]) == "3*xi1^2"
     J = jacobian_at(flux, (2.0,))
-    assert J[0, 0] == pytest.approx(12.0, rel=1e-6)
+    assert J[0, 0] == 12.0
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_an_unregularised_builtin_takes_its_limits_where_the_gradient_vanishes(p):
+    """At eps_reg = 0, s = |xi|^2 is 0 at xi = 0 (and where |xi|^2 underflows):
+    A and dA/dz are 0 there, dA/dxi is 0 for p > 2 and singular for p < 2;
+    the other points keep their values."""
+    flux = FluxModel.z_modulated(p, dim=2, eps_reg=0.0)
+    xi = np.array([[0.0, 0.0], [1e-170, 0.0], [0.6, -0.8]])
+    x, z = np.zeros((3, 2)), np.array([0.3, 0.3, 0.3])
+    m = 1.0 + 0.5 * np.sin(0.3) ** 2
+    assert np.array_equal(evaluate_many(flux, 0.0, x, z, xi), [[0.0, 0.0], [0.0, 0.0], [0.6 * m, -0.8 * m]])
+    assert _dz_many(flux, 0.0, x, z, xi, 0)[:2].tolist() == [0.0, 0.0]
+    if p < 2:
+        with pytest.raises(JacobianSingularError):
+            _diag_jacobian_many(flux, 0.0, x, z, xi, 0)
+    else:
+        assert _offdiag_jacobian_many(flux, 0.0, x, z, xi, 0, 1)[:2].tolist() == [0.0, 0.0]
 
 
 def custom_z_flux(dim):
@@ -197,8 +217,8 @@ def test_solver_kernels_match_the_pointwise_jacobian(make_flux, dim):
     eps = 1e-6
     fhi, flo = (evaluate_many(flux, 0.3, x, z + dz, xi) for dz in (eps, -eps))
     dz_ref = (fhi - flo) / (2 * eps)
-    # atol: a custom kernel differences with the step FD_STEP near xi = 0, where
-    # this custom flux varies on the scale 1e-4 (error up to 7.4e-9 on 1.5e-4)
+    # atol: the reference differences with a step of 1e-4 |xi| near xi = 0, where
+    # the custom flux varies on the scale 1e-4
     assert np.allclose(kernel_jacobian(flux, 0.3, x, z, xi), central_jacobian(flux, 0.3, x, z, xi),
                        rtol=1e-6, atol=1e-8)
     for a in range(dim):
@@ -233,13 +253,17 @@ def test_p2_jacobian_is_exactly_the_modulation(flux, z, xi):
         (lambda dim: FluxModel.p_laplacian(3.0, dim=dim), False),
         (lambda dim: FluxModel.z_modulated(2.0, dim=dim), False),
         (lambda dim: FluxModel.custom([parse_expr(f"xi{a + 1}", FLUX_VARS) for a in range(dim)],
-                                      p=2.0, dim=dim), False),
+                                      p=2.0, dim=dim), True),
+        (lambda dim: FluxModel.custom([parse_expr(f"(1 + t)*xi{a + 1}", FLUX_VARS) for a in range(dim)],
+                                      p=2.0, dim=dim, growth_c=2.0), False),
     ],
-    ids=["linear_diffusion", "p_laplacian_p2", "p_laplacian_p3", "z_modulated_p2", "custom_linear"],
+    ids=["linear_diffusion", "p_laplacian_p2", "p_laplacian_p3", "z_modulated_p2", "custom_linear",
+         "custom_reads_t"],
 )
-def test_only_a_p2_builtin_without_z_modulation_has_a_constant_jacobian(make_flux, constant, dim):
-    """The property is read off the flux law; where it holds, the solver's
-    kernels give dA/dxi = I and dA/dz = 0 exactly at every point."""
+def test_numeric_derivative_trees_give_a_constant_jacobian(make_flux, constant, dim):
+    """The property is read off the flux law, builtin or custom: every dA/dxi
+    and dA/dz tree is a number.  Where it holds, the solver's kernels give
+    dA/dxi = I and dA/dz = 0 exactly at every point."""
     flux = make_flux(dim)
     assert flux.constant_jacobian is constant
     if constant:

@@ -211,6 +211,23 @@ def test_jump_time_outside_horizon_rejected():
     assert any("jump" in issue for issue in err.value.issues)
 
 
+@pytest.mark.parametrize(
+    "domain",
+    ['type = moving_intervals\nleft = "0"\nright = "1"\njumps = "0.5: 0, 1"',
+     'type = implicit\nphi = "x*(x - 1)"\njumps = "0.5: x*(x - 1)"'],
+    ids=["moving_intervals", "implicit"],
+)
+def test_a_broken_grid_spacing_does_not_hide_the_domain_issues(domain):
+    """The domain is built on the file's axis ranges when only the spacing
+    fails, so one ScenarioError lists the grid and the jump-time issues."""
+    text = MINIMAL.replace("h = 0.03125", "h = 0.03").replace(
+        'type = moving_intervals\nleft = "0"\nright = "1"', domain)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.issues == ["[grid] h=0.03 must evenly divide [-0.125, 1.125]",
+                                "[domain] jump times must increase strictly inside (0, T): [0.5]"]
+
+
 def _heat(**change):
     return lambda: dataclasses.replace(parse_scenario_text(MINIMAL), **change)
 

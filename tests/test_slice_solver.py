@@ -34,7 +34,7 @@ from slabflow import (
     solve_slice,
 )
 from slabflow import slice_solver
-from slabflow.diagnostics import _gradient, _time_derivative
+from slabflow.expressions import derivative
 from slabflow.flux import evaluate_many
 from slabflow.slice_solver import (
     DISSECTION_LEAF,
@@ -244,13 +244,18 @@ def test_exact_newton_converges_fast_on_a_2d_p3_disk():
         (FluxModel.p_laplacian(2.0, dim=2), 5),
         (FluxModel.z_modulated(2.0, dim=2), 5),
         (FluxModel.p_laplacian(3.0, dim=2), 9),
-        (FluxModel.custom([parse_expr(k, FLUX_VARS) for k in ("xi1", "xi2")], p=2.0, dim=2), 9),
+        (FluxModel.custom([parse_expr(k, FLUX_VARS) for k in ("xi1", "xi2")], p=2.0, dim=2), 5),
+        (FluxModel.custom([parse_expr(k, FLUX_VARS) for k in ("xi1 + 0.5*xi2", "xi2 - 0.5*xi1")],
+                          p=2.0, dim=2), 9),
     ],
-    ids=["linear_diffusion", "p_laplacian_p2", "z_modulated_p2", "p_laplacian_p3", "custom_p2"],
+    ids=["linear_diffusion", "p_laplacian_p2", "z_modulated_p2", "p_laplacian_p3", "custom_p2",
+         "custom_skew_p2"],
 )
-def test_only_a_flux_coupling_its_gradient_slots_gets_the_9_point_pattern(flux, points):
-    """For a p = 2 builtin dA_a/dxi_b = 0 (a != b), so the Newton matrix keeps
-    the 5-point pattern and its cheaper factor; other fluxes get 9 points."""
+def test_a_nonzero_off_diagonal_derivative_gives_9_points(flux, points):
+    """The pattern is read off the law: where every dA_a/dxi_b (a != b) is the
+    number 0, as for A = m(z) xi, the Newton matrix keeps the 5-point pattern
+    and its cheaper factor; a flux with another off-diagonal tree, even a
+    constant one, gets 9 points."""
     g, mask = disk_mask()
     assert np.diff(_Stencil(mask, flux).matrix.tocsr().indptr).max() == points
 
@@ -779,19 +784,25 @@ def test_a_run_that_stalls_says_where(bundle):
     assert exc.residual_history == exc.newton_history + exc.picard_history
 
 
+STALLS = [("1e160", "after 0 Newton + 0 fallback iterations"),
+          ("1e100", "after 1 Newton + 3 fallback iterations (Newton line search stalled)")]
+
+
 @pytest.mark.parametrize(
-    "amplitude,counts",
-    [("1e160", "after 0 Newton + 0 fallback iterations"),
-     ("1e100", "after 1 Newton + 3 fallback iterations (Newton line search stalled)")],
+    "amplitude,counts,flux",
+    [pytest.param(a, c, FluxModel.p_laplacian(4.0, dim=1), id=f"{a}-{c}") for a, c in STALLS]
+    + [pytest.param(a, c, FluxModel.custom([parse_expr("(xi1^2 + 1e-16)^1*xi1", FLUX_VARS)], p=4.0),
+                    id=f"custom-{a}") for a, c in STALLS],
 )
-def test_non_finite_residual_is_a_stall(bundle, amplitude, counts):
-    """A NaN residual is never converged and a trial step whose residual
-    norm overflows is never accepted, so both runs raise instead of
-    returning junk frames (1e160: NaN at the start; 1e100: a finite
-    residual with an infinite 2-norm)."""
+def test_non_finite_residual_is_a_stall(bundle, amplitude, counts, flux):
+    """A non-finite residual is never converged and a trial step whose
+    residual norm overflows is never accepted, so both runs raise instead of
+    returning junk frames (1e160: |xi|^2 overflows at the start; 1e100: a
+    finite residual with an infinite 2-norm).  The flux's evaluator raises
+    on the overflow, and the residual reads that as non-finite: a custom
+    flux stalls as the builtin does."""
     scenario = dataclasses.replace(
-        bundle["plap3_fixed"][0], flux=FluxModel.p_laplacian(4.0, dim=1),
-        u0=parse_expr(f"{amplitude}*sin(pi*x)", ("x",)),
+        bundle["plap3_fixed"][0], flux=flux, u0=parse_expr(f"{amplitude}*sin(pi*x)", ("x",)),
     )
     with pytest.raises(SolverStallError) as err:
         run_scheme(scenario)
@@ -844,19 +855,18 @@ def test_substeps_are_checked_at_construction(span, substeps, message):
 
 
 def test_boundary_time_derivative_fallback_matches_analytic():
+    """psi_t of the energy report is psi's exact derivative tree."""
     psi = parse_expr("exp(-t)*x", TX)
     pts = np.array([[0.5], [1.0]])
-    got = _time_derivative(psi, 0.3, pts)
+    got = eval_on_points(derivative(psi, "t"), 0.3, pts)
     want = -np.exp(-0.3) * pts.ravel()
-    assert np.allclose(got, want, atol=1e-8)
+    assert np.allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_boundary_gradient_fallback():
     psi = parse_expr("x^2", TX)
     pts = np.array([[0.5], [1.5]])
-    grad = _gradient(psi, 0.0, pts)
-    assert grad.shape == (2, 1)
-    assert np.allclose(grad.ravel(), [1.0, 3.0], atol=1e-6)
+    assert eval_on_points(derivative(psi, "x"), 0.0, pts).tolist() == [1.0, 3.0]
 
 
 def test_eval_on_points_broadcasts_constants():
