@@ -177,16 +177,34 @@ def energy_report(scenario, field_=None):
             gpsi_term += tau * vol * float(np.sum(np.linalg.norm(np.column_stack(gp), axis=1) ** p))
         volume_k = (float(ts[-1]) - float(ts[0])) * vol * mask.active_count
         lhs_k = end + 0.5 * alpha * grad_term
-        rhs_k = (start + 2.0 * cbar * psit_term + kpsi * gpsi_term
-                 + (1.0 / pprime) * b**pprime * volume_k + d * volume_k)
+        rhs_k = (
+            start
+            + 2.0 * cbar * psit_term
+            + kpsi * gpsi_term
+            + (1.0 / pprime) * b**pprime * volume_k
+            + d * volume_k
+        )
         grad_total += grad_term
-        per_slice.append({"slice": k, "lhs": lhs_k, "rhs": rhs_k, "margin": rhs_k - lhs_k,
-                          "start_l2": start, "end_l2": end})
+        per_slice.append(
+            {
+                "slice": k,
+                "lhs": lhs_k,
+                "rhs": rhs_k,
+                "margin": rhs_k - lhs_k,
+                "start_l2": start,
+                "end_l2": end,
+            }
+        )
 
-    drops = [per_slice[k - 1]["end_l2"] - per_slice[k]["start_l2"] for k in range(1, plan.n_slices)]
+    drops = []
+    for k in range(1, plan.n_slices):
+        drops.append(per_slice[k - 1]["end_l2"] - per_slice[k]["start_l2"])
+
     worst = min(per_slice, key=lambda s: s["margin"])
     global_lhs = per_slice[-1]["end_l2"] + 0.5 * alpha * grad_total
-    global_rhs = per_slice[0]["start_l2"] + sum(s["rhs"] - s["start_l2"] for s in per_slice)
+    global_rhs = per_slice[0]["start_l2"] + sum(
+        s["rhs"] - s["start_l2"] for s in per_slice
+    )
     return EstimateReport(
         name="energy",
         lhs=worst["lhs"],
@@ -279,12 +297,22 @@ def refinement_study(scenario, levels=3):
     runs = []
     infos = []
     for i in range(levels):
-        sc = replace(scenario, n_slices=scenario.n_slices * 2**i, substeps=scenario.substeps * 2**i)
+        sc = replace(
+            scenario,
+            n_slices=scenario.n_slices * 2**i,
+            substeps=scenario.substeps * 2**i,
+        )
         plan = build_slice_plan(sc.domain, sc.grid, sc.n_slices)
         field_, _ = run_scheme(sc, plan=plan)
         res = max(plan.delta / 8.0, min(scenario.grid.spacing) / 2.0)
-        infos.append({"n_slices": sc.n_slices, "substeps": sc.substeps, "delta": plan.delta,
-                      "hausdorff": slab_hausdorff(sc.domain, plan, res)})
+        infos.append(
+            {
+                "n_slices": sc.n_slices,
+                "substeps": sc.substeps,
+                "delta": plan.delta,
+                "hausdorff": slab_hausdorff(sc.domain, plan, res),
+            }
+        )
         runs.append(field_)
     vol, horizon = scenario.grid.cell_volume, scenario.domain.horizon
     exts = [f.extended for f in runs]  # each level's extension, derived once

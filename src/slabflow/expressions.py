@@ -91,6 +91,13 @@ class Binary(Expr):
 
 
 @dataclass(frozen=True)
+class Chain(Binary):
+    """A chain-rule term of :func:`derivative`, the partial ``left`` times the
+    tangent ``right`` (op ``*``): 0 where the tangent is 0, the partial being
+    evaluated only where it is not."""
+
+
+@dataclass(frozen=True)
 class Call(Expr):
     func: str
     args: tuple
@@ -370,7 +377,10 @@ def _walk(node, env):
             return env[node.ident]
         except KeyError:
             raise _error(f"variable {node.ident!r} has no value", node) from None
-    if isinstance(node, Binary):
+    if isinstance(node, Chain):
+        tangent = _walk(node.right, env)
+        ufunc, args = np.multiply, (_partial(node.left, env, tangent), tangent)
+    elif isinstance(node, Binary):
         ufunc, args = _OPERATORS[node.op], (_walk(node.left, env), _walk(node.right, env))
     elif isinstance(node, Call):
         ufunc, args = FUNCTIONS[node.func], [_walk(a, env) for a in node.args]
@@ -382,6 +392,22 @@ def _walk(node, env):
         return ufunc(*args)
     except FloatingPointError:
         raise _error(_diagnosis(node, args), node) from None
+
+
+def _partial(node, env, tangent):
+    """A :class:`Chain`'s partial ``node``; if it does not evaluate everywhere,
+    0 where ``tangent`` is 0 and its value on the other points."""
+    try:
+        return _walk(node, env)
+    except NumericEvalError:
+        used = {k: env[k] for k in free_variables(node) & env.keys()}
+        shape = np.broadcast_shapes(np.shape(tangent), *map(np.shape, used.values()))
+        rows = np.broadcast_to(tangent != 0, shape)
+        if rows.all():
+            raise
+        out = np.zeros(shape)
+        out[rows] = _walk(node, {**env, **{k: np.broadcast_to(v, shape)[rows] for k, v in used.items()}})
+        return out
 
 
 def evaluate(node, env):
@@ -433,6 +459,12 @@ def _op(op, a, b=None):
     return node
 
 
+def _chain(partial, tangent):
+    """``partial * tangent`` as :func:`_op` builds it, a :class:`Chain` where it stays a product."""
+    node = _op("*", partial, tangent)
+    return node if isinstance(node, Num) or node is partial or node is tangent else Chain("*", partial, tangent)
+
+
 _CHAIN = {  # f -> f'(u) from u and f(u), for the one-argument entries of FUNCTIONS
     "sin": lambda u, f: _op("cos", u),
     "cos": lambda u, f: _op("*", _MINUS, _op("sin", u)),
@@ -454,7 +486,7 @@ def _d(node, name):
         first = _op("/", _op("+", _ONE, _op("sign", _op("-", *((a, b) if node.func == "max" else (b, a))))), _TWO)
         return _op("+", _op("*", _d(a, name), first), _op("*", _d(b, name), _op("-", _ONE, first)))
     if isinstance(node, Call):
-        return _op("*", _CHAIN[node.func](node.args[0], node), _d(node.args[0], name))
+        return _chain(_CHAIN[node.func](node.args[0], node), _d(node.args[0], name))
     a, b, da, db = node.left, node.right, _d(node.left, name), _d(node.right, name)
     if node.op in ("+", "-"):
         return _op(node.op, da, db)
@@ -463,8 +495,8 @@ def _d(node, name):
     if node.op == "/":
         return _op("/", _op("-", da, _op("*", _op("/", a, b), db)), b)
     # a^b: b a^(b-1) a' + a^b log(a) b', a term dropped where its factor a' or b' is 0
-    return _op("+", _op("*", _op("*", b, _op("^", a, _op("-", b, _ONE))), da),
-               _op("*", _op("*", node, _op("log", a)), db))
+    return _op("+", _chain(_op("*", b, _op("^", a, _op("-", b, _ONE))), da),
+               _chain(_op("*", node, _op("log", a)), db))
 
 
 def derivative(node, name):
@@ -473,5 +505,8 @@ def derivative(node, name):
     Derivatives*, 2008): ``abs`` has sign(u) u', ``sign`` 0, ``min``/``max`` the
     derivative of the argument taken (their mean at a tie).  A factor whose
     derivative is 0 is dropped unevaluated, and :func:`bind` folds what reads no
-    name: the derivative of a term linear in ``name`` is a number."""
+    name: the derivative of a term linear in ``name`` is a number.  A chain-rule
+    term f'(u) u' is a :class:`Chain`, 0 wherever u' is 0 even where f'(u) does not
+    evaluate: d((xi1^2)^0.5*xi1)/dxi1 is 0 at xi1 = 0, a kink's subgradient, as
+    ``abs`` has sign(0) = 0."""
     return bind(_d(node, name), {})

@@ -12,7 +12,9 @@ A ``custom`` flux gives its components; a builtin kind is a template in
     z_modulated       A = (1 + sin(z)^2 / 2) * s^((p-2)/2) * xi
 
 At eps_reg = 0 and p != 2 it takes its limits where s = 0: A = dA/dz = 0,
-dA/dxi = 0 for p > 2, :class:`JacobianSingularError` for p < 2.  Builtins
+dA/dxi = 0 for p > 2, :class:`JacobianSingularError` for p < 2.  A custom
+law's chain-rule terms are 0 where their tangent is (:func:`derivative`), so
+a kink at xi = 0 such as (xi1^2)^0.5*xi1 has dA/dxi = 0 there.  Builtins
 carry their structural constants (growth, coercivity, offsets, z-Lipschitz
 bound, time modulus); custom fluxes declare them and ``check_structure``
 samples whether the declared inequalities actually hold.
@@ -175,9 +177,12 @@ def _at_points(flux, trees, t, x, z, xi, slope=False):
     return out.T
 
 
-def evaluate_many(flux, t, x, z, xi):
-    """A(t, x, z, xi) at many points, (n, dim) (arguments as in :func:`_at_points`)."""
-    return _at_points(flux, flux.law.components, t, x, z, xi)
+def evaluate_many(flux, t, x, z, xi, axis=None):
+    """A(t, x, z, xi) at many points, (n, dim), or A_axis alone, (n,), given
+    ``axis`` (arguments as in :func:`_at_points`)."""
+    if axis is None:
+        return _at_points(flux, flux.law.components, t, x, z, xi)
+    return _at_points(flux, flux.law.components[axis:axis + 1], t, x, z, xi)[:, 0]
 
 
 def _diag_jacobian_many(flux, t, x, z, xi, axis):
@@ -226,8 +231,11 @@ class StructureReport:
         return all(c.passed for c in self.conditions.values())
 
     def summary_lines(self):
-        return [f"{'PASS' if cond.passed else 'FAIL'} {name:16s} margin={cond.margin: .6e}"
-                for name, cond in self.conditions.items()]
+        lines = []
+        for name, cond in self.conditions.items():
+            status = "PASS" if cond.passed else "FAIL"
+            lines.append(f"{status} {name:16s} margin={cond.margin: .6e}")
+        return lines
 
 
 SAMPLE_BOX = {"t": (0.0, 1.0), "x": (-1.0, 1.0), "z": (-2.0, 2.0), "xi": (-2.0, 2.0)}
@@ -273,18 +281,30 @@ def check_structure(flux, samples=10000, seed=0):
         margin, worst = _worst(margins, args)
         conditions[name] = ConditionResult(margin=margin, passed=margin >= -STRUCTURE_TOLERANCE, worst=worst)
 
-    record("growth", flux.growth_c * nrm1 ** (flux.p - 1.0) + flux.lower_b - mag1,
-           t=t1, x=x1, z=z1, xi=xi1)
-    record("coercivity", pairing - flux.coercivity_alpha * nrm1**flux.p + flux.lower_d,
-           t=t1, x=x1, z=z1, xi=xi1)
+    record(
+        "growth",
+        flux.growth_c * nrm1 ** (flux.p - 1.0) + flux.lower_b - mag1,
+        t=t1, x=x1, z=z1, xi=xi1,
+    )
+    record(
+        "coercivity",
+        pairing - flux.coercivity_alpha * nrm1**flux.p + flux.lower_d,
+        t=t1, x=x1, z=z1, xi=xi1,
+    )
     a_other = evaluate_many(flux, t1, x1, z1, xi2)
-    record("monotonicity", np.sum((a1 - a_other) * (xi1 - xi2), axis=-1),
-           t=t1, x=x1, z=z1, xi=xi1, eta=xi2)
+    record(
+        "monotonicity",
+        np.sum((a1 - a_other) * (xi1 - xi2), axis=-1),
+        t=t1, x=x1, z=z1, xi=xi1, eta=xi2,
+    )
     a_moved = evaluate_many(flux, t2, x2, z2, xi1)
     r = np.abs(t1 - t2) + np.linalg.norm(x1 - x2, axis=-1)
     allowance = (flux.modulus(r) + flux.z_lipschitz * np.abs(z1 - z2)) * nrm1 ** (flux.p - 1.0)
-    record("continuity", allowance - np.linalg.norm(a1 - a_moved, axis=-1),
-           t=t1, s=t2, x=x1, y_pt=x2, z=z1, w=z2, xi=xi1)
+    record(
+        "continuity",
+        allowance - np.linalg.norm(a1 - a_moved, axis=-1),
+        t=t1, s=t2, x=x1, y_pt=x2, z=z1, w=z2, xi=xi1,
+    )
     a_zero = evaluate_many(flux, t1, x1, z1, np.zeros((n, d)))
     record("zero_at_zero", -np.linalg.norm(a_zero, axis=-1), t=t1, x=x1, z=z1)
     record("nonneg_pairing", pairing, t=t1, x=x1, z=z1, xi=xi1)

@@ -409,10 +409,14 @@ def format_scenario(scenario):
     lines += ["", "[flux]", f"type = {flux.kind}", f"p = {_fmt(flux.p)}"]
     lines.append(f"eps_reg = {_fmt(flux.eps_reg)}")
     if flux.kind == "custom":
-        lines += [f'a{a} = "{to_source(comp)}"' for a, comp in enumerate(flux.components, 1)]
-        lines += [f"{key} = {_fmt(getattr(flux, name))}" for key, name in (
-            ("c", "growth_c"), ("alpha", "coercivity_alpha"), ("b", "lower_b"), ("d", "lower_d"),
-            ("C_z", "z_lipschitz"))]
+        lines.append(f'a1 = "{to_source(flux.components[0])}"')
+        if flux.dim == 2:
+            lines.append(f'a2 = "{to_source(flux.components[1])}"')
+        lines.append(f"c = {_fmt(flux.growth_c)}")
+        lines.append(f"alpha = {_fmt(flux.coercivity_alpha)}")
+        lines.append(f"b = {_fmt(flux.lower_b)}")
+        lines.append(f"d = {_fmt(flux.lower_d)}")
+        lines.append(f"C_z = {_fmt(flux.z_lipschitz)}")
         if flux.time_modulus is not None:
             lines.append(f'omega = "{to_source(flux.time_modulus)}"')
 

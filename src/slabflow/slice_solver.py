@@ -19,7 +19,8 @@ The step has one residual, r(u) above, and one flux pass computes it
 (:meth:`_Stencil.divergence`); psi and the source are bound in space once per
 slice (:func:`expressions.bind`), so a substep walks only what reads t.  A
 flux that does not evaluate (:class:`NumericEvalError`, as on an overflow)
-gives a non-finite residual: never converged, and never accepted as a trial.
+gives a non-finite residual: never converged, and never accepted as a trial;
+a matrix that does not evaluate ends its iteration, Newton's or Picard's.
 Both iterations solve (I/tau - J) delta = -r with J read from the residual's
 face fields.  Damped Newton (residual-norm backtracking, shrink 0.5 down to
 steps of 2^-20) reads the flux law's derivative trees in every slot, so its J
@@ -292,7 +293,7 @@ class _Stencil:
         ``face_fields(u)``: the residual's one flux pass."""
         parts = []
         for a, (ax, (xi, z)) in enumerate(zip(self.axes, fields)):
-            F = evaluate_many(self.flux, t_freeze, ax["mids"], z, xi)[:, a]
+            F = evaluate_many(self.flux, t_freeze, ax["mids"], z, xi, a)
             parts.append(np.concatenate((F, -F))[ax["div_take"]] / ax["h"])
         return np.bincount(self.div_rows, np.concatenate(parts), self.n_active)
 
@@ -343,14 +344,15 @@ def _newton_faces(flux, t, a, ax, xi, z):
 def _picard_faces(flux, t, a, ax, xi, z):
     """Picard: the secant matrix.  Each face flux is read as c_f times the
     normal difference, with the secant diffusivity c_f = A_a / xi_a
-    (dA_a/dxi_a where xi_a vanishes) clamped at 0 and frozen at the iterate;
-    J is the derivative of that in the endpoint values alone, so I/tau - J
-    is a (2d+1)-point M-matrix."""
+    (dA_a/dxi_a, read only there, where xi_a vanishes) clamped at 0 and frozen
+    at the iterate; J is the derivative of that in the endpoint values alone,
+    so I/tau - J is a (2d+1)-point M-matrix."""
     h, xi_n = ax["h"], xi[:, a]
-    F = evaluate_many(flux, t, ax["mids"], z, xi)[:, a]
-    dA = _diag_jacobian_many(flux, t, ax["mids"], z, xi, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(np.abs(xi_n) > 1e-30, F / xi_n, dA)
+    c = evaluate_many(flux, t, ax["mids"], z, xi, a)
+    flat = np.abs(xi_n) <= 1e-30
+    c[~flat] /= xi_n[~flat]
+    if flat.any():
+        c[flat] = _diag_jacobian_many(flux, t, ax["mids"][flat], z[flat], xi[flat], a)
     c = np.maximum(c, 0.0)
     return (-c / h, c / h), None
 
@@ -389,14 +391,19 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
         return out
 
     # A non-finite residual is never converged: it ends both iterations,
-    # and a trial step that reaches one is rejected.
+    # and a trial step that reaches one is rejected.  A matrix that does not
+    # evaluate ends its iteration.
     r, r_inf, fields = residual(u)
     newton_history, picard_history = [r_inf], []
     newton = picard = 0
-    stalled = False
+    why = ""
     while math.isfinite(r_inf) and newton < cfg.max_newton:
         constant = problem.flux.constant_jacobian
-        minus_j = stencil.constant_jacobian if constant else stencil.jacobian(t_freeze, fields, _newton_faces)
+        try:
+            minus_j = stencil.constant_jacobian if constant else stencil.jacobian(t_freeze, fields, _newton_faces)
+        except NumericEvalError as exc:
+            why = f" (Newton matrix: {exc})"
+            break
         delta = stencil.solve(minus_j, tau, -r)
         r_two = math.sqrt(r @ r)
         lam = 1.0
@@ -418,12 +425,17 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
             if r_inf <= cfg.newton_tol:
                 break
         else:
-            stalled = True
+            why = " (Newton line search stalled)"
             break
 
     if not r_inf <= cfg.newton_tol:
         while math.isfinite(r_inf) and picard < cfg.max_picard:
-            u = with_update(u, stencil.solve(stencil.jacobian(t_freeze, fields, _picard_faces), tau, -r), 1.0)
+            try:
+                minus_j = stencil.jacobian(t_freeze, fields, _picard_faces)
+            except NumericEvalError as exc:
+                why += f" (fallback matrix: {exc})"
+                break
+            u = with_update(u, stencil.solve(minus_j, tau, -r), 1.0)
             r, r_inf, fields = residual(u)
             picard += 1
             picard_history.append(r_inf)
@@ -433,7 +445,7 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
             raise SolverStallError(
                 f"no convergence on [{t_from}, {t_to}]: residual {r_inf:.3e} "
                 f"after {newton} Newton + {picard} fallback iterations"
-                + (" (Newton line search stalled)" if stalled else ""),
+                + why,
                 newton_history=newton_history, picard_history=picard_history,
                 step=step, t=t_to, n_active=stencil.n_active,
             )

@@ -250,14 +250,14 @@ def test_verify_runs_the_scheme_once_per_datum(
         (["check-flux", "heat", "--samples", "0"], 2, "must be at least 1, got 0"),
         (["check-flux", "heat", "--samples", "-5"], 2, "must be at least 1, got -5"),
         (["check-flux", "heat", "--seed", "-1"], 2, "must be at least 0, got -1"),
-        (["verify", "kinked_psi"], 2, "division by zero in subterm '1/(2*sqrt((x-0.5)^2))'"),
+        (["verify", "kinked_psi"], 2, "division by zero in subterm '1/(2*sqrt(max(x-0.5,0)))'"),
     ],
     ids=["geometry_2d", "refine_one_level", "zero_samples", "negative_samples", "negative_seed",
          "psi_derivative"],
 )
 def test_no_untyped_exception_leaves_the_cli(tmp_path, capsys, argv, code, printed):
     kinked = tmp_path / "kinked.cfg"
-    kinked.write_text(HEAT.format(out=tmp_path / "out").replace('psi = "0"', 'psi = "sqrt((x - 0.5)^2)"'))
+    kinked.write_text(HEAT.format(out=tmp_path / "out").replace('psi = "0"', 'psi = "sqrt(max(x - 0.5, 0))"'))
     paths = {"disk2d": bundled_scenario_paths()["disk2d"], "heat": write_heat(tmp_path),
              "kinked_psi": str(kinked)}
     try:

@@ -148,13 +148,14 @@ def test_energy_holds_across_jumps():
 
 
 def test_energy_report_names_a_psi_derivative_that_does_not_evaluate():
-    """psi = |x - 1/2| evaluates on every node, but its exact x-derivative
-    divides by zero at the active node x = 1/2: a typed error naming the subterm."""
+    """psi = sqrt(max(x - 1/2, 0)) evaluates on every node, but its exact
+    x-derivative has no value at the active node x = 1/2, where the slope is
+    infinite: a typed error naming the subterm."""
     with pytest.raises(InapplicableDiagnosticError) as err:
-        energy_report(make_scenario(psi="sqrt((x - 0.5)^2)"))
+        energy_report(make_scenario(psi="sqrt(max(x - 0.5, 0))"))
     assert str(err.value) == (
         "energy_report needs the derivatives of psi on the active nodes at t=0.0: "
-        "division by zero in subterm '1/(2*sqrt((x-0.5)^2))'")
+        "division by zero in subterm '1/(2*sqrt(max(x-0.5,0)))'")
 
 
 def test_energy_needs_zero_source():

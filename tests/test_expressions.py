@@ -484,6 +484,30 @@ def test_a_factor_whose_derivative_is_zero_is_never_evaluated():
     assert evaluate(tree, {"x": -2.0, "t": 3.0}) == 12.0
 
 
+@pytest.mark.parametrize(
+    "text,name,env,want",
+    [
+        ("(xi1^2)^0.5*xi1", "xi1", {"xi1": np.array([0.0, 1.0, -2.0])}, [0.0, 2.0, 4.0]),
+        ("sqrt(xi1^2 + x^2)*xi1", "x", {"xi1": np.array([0.0, 3.0]), "x": np.array([0.0, 4.0])}, [0.0, 2.4]),
+        ("abs(xi1)^0.5*sign(xi1)", "xi1", {"xi1": np.array([0.0, 4.0])}, [0.0, 0.25]),
+        ("sqrt(x*xi1)", "xi1", {"x": 0.0, "xi1": 0.0}, 0.0),
+        ("sqrt(x*xi1)", "xi1", {"x": np.array([0.0, 1.0]), "xi1": np.array([0.0, 4.0])}, [0.0, 0.25]),
+    ],
+)
+def test_a_chain_term_is_zero_where_its_tangent_is(text, name, env, want):
+    """f'(u) u' is 0 wherever u' is 0, though f'(u) does not evaluate there
+    (1/sqrt(0), 0^-0.5), and f'(u) u' elsewhere."""
+    got = evaluate(derivative(parse_expr(text, DIFF_VARIABLES), name), env)
+    assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_a_partial_that_does_not_evaluate_where_its_tangent_is_not_zero_raises():
+    tree = derivative(parse_expr("sqrt(x*xi1)", DIFF_VARIABLES), "xi1")
+    with pytest.raises(NumericEvalError, match="division by zero") as err:
+        evaluate(tree, {"x": np.array([0.0, 1.0]), "xi1": np.array([0.0, 0.0])})
+    assert err.value.subterm == "1/(2*sqrt(x*xi1))"
+
+
 def _kinks(node):
     """The subtrees whose sign change is a kink or a tie: abs and sign
     arguments, and a - b for min(a, b) and max(a, b)."""

@@ -18,6 +18,7 @@ from helpers import interval_region
 from slabflow import (
     FluxModel,
     Grid,
+    NumericEvalError,
     NumericInputError,
     SlabflowError,
     SliceProblem,
@@ -809,6 +810,62 @@ def test_non_finite_residual_is_a_stall(bundle, amplitude, counts, flux):
     assert counts in str(err.value)
     history = err.value.residual_history  # iterating stops at the first non-finite residual
     assert np.isfinite(history[:-1]).all() and not np.isfinite(history[-1])
+
+
+FLAT_TOP = "max(sin(pi*x) - 0.5, 0)"  # flat where it is 0: xi = 0 on whole faces
+
+
+def kinked(bundle, text, p):
+    return dataclasses.replace(bundle["heat_fixed"][0], u0=parse_expr(FLAT_TOP, ("x",)),
+                               flux=FluxModel.custom([parse_expr(text, FLUX_VARS)], p=p))
+
+
+def test_a_custom_law_with_a_kink_at_zero_gradient_runs_as_the_builtin(bundle):
+    """dA/dxi of (xi1^2)^0.5*xi1 reads (xi1^2)^-0.5, which does not evaluate
+    at xi1 = 0; its chain-rule term is 0 there, the limit, so the law runs as
+    the p = 3 builtin without regularisation does."""
+    field, report = run_scheme(kinked(bundle, "(xi1^2)^0.5*xi1", 3.0))
+    builtin = dataclasses.replace(kinked(bundle, "xi1", 3.0), flux=FluxModel.p_laplacian(3.0, eps_reg=0.0))
+    ref, ref_report = run_scheme(builtin)
+    assert report.total_newton() == ref_report.total_newton() > 0
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(field.frames, ref.frames))
+
+
+def test_a_custom_law_with_an_infinite_slope_at_zero_gradient_runs(bundle):
+    """abs(xi1)^0.5*sign(xi1), p = 1.5, has no dA/dxi at xi1 = 0; its chain
+    term there is 0, as sign(0) is, and the run keeps the data's bounds."""
+    field, report = run_scheme(kinked(bundle, "abs(xi1)^0.5*sign(xi1)", 1.5))
+    assert report.total_newton() > 0
+    frames = np.array(field.frames)
+    assert np.nanmin(frames) >= 0.0 and np.nanmax(frames) <= 0.5
+
+
+def test_a_newton_matrix_that_does_not_evaluate_is_a_stall(bundle):
+    """A = 1e308*sin(2*xi1)/2 evaluates on small gradients, but its dA/dxi,
+    1e308*cos(2*xi1)*2, overflows: Newton ends, and the stall names the subterm."""
+    scenario = dataclasses.replace(
+        bundle["heat_fixed"][0], u0=parse_expr("1e-3*sin(pi*x)", ("x",)),
+        flux=FluxModel.custom([parse_expr("1e308*sin(2*xi1)/2", FLUX_VARS)], p=2.0),
+        config=SolverConfig(max_picard=0),
+    )
+    with pytest.raises(SolverStallError) as err:
+        run_scheme(scenario)
+    assert "after 0 Newton + 0 fallback iterations (Newton matrix: non-finite value in subterm" in str(err.value)
+    assert (err.value.slice, err.value.step) == (0, 0)
+
+
+def test_the_fallback_reads_dA_only_where_the_normal_gradient_vanishes():
+    """Picard's secant diffusivity is A_a/xi_a wherever xi_a is not 0, so a
+    dA/dxi that overflows there is never read."""
+    g, mask = unit_interval_mask(h=0.5)
+    flux = FluxModel.custom([parse_expr("1e308*sin(2*xi1)/4", FLUX_VARS)], p=2.0)
+    stencil = _Stencil(mask, flux)
+    frame = np.where(mask.defined, 1e-3 * np.arange(mask.active.size).reshape(mask.active.shape), np.nan)
+    (xi, z), = stencil.face_fields(frame)
+    (lo, hi), _ = _picard_faces(flux, 0.0, 0, stencil.axes[0], xi, z)
+    assert np.array_equal(hi, evaluate_many(flux, 0.0, stencil.axes[0]["mids"], z, xi)[:, 0] / xi[:, 0] / 0.5)
+    with pytest.raises(NumericEvalError):
+        _newton_faces(flux, 0.0, 0, stencil.axes[0], xi, z)
 
 
 def test_nonfinite_initial_frame_rejected():
