@@ -86,6 +86,8 @@ class Grid:
             raise GeometryError(f"spacing must be positive and finite, got {self.spacing}")
         if not all(3 <= c < math.inf and int(c) == c for c in self.counts):
             raise GeometryError(f"counts must be integers >= 3, got {self.counts}")
+        if math.prod(int(c) + 1 for c in self.counts) > (most := np.iinfo(np.intp).max):
+            raise GeometryError(f"counts give more than {most} nodes, the most numpy can index")
 
     @property
     def shape(self):

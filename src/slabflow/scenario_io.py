@@ -202,6 +202,9 @@ def parse_scenario_text(text):
                 issues.append(f"[grid] axis range [{lo}, {hi}] is empty")
                 break
             n = (hi - lo) / h if h > 0 else 0.0  # Grid rejects the spacing
+            if not np.isfinite(n):
+                issues.append(f"[grid] h={h} gives no finite cell count on [{lo}, {hi}]")
+                break
             if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
                 issues.append(f"[grid] h={h} must evenly divide [{lo}, {hi}]")
                 break

@@ -17,17 +17,23 @@ whose (face, node, weight) triplets are also Newton's transverse entries.
 
 The step has one residual, r(u) above, and one flux pass computes it
 (:meth:`_Stencil.divergence`); psi and the source are bound in space once per
-slice (:func:`expressions.bind`), so a substep walks only what reads t.  A
-flux that does not evaluate (:class:`NumericEvalError`, as on an overflow)
-gives a non-finite residual: never converged, and never accepted as a trial;
-a matrix that does not evaluate ends its iteration, Newton's or Picard's.
-Both iterations solve (I/tau - J) delta = -r with J read from the residual's
-face fields.  Damped Newton (residual-norm backtracking, shrink 0.5 down to
-steps of 2^-20) reads the flux law's derivative trees in every slot, so its J
-is exact for every flux in every dimension; if it stalls, Picard, Newton with
-the secant matrix of :func:`_picard_faces` for J (Kelley 2003, ch. 1-2), takes
-full steps.  Exhausting both raises :class:`SolverStallError` with the
-residual history and where it stalled.
+slice (:func:`expressions.bind`), so a substep walks only what reads t.  One
+loop drives r down in two stages; each iteration solves (I/tau - J) delta = -r
+with J read from the residual's face fields.  Newton reads the flux law's
+derivative trees in every slot, so its J is exact for every flux in every
+dimension, and backtracks on the residual norm through the steps 1, 1/2, ..,
+2^-20; it takes at least one step.  If it ends short of the tolerance (its
+budget spent, its line search stalled or its matrix failed), the fallback
+runs: Picard, the same iteration with the secant matrix of
+:func:`_picard_faces` for J (Kelley 2003, ch. 1-2) and one full step, always
+taken.  The tolerance is tested in the loop condition, the trial acceptance
+and the final stall check.  A flux that does not evaluate
+(:class:`NumericEvalError`, as on an overflow) gives a non-finite residual:
+never converged, never accepted as a Newton trial, and the end of both
+stages.  A matrix that does not evaluate, or that ``spsolve`` finds exactly
+singular, ends its stage uncounted.  Ending both short raises
+:class:`SolverStallError` with the residual histories, the reasons in stage
+order and where it stalled.
 
 The domain is frozen on a slice, so all its systems share one sparsity
 pattern: a CSC matrix holding the diagonal, each face's couplings between
@@ -55,20 +61,20 @@ default COLAMD ordering.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix, identity
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .errors import NumericEvalError, NumericInputError, SlabflowError, SolverStallError
 from .expressions import Expr, Num, bind, evaluate as eval_expr
 from .flux import _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
 from .geometry import along
 
-LINE_SEARCH_SHRINK = 0.5  # Newton backtracking factor
-MIN_LINE_STEP = 2.0**-20  # the smallest damped step tried before Newton counts as stalled
+LINE_STEPS = tuple(2.0**-k for k in range(21))  # damped Newton's trial steps, 1 down to 2^-20
 DISSECTION_LEAF = 32  # parts of at most this many nodes are not split further
 
 
@@ -385,71 +391,48 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
             r = np.full(stencil.n_active, math.inf)
         return r, float(np.abs(r).max(initial=0.0)), fields
 
-    def with_update(v, delta, lam):
-        out = v.copy()
-        out.ravel()[stencil.active_flat] += lam * delta
-        return out
-
-    # A non-finite residual is never converged: it ends both iterations,
-    # and a trial step that reaches one is rejected.  A matrix that does not
-    # evaluate ends its iteration.
     r, r_inf, fields = residual(u)
-    newton_history, picard_history = [r_inf], []
-    newton = picard = 0
-    why = ""
-    while math.isfinite(r_inf) and newton < cfg.max_newton:
-        constant = problem.flux.constant_jacobian
-        try:
-            minus_j = stencil.constant_jacobian if constant else stencil.jacobian(t_freeze, fields, _newton_faces)
-        except NumericEvalError as exc:
-            why = f" (Newton matrix: {exc})"
-            break
-        delta = stencil.solve(minus_j, tau, -r)
-        r_two = math.sqrt(r @ r)
-        lam = 1.0
-        accepted = False
-        while lam >= MIN_LINE_STEP:
-            u_try = with_update(u, delta, lam)
-            r_try, r_try_inf, fields_try = residual(u_try)
-            r_try_two = math.sqrt(r_try @ r_try)
-            if math.isfinite(r_try_two) and (
-                r_try_two <= r_two * (1.0 - 1e-4 * lam) or r_try_inf <= cfg.newton_tol
-            ):
-                u, r, r_inf, fields = u_try, r_try, r_try_inf, fields_try
-                accepted = True
+    histories, counts, why = ([r_inf], []), [0, 0], ""
+    for k, (face_terms, budget, name) in enumerate(((_newton_faces, cfg.max_newton, "Newton"),
+                                                    (_picard_faces, cfg.max_picard, "fallback"))):
+        newton = k == 0
+        # Newton takes a first step even from a converged start; the fallback
+        # runs only where Newton ended short of the tolerance.
+        while math.isfinite(r_inf) and counts[k] < budget and (
+            newton and not counts[k] or not r_inf <= cfg.newton_tol
+        ):
+            try:
+                constant = newton and problem.flux.constant_jacobian
+                minus_j = stencil.constant_jacobian if constant else stencil.jacobian(t_freeze, fields, face_terms)
+                delta = stencil.solve(minus_j, tau, -r)
+            except (NumericEvalError, MatrixRankWarning) as exc:
+                why += f" ({name} matrix: {exc})"
                 break
-            lam *= LINE_SEARCH_SHRINK
-        newton += 1
-        if accepted:
-            newton_history.append(r_inf)
-            if r_inf <= cfg.newton_tol:
+            counts[k] += 1
+            r_two = math.sqrt(r @ r)
+            for lam in LINE_STEPS if newton else (1.0,):
+                u_try = u.copy()
+                u_try.ravel()[stencil.active_flat] += lam * delta
+                r_try, r_try_inf, fields_try = residual(u_try)
+                r_try_two = math.sqrt(r_try @ r_try)
+                if not newton or math.isfinite(r_try_two) and (
+                    r_try_two <= r_two * (1.0 - 1e-4 * lam) or r_try_inf <= cfg.newton_tol
+                ):
+                    u, r, r_inf, fields = u_try, r_try, r_try_inf, fields_try
+                    histories[k].append(r_inf)
+                    break
+            else:
+                why += f" ({name} line search stalled)"
                 break
-        else:
-            why = " (Newton line search stalled)"
-            break
 
     if not r_inf <= cfg.newton_tol:
-        while math.isfinite(r_inf) and picard < cfg.max_picard:
-            try:
-                minus_j = stencil.jacobian(t_freeze, fields, _picard_faces)
-            except NumericEvalError as exc:
-                why += f" (fallback matrix: {exc})"
-                break
-            u = with_update(u, stencil.solve(minus_j, tau, -r), 1.0)
-            r, r_inf, fields = residual(u)
-            picard += 1
-            picard_history.append(r_inf)
-            if r_inf <= cfg.newton_tol:
-                break
-        if not r_inf <= cfg.newton_tol:
-            raise SolverStallError(
-                f"no convergence on [{t_from}, {t_to}]: residual {r_inf:.3e} "
-                f"after {newton} Newton + {picard} fallback iterations"
-                + why,
-                newton_history=newton_history, picard_history=picard_history,
-                step=step, t=t_to, n_active=stencil.n_active,
-            )
-    return u, StepStats(newton_iterations=newton, picard_iterations=picard, residual=r_inf)
+        raise SolverStallError(
+            f"no convergence on [{t_from}, {t_to}]: residual {r_inf:.3e} "
+            f"after {counts[0]} Newton + {counts[1]} fallback iterations" + why,
+            newton_history=histories[0], picard_history=histories[1],
+            step=step, t=t_to, n_active=stencil.n_active,
+        )
+    return u, StepStats(newton_iterations=counts[0], picard_iterations=counts[1], residual=r_inf)
 
 
 def _on_points(expr, points):
@@ -472,7 +455,9 @@ def solve_slice(problem):
     times = problem.times
     frames = [init.copy()]
     stats = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing iterate ends as a typed stall
+    # An overflowing iterate and a singular step matrix (raised, not warned) end as typed stalls.
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
         for m in range(problem.substeps):
             frame, st = _step(problem, stencil, psi, source, frames[-1], float(times[m]), float(times[m + 1]), m)
             frames.append(frame)

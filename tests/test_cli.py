@@ -165,6 +165,42 @@ def test_substeps_that_cannot_advance_time_are_an_input_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("h,issue", [
+    ("1e-320", "h=1e-320 gives no finite cell count on [-0.125, 1.125]"),
+    ("1e-200", "counts give more than 9223372036854775807 nodes, the most numpy can index"),
+], ids=["1e-320", "1e-200"])
+def test_a_spacing_too_small_to_index_is_an_input_error(tmp_path, h, issue):
+    """h = 1e-320 gives an infinite cell count and h = 1e-200 more nodes
+    than numpy can index: each is one [grid] issue, with no traceback."""
+    text = open(bundled_scenario_paths()["heat_fixed"]).read()
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(text.replace("h = 0.03125", f"h = {h}"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slabflow.cli", "geometry", str(cfg)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: scenario invalid:", f"  - [grid] {issue}"]
+
+
+def test_a_singular_step_matrix_is_a_stall_with_no_warning(tmp_path):
+    """The fallback's secant matrix of this flux overflows and is exactly
+    singular: the run ends in the stall exit code, and scipy's
+    MatrixRankWarning does not reach stderr."""
+    text = open(bundled_scenario_paths()["heat_fixed"]).read()
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text(text.replace('u0 = "sin(pi*x)"', 'u0 = "1e-3*sin(pi*x)"')
+                   .replace("type = linear_diffusion", 'type = custom\na1 = "1e308*sin(2*xi1)/2"\nc = 1\nalpha = 1')
+                   .replace("out/heat_fixed", str(tmp_path / "out")))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slabflow.cli", "run", str(cfg)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "(fallback matrix: Matrix is exactly singular)" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_check_flux_passes_builtin(tmp_path, capsys):
     code = main(["check-flux", write_heat(tmp_path), "--samples", "500"])
     assert code == 0

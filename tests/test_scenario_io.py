@@ -317,6 +317,10 @@ def _custom_flux(line):
         (lambda: FluxModel.p_laplacian(3.0, eps_reg=np.inf),
          ("type = linear_diffusion\np = 2", "type = p_laplacian\np = 3\neps_reg = inf"), "[flux]",
          "eps_reg"),
+        (lambda: Grid(dim=1, origin=(0.0,), spacing=(1e-320,), counts=(125 * 10**318,)),
+         ("h = 0.03125", "h = 1e-320"), "[grid]", "h=1e-320 gives no finite cell count"),
+        (lambda: Grid(dim=1, origin=(0.0,), spacing=(1e-200,), counts=(round(1.25e200),)),
+         ("h = 0.03125", "h = 1e-200"), "[grid]", "the most numpy can index"),
     ],
     ids=[
         "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
@@ -327,7 +331,7 @@ def _custom_flux(line):
         "lower_b_negative", "lower_d_nan", "z_lipschitz_negative", "growth_c_inf",
         "coercivity_alpha_inf", "lower_b_inf", "lower_d_inf", "z_lipschitz_inf", "newton_tol_inf",
         "counts_inf", "counts_nan", "origin_inf", "spacing_inf", "horizon_inf", "p_inf",
-        "eps_reg_inf",
+        "eps_reg_inf", "spacing_1e-320", "spacing_1e-200",
     ],
 )
 def test_code_built_and_loaded_settings_pass_the_same_rules(build, edit, section, key):

@@ -7,10 +7,12 @@ on a one-substep slice, the only way into the solver.
 """
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu, spsolve
 
@@ -762,7 +764,8 @@ def test_exhausted_iterations_raise_stall_error():
     )
     with pytest.raises(SolverStallError) as err:
         solve_slice(problem)
-    assert len(err.value.residual_history) >= 1
+    assert "residual 2.298e+10 after 1 Newton + 0 fallback iterations (step=0," in str(err.value)
+    assert len(err.value.newton_history) == 2 and err.value.picard_history == []
 
 
 def test_a_run_that_stalls_says_where(bundle):
@@ -866,6 +869,115 @@ def test_the_fallback_reads_dA_only_where_the_normal_gradient_vanishes():
     assert np.array_equal(hi, evaluate_many(flux, 0.0, stencil.axes[0]["mids"], z, xi)[:, 0] / xi[:, 0] / 0.5)
     with pytest.raises(NumericEvalError):
         _newton_faces(flux, 0.0, 0, stencil.axes[0], xi, z)
+
+
+# A evaluates on small gradients; dA/dxi, 1e308*cos(2*xi1)*2, does not
+SLOPE_OVERFLOWS = FluxModel.custom([parse_expr("1e308*sin(2*xi1)/2", FLUX_VARS)], p=2.0)
+SLOPE_MATRIX = "matrix: non-finite value in subterm '1e+308*(cos(2*xi1)*2)')"
+
+STOP_PATHS = {
+    "zero_data": ("heat_fixed", {"u0": parse_expr("0", ("x",))}, None),
+    "both_budgets": ("plap3_fixed", {"config": SolverConfig(max_newton=2, max_picard=5)},
+                     ("after 2 Newton + 5 fallback iterations", 3, 5)),
+    "fallback_budget": ("jump_expand", {"config": SolverConfig(max_newton=1)},
+                        ("after 1 Newton + 200 fallback iterations", 2, 200)),
+    "both_matrices": ("heat_fixed", {"u0": parse_expr(f"1e-3*{FLAT_TOP}", ("x",)), "flux": SLOPE_OVERFLOWS},
+                      (f"after 0 Newton + 0 fallback iterations (Newton {SLOPE_MATRIX} (fallback {SLOPE_MATRIX}",
+                       1, 0)),
+}
+
+
+@pytest.mark.parametrize("name,changes,stall", STOP_PATHS.values(), ids=STOP_PATHS)
+def test_each_way_a_substep_stops_keeps_its_counts(bundle, name, changes, stall):
+    """Newton takes one iteration even from a converged start (zero data);
+    the fallback runs only where Newton ends short, on its budget or on a
+    matrix that does not evaluate; a stall counts each stage and ends with
+    the reasons in stage order (none when both budgets are spent)."""
+    scenario = dataclasses.replace(bundle[name][0], **changes)
+    if stall is None:
+        _, report = run_scheme(scenario)
+        assert [(s["newton"], s["picard"]) for s in report.slice_stats] == [(scenario.substeps, 0)] * scenario.n_slices
+        return
+    counts, newton_entries, picard_entries = stall
+    with pytest.raises(SolverStallError) as err:
+        run_scheme(scenario)
+    assert f"{counts} (slice=0, step=0," in str(err.value)
+    assert (len(err.value.newton_history), len(err.value.picard_history)) == (newton_entries, picard_entries)
+
+
+def test_a_singular_step_matrix_is_a_stall_without_a_warning(bundle):
+    """On u0 = 1e-3*sin(pi*x) the fallback's secant matrix of that flux
+    overflows and spsolve finds it exactly singular: the fallback ends as on
+    a matrix that does not evaluate, uncounted, the last finite residual kept."""
+    scenario = dataclasses.replace(
+        bundle["heat_fixed"][0], u0=parse_expr("1e-3*sin(pi*x)", ("x",)), flux=SLOPE_OVERFLOWS,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverStallError) as err:
+            run_scheme(scenario)
+    assert (f"residual 9.862e+305 after 0 Newton + 0 fallback iterations (Newton {SLOPE_MATRIX} "
+            "(fallback matrix: Matrix is exactly singular) (slice=0, step=0,") in str(err.value)
+    assert err.value.residual_history == [pytest.approx(9.862e305, rel=1e-3)]
+
+
+def random_step_problem(seed):
+    """A one-substep 1D slice drawn from ``seed``: grid, section, flux, data
+    amplitude and tau, over a range that reaches every way a substep stops."""
+    rng = np.random.default_rng(seed)
+    cells = int(rng.integers(16, 129))
+    h = 1.0 / cells
+    grid = Grid(dim=1, origin=(-2 * h,), spacing=(h,), counts=(cells + 4,))
+    a = rng.uniform(0, 0.4)
+    b = rng.uniform(a + 0.2, 1)
+    mask = rasterize(interval_region(grid, (a, b)), grid)
+    p = float(rng.choice((1.1, 1.3, 1.5, 2, 3, 4, 6)))
+    kind = str(rng.choice(("p_laplacian", "z_modulated")))
+    amplitude = 10 ** rng.uniform(-3, 2)
+    tau = 10 ** rng.uniform(-4, 0)
+    u0 = amplitude * rng.uniform(-1, 1, grid.shape)
+    return SliceProblem(
+        mask=mask, flux=getattr(FluxModel, kind)(p), span=(0.0, tau), substeps=1,
+        psi=parse_expr("0", TX), initial=np.where(mask.active, u0, np.where(mask.ghost, 0.0, np.nan)),
+    )
+
+
+def assert_the_stall_agrees_with_its_message(err, cfg):
+    """Counts, histories and reasons of a stall against its message: each
+    stage ends on its budget, on a non-finite residual or with its reason."""
+    match = re.search(r"residual (\S+) after (\d+) Newton \+ (\d+) fallback iterations(.*) \(step=0,", str(err))
+    assert match, str(err)
+    residual, newton, picard, why = match[1], int(match[2]), int(match[3]), match[4]
+    reasons = re.fullmatch(r"( \(Newton (line search stalled|matrix: .*?)\))?( \(fallback matrix: .*\))?", why)
+    assert reasons, why
+    line_search, newton_matrix, fallback_matrix = (
+        reasons[2] == "line search stalled", (reasons[2] or "").startswith("matrix"), reasons[3] is not None)
+    history = err.residual_history
+    assert residual == f"{history[-1]:.3e}" and np.isfinite(history[:-1]).all()
+    assert len(err.newton_history) == newton + 1 - line_search and len(err.picard_history) == picard
+    assert newton <= cfg.max_newton and picard <= cfg.max_picard
+    assert newton == cfg.max_newton or line_search or newton_matrix or not np.isfinite(err.newton_history[-1])
+    assert picard == cfg.max_picard or fallback_matrix or not np.isfinite(history[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 299))
+@example(seed=208)
+def test_a_step_converges_or_stalls_as_its_report_says(seed):
+    """No warning escapes a substep (seed 208 meets a singular fallback
+    matrix): it converges within both budgets or raises a stall whose counts,
+    histories and reasons agree with its message."""
+    problem = random_step_problem(seed)
+    cfg = problem.config
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, stats = one_step(problem)
+    except SolverStallError as err:
+        assert_the_stall_agrees_with_its_message(err, cfg)
+    else:
+        assert stats.residual <= cfg.newton_tol
+        assert stats.newton_iterations <= cfg.max_newton and stats.picard_iterations <= cfg.max_picard
 
 
 def test_nonfinite_initial_frame_rejected():
