@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InapplicableDiagnosticError, NumericEvalError, SlabflowError
 from .expressions import derivative, evaluate as eval_expr, free_variables
 from .geometry import along, build_slice_plan, slab_hausdorff
-from .slice_solver import eval_on_points
+from .slice_solver import on_points
 from .stitcher import run_scheme
 
 TOLERANCE = 1e-10  # roundoff slack of every report's lhs <= rhs
@@ -154,9 +154,10 @@ def energy_report(scenario, field_=None):
         mask = plan.masks[k]
         act = mask.active
         pts = mask.active_points()
+        psi, *psi_rates = (on_points(tree, pts) for tree in (scenario.psi, *rates))
 
         def l2_half(i, t):
-            v = field_.frames[i][act] - eval_on_points(scenario.psi, t, pts)
+            v = field_.frames[i][act] - psi(t)
             return 0.5 * vol * float(np.sum(v * v))
 
         start = l2_half(idx[0], float(ts[0]))
@@ -168,7 +169,7 @@ def energy_report(scenario, field_=None):
         psit_term = gpsi_term = 0.0
         for t in map(float, ts[:-1]):
             try:
-                psi_t, *gp = (eval_on_points(rate, t, pts) for rate in rates)
+                psi_t, *gp = (rate(t) for rate in psi_rates)
             except NumericEvalError as exc:
                 raise InapplicableDiagnosticError(
                     f"energy_report needs the derivatives of psi on the active nodes at t={t}: {exc}"
@@ -347,9 +348,7 @@ class MmsReport:
 def _final_errors(scenario, exact):
     field_, _ = run_scheme(scenario)
     mask = field_.plan.masks[-1]
-    pts = mask.active_points()
-    T = scenario.domain.horizon
-    err = field_.frames[-1][mask.active] - eval_on_points(exact, T, pts)
+    err = field_.frames[-1][mask.active] - on_points(exact, mask.active_points())(scenario.domain.horizon)
     vol = scenario.grid.cell_volume
     return float(np.max(np.abs(err))), vol * float(np.sum(np.abs(err))), field_
 

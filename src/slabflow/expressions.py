@@ -421,12 +421,16 @@ def evaluate(node, env):
 
 def bind(node, env):
     """``node`` with each subtree reading only names in ``env`` replaced by a :class:`Num`
-    of its value that prints as the subtree; a node whose evaluation raises stays a node."""
+    of its value that prints as the subtree; a node whose evaluation raises stays a node.
+    An unfolded :class:`Chain` keeps its partial as given: where the partial raises,
+    :func:`_partial` evaluates it on the rows of the names it reads."""
     if isinstance(node, Num):
         return node
     if free_variables(node) <= env.keys():
         with suppress(NumericEvalError):
             return Num(evaluate(node, env), tree=node)
+    if isinstance(node, Chain):
+        return replace(node, right=bind(node.right, env))
     if isinstance(node, Unary):
         return replace(node, operand=bind(node.operand, env))
     if isinstance(node, Binary):

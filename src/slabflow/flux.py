@@ -20,7 +20,7 @@ bound, time modulus); custom fluxes declare them and ``check_structure``
 samples whether the declared inequalities actually hold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -208,7 +208,6 @@ def _dz_many(flux, t, x, z, xi, axis):
 class ConditionResult:
     margin: float
     passed: bool
-    worst: dict = field(compare=False, default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -239,11 +238,6 @@ class StructureReport:
 
 
 SAMPLE_BOX = {"t": (0.0, 1.0), "x": (-1.0, 1.0), "z": (-2.0, 2.0), "xi": (-2.0, 2.0)}
-
-
-def _worst(margins, idx_args):
-    i = int(np.argmin(margins))
-    return float(margins[i]), {k: (v[i].copy() if hasattr(v[i], "copy") else v[i]) for k, v in idx_args.items()}
 
 
 def check_structure(flux, samples=10000, seed=0):
@@ -277,25 +271,22 @@ def check_structure(flux, samples=10000, seed=0):
 
     conditions = {}
 
-    def record(name, margins, **args):
-        margin, worst = _worst(margins, args)
-        conditions[name] = ConditionResult(margin=margin, passed=margin >= -STRUCTURE_TOLERANCE, worst=worst)
+    def record(name, margins):
+        margin = float(margins[np.argmin(margins)])  # the worst sample's value, signed zero included
+        conditions[name] = ConditionResult(margin=margin, passed=margin >= -STRUCTURE_TOLERANCE)
 
     record(
         "growth",
         flux.growth_c * nrm1 ** (flux.p - 1.0) + flux.lower_b - mag1,
-        t=t1, x=x1, z=z1, xi=xi1,
     )
     record(
         "coercivity",
         pairing - flux.coercivity_alpha * nrm1**flux.p + flux.lower_d,
-        t=t1, x=x1, z=z1, xi=xi1,
     )
     a_other = evaluate_many(flux, t1, x1, z1, xi2)
     record(
         "monotonicity",
         np.sum((a1 - a_other) * (xi1 - xi2), axis=-1),
-        t=t1, x=x1, z=z1, xi=xi1, eta=xi2,
     )
     a_moved = evaluate_many(flux, t2, x2, z2, xi1)
     r = np.abs(t1 - t2) + np.linalg.norm(x1 - x2, axis=-1)
@@ -303,10 +294,9 @@ def check_structure(flux, samples=10000, seed=0):
     record(
         "continuity",
         allowance - np.linalg.norm(a1 - a_moved, axis=-1),
-        t=t1, s=t2, x=x1, y_pt=x2, z=z1, w=z2, xi=xi1,
     )
     a_zero = evaluate_many(flux, t1, x1, z1, np.zeros((n, d)))
-    record("zero_at_zero", -np.linalg.norm(a_zero, axis=-1), t=t1, x=x1, z=z1)
-    record("nonneg_pairing", pairing, t=t1, x=x1, z=z1, xi=xi1)
+    record("zero_at_zero", -np.linalg.norm(a_zero, axis=-1))
+    record("nonneg_pairing", pairing)
 
     return StructureReport(kind=flux.kind, p=flux.p, samples=n, seed=seed, conditions=conditions)

@@ -23,7 +23,7 @@ One rule, the same in every dimension, refuses a section the grid cannot
 represent: each connected piece (through axis neighbours) of the nodes in
 the section must hold exactly one connected piece of the active set.  In
 1D a piece that falls between two nodes is refused too, as seen on
-samples of the section's box.
+samples of the grid's box; a domain holds no box of its own.
 
 All operations here are pure functions of their arguments: same inputs,
 bitwise-identical outputs.
@@ -46,11 +46,16 @@ from .errors import (
 )
 from .expressions import Binary, Call, Name, evaluate
 
-INTERVAL_SAMPLES = 2048  # sampling cells of a 1D section's box (nodeless pieces)
+INTERVAL_SAMPLES = 2048  # sampling cells of the grid's box for a 1D section's nodeless pieces
 INTERVAL_TOL = 1e-12  # bisection width of a refused 1D piece's printed ends
 
 # ---------------------------------------------------------------------------
 # Background grid
+
+
+def integer_at_least(value, least):
+    """The rule of every integer setting: a Python or numpy int, at least ``least``."""
+    return isinstance(value, (int, np.integer)) and value >= least
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class Grid:
 
     @classmethod
     def check_dim(cls, dim):
-        if dim not in cls.DIMS:
+        if not (integer_at_least(dim, 1) and dim in cls.DIMS):
             raise GeometryError(f"dim must be {' or '.join(map(str, cls.DIMS))}, got {dim}")
 
     def __post_init__(self):
@@ -84,7 +89,7 @@ class Grid:
             raise GeometryError(f"origin must be finite, got {self.origin}")
         if not all(0 < h < math.inf for h in self.spacing):
             raise GeometryError(f"spacing must be positive and finite, got {self.spacing}")
-        if not all(3 <= c < math.inf and int(c) == c for c in self.counts):
+        if not all(integer_at_least(c, 3) for c in self.counts):
             raise GeometryError(f"counts must be integers >= 3, got {self.counts}")
         if math.prod(int(c) + 1 for c in self.counts) > (most := np.iinfo(np.intp).max):
             raise GeometryError(f"counts give more than {most} nodes, the most numpy can index")
@@ -138,12 +143,10 @@ def along(axis, sl):
 
 @dataclass(frozen=True)
 class ImplicitRegion:
-    """Sublevel set {phi(t, .) <= 0} at a frozen time, searched inside a box."""
+    """Sublevel set {phi(t, .) <= 0} at a frozen time."""
 
     phi: object  # expression over t, x (and y in 2D)
     t: float
-    box: tuple  # ((lo, hi), ...) one pair per axis
-    dim: int
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -167,14 +170,13 @@ class TimeDomain:
     """A domain t -> section(t) on [0, horizon], piecewise in time.
 
     ``segments`` is ((start, phi), ...): from ``start`` on, the section is
-    the sublevel set {phi(t, .) <= 0} inside ``box``, with phi an
-    expression over t, x (and y in 2D).  The first segment starts at 0;
-    each later start is a declared jump, strictly inside (0, horizon), at
-    which the domain is right-continuous.
+    the sublevel set {phi(t, .) <= 0}, with phi an expression over t, x
+    (and y in 2D).  The first segment starts at 0; each later start is a
+    declared jump, strictly inside (0, horizon), at which the domain is
+    right-continuous.
     """
 
     horizon: float
-    box: tuple  # ((lo, hi), ...) one pair per axis
     dim: int
     segments: tuple
 
@@ -182,10 +184,6 @@ class TimeDomain:
         if not 0 < self.horizon < math.inf:
             raise GeometryError(f"horizon T must be positive and finite, got {self.horizon}")
         Grid.check_dim(self.dim)
-        if len(self.box) != self.dim:
-            raise GeometryError("box must have one (lo, hi) pair per axis")
-        if not all(-math.inf < lo < hi < math.inf for lo, hi in self.box):
-            raise GeometryError(f"search box {self.box} must be finite with lo < hi on every axis")
         if not self.segments or self.segments[0][0] != 0.0:
             raise GeometryError("the first segment must start at t = 0")
         starts = [start for start, _ in self.segments]
@@ -193,9 +191,9 @@ class TimeDomain:
             raise GeometryError(f"jump times must increase strictly inside (0, T): {starts[1:]}")
 
     @staticmethod
-    def implicit(phi, box, horizon, dim=1):
+    def implicit(phi, horizon, dim=1):
         """A jump-free domain: one segment."""
-        return TimeDomain(float(horizon), tuple(tuple(p) for p in box), dim, ((0.0, phi),))
+        return TimeDomain(float(horizon), dim, ((0.0, phi),))
 
     def jump_times(self):
         """Declared discontinuity times, strictly inside (0, horizon)."""
@@ -211,7 +209,7 @@ class TimeDomain:
         i = bisect_right(starts, t) - 1
         if side == "minus" and i > 0 and starts[i] == t:
             i -= 1
-        return ImplicitRegion(self.segments[i][1], float(t), self.box, self.dim)
+        return ImplicitRegion(self.segments[i][1], float(t))
 
 
 def section(dom, t):
@@ -358,11 +356,11 @@ def _box_samples(lo, hi):
     return framed
 
 
-def _refuse_nodeless_piece(region, inside_x, spacing):
-    """1D: raise for an inside run of the box samples that holds none of the
-    inside nodes ``inside_x`` (ascending).  Node classification cannot see a
-    piece lying between two nodes; its ends are bisected only to name it."""
-    framed = _box_samples(*region.box[0])
+def _refuse_nodeless_piece(region, grid, inside_x):
+    """1D: raise for an inside run of the samples of the grid's box that holds
+    none of the inside nodes ``inside_x`` (ascending).  Node classification cannot
+    see a piece lying between two nodes; its ends are bisected only to name it."""
+    framed = _box_samples(*grid.box[0])
     xs = framed[1:-1]
     inside = np.concatenate([[False], region.contains(xs[:, None]), [False]])
     starts, stops = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2).T
@@ -373,7 +371,7 @@ def _refuse_nodeless_piece(region, inside_x, spacing):
         lo = xs[0] if starts[k] == 0 else _boundary(region, xs[starts[k]], xs[starts[k] - 1])
         hi = xs[-1] if stops[k] == len(xs) else _boundary(region, xs[stops[k] - 1], xs[stops[k]])
         raise DegenerateSectionError(
-            f"piece at {_fmt_box([(lo, hi)])} holds no grid node at spacing {spacing}")
+            f"piece at {_fmt_box([(lo, hi)])} holds no grid node at spacing {grid.spacing}")
 
 
 def rasterize(region, grid):
@@ -382,7 +380,7 @@ def rasterize(region, grid):
     Raises MarginError when a node of the section lies in the grid's outer
     two-node ring (the stencil needs two cells of room), and
     DegenerateSectionError naming the box of a piece that holds no node
-    (in 1D, a run of INTERVAL_SAMPLES + 1 samples of the region's box),
+    (in 1D, a run of INTERVAL_SAMPLES + 1 samples of the grid's box),
     keeps no active node or splits into several active pieces.
     """
     inside = region.contains(grid.node_coords()).reshape(grid.shape)
@@ -394,7 +392,7 @@ def rasterize(region, grid):
             f"{_fmt_box(grid.box)}; the stencil needs a margin of two cells"
         )
     if grid.dim == 1:
-        _refuse_nodeless_piece(region, grid.axis_nodes(0)[inside], grid.spacing)
+        _refuse_nodeless_piece(region, grid, grid.axis_nodes(0)[inside])
     if not inside.any():
         raise DegenerateSectionError(f"section holds no node of the grid box {_fmt_box(grid.box)}")
     active = _neighbour_all(inside)
@@ -436,8 +434,8 @@ class SlicePlan:
 def build_slice_plan(dom, grid, n_slices):
     """Choose knots (all jumps included, smooth spans split uniformly until
     there are at least n_slices slices) and rasterize each frozen section."""
-    if n_slices < 1:
-        raise GeometryError(f"n_slices must be >= 1, got {n_slices}")
+    if not integer_at_least(n_slices, 1):
+        raise GeometryError(f"n_slices must be an integer >= 1, got {n_slices!r}")
     T = dom.horizon
     base = [0.0, *dom.jump_times(), T]
     knots = []
@@ -470,8 +468,8 @@ def _samples(lo, hi, resolution):
     return np.linspace(lo, hi, max(2, math.ceil((hi - lo) / resolution) + 1))
 
 
-def _region_points(region, resolution):
-    lattice = _lattice([_samples(lo, hi, resolution) for lo, hi in region.box])
+def _region_points(region, box, resolution):
+    lattice = _lattice([_samples(lo, hi, resolution) for lo, hi in box])
     return lattice[region.contains(lattice)]
 
 
@@ -480,19 +478,19 @@ def _stack(stamped):
     return np.vstack([np.column_stack([np.full(len(pts), t), pts]) for t, pts in stamped])
 
 
-def sample_spacetime(dom, resolution):
-    """Point cloud filling the space-time body {(t, x): x in section(t)}."""
+def sample_spacetime(dom, box, resolution):
+    """Point cloud filling the space-time body {(t, x): x in section(t)}, sampled inside ``box``."""
     times = _samples(0.0, dom.horizon, resolution)
-    return _stack((t, _region_points(section(dom, float(t)), resolution)) for t in times)
+    return _stack((t, _region_points(section(dom, float(t)), box, resolution)) for t in times)
 
 
 def sample_slab(dom, plan, resolution):
     """Point cloud filling the sliced body: on [t_k, t_{k+1}) the section
-    frozen at t_k+ (closures sampled; Hausdorff is closure-blind)."""
-    stamped = []
+    frozen at t_k+ (closures sampled; Hausdorff is closure-blind), inside the plan's grid box."""
+    box, stamped = plan.masks[0].grid.box, []
     for k in range(plan.n_slices):
         t0, t1 = float(plan.knots[k]), float(plan.knots[k + 1])
-        pts = _region_points(side_limits(dom, t0)[1], resolution)
+        pts = _region_points(side_limits(dom, t0)[1], box, resolution)
         stamped += [(t, pts) for t in _samples(t0, t1, resolution)]
     return _stack(stamped)
 
@@ -513,4 +511,5 @@ def hausdorff_distance(a, b):
 
 def slab_hausdorff(dom, plan, resolution):
     """Distance between the sliced body and the true space-time body."""
-    return hausdorff_distance(sample_slab(dom, plan, resolution), sample_spacetime(dom, resolution))
+    return hausdorff_distance(sample_slab(dom, plan, resolution),
+                              sample_spacetime(dom, plan.masks[0].grid.box, resolution))

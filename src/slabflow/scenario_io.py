@@ -15,7 +15,7 @@ keys are errors.  Loading reads every key it can reach, builds each part
 through its own constructor (which holds that part's rules) and raises a
 single :class:`ScenarioError` listing every problem found.
 
-A domain is a level set phi(t, x[, y]) <= 0 on the grid box, with
+A domain is a level set phi(t, x[, y]) <= 0, met on the grid box, with
 ``jumps = "t: phi; ..."`` starting a new phi at each t.  ``type =
 moving_intervals`` is input only: its interval [left, right] (and each
 ``t: left, right`` jump) compiles to phi = max(left - x, x - right), and
@@ -31,7 +31,7 @@ from .errors import GeometryError, NumericEvalError, ScenarioError, SlabflowErro
 from .expressions import Num, parse_expr, parse_exprs, to_source
 from .flux import FluxModel
 from .geometry import Grid, TimeDomain, build_slice_plan, interval_phi
-from .slice_solver import SolverConfig, eval_on_points
+from .slice_solver import SolverConfig, on_points
 from .stitcher import OutputConfig, Scenario, count_issues
 
 _SECTIONS = {
@@ -243,12 +243,8 @@ def parse_scenario_text(text):
                 segments.append((float(when), compile_phi(*exprs)))
             except (ValueError, SlabflowError) as exc:
                 issues.append(f"[domain] bad jump entry {piece!r}: {exc}")
-        # the grid's box or, where only the grid failed, the file's ordered axis ranges
-        ranges = all(None not in span and span[0] < span[1] for span in spans)
-        box = grid.box if grid is not None else spans if ranges else None
-        if segments and box is not None and horizon is not None:
-            domain = _build(issues, "domain", lambda: TimeDomain(
-                horizon, box[:dom_dim], dom_dim, tuple(segments)))
+        if segments and horizon is not None:
+            domain = _build(issues, "domain", lambda: TimeDomain(horizon, dom_dim, tuple(segments)))
     elif dom_type is not None:
         issues.append(f"[domain] unknown domain type {dom_type!r}, "
                       f"expected one of {', '.join(forms)}")
@@ -338,13 +334,13 @@ def parse_scenario_text(text):
             issues.append(f"geometry: {exc}")
     if plan is not None:
         try:
-            eval_on_points(u0, 0.0, plan.masks[0].active_points())
+            on_points(u0, plan.masks[0].active_points())(0.0)
         except NumericEvalError as exc:
             issues.append(f"[data] u0 does not evaluate on the initial section: {exc}")
-        nodes = grid.node_coords()
+        psi_on_nodes = on_points(psi, grid.node_coords())
         for t in plan.knots:
             try:
-                eval_on_points(psi, float(t), nodes)
+                psi_on_nodes(float(t))
             except NumericEvalError as exc:
                 issues.append(f"[data] psi does not evaluate at t={t}: {exc}")
                 break
@@ -401,8 +397,6 @@ def format_scenario(scenario):
     ]
 
     dom = scenario.domain
-    if dom.box != grid.box:
-        raise ScenarioError([f"[domain] the file format takes the box from [grid], got {dom.box}"])
     lines += ["", "[domain]", "type = implicit", f'phi = "{to_source(dom.segments[0][1])}"']
     if len(dom.segments) > 1:
         jumps = "; ".join(f"{_fmt(start)}: {to_source(phi)}" for start, phi in dom.segments[1:])

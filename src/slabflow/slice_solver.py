@@ -17,7 +17,7 @@ whose (face, node, weight) triplets are also Newton's transverse entries.
 
 The step has one residual, r(u) above, and one flux pass computes it
 (:meth:`_Stencil.divergence`); psi and the source are bound in space once per
-slice (:func:`expressions.bind`), so a substep walks only what reads t.  One
+slice (:func:`on_points`), so a substep walks only what reads t.  One
 loop drives r down in two stages; each iteration solves (I/tau - J) delta = -r
 with J read from the residual's face fields.  Newton reads the flux law's
 derivative trees in every slot, so its J is exact for every flux in every
@@ -72,18 +72,23 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 from .errors import NumericEvalError, NumericInputError, SlabflowError, SolverStallError
 from .expressions import Expr, Num, bind, evaluate as eval_expr
 from .flux import _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
-from .geometry import along
+from .geometry import along, integer_at_least
 
 LINE_STEPS = tuple(2.0**-k for k in range(21))  # damped Newton's trial steps, 1 down to 2^-20
 DISSECTION_LEAF = 32  # parts of at most this many nodes are not split further
 
 
-def eval_on_points(expr, t, points):
-    """Evaluate an expression of (t, x[, y]) on (n, dim) points."""
-    points = np.atleast_2d(points)
-    env = {"t": t, **dict(zip(("x", "y"), points.T))}
-    out = eval_expr(expr, env)
-    return np.full(len(points), out, dtype=float)
+def on_points(expr, points):
+    """t -> an expression of (t, x[, y]) on (n, dim) ``points``, bitwise its one-shot
+    evaluation.  Space is bound once (:func:`expressions.bind`), so a call walks
+    only what reads t; a tree that reads no t gives one fixed array, shared by
+    every call, which no caller may write into."""
+    env = dict(zip("xy", np.atleast_2d(points).T))
+    bound = bind(expr, env)
+    if isinstance(bound, Num):
+        fixed = np.full(len(points), bound.value, dtype=float)
+        return lambda t: fixed
+    return lambda t: np.full(len(points), eval_expr(bound, {**env, "t": t}), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ class SolverConfig:
             raise SlabflowError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         for key in ("max_newton", "max_picard"):
             value = getattr(self, key)
-            if not (isinstance(value, (int, np.integer)) and value >= 0):
+            if not integer_at_least(value, 0):
                 raise SlabflowError(f"{key} must be an integer >= 0, got {value!r}")
 
 
@@ -123,8 +128,8 @@ class SliceProblem:
         t0, t1 = self.span
         if not t1 > t0:
             raise SlabflowError(f"empty slice span {self.span}")
-        if self.substeps < 1:
-            raise SlabflowError(f"substeps must be >= 1, got {self.substeps}")
+        if not integer_at_least(self.substeps, 1):
+            raise SlabflowError(f"substeps must be an integer >= 1, got {self.substeps!r}")
         if not np.all(np.diff(self.times) > 0):
             raise SlabflowError(f"{self.substeps} substeps of the span {self.span} do not all advance time")
 
@@ -369,7 +374,7 @@ def _picard_faces(flux, t, a, ax, xi, z):
 
 def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
     """Backward-Euler substep ``step`` over [t_from, t_to], psi and the source
-    as t -> values (:func:`_on_points`); returns (frame_out, stats): the input's
+    as t -> values (:func:`on_points`); returns (frame_out, stats): the input's
     undefined nodes untouched, psi(t_to) on the ghost ring and the implicit
     solution on the active set."""
     cfg = problem.config
@@ -435,23 +440,14 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
     return u, StepStats(newton_iterations=counts[0], picard_iterations=counts[1], residual=r_inf)
 
 
-def _on_points(expr, points):
-    """t -> ``expr`` on (n, dim) ``points``, bound in space once (a tree that reads no t is then a ``Num``)."""
-    env = dict(zip("xy", points.T))
-    bound = bind(expr, env)
-    if isinstance(bound, Num):
-        return lambda t, fixed=np.full(len(points), bound.value, dtype=float): fixed
-    return lambda t: np.full(len(points), eval_expr(bound, {**env, "t": t}), dtype=float)
-
-
 def solve_slice(problem):
     """Integrate the slice over its span with uniform substeps, psi and the source bound in space once."""
     stencil = _Stencil(problem.mask, problem.flux)
     init = problem.initial
     if not np.all(np.isfinite(init.ravel()[np.flatnonzero(problem.mask.defined.ravel())])):
         raise NumericInputError("initial frame has non-finite values on active/ghost nodes")
-    psi = _on_points(problem.psi, stencil.ghost_points)
-    source = _on_points(problem.source, stencil.active_points)
+    psi = on_points(problem.psi, stencil.ghost_points)
+    source = on_points(problem.source, stencil.active_points)
     times = problem.times
     frames = [init.copy()]
     stats = []

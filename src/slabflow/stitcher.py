@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainRangeError, GeometryError, ScenarioError, SlabflowError, SolverStallError
-from .expressions import Expr, Num, bind
-from .geometry import build_slice_plan
-from .slice_solver import SliceProblem, SolverConfig, eval_on_points, solve_slice
+from .expressions import Expr, Num
+from .geometry import build_slice_plan, integer_at_least
+from .slice_solver import SliceProblem, SolverConfig, on_points, solve_slice
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ class OutputConfig:
 def count_issues(n_slices, substeps):
     """[time] issues of the slice and substep counts; a None count is skipped."""
     counts = {"slices": n_slices, "substeps": substeps}
-    return [f"[time] {key} must be >= 1, got {n}" for key, n in counts.items() if n is not None and n < 1]
+    return [f"[time] {key} must be an integer >= 1, got {n!r}"
+            for key, n in counts.items() if n is not None and not integer_at_least(n, 1)]
 
 
 def cross_part_issues(grid, domain, flux):
@@ -110,22 +111,20 @@ class SpaceTimeField:
         return np.flatnonzero(self.slice_index == k)
 
     @cached_property
-    def _bound_psi(self):
-        """psi bound on the grid nodes (:func:`expressions.bind`): a stamp walks only what reads t."""
-        return bind(self.psi, dict(zip("xy", self.plan.masks[0].grid.node_coords().T)))
+    def _psi_on_nodes(self):
+        """t -> psi on the grid nodes (:func:`on_points`): a stamp walks only what reads t."""
+        return on_points(self.psi, self.plan.masks[0].grid.node_coords())
 
     def extended_frame(self, i):
         """Stamp i extended by psi(times[i]) off its active set: total on the grid box."""
         mask = self.mask_at(i)
-        psi_all = eval_on_points(self._bound_psi, float(self.times[i]), mask.grid.node_coords())
+        psi_all = self._psi_on_nodes(float(self.times[i]))
         return np.where(mask.active, self.frames[i], psi_all.reshape(mask.active.shape))
 
     @cached_property
     def psi_sup(self):
         """sup |psi| on the grid nodes over the distinct stamp times (derived once)."""
-        nodes = self.plan.masks[0].grid.node_coords()
-        return max(float(np.max(np.abs(eval_on_points(self._bound_psi, float(t), nodes))))
-                   for t in np.unique(self.times))
+        return max(float(np.max(np.abs(self._psi_on_nodes(float(t))))) for t in np.unique(self.times))
 
     @property
     def extended(self):
@@ -169,15 +168,15 @@ def transfer(frame_end, mask_prev, mask_next, psi, t_knot):
     keep = mask_prev.active & mask_next.active
     out[keep] = frame_end[keep]
     from_psi = mask_next.defined & ~keep
-    out[from_psi] = eval_on_points(psi, t_knot, mask_next.grid.node_coords()[from_psi.ravel()])
+    out[from_psi] = on_points(psi, mask_next.grid.node_coords()[from_psi.ravel()])(t_knot)
     return out
 
 
 def initial_frame(scenario, mask, t0=0.0):
     """u0 on the active set, psi(t0) on the ghost ring, NaN elsewhere."""
     out = np.full(mask.grid.shape, np.nan)
-    out[mask.active] = eval_on_points(scenario.u0, t0, mask.active_points())
-    out[mask.ghost] = eval_on_points(scenario.psi, t0, mask.ghost_points())
+    out[mask.active] = on_points(scenario.u0, mask.active_points())(t0)
+    out[mask.ghost] = on_points(scenario.psi, mask.ghost_points())(t0)
     return out
 
 

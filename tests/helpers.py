@@ -2,12 +2,15 @@
 
 from functools import reduce
 
+import numpy as np
+
 from slabflow import (
     Call,
     ImplicitRegion,
     Num,
     TimeDomain,
     bundled_scenario_paths,
+    evaluate,
     interval_phi,
     parse_expr,
 )
@@ -15,14 +18,19 @@ from slabflow import (
 T_ = ("t",)
 
 
-def interval_domain(left, right, horizon, jumps=(), box=(-1.0, 3.0)):
+def interval_domain(left, right, horizon, jumps=()):
     """One moving interval [left, right] on [0, horizon]; each jump is a
-    (start, left, right) triple, endpoints as expression text in t.  The
-    box bounds the sampling of the 1D sections (the loader uses the grid's)."""
+    (start, left, right) triple, endpoints as expression text in t."""
     segs = [(0.0, interval_phi(parse_expr(left, T_), parse_expr(right, T_)))]
     for start, jl, jr in jumps:
         segs.append((start, interval_phi(parse_expr(jl, T_), parse_expr(jr, T_))))
-    return TimeDomain(float(horizon), (tuple(box),), 1, tuple(segs))
+    return TimeDomain(float(horizon), 1, tuple(segs))
+
+
+def one_shot(expr, t, points):
+    """``expr`` on (n, dim) ``points`` at time t in one unbound walk: the
+    reference that :func:`slabflow.on_points` must equal bitwise."""
+    return np.full(len(points), evaluate(expr, {"t": t, **dict(zip("xy", points.T))}), dtype=float)
 
 
 def union_phi(*intervals):
@@ -31,9 +39,9 @@ def union_phi(*intervals):
     return reduce(lambda p, q: Call("min", (p, q)), phis)
 
 
-def interval_region(grid, *intervals):
-    """The frozen 1D section made of ``intervals``, searched inside the grid's box."""
-    return ImplicitRegion(union_phi(*intervals), 0.0, grid.box, 1)
+def interval_region(*intervals):
+    """The frozen 1D section made of ``intervals``."""
+    return ImplicitRegion(union_phi(*intervals), 0.0)
 
 
 def disk_jump_text(r_before, r_after, u0="exp(-4*(x^2 + y^2))", psi="0.3"):

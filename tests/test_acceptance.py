@@ -10,14 +10,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import disk_jump_text, interval_domain
+from helpers import disk_jump_text, interval_domain, one_shot
 from slabflow import (
     FluxModel,
     Grid,
     Scenario,
     check_structure,
     energy_report,
-    eval_on_points,
     knot_traces,
     l1_contraction_report,
     max_principle_report,
@@ -51,7 +50,7 @@ def interval_scenario(u0, psi, flux, *, h, horizon, n_slices, substeps,
                       right="1", jumps=(), xmin=-0.125, xmax=1.125):
     grid = Grid(dim=1, origin=(xmin,), spacing=(h,), counts=(round((xmax - xmin) / h),))
     return Scenario(
-        grid=grid, domain=interval_domain("0", right, horizon, jumps, box=(xmin, xmax)),
+        grid=grid, domain=interval_domain("0", right, horizon, jumps),
         n_slices=n_slices,
         substeps=substeps, flux=flux,
         psi=parse_expr(psi, TX), u0=parse_expr(u0, X_),
@@ -252,7 +251,7 @@ def test_criterion_08_jump_traces(acceptance, bundle):
     kept = nxt.active & prev.active
     t_k = float(field.plan.knots[k])
     grid = scenario.grid
-    psi = eval_on_points(scenario.psi, t_k, grid.node_coords()).reshape(nxt.active.shape)
+    psi = one_shot(scenario.psi, t_k, grid.node_coords()).reshape(nxt.active.shape)
     assert fresh.sum() > 0
     expansion_ok = np.array_equal(after[fresh], psi[fresh]) and np.array_equal(
         after[kept], before[kept]

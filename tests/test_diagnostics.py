@@ -34,7 +34,7 @@ X_ = ("x",)
 def make_scenario(u0="sin(pi*x)", psi="0", flux=None, h=1 / 32, horizon=0.1,
                   n_slices=2, substeps=20, right="1", jumps=(), source="0",
                   xmin=-0.125, xmax=1.125):
-    dom = interval_domain("0", right, horizon, jumps, box=(xmin, xmax))
+    dom = interval_domain("0", right, horizon, jumps)
     counts = round((xmax - xmin) / h)
     g = Grid(dim=1, origin=(xmin,), spacing=(h,), counts=(counts,))
     return Scenario(
@@ -51,7 +51,7 @@ def make_scenario(u0="sin(pi*x)", psi="0", flux=None, h=1 / 32, horizon=0.1,
 
 def test_node_gradients_exact_for_quadratic():
     g = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(24,))
-    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
+    mask = rasterize(interval_region((0.0, 1.0)), g)
     x = g.node_coords().ravel()
     frame = np.where(mask.defined.ravel(), x**2, np.nan).reshape(mask.active.shape)
     grads = node_gradients(frame, mask)
@@ -167,14 +167,19 @@ def test_bound_reports_evaluate_sup_psi_once_per_field(monkeypatch):
     scenario = load_scenario(bundled_scenario_paths()["heat_fixed"])
     field, _ = run_scheme(scenario)
     full_grid = []
-    values = stitcher.eval_on_points
+    binder = stitcher.on_points
 
-    def counting_values(expr, t, points):
-        if len(points) == scenario.grid.n_nodes:
-            full_grid.append(t)
-        return values(expr, t, points)
+    def counting_binder(expr, points):
+        values = binder(expr, points)
 
-    monkeypatch.setattr(stitcher, "eval_on_points", counting_values)
+        def counting_values(t):
+            if len(points) == scenario.grid.n_nodes:
+                full_grid.append(t)
+            return values(t)
+
+        return counting_values
+
+    monkeypatch.setattr(stitcher, "on_points", counting_binder)
     assert max_principle_report(scenario, field_=field).passed
     assert energy_report(scenario, field_=field).passed
     assert len(full_grid) == len(np.unique(field.times)) == 41

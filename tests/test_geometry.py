@@ -18,7 +18,6 @@ from slabflow import (
     GeometryError,
     Grid,
     MarginError,
-    SlabflowError,
     TimeDomain,
     build_slice_plan,
     hausdorff_distance,
@@ -105,7 +104,7 @@ def test_importing_the_package_leaves_scipy_spatial_unloaded():
 def test_rasterize_unit_interval_on_quarter_grid():
     """Hand enumeration: nodes -0.5, -0.25, ..., 2.5; closure [0, 1]."""
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.25,), counts=(12,))
-    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
+    mask = rasterize(interval_region((0.0, 1.0)), g)
     assert mask.active_points().ravel().tolist() == [0.25, 0.5, 0.75]
     assert mask.ghost_points().ravel().tolist() == [0.0, 1.0]
     assert mask.active_count == 3
@@ -115,13 +114,13 @@ def test_rasterize_uses_closure_membership():
     # endpoints on nodes: 0.0 and 1.0 belong to the closure, so 0.25 keeps
     # both neighbours inside and stays active
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.25,), counts=(12,))
-    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
+    mask = rasterize(interval_region((0.0, 1.0)), g)
     assert 0.25 in mask.active_points().ravel()
 
 
 def test_ghost_layer_is_dilation_minus_active():
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.125,), counts=(24,))
-    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
+    mask = rasterize(interval_region((0.0, 1.0)), g)
     active = mask.active
     shifted = np.zeros_like(active)
     shifted[1:] |= active[:-1]
@@ -133,19 +132,19 @@ def test_ghost_layer_is_dilation_minus_active():
 def test_rasterize_empty_section_raises():
     g = Grid(dim=1, origin=(-0.75,), spacing=(0.25,), counts=(10,))
     with pytest.raises(DegenerateSectionError):
-        rasterize(interval_region(g, (0.1, 0.2)), g)
+        rasterize(interval_region((0.1, 0.2)), g)
 
 
 def test_rasterize_margin_enforced():
     g = Grid(dim=1, origin=(0.0,), spacing=(0.25,), counts=(4,))
     with pytest.raises(MarginError):
-        rasterize(interval_region(g, (0.0, 1.0)), g)
+        rasterize(interval_region((0.0, 1.0)), g)
 
 
 def test_rasterize_2d_disk():
     g = Grid(dim=2, origin=(-1.0, -1.0), spacing=(0.125, 0.125), counts=(16, 16))
     phi = parse_expr("x^2 + y^2 - 0.25", ("t", "x", "y"))
-    dom = TimeDomain.implicit(phi, g.box, 1.0, dim=2)
+    dom = TimeDomain.implicit(phi, 1.0, dim=2)
     mask = rasterize(section(dom, 0.0), g)
     assert mask.active_count > 0
     # symmetry of the disk
@@ -158,8 +157,8 @@ def test_rasterize_2d_disk():
 
 def test_rasterize_is_deterministic():
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.25,), counts=(12,))
-    a = rasterize(interval_region(g, (0.0, 1.0)), g)
-    b = rasterize(interval_region(g, (0.0, 1.0)), g)
+    a = rasterize(interval_region((0.0, 1.0)), g)
+    b = rasterize(interval_region((0.0, 1.0)), g)
     assert a == b
 
 
@@ -170,8 +169,8 @@ def test_nested_regions_give_nested_masks():
         lo = rng.uniform(-0.5, 0.2)
         hi = rng.uniform(lo + 0.5, 1.5)
         pad = rng.uniform(0.0, 0.2)
-        inner = rasterize(interval_region(g, (lo, hi)), g)
-        outer = rasterize(interval_region(g, (lo - pad, hi + pad)), g)
+        inner = rasterize(interval_region((lo, hi)), g)
+        outer = rasterize(interval_region((lo - pad, hi + pad)), g)
         assert not np.any(inner.active & ~outer.active)
 
 
@@ -228,7 +227,7 @@ def test_implicit_domain_reports_declared_jumps():
     """A level-set domain jumps where a later segment starts, in any dimension."""
     disk = parse_expr("x^2 + y^2 - 0.25", ("t", "x", "y"))
     wide = parse_expr("x^2 + y^2 - 0.64", ("t", "x", "y"))
-    dom = TimeDomain(1.0, ((-1.0, 1.0), (-1.0, 1.0)), 2, ((0.0, disk), (0.5, wide)))
+    dom = TimeDomain(1.0, 2, ((0.0, disk), (0.5, wide)))
     assert dom.jump_times() == (0.5,)
     before, after = side_limits(dom, 0.5)
     assert (before.phi, after.phi) == (disk, wide)
@@ -236,26 +235,15 @@ def test_implicit_domain_reports_declared_jumps():
     assert section(dom, 1.0).phi == wide
 
 
-@pytest.mark.parametrize("box", [((-np.inf, 1.0),), ((np.nan, 1.0),), ((1.0, -1.0),)],
-                         ids=["infinite", "nan", "reversed"])
-def test_implicit_domain_rejects_a_non_finite_or_reversed_box(box):
-    """The search box must be finite with lo < hi; before this rule each of
-    these boxes planned to a wrong 'no active nodes' section."""
-    phi = parse_expr("x^2 - 0.25", ("t", "x"))
-    with pytest.raises(SlabflowError) as err:
-        TimeDomain.implicit(phi, box, 1.0)
-    assert str(box) in str(err.value)
-
-
 def test_implicit_1d_section_recovers_interval():
     phi = parse_expr("abs(x) - (1 + t)", ("t", "x"))
-    dom = TimeDomain.implicit(phi, ((-3.0, 3.0),), 1.0, dim=1)
+    dom = TimeDomain.implicit(phi, 1.0, dim=1)
     assert np.array_equal(members(section(dom, 0.5)), span(-1.5, 1.5))
 
 
 def test_track_must_start_at_zero():
     with pytest.raises(GeometryError):
-        TimeDomain(1.0, ((0.0, 1.0),), 1, ((0.1, union_phi((0.0, 1.0))),))
+        TimeDomain(1.0, 1, ((0.1, union_phi((0.0, 1.0))),))
 
 
 # --- slice plans --------------------------------------------------------------
@@ -281,7 +269,7 @@ def test_jump_times_become_knots():
 
 def test_plan_rejects_narrow_component():
     g = Grid(dim=1, origin=(-0.5,), spacing=(0.25,), counts=(12,))
-    dom = TimeDomain.implicit(union_phi((0.0, 1.0), (1.4, 1.7)), g.box, 1.0)
+    dom = TimeDomain.implicit(union_phi((0.0, 1.0), (1.4, 1.7)), 1.0)
     with pytest.raises(DegenerateSectionError) as err:
         build_slice_plan(dom, g, 2)
     assert "t=0" in str(err.value)
@@ -311,7 +299,7 @@ def test_disk_plans_at_every_spacing_and_slice_count():
 
 
 def two_interval_domain(second):
-    return TimeDomain.implicit(union_phi((0.0, 1.0), second), ((-0.5, 2.0),), 1.0)
+    return TimeDomain.implicit(union_phi((0.0, 1.0), second), 1.0)
 
 
 def test_plan_names_a_lost_interval():
@@ -333,7 +321,7 @@ def test_plan_refuses_a_section_that_splits():
     phi = parse_expr("min(max(abs(x) - 0.7, abs(y) - 0.15), (abs(x) - 0.45)^2 + y^2 - 0.09)",
                      ("t", "x", "y"))
     with pytest.raises(DegenerateSectionError, match="splits into 2 active pieces"):
-        rasterize(section(TimeDomain.implicit(phi, g.box, 1.0, dim=2), 0.0), g)
+        rasterize(section(TimeDomain.implicit(phi, 1.0, dim=2), 0.0), g)
 
 
 @pytest.mark.parametrize("phi,error", [("-1", MarginError), ("1", DegenerateSectionError)],
@@ -341,7 +329,7 @@ def test_plan_refuses_a_section_that_splits():
 def test_constant_level_set_is_a_typed_error(phi, error):
     """A phi that does not read x used to leak a ValueError from a reshape."""
     g = Grid(dim=2, origin=(-1.0, -1.0), spacing=(0.25, 0.25), counts=(8, 8))
-    dom = TimeDomain.implicit(parse_expr(phi, ("t", "x", "y")), g.box, 1.0, dim=2)
+    dom = TimeDomain.implicit(parse_expr(phi, ("t", "x", "y")), 1.0, dim=2)
     with pytest.raises(error):
         rasterize(section(dom, 0.0), g)
 
@@ -396,12 +384,12 @@ def _sections(draw):
         cx, cy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
         rx, ry = draw(st.floats(0.02, 0.7)), draw(st.floats(0.02, 0.7))
         phi = parse_expr(f"((x - {cx!r})/{rx!r})^2 + ((y - {cy!r})/{ry!r})^2 - 1", ("t", "x", "y"))
-        return section(TimeDomain.implicit(phi, g.box, 1.0, dim=2), 0.0), g
+        return section(TimeDomain.implicit(phi, 1.0, dim=2), 0.0), g
     h = draw(st.floats(0.02, 0.2))
     g = Grid(dim=1, origin=(-0.5,), spacing=(h,), counts=(int(np.ceil(2.8 / h)),))
     cuts = sorted(draw(st.lists(st.floats(-0.3, 2.4), min_size=2, max_size=6, unique=True)))
     cuts = cuts[: len(cuts) // 2 * 2]
-    return interval_region(g, *zip(cuts[::2], cuts[1::2])), g
+    return interval_region(*zip(cuts[::2], cuts[1::2])), g
 
 
 @settings(max_examples=150, deadline=None)
@@ -427,7 +415,7 @@ def test_compiled_interval_plans_match_an_endpoint_oracle(n, a0, width, a1, b1, 
     knot, the masks that comparing x with its endpoints gives."""
     g = Grid(dim=1, origin=(-0.5,), spacing=(1.0 / n,), counts=(3 * n,))
     b0 = a0 + width
-    dom = interval_domain(f"{a0!r} + {a1!r}*t", f"{b0!r} + {b1!r}*t", 1.0, box=g.box[0])
+    dom = interval_domain(f"{a0!r} + {a1!r}*t", f"{b0!r} + {b1!r}*t", 1.0)
     plan = build_slice_plan(dom, g, n_slices)
     x = g.axis_nodes(0)
     for t, mask in zip(plan.knots, plan.masks):
@@ -510,7 +498,7 @@ def test_slab_distance_shrinks_with_refinement():
 
 def test_sample_clouds_have_time_column():
     dom = interval_domain("0", "1 + t", 1.0)
-    body = sample_spacetime(dom, resolution=0.1)
+    body = sample_spacetime(dom, ((-1.0, 3.0),), resolution=0.1)
     assert body.shape[1] == 2
     assert body[:, 0].min() == 0.0
     assert body[:, 0].max() == 1.0

@@ -218,13 +218,27 @@ def test_jump_time_outside_horizon_rejected():
     ids=["moving_intervals", "implicit"],
 )
 def test_a_broken_grid_spacing_does_not_hide_the_domain_issues(domain):
-    """The domain is built on the file's axis ranges when only the spacing
-    fails, so one ScenarioError lists the grid and the jump-time issues."""
+    """The domain is built from its own keys and T, whatever the grid, so
+    one ScenarioError lists the grid and the jump-time issues."""
     text = MINIMAL.replace("h = 0.03125", "h = 0.03").replace(
         'type = moving_intervals\nleft = "0"\nright = "1"', domain)
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(text)
     assert err.value.issues == ["[grid] h=0.03 must evenly divide [-0.125, 1.125]",
+                                "[domain] jump times must increase strictly inside (0, T): [0.5]"]
+
+
+def test_a_broken_grid_range_does_not_hide_the_domain_issues():
+    """A reversed axis range gives no box at all; the domain needs none."""
+    with open(bundled_scenario_paths()["heat_fixed"], encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (("xmin = -0.125\nxmax = 1.125", "xmin = 1.125\nxmax = -0.125"),
+                     ('right = "1"', 'right = "1"\njumps = "0.5: 0, 1"')):
+        assert old in text, old
+        text = text.replace(old, new)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.issues == ["[grid] axis range [1.125, -0.125] is empty",
                                 "[domain] jump times must increase strictly inside (0, T): [0.5]"]
 
 
@@ -234,7 +248,7 @@ def _heat(**change):
 
 def _jumps_at(*starts, horizon=0.1):
     segments = tuple((t, interval_phi(Num(0.0), Num(1.0))) for t in (0.0, *starts))
-    return lambda: TimeDomain(horizon, ((-0.125, 1.125),), 1, segments)
+    return lambda: TimeDomain(horizon, 1, segments)
 
 
 def _solver(line):
@@ -343,6 +357,26 @@ def test_code_built_and_loaded_settings_pass_the_same_rules(build, edit, section
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(MINIMAL.replace(*edit))
     assert any(issue.startswith(section) and key in issue for issue in err.value.issues)
+
+
+@pytest.mark.parametrize(
+    "build,key",
+    [
+        (lambda: Grid(dim=1, origin=(-0.125,), spacing=(0.03125,), counts=(40.0,)), "counts"),
+        (lambda: Grid(dim=1.0, origin=(-0.125,), spacing=(0.03125,), counts=(40,)), "dim"),
+        (lambda: FluxModel.linear_diffusion(dim=1.0), "dim"),
+        (lambda: TimeDomain(0.1, 1.0, ((0.0, interval_phi(Num(0.0), Num(1.0))),)), "dim"),
+        (_heat(substeps=2.0), "substeps"),
+        (_heat(n_slices=2.0), "slices"),
+    ],
+    ids=["grid_counts", "grid_dim", "flux_dim", "domain_dim", "substeps", "slices"],
+)
+def test_integer_settings_built_in_code_must_be_integers(build, key):
+    """An integral float passed every constructor and then raised a bare
+    TypeError in the run (``n_slices`` and the domain's ``dim`` ran); each
+    integer setting now takes SolverConfig's rule at construction."""
+    with pytest.raises(SlabflowError, match=f"{key} must be"):
+        build()
 
 
 def test_unknown_domain_type_is_an_issue():
@@ -456,13 +490,9 @@ def test_unprintable_scenarios_raise_scenario_errors():
     g = disk.grid
     coarse_y = dataclasses.replace(g, spacing=(g.spacing[0], 2 * g.spacing[1]),
                                    counts=(g.counts[0], g.counts[1] // 2))
-    base = parse_scenario_text(MINIMAL)
-    other_box = dataclasses.replace(base.domain, box=((-1.0, 2.0),))
-    for scen, section in ((dataclasses.replace(disk, grid=coarse_y), "[grid]"),
-                          (dataclasses.replace(base, domain=other_box), "[domain]")):
-        with pytest.raises(ScenarioError) as err:
-            scenario_hash(scen)
-        assert err.value.issues[0].startswith(section)
+    with pytest.raises(ScenarioError) as err:
+        scenario_hash(dataclasses.replace(disk, grid=coarse_y))
+    assert err.value.issues[0].startswith("[grid]")
 
 
 def test_hash_is_sha256_of_canonical_text():

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu, spsolve
 
-from helpers import interval_region
+from helpers import interval_region, one_shot
+from test_expressions import _interior, _leaves, _values
 from slabflow import (
     FluxModel,
     Grid,
@@ -28,16 +29,16 @@ from slabflow import (
     SolverStallError,
     TimeDomain,
     build_slice_plan,
-    eval_on_points,
     initial_frame,
     parse_expr,
+    on_points,
     rasterize,
     run_scheme,
     section,
     solve_slice,
 )
 from slabflow import slice_solver
-from slabflow.expressions import derivative
+from slabflow.expressions import derivative, free_variables, to_source
 from slabflow.flux import evaluate_many
 from slabflow.slice_solver import (
     DISSECTION_LEAF,
@@ -54,7 +55,7 @@ FLUX_VARS = ("t", "x", "y", "z", "xi1", "xi2")
 def unit_interval_mask(h=0.25, pad=2):
     n = round(1.0 / h)
     g = Grid(dim=1, origin=(-pad * h,), spacing=(h,), counts=(n + 2 * pad,))
-    return g, rasterize(interval_region(g, (0.0, 1.0)), g)
+    return g, rasterize(interval_region((0.0, 1.0)), g)
 
 
 def full_frame(grid, mask, fn):
@@ -105,7 +106,7 @@ def test_divergence_2d_quadratic():
     """u = x^2 + y^2: face differences are exact for quadratics, div = 4."""
     g = Grid(dim=2, origin=(-1.0, -1.0), spacing=(0.125, 0.125), counts=(16, 16))
     phi = parse_expr("max(abs(x), abs(y)) - 0.5", ("t", "x", "y"))
-    dom = TimeDomain.implicit(phi, g.box, 1.0, dim=2)
+    dom = TimeDomain.implicit(phi, 1.0, dim=2)
     mask = rasterize(section(dom, 0.0), g)
     coords = g.node_coords()
     vals = np.where(mask.defined.ravel(), coords[:, 0] ** 2 + coords[:, 1] ** 2, np.nan)
@@ -170,7 +171,7 @@ def test_transverse_slots_follow_the_averaged_one_sided_differences():
 def disk_mask(h=0.125):
     g = Grid(dim=2, origin=(-1.0, -1.0), spacing=(h, h), counts=(round(2 / h),) * 2)
     phi = parse_expr("x^2 + y^2 - 0.6^2", ("t", "x", "y"))
-    return g, rasterize(section(TimeDomain.implicit(phi, g.box, 1.0, dim=2), 0.0), g)
+    return g, rasterize(section(TimeDomain.implicit(phi, 1.0, dim=2), 0.0), g)
 
 
 def central_difference_jacobian(stencil, frame, tau, eps=1e-6):
@@ -321,7 +322,7 @@ def benchmark_disk_mask():
     h = 0.021
     g = Grid(dim=2, origin=(-1.05, -1.05), spacing=(h, h), counts=(101, 101))
     phi = parse_expr("x^2 + y^2 - (0.8 - 0.2*t)^2", ("t", "x", "y"))
-    return g, rasterize(section(TimeDomain.implicit(phi, g.box, 1.0, dim=2), 0.0), g)
+    return g, rasterize(section(TimeDomain.implicit(phi, 1.0, dim=2), 0.0), g)
 
 
 def test_level_synchronous_dissection_matches_the_recursive_rule(bundle):
@@ -444,7 +445,7 @@ def isolated_node_mask():
     neighbours only, so its matrix row is the diagonal alone."""
     h = 0.0625
     g = Grid(dim=1, origin=(-2 * h,), spacing=(h,), counts=(32,))
-    return g, rasterize(interval_region(g, (0.0, 1.0), (1.25, 1.25 + 2 * h)), g)
+    return g, rasterize(interval_region((0.0, 1.0), (1.25, 1.25 + 2 * h)), g)
 
 
 @pytest.mark.parametrize(
@@ -930,7 +931,7 @@ def random_step_problem(seed):
     grid = Grid(dim=1, origin=(-2 * h,), spacing=(h,), counts=(cells + 4,))
     a = rng.uniform(0, 0.4)
     b = rng.uniform(a + 0.2, 1)
-    mask = rasterize(interval_region(grid, (a, b)), grid)
+    mask = rasterize(interval_region((a, b)), grid)
     p = float(rng.choice((1.1, 1.3, 1.5, 2, 3, 4, 6)))
     kind = str(rng.choice(("p_laplacian", "z_modulated")))
     amplitude = 10 ** rng.uniform(-3, 2)
@@ -1004,7 +1005,7 @@ def test_empty_span_rejected():
 
 @pytest.mark.parametrize(
     "span,substeps,message",
-    [((0.0, 0.1), 0, "substeps must be >= 1, got 0"),
+    [((0.0, 0.1), 0, "substeps must be an integer >= 1, got 0"),
      ((0.0, 5e-323), 20, "20 substeps of the span (0.0, 5e-323) do not all advance time")],
     ids=["no_substeps", "subnormal_span"],
 )
@@ -1027,7 +1028,7 @@ def test_boundary_time_derivative_fallback_matches_analytic():
     """psi_t of the energy report is psi's exact derivative tree."""
     psi = parse_expr("exp(-t)*x", TX)
     pts = np.array([[0.5], [1.0]])
-    got = eval_on_points(derivative(psi, "t"), 0.3, pts)
+    got = on_points(derivative(psi, "t"), pts)(0.3)
     want = -np.exp(-0.3) * pts.ravel()
     assert np.allclose(got, want, rtol=1e-15, atol=0)
 
@@ -1035,10 +1036,44 @@ def test_boundary_time_derivative_fallback_matches_analytic():
 def test_boundary_gradient_fallback():
     psi = parse_expr("x^2", TX)
     pts = np.array([[0.5], [1.5]])
-    assert eval_on_points(derivative(psi, "x"), 0.0, pts).tolist() == [1.0, 3.0]
+    assert on_points(derivative(psi, "x"), pts)(0.0).tolist() == [1.0, 3.0]
 
 
-def test_eval_on_points_broadcasts_constants():
+def test_on_points_broadcasts_constants():
     tree = parse_expr("2", TX)
-    out = eval_on_points(tree, 0.0, np.array([[0.1], [0.2], [0.3]]))
+    out = on_points(tree, np.array([[0.1], [0.2], [0.3]]))(0.0)
     assert out.tolist() == [2.0, 2.0, 2.0]
+
+
+_trees = st.recursive(_leaves, _interior, max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.one_of(_trees, _trees.filter(lambda raw: "t" not in free_variables(raw))),
+       wrt=st.sampled_from((None, "t", "x")), dim=st.sampled_from((1, 2)),
+       points=st.lists(st.tuples(_values, _values), min_size=1, max_size=4),
+       times=st.lists(_values, min_size=1, max_size=3))
+@example(raw=parse_expr("sqrt(t*x^2)", ("t", "x")), wrt="x", dim=1, points=[(0.0, 0.0), (1.0, 0.0)],
+         times=[0.5])
+def test_on_points_matches_one_shot_evaluation(raw, wrt, dim, points, times):
+    """Random trees over t, x and y (t-free ones included), and their
+    derivative trees with chain-rule terms: at every t the binder gives the
+    one-shot walk's values bitwise, or the same NumericEvalError; a t-free
+    tree gives one shared array.  The example's chain-rule partial reads t
+    and does not evaluate at x = 0, where its tangent is 0."""
+    tree = parse_expr(to_source(raw), ("t", "x", "y"))
+    if wrt is not None:
+        tree = derivative(tree, wrt)
+    points = np.array(points)[:, :dim]
+    values = on_points(tree, points)
+    for t in times:
+        try:
+            want = one_shot(tree, t, points)
+        except NumericEvalError as ref:
+            with pytest.raises(NumericEvalError) as err:
+                values(t)
+            assert str(err.value) == str(ref)
+            continue
+        assert values(t).tobytes() == want.tobytes()
+        if "t" not in free_variables(tree):
+            assert values(t) is values(t + 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import interval_domain, interval_region
+from helpers import interval_domain, interval_region, one_shot
 from slabflow import (
     DomainRangeError,
     FluxModel,
@@ -15,7 +15,6 @@ from slabflow import (
     Scenario,
     ScenarioError,
     TimeDomain,
-    eval_on_points,
     initial_frame,
     knot_traces,
     parse_expr,
@@ -24,7 +23,6 @@ from slabflow import (
     transfer,
 )
 from slabflow import stitcher
-from slabflow.expressions import bind
 
 TX = ("t", "x")
 
@@ -49,7 +47,7 @@ def heat_scenario(h=1 / 64, n_slices=2, substeps=50):
 
 def test_transfer_identity_on_unchanged_mask():
     g = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(24,))
-    mask = rasterize(interval_region(g, (0.0, 1.0)), g)
+    mask = rasterize(interval_region((0.0, 1.0)), g)
     rng = np.random.default_rng(4)
     frame = np.where(mask.defined, rng.uniform(size=mask.active.shape), np.nan)
     out = transfer(frame, mask, mask, parse_expr("0.5", TX), 0.3)
@@ -60,8 +58,8 @@ def test_transfer_identity_on_unchanged_mask():
 
 def test_transfer_expansion_uses_boundary_datum():
     g = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(32,))
-    small = rasterize(interval_region(g, (0.0, 1.0)), g)
-    large = rasterize(interval_region(g, (0.0, 1.5)), g)
+    small = rasterize(interval_region((0.0, 1.0)), g)
+    large = rasterize(interval_region((0.0, 1.5)), g)
     frame = np.where(small.defined, 2.0, np.nan)
     out = transfer(frame, small, large, parse_expr("t + x", TX), 0.25)
     fresh = large.active & ~small.active
@@ -73,8 +71,8 @@ def test_transfer_expansion_uses_boundary_datum():
 
 def test_transfer_contraction_restricts_previous_values():
     g = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(32,))
-    large = rasterize(interval_region(g, (0.0, 1.5)), g)
-    small = rasterize(interval_region(g, (0.25, 1.25)), g)
+    large = rasterize(interval_region((0.0, 1.5)), g)
+    small = rasterize(interval_region((0.25, 1.25)), g)
     rng = np.random.default_rng(8)
     frame = np.where(large.defined, rng.uniform(size=large.active.shape), np.nan)
     out = transfer(frame, large, small, parse_expr("t + x", TX), 0.3)
@@ -91,8 +89,8 @@ def test_transfer_contraction_restricts_previous_values():
 def test_transfer_rejects_mismatched_grids():
     g1 = Grid(dim=1, origin=(-0.25,), spacing=(0.0625,), counts=(24,))
     g2 = Grid(dim=1, origin=(-0.25,), spacing=(0.125,), counts=(12,))
-    m1 = rasterize(interval_region(g1, (0.0, 1.0)), g1)
-    m2 = rasterize(interval_region(g2, (0.0, 1.0)), g2)
+    m1 = rasterize(interval_region((0.0, 1.0)), g1)
+    m2 = rasterize(interval_region((0.0, 1.0)), g2)
     frame = np.where(m1.defined, 1.0, np.nan)
     with pytest.raises(GeometryError):
         transfer(frame, m1, m2, parse_expr("0", TX), 0.0)
@@ -199,16 +197,17 @@ def test_psi_is_bound_on_the_grid_nodes_once_per_field(bundle, name, monkeypatch
     scenario, run_field, _ = bundle[name]
     field = dataclasses.replace(run_field)  # nothing derived yet
     binds = []
+    binder = stitcher.on_points
 
-    def counting_bind(expr, env):
+    def counting_binder(expr, points):
         binds.append(expr)
-        return bind(expr, env)
+        return binder(expr, points)
 
-    monkeypatch.setattr(stitcher, "bind", counting_bind)
+    monkeypatch.setattr(stitcher, "on_points", counting_binder)
     nodes = field.plan.masks[0].grid.node_coords()
     sup = 0.0
     for i in range(field.n_stamps):
-        psi = eval_on_points(scenario.psi, float(field.times[i]), nodes)
+        psi = one_shot(scenario.psi, float(field.times[i]), nodes)
         expected = np.where(field.mask_at(i).active, field.frames[i], psi.reshape(field.frames[i].shape))
         assert field.extended_frame(i).tobytes() == expected.tobytes()
         sup = max(sup, float(np.max(np.abs(psi))))
@@ -276,10 +275,9 @@ def test_runs_are_bitwise_deterministic():
     "change,issue",
     [
         ({"flux": FluxModel.p_laplacian(3.0, dim=2)}, "2D flux cannot run on a 1D grid"),
-        ({"substeps": 0}, "substeps must be >= 1"),
-        ({"n_slices": 0}, "slices must be >= 1"),
-        ({"domain": TimeDomain.implicit(parse_expr("x^2 + y^2 - 0.25", ("t", "x", "y")),
-                                        ((-1.0, 1.0), (-1.0, 1.0)), 0.1, dim=2)},
+        ({"substeps": 0}, "substeps must be an integer >= 1"),
+        ({"n_slices": 0}, "slices must be an integer >= 1"),
+        ({"domain": TimeDomain.implicit(parse_expr("x^2 + y^2 - 0.25", ("t", "x", "y")), 0.1, dim=2)},
          "[domain] a 2D domain cannot run on a 1D grid"),
     ],
     ids=["2d_flux_on_1d_grid", "zero_substeps", "zero_slices", "2d_domain_on_1d_grid"],
