@@ -96,15 +96,6 @@ def _cmd_verify(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _at_least(least):
-    """An argparse type: an integer no smaller than ``least``."""
-    def integer(text):
-        if int(text) < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
-        return int(text)
-    return integer
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="slabflow",
@@ -118,13 +109,13 @@ def build_parser():
 
     refine = sub.add_parser("refine", help="compare runs under halved time steps")
     refine.add_argument("scenario")
-    refine.add_argument("--levels", type=_at_least(2), default=3)
+    refine.add_argument("--levels", type=int, default=3)
     refine.set_defaults(func=_cmd_refine)
 
     check = sub.add_parser("check-flux", help="sampled structure-condition check")
     check.add_argument("scenario")
-    check.add_argument("--samples", type=_at_least(1), default=10000)
-    check.add_argument("--seed", type=_at_least(0), default=0)
+    check.add_argument("--samples", type=int, default=10000)
+    check.add_argument("--seed", type=int, default=0)
     check.set_defaults(func=_cmd_check_flux)
 
     geom = sub.add_parser("geometry", help="print knots, sections and jumps")

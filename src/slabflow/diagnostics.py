@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InapplicableDiagnosticError, NumericEvalError, SlabflowError
 from .expressions import derivative, evaluate as eval_expr, free_variables
-from .geometry import along, build_slice_plan, slab_hausdorff
+from .geometry import along, build_slice_plan, integer_at_least, slab_hausdorff
 from .slice_solver import on_points
 from .stitcher import run_scheme
 
@@ -293,8 +293,8 @@ def refinement_study(scenario, levels=3):
     """Re-run with n_slices and substeps doubled per level; measure the L1
     gap between consecutive extensions and each level's slab Hausdorff
     distance (resolution delta/8, floored at half a cell)."""
-    if levels < 2:
-        raise SlabflowError("refinement_study needs at least 2 levels")
+    if not integer_at_least(levels, 2):
+        raise SlabflowError(f"levels must be at least 2, got {levels!r}")
     runs = []
     infos = []
     for i in range(levels):

@@ -14,10 +14,12 @@ A ``custom`` flux gives its components; a builtin kind is a template in
 At eps_reg = 0 and p != 2 it takes its limits where s = 0: A = dA/dz = 0,
 dA/dxi = 0 for p > 2, :class:`JacobianSingularError` for p < 2.  A custom
 law's chain-rule terms are 0 where their tangent is (:func:`derivative`), so
-a kink at xi = 0 such as (xi1^2)^0.5*xi1 has dA/dxi = 0 there.  Builtins
-carry their structural constants (growth, coercivity, offsets, z-Lipschitz
-bound, time modulus); custom fluxes declare them and ``check_structure``
-samples whether the declared inequalities actually hold.
+a kink at xi = 0 such as (xi1^2)^0.5*xi1 has dA/dxi = 0 there.  A builtin
+kind's modulation and its own structural constants are written once, in
+``FluxModel.BUILTIN_KINDS``, and every path to a flux (its constructor, the
+kind's constructor, the loader) takes them; a constant the caller gives is a
+declared bound instead, and ``check_structure`` samples whether the declared
+inequalities actually hold.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import JacobianSingularError, SlabflowError
 from .expressions import Num, derivative, evaluate as eval_expr, parse_expr
-from .geometry import Grid
+from .geometry import Grid, integer_at_least
 
 STRUCTURE_TOLERANCE = 1e-12  # slack for roundoff + O(eps_reg^(p-1)) regularisation
 
@@ -52,7 +54,7 @@ def _law(components, radius=None):
 def _template(kind, p, eps_reg, dim):
     """The law of a builtin kind (module docstring)."""
     slots = ("xi1", "xi2")[:dim]
-    m = "(1 + 0.5*sin(z)^2)*" if kind == "z_modulated" else ""
+    m = FluxModel.BUILTIN_KINDS[kind][0]
     if p == 2.0:
         return _law([parse_expr(f"{m}{xi}") for xi in slots])
     s = " + ".join([f"{xi}^2" for xi in slots] + ([repr(eps_reg**2)] if eps_reg**2 else []))
@@ -67,17 +69,24 @@ class FluxModel:
     kind: str
     p: float
     dim: int = 1
-    eps_reg: float = 1e-8
-    growth_c: float = 1.0
-    coercivity_alpha: float = 1.0
-    lower_b: float = 0.0
-    lower_d: float = 0.0
-    z_lipschitz: float = 0.0
+    # eps_reg and the structure constants: None takes the kind's value (__post_init__)
+    eps_reg: float = None
+    growth_c: float = None
+    coercivity_alpha: float = None
+    lower_b: float = None
+    lower_d: float = None
+    z_lipschitz: float = None
     time_modulus: object = None  # expression in r, or None for 0
     components: tuple = ()  # custom only: expression per component
 
-    BUILTIN_KINDS = ("p_laplacian", "linear_diffusion", "z_modulated")
-    KINDS = BUILTIN_KINDS + ("custom",)
+    # builtin kind -> (the modulation m(z) of its template, its own values of
+    # the constants); z_modulated's m = 1 + sin(z)^2/2 lies in [1, 3/2], |m'| <= 1
+    BUILTIN_KINDS = {
+        "p_laplacian": ("", {}),
+        "linear_diffusion": ("", {"eps_reg": 0.0}),
+        "z_modulated": ("(1 + 0.5*sin(z)^2)*", {"growth_c": 1.5, "z_lipschitz": 1.0}),
+    }
+    KINDS = (*BUILTIN_KINDS, "custom")
 
     @classmethod
     def check_kind(cls, kind):
@@ -86,10 +95,16 @@ class FluxModel:
 
     def __post_init__(self):
         self.check_kind(self.kind)
+        constants = {"eps_reg": 1e-8, "growth_c": 1.0, "coercivity_alpha": 1.0, "lower_b": 0.0,
+                     "lower_d": 0.0, "z_lipschitz": 0.0, **self.BUILTIN_KINDS.get(self.kind, ("", {}))[1]}
+        for key, value in constants.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         if not 1 < self.p < np.inf:
             raise SlabflowError(f"p must exceed 1 and be finite, got {self.p}")
-        if self.kind == "linear_diffusion" and self.p != 2:
-            raise SlabflowError(f"linear_diffusion requires p = 2, got {self.p}")
+        if self.kind == "linear_diffusion" and (self.p, self.eps_reg) != (2, 0):
+            raise SlabflowError(
+                f"linear_diffusion requires p = 2 and eps_reg = 0, got p = {self.p}, eps_reg = {self.eps_reg}")
         Grid.check_dim(self.dim)
         if not 0 <= self.eps_reg < np.inf:
             raise SlabflowError(f"eps_reg must be >= 0 and finite, got {self.eps_reg}")
@@ -113,31 +128,21 @@ class FluxModel:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def p_laplacian(p, dim=1, eps_reg=1e-8):
-        return FluxModel(kind="p_laplacian", p=float(p), dim=dim, eps_reg=float(eps_reg))
+    def p_laplacian(p, dim=1, eps_reg=None):
+        return FluxModel("p_laplacian", float(p), dim, eps_reg)
 
     @staticmethod
     def linear_diffusion(dim=1):
-        return FluxModel(kind="linear_diffusion", p=2.0, dim=dim, eps_reg=0.0)
+        return FluxModel("linear_diffusion", 2.0, dim)
 
     @staticmethod
-    def z_modulated(p, dim=1, eps_reg=1e-8):
-        # modulation m(z) = 1 + sin(z)^2/2 in [1, 3/2], |m'| <= 1
-        return FluxModel(
-            kind="z_modulated", p=float(p), dim=dim, eps_reg=float(eps_reg),
-            growth_c=1.5, coercivity_alpha=1.0, z_lipschitz=1.0,
-        )
+    def z_modulated(p, dim=1, eps_reg=None):
+        return FluxModel("z_modulated", float(p), dim, eps_reg)
 
     @staticmethod
-    def custom(components, p, dim=1, eps_reg=1e-8, growth_c=1.0, coercivity_alpha=1.0,
-               lower_b=0.0, lower_d=0.0, z_lipschitz=0.0, time_modulus=None):
-        return FluxModel(
-            kind="custom", p=float(p), dim=dim, eps_reg=float(eps_reg),
-            growth_c=float(growth_c), coercivity_alpha=float(coercivity_alpha),
-            lower_b=float(lower_b), lower_d=float(lower_d),
-            z_lipschitz=float(z_lipschitz), time_modulus=time_modulus,
-            components=tuple(components),
-        )
+    def custom(components, p, dim=1, **constants):
+        """One expression per component; ``constants`` are the fields from eps_reg on."""
+        return FluxModel("custom", float(p), dim, components=tuple(components), **constants)
 
     @cached_property
     def couples_gradient_slots(self):
@@ -252,6 +257,9 @@ def check_structure(flux, samples=10000, seed=0):
     - zero_at_zero:  A(.,.,.,0) = 0
     - nonneg_pairing: A . xi >= 0
     """
+    for key, value, least in (("samples", samples, 1), ("seed", seed, 0)):
+        if not integer_at_least(value, least):
+            raise SlabflowError(f"{key} must be at least {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     n, d = samples, flux.dim
 

@@ -11,13 +11,15 @@ sequence of segments (start, phi), each section the sublevel set
 declared jumps.  A 1D interval [left, right] is the level set
 max(left - x, x - right) (:func:`interval_phi`).
 
-Masks follow a ghost-node convention: a node is *active* when it and all
-its axis neighbours lie in the (closed) section and, in 2D, it lies in an
-all-active 2x2 block (the block core; 1D keeps an isolated active node, a
-valid 3-point row).  A node is *ghost* when it is not active but
-neighbours an active node.  Ghost nodes carry Dirichlet data; everything
-else is outside and stays undefined.  The boundary is therefore resolved
-to first order -- intentional, the time-slicing error dominates anyway.
+A mask is its grid and its active set.  A node is *active* when it and
+all its axis neighbours lie in the (closed) section and, in 2D, it lies in
+an all-active 2x2 block (1D keeps an isolated active node, a valid 3-point
+row).  The ghost ring, derived from the active set, is the axis neighbours
+of the active set that are not active themselves.  Ghost nodes carry
+Dirichlet data; everything else is outside and stays undefined.  The
+boundary is therefore resolved to first order -- intentional, the
+time-slicing error dominates anyway.  A slice plan is its knots and one
+mask per slice; its Delta, the largest gap between knots, is derived.
 
 One rule, the same in every dimension, refuses a section the grid cannot
 represent: each connected piece (through axis neighbours) of the nodes in
@@ -32,8 +34,8 @@ bitwise-identical outputs.
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -199,32 +201,23 @@ class TimeDomain:
         """Declared discontinuity times, strictly inside (0, horizon)."""
         return tuple(start for start, _ in self.segments[1:])
 
-    def _check_time(self, t):
-        if not (0.0 <= t <= self.horizon):
-            raise DomainRangeError(f"t={t} outside [0, {self.horizon}]")
-
-    def _region(self, t, side):
-        """The section at t of the segment in force on ``side`` ('minus' or 'plus') of t."""
-        starts = [start for start, _ in self.segments]
-        i = bisect_right(starts, t) - 1
-        if side == "minus" and i > 0 and starts[i] == t:
-            i -= 1
-        return ImplicitRegion(self.segments[i][1], float(t))
-
-
-def section(dom, t):
-    """The spatial domain frozen at time t (right-continuous value)."""
-    dom._check_time(t)
-    return dom._region(t, "plus")
-
 
 def side_limits(dom, t):
     """One-sided limits (section(t-), section(t+)); equal away from jumps.
 
     The left limit at t = 0 is defined as the right one.
     """
-    dom._check_time(t)
-    return dom._region(t, "minus"), dom._region(t, "plus")
+    if not (0.0 <= t <= dom.horizon):
+        raise DomainRangeError(f"t={t} outside [0, {dom.horizon}]")
+    starts = [start for start, _ in dom.segments]
+    after = bisect_right(starts, t) - 1  # the segment in force from t on
+    before = after - 1 if after > 0 and starts[after] == t else after
+    return tuple(ImplicitRegion(dom.segments[i][1], float(t)) for i in (before, after))
+
+
+def section(dom, t):
+    """The spatial domain frozen at time t (right-continuous value)."""
+    return side_limits(dom, t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +226,24 @@ def side_limits(dom, t):
 
 @dataclass(frozen=True, eq=False)
 class DomainMask:
-    """Active/ghost node classification of one frozen section on a grid.
-
-    ``active`` and ``ghost`` are boolean arrays of shape ``grid.shape``.
-    Every axis neighbour of an active node is active or ghost, so the
-    stencil of the flux divergence never reads an undefined node.
+    """One frozen section on a grid: the grid and the active set, a boolean
+    array of shape ``grid.shape``.  The ghost ring is derived at construction
+    (module notes), so every axis neighbour of an active node is active or
+    ghost and the stencil of the flux divergence never reads an undefined node.
     """
 
     grid: Grid
     active: np.ndarray
-    ghost: np.ndarray
+    ghost: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ghost", np.logical_or.reduce(_neighbours(self.active)) & ~self.active)
 
     def __eq__(self, other):
         return (
             isinstance(other, DomainMask)
             and self.grid == other.grid
             and np.array_equal(self.active, other.active)
-            and np.array_equal(self.ghost, other.ghost)
         )
 
     @property
@@ -267,37 +261,18 @@ class DomainMask:
         return self.grid.node_coords()[self.ghost.ravel()]
 
 
-def _neighbour_all(inside):
-    """Nodes whose every axis neighbour is inside (array edges excluded)."""
-    out = np.zeros_like(inside)
-    core = (slice(1, -1),) * inside.ndim
-    acc = inside[core]
-    for a in range(inside.ndim):
-        for shifted in (slice(None, -2), slice(2, None)):
-            acc = acc & inside[core[:a] + (shifted,) + core[a + 1:]]
-    out[core] = acc
+def _at(mask, step):
+    """``mask`` read at n + ``step`` for every node n, False where that leaves the array."""
+    out = np.zeros_like(mask)
+    into = tuple(slice(max(-s, 0), n - max(s, 0)) for s, n in zip(step, mask.shape))
+    read = tuple(slice(max(s, 0), n - max(-s, 0)) for s, n in zip(step, mask.shape))
+    out[into] = mask[read]
     return out
 
 
-def _dilate(mask):
-    out = mask.copy()
-    for a in range(mask.ndim):
-        lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
-        out[lo] |= mask[hi]
-        out[hi] |= mask[lo]
-    return out
-
-
-def _block_core(active):
-    """Union of the all-active blocks of 2^dim nodes.  It is an opening, so
-    every node it keeps lies in a block it keeps: one pass is the fixed
-    point of dropping nodes that lie in no all-active block."""
-    corners = list(itertools.product((slice(None, -1), slice(1, None)), repeat=active.ndim))
-    blocks = np.logical_and.reduce([active[c] for c in corners])
-    core = np.zeros_like(active)
-    for c in corners:
-        core[c] |= blocks
-    return core
+def _neighbours(mask):
+    """``mask`` read at each axis neighbour of every node (:func:`_at`), one array per neighbour."""
+    return [_at(mask, sign * unit) for unit in np.eye(mask.ndim, dtype=int) for sign in (-1, 1)]
 
 
 def _pieces(mask):
@@ -348,20 +323,12 @@ def _boundary(region, x_in, x_out):
     return 0.5 * (x_in + x_out)
 
 
-@lru_cache(maxsize=16)
-def _box_samples(lo, hi):
-    """INTERVAL_SAMPLES + 1 abscissae of [lo, hi] framed by -inf and inf (read-only, cached)."""
-    framed = np.concatenate([[-math.inf], np.linspace(lo, hi, INTERVAL_SAMPLES + 1), [math.inf]])
-    framed.setflags(write=False)
-    return framed
-
-
 def _refuse_nodeless_piece(region, grid, inside_x):
     """1D: raise for an inside run of the samples of the grid's box that holds
     none of the inside nodes ``inside_x`` (ascending).  Node classification cannot
     see a piece lying between two nodes; its ends are bisected only to name it."""
-    framed = _box_samples(*grid.box[0])
-    xs = framed[1:-1]
+    xs = np.linspace(*grid.box[0], INTERVAL_SAMPLES + 1)
+    framed = np.concatenate([[-math.inf], xs, [math.inf]])
     inside = np.concatenate([[False], region.contains(xs[:, None]), [False]])
     starts, stops = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2).T
     # run k lies strictly between the outside samples framed[starts[k]] and framed[stops[k] + 1]
@@ -395,9 +362,10 @@ def rasterize(region, grid):
         _refuse_nodeless_piece(region, grid, grid.axis_nodes(0)[inside])
     if not inside.any():
         raise DegenerateSectionError(f"section holds no node of the grid box {_fmt_box(grid.box)}")
-    active = _neighbour_all(inside)
-    if grid.dim > 1:
-        active = _block_core(active)
+    active = inside & np.logical_and.reduce(_neighbours(inside))  # every axis neighbour is inside
+    if grid.dim > 1:  # and the node lies in an all-active block of 2^dim nodes
+        blocks = np.logical_and.reduce([_at(active, c) for c in itertools.product((0, 1), repeat=grid.dim)])
+        active = np.logical_or.reduce([_at(blocks, c) for c in itertools.product((0, -1), repeat=grid.dim)])
     inside_label, n_inside = _pieces(inside)
     first = np.unique(_pieces(active)[0][active], return_index=True)[1]  # a node of each active piece
     held = np.bincount(inside_label[active][first], minlength=n_inside)
@@ -406,8 +374,7 @@ def rasterize(region, grid):
         raise DegenerateSectionError(
             f"piece at {_node_box(grid, inside & (inside_label == k))} {what}"
         )
-    ghost = _dilate(active) & ~active
-    return DomainMask(grid=grid, active=active, ghost=ghost)
+    return DomainMask(grid, active)
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +386,16 @@ class SlicePlan:
     """Knots 0 = t_0 < ... < t_N = horizon plus one frozen mask per slice.
 
     Slice k lives on [knots[k], knots[k+1]) with the domain frozen at the
-    right-sided section of knots[k]; ``delta`` is the largest gap.
+    right-sided section of knots[k].
     """
 
     knots: np.ndarray
     masks: tuple
-    delta: float
+
+    @property
+    def delta(self):
+        """The largest gap between knots."""
+        return float(np.max(np.diff(self.knots)))
 
     @property
     def n_slices(self):
@@ -449,14 +420,12 @@ def build_slice_plan(dom, grid, n_slices):
 
     masks = []
     for t in knots[:-1]:
-        region = side_limits(dom, float(t))[1]
         try:
-            mask = rasterize(region, grid)
+            mask = rasterize(section(dom, float(t)), grid)
         except GeometryError as exc:
             raise type(exc)(f"at knot t={t}: {exc}") from exc
         masks.append(mask)
-    delta = float(np.max(np.diff(knots)))
-    return SlicePlan(knots=knots, masks=tuple(masks), delta=delta)
+    return SlicePlan(knots, tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +459,7 @@ def sample_slab(dom, plan, resolution):
     box, stamped = plan.masks[0].grid.box, []
     for k in range(plan.n_slices):
         t0, t1 = float(plan.knots[k]), float(plan.knots[k + 1])
-        pts = _region_points(side_limits(dom, t0)[1], box, resolution)
+        pts = _region_points(section(dom, t0), box, resolution)
         stamped += [(t, pts) for t in _samples(t0, t1, resolution)]
     return _stack(stamped)
 

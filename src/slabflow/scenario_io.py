@@ -253,16 +253,12 @@ def parse_scenario_text(text):
     fsec = _SectionReader("flux", sections["flux"], issues)
     flux_type = fsec.word("type")
     p = fsec.number("p")
-    eps_reg = fsec.number("eps_reg", required=False, default=1e-8)
+    eps_reg = fsec.number("eps_reg", required=False)
     flux = None
     if flux_type in FluxModel.BUILTIN_KINDS:
         fsec.reject_leftovers("only valid for type = custom")
         if p is not None:
-            flux = _build(issues, "flux", {
-                "p_laplacian": lambda: FluxModel.p_laplacian(p, dim=dim, eps_reg=eps_reg),
-                "linear_diffusion": lambda: FluxModel("linear_diffusion", p, dim=dim, eps_reg=0.0),
-                "z_modulated": lambda: FluxModel.z_modulated(p, dim=dim, eps_reg=eps_reg),
-            }[flux_type])
+            flux = _build(issues, "flux", lambda: FluxModel(flux_type, p, dim, eps_reg))
     elif flux_type == "custom":
         flux_vars = ("t", "x", "y", "z", "xi1", "xi2")
         a1 = fsec.expression("a1", flux_vars)
@@ -272,9 +268,9 @@ def parse_scenario_text(text):
             issues.append("[flux] a2 only valid when dim = 2")
         growth_c = fsec.number("c")
         alpha = fsec.number("alpha")
-        lower_b = fsec.number("b", required=False, default=0.0)
-        lower_d = fsec.number("d", required=False, default=0.0)
-        z_lip = fsec.number("C_z", required=False, default=0.0)
+        lower_b = fsec.number("b", required=False)
+        lower_d = fsec.number("d", required=False)
+        z_lip = fsec.number("C_z", required=False)
         omega = fsec.expression("omega", ("r",), required=False)
         comps = [c for c in (a1, a2) if c is not None]
         if p is not None and growth_c is not None and alpha is not None and len(comps) == dim:

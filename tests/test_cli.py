@@ -287,15 +287,17 @@ def test_verify_runs_the_scheme_once_per_datum(
         (["check-flux", "heat", "--samples", "-5"], 2, "must be at least 1, got -5"),
         (["check-flux", "heat", "--seed", "-1"], 2, "must be at least 0, got -1"),
         (["verify", "kinked_psi"], 2, "division by zero in subterm '1/(2*sqrt(max(x-0.5,0)))'"),
+        (["verify", "zmod_fixed", "--u0b", "0.5*sin(pi*x)"], 0,
+         "SKIP l1_contraction: l1_contraction_report needs a flux independent of the solution slot\n"
+         "PASS max_principle"),
     ],
     ids=["geometry_2d", "refine_one_level", "zero_samples", "negative_samples", "negative_seed",
-         "psi_derivative"],
+         "psi_derivative", "skipped_l1_report"],
 )
 def test_no_untyped_exception_leaves_the_cli(tmp_path, capsys, argv, code, printed):
     kinked = tmp_path / "kinked.cfg"
     kinked.write_text(HEAT.format(out=tmp_path / "out").replace('psi = "0"', 'psi = "sqrt(max(x - 0.5, 0))"'))
-    paths = {"disk2d": bundled_scenario_paths()["disk2d"], "heat": write_heat(tmp_path),
-             "kinked_psi": str(kinked)}
+    paths = {**bundled_scenario_paths(), "heat": write_heat(tmp_path), "kinked_psi": str(kinked)}
     try:
         got = main([paths.get(arg, arg) for arg in argv])
     except SystemExit as exc:  # argparse rejects the value

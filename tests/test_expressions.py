@@ -157,7 +157,7 @@ def test_error_position_on_second_line():
 @pytest.mark.parametrize(
     "bad",
     ["", "1 +", "(1 + 2", "1 + * 2", "sin()", "sin(1, 2)", "min(1)", "foo(1)", "1 2", "$",
-     "1e999*0 + x"],
+     "1e999*0 + x", "sin x"],
 )
 def test_malformed_input_raises(bad):
     with pytest.raises(ExpressionError):

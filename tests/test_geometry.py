@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import slabflow
 from helpers import interval_domain, interval_region, union_phi
@@ -18,7 +18,9 @@ from slabflow import (
     GeometryError,
     Grid,
     MarginError,
+    Num,
     TimeDomain,
+    UndefinedDistanceError,
     build_slice_plan,
     hausdorff_distance,
     parse_expr,
@@ -235,6 +237,29 @@ def test_implicit_domain_reports_declared_jumps():
     assert section(dom, 1.0).phi == wide
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(horizon=st.floats(0.5, 4.0), fractions=st.lists(st.floats(0.001, 0.999), max_size=3, unique=True))
+def test_side_limits_pick_the_segments_a_scan_of_the_starts_picks(horizon, fractions):
+    """With one to four segments, at 0, T, each start and between starts, each
+    side's phi is the segment a linear scan of the starts picks; a time outside
+    [0, T] raises."""
+    starts = [0.0, *sorted(horizon * f for f in fractions)]
+    assume(all(a < b for a, b in zip(starts, starts[1:] + [horizon])))
+    dom = TimeDomain(horizon, 1, tuple((start, Num(float(k))) for k, start in enumerate(starts)))
+    between = [0.5 * (a + b) for a, b in zip(starts, starts[1:] + [horizon])]
+    for t in [0.0, horizon, *starts, *between]:
+        after = max(k for k, start in enumerate(starts) if start <= t)
+        before = max((k for k, start in enumerate(starts) if start < t), default=0)
+        limits = side_limits(dom, t)
+        assert [region.phi for region in limits] == [Num(float(before)), Num(float(after))]
+        assert all(region.t == t for region in limits)
+        assert section(dom, t) == limits[1]
+    for t in (-horizon, np.nextafter(0.0, -1.0), np.nextafter(horizon, np.inf), 2.0 * horizon):
+        for query in (side_limits, section):
+            with pytest.raises(DomainRangeError):
+                query(dom, t)
+
+
 def test_implicit_1d_section_recovers_interval():
     phi = parse_expr("abs(x) - (1 + t)", ("t", "x"))
     dom = TimeDomain.implicit(phi, 1.0, dim=1)
@@ -362,6 +387,7 @@ def _check_mask_invariants(mask, inside):
         neighbours[lo] |= active[hi]
         neighbours[hi] |= active[lo]
     assert not np.any(neighbours & ~mask.defined)
+    assert np.array_equal(mask.ghost, neighbours & ~active)
     if active.ndim == 2:
         block = active[:-1, :-1] & active[1:, :-1] & active[:-1, 1:] & active[1:, 1:]
         covered = np.zeros_like(active)
@@ -444,6 +470,11 @@ def test_plan_masks_follow_expansion():
 def test_hausdorff_identical_sets_is_zero():
     pts = np.random.default_rng(3).uniform(size=(50, 2))
     assert hausdorff_distance(pts, pts.copy()) == 0.0
+
+
+def test_hausdorff_of_an_empty_set_is_undefined():
+    with pytest.raises(UndefinedDistanceError, match="two non-empty point sets"):
+        hausdorff_distance(np.zeros((0, 2)), np.zeros((3, 2)))
 
 
 def test_hausdorff_known_offset():

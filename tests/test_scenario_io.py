@@ -22,11 +22,13 @@ from slabflow import (
     TimeDomain,
     build_slice_plan,
     bundled_scenario_paths,
+    check_structure,
     format_scenario,
     interval_phi,
     load_scenario,
     parse_expr,
     parse_scenario_text,
+    refinement_study,
     run_scheme,
     scenario_hash,
     write_frames,
@@ -104,6 +106,20 @@ def test_unknown_section_rejected():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(MINIMAL + "\n[extras]\nfoo = 1\n")
     assert any("extras" in issue for issue in err.value.issues)
+
+
+@pytest.mark.parametrize(
+    "edit,issue",
+    [
+        (("[time]", "[grid]\n[time]"), "line 7: duplicate section [grid]"),
+        (("T = 0.1", "T = 0.1\nT"), "line 9: expected 'key = value', got 'T'"),
+    ],
+    ids=["duplicate_section", "line_without_equals"],
+)
+def test_malformed_lines_are_issues(edit, issue):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(MINIMAL.replace(*edit))
+    assert issue in err.value.issues
 
 
 def test_duplicate_key_rejected():
@@ -281,6 +297,10 @@ def _custom_flux(line):
         (lambda: OutputConfig("out", frames_mode="bogus"),
          ("dir = out/minimal", "dir = out/minimal\nframes = bogus"), "[output]", "frames"),
         (lambda: FluxModel("linear_diffusion", 3.0), ("p = 2", "p = 3"), "[flux]", "p = 2"),
+        (lambda: FluxModel("linear_diffusion", 2.0, eps_reg=1e-8), ("p = 2", "p = 2\neps_reg = 1e-8"),
+         "[flux]", "eps_reg = 0"),
+        (lambda: FluxModel.custom([CUSTOM_XI, CUSTOM_XI], 2.0), ("type = linear_diffusion\np = 2", CUSTOM_2D_FLUX),
+         "[flux]", "a2"),
         (_jumps_at(0.0), ('right = "1"', 'right = "1"\njumps = "0: 0, 1"'), "[domain]", "jump"),
         (_jumps_at(0.1), ('right = "1"', 'right = "1"\njumps = "0.1: 0, 1"'), "[domain]", "jump"),
         (_heat(n_slices=0), ("slices = 2", "slices = 0"), "[time]", "slices"),
@@ -339,6 +359,7 @@ def _custom_flux(line):
     ids=[
         "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
         "max_newton_fraction", "max_picard_negative", "frames_mode", "linear_diffusion_p3",
+        "linear_diffusion_eps_reg", "custom_flux_components",
         "jump_at_zero", "jump_at_horizon", "zero_slices", "zero_substeps", "2d_flux_on_1d_grid",
         "nan_spacing", "nan_eps_reg", "grid_dim_3", "flux_dim_3", "flux_kind",
         "growth_c_nan", "growth_c_zero", "coercivity_alpha_nan",
@@ -368,13 +389,21 @@ def test_code_built_and_loaded_settings_pass_the_same_rules(build, edit, section
         (lambda: TimeDomain(0.1, 1.0, ((0.0, interval_phi(Num(0.0), Num(1.0))),)), "dim"),
         (_heat(substeps=2.0), "substeps"),
         (_heat(n_slices=2.0), "slices"),
+        (lambda: refinement_study(_heat()(), levels=2.0), "levels"),
+        (lambda: check_structure(FluxModel.linear_diffusion(), samples=100.0), "samples"),
+        (lambda: check_structure(FluxModel.linear_diffusion(), samples=0), "samples"),
+        (lambda: check_structure(FluxModel.linear_diffusion(), seed=-1), "seed"),
+        (lambda: build_slice_plan(_jumps_at()(), Grid(dim=1, origin=(-0.125,), spacing=(0.03125,), counts=(40,)), 0),
+         "n_slices"),
     ],
-    ids=["grid_counts", "grid_dim", "flux_dim", "domain_dim", "substeps", "slices"],
+    ids=["grid_counts", "grid_dim", "flux_dim", "domain_dim", "substeps", "slices", "study_levels",
+         "structure_samples", "structure_zero_samples", "structure_seed", "plan_zero_slices"],
 )
 def test_integer_settings_built_in_code_must_be_integers(build, key):
     """An integral float passed every constructor and then raised a bare
     TypeError in the run (``n_slices`` and the domain's ``dim`` ran); each
-    integer setting now takes SolverConfig's rule at construction."""
+    integer setting now takes SolverConfig's rule at construction, and each
+    integer argument of a library call the same rule when it is called."""
     with pytest.raises(SlabflowError, match=f"{key} must be"):
         build()
 
@@ -436,21 +465,44 @@ def test_canonical_round_trip_is_stable():
     assert again.config == scen.config
 
 
-ROUND_TRIP_TEXTS = {**bundled_scenario_paths(), "disk_jump": None}
+ROUND_TRIP_TEXTS = {**bundled_scenario_paths(), "disk_jump": None, "disk2d_custom": None}
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_TRIP_TEXTS))
 def test_canonical_round_trip_keeps_the_hash(name):
     """format -> parse keeps the scenario and its hash: the 1D files print
-    their compiled level sets, the 2D jump file its declared jump."""
+    their compiled level sets, the 2D jump file its declared jump, a 2D
+    custom flux both components and its time modulus."""
     if name == "disk_jump":
         scen = parse_scenario_text(disk_jump_text(0.5, 0.8))
         assert scen.domain.jump_times() == (0.5,)
+    elif name == "disk2d_custom":
+        comps = [parse_expr(a, ("t", "x", "y", "z", "xi1", "xi2")) for a in ("xi1 + 0.5*xi2", "0.5*xi1 + xi2")]
+        flux = FluxModel.custom(comps, 2.0, dim=2, time_modulus=parse_expr("r", ("r",)))
+        scen = dataclasses.replace(load_scenario(ROUND_TRIP_TEXTS["disk2d"]), flux=flux)
     else:
         scen = load_scenario(ROUND_TRIP_TEXTS[name])
     again = parse_scenario_text(format_scenario(scen))
     assert again == scen
     assert scenario_hash(again) == scenario_hash(scen)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind,p", [("p_laplacian", 3.0), ("linear_diffusion", 2.0), ("z_modulated", 3.0)])
+def test_a_builtin_kind_is_one_flux_on_every_path(kind, p, dim):
+    """FluxModel(kind, p), the kind's constructor and the loaded file give one
+    flux with the kind's constants, which pass the structure check; swapped
+    into a bundled file of its kind, it keeps the file's hash."""
+    built = FluxModel(kind, p, dim=dim)
+    by_kind = FluxModel.linear_diffusion(dim) if kind == "linear_diffusion" else getattr(FluxModel, kind)(p, dim)
+    bundled = load_scenario(bundled_scenario_paths()[{1: "heat_fixed", 2: "disk2d"}[dim]])
+    text = format_scenario(bundled).replace("type = linear_diffusion\np = 2.0\neps_reg = 0.0",
+                                            f"type = {kind}\np = {p}")
+    loaded = parse_scenario_text(text)
+    assert built == by_kind == loaded.flux
+    assert check_structure(built, samples=2000, seed=0).passed
+    if kind == "linear_diffusion":
+        assert scenario_hash(dataclasses.replace(bundled, flux=built)) == scenario_hash(bundled)
 
 
 def test_absent_source_has_one_spelling():
