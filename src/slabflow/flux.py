@@ -113,9 +113,9 @@ class FluxModel:
             if not ((value > 0 if positive else value >= 0) and value < np.inf):
                 sign = "> 0" if positive else ">= 0"
                 raise SlabflowError(f"{key} must be {sign} and finite, got {value}")
-        if self.kind == "custom" and len(self.components) != self.dim:
+        if len(self.components) != (needed := self.dim if self.kind == "custom" else 0):
             raise SlabflowError(
-                f"custom flux needs {self.dim} component expression(s), got {len(self.components)}"
+                f"{self.kind} flux needs {needed} component expression(s), got {len(self.components)}"
             )
 
     @cached_property

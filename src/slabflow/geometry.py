@@ -21,11 +21,14 @@ boundary is therefore resolved to first order -- intentional, the
 time-slicing error dominates anyway.  A slice plan is its knots and one
 mask per slice; its Delta, the largest gap between knots, is derived.
 
-One rule, the same in every dimension, refuses a section the grid cannot
-represent: each connected piece (through axis neighbours) of the nodes in
-the section must hold exactly one connected piece of the active set.  In
-1D a piece that falls between two nodes is refused too, as seen on
-samples of the grid's box; a domain holds no box of its own.
+Two rules, the same in every dimension, refuse a section the grid cannot
+represent.  phi is evaluated once per section, on a lattice refined
+``FINE``-fold per axis whose every ``FINE``-th sample is a grid node, and
+each connected piece (through axis neighbours) of the inside samples must
+hold a node: a piece that contains a closed cube of side h/FINE is always
+seen, a thinner one may fall between the samples.  And each connected piece
+of the nodes in the section must hold exactly one connected piece of the
+active set.  A domain holds no box of its own.
 
 All operations here are pure functions of their arguments: same inputs,
 bitwise-identical outputs.
@@ -48,8 +51,8 @@ from .errors import (
 )
 from .expressions import Binary, Call, Name, evaluate
 
-INTERVAL_SAMPLES = 2048  # sampling cells of the grid's box for a 1D section's nodeless pieces
-INTERVAL_TOL = 1e-12  # bisection width of a refused 1D piece's printed ends
+FINE = 4  # samples per cell and axis on which rasterize looks for a piece holding no node
+MAX_SAMPLES = 2**26  # fine samples a grid may have: one float64 array over them stays under 512 MiB
 
 # ---------------------------------------------------------------------------
 # Background grid
@@ -67,7 +70,8 @@ class Grid:
     ``counts`` is the number of cells per axis, so each axis carries
     ``counts[a] + 1`` nodes.  The covered box must strictly contain every
     domain section with a margin of at least two cells; that is enforced
-    where sections meet the grid (rasterize / scenario loading).
+    where sections meet the grid (rasterize / scenario loading).  Its
+    lattice refined FINE-fold per axis holds at most MAX_SAMPLES points.
     """
 
     dim: int
@@ -93,8 +97,10 @@ class Grid:
             raise GeometryError(f"spacing must be positive and finite, got {self.spacing}")
         if not all(integer_at_least(c, 3) for c in self.counts):
             raise GeometryError(f"counts must be integers >= 3, got {self.counts}")
-        if math.prod(int(c) + 1 for c in self.counts) > (most := np.iinfo(np.intp).max):
-            raise GeometryError(f"counts give more than {most} nodes, the most numpy can index")
+        if (samples := math.prod(FINE * int(c) + 1 for c in self.counts)) > MAX_SAMPLES:
+            from decimal import Decimal  # only here: it prints any int, and costs every import of the package
+            raise GeometryError(
+                f"counts give {Decimal(samples):.3g} fine samples per section, more than the limit of {MAX_SAMPLES}")
 
     @property
     def shape(self):
@@ -276,32 +282,47 @@ def _neighbours(mask):
 
 
 def _pieces(mask):
-    """Connected pieces of ``mask`` through axis neighbours: (labels, count),
-    labels 0..count-1 on the mask and meaningless off it.  Runs along the
-    last axis are labelled by a cumulative sum; their contacts across the
-    other axes go to a graph search, one per pair: where either run starts."""
-    start = mask.copy()
+    """Connected pieces of ``mask`` through axis neighbours, built from its
+    runs along the last axis: (first, last, piece, count), each run's first
+    and last flat index (C order), each run's piece 0..count-1, and the
+    number of pieces.  Contacts of runs across the other axes go to a graph
+    search, one per pair: where either run starts."""
+    start, stop = mask.copy(), mask.copy()
     start[..., 1:] &= ~mask[..., :-1]
-    run = np.cumsum(start).reshape(mask.shape) - 1
-    n_runs = int(np.count_nonzero(start))
-    if mask.ndim == 1 or n_runs == 0:
-        return run, n_runs
+    stop[..., :-1] &= ~mask[..., 1:]
+    first, last = np.flatnonzero(start), np.flatnonzero(stop)
+    if mask.ndim == 1 or len(first) == 0:
+        return first, last, np.arange(len(first)), len(first)
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
     pairs = []
     for a in range(mask.ndim - 1):
         lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
-        both = mask[lo] & mask[hi] & (start[lo] | start[hi])
-        pairs.append((run[lo][both], run[hi][both]))
+        at = np.ravel_multi_index(np.nonzero(mask[lo] & mask[hi] & (start[lo] | start[hi])), mask.shape)
+        ends = (at, at + math.prod(mask.shape[a + 1:]))  # flat indices one step apart along axis a
+        pairs.append([np.searchsorted(first, end, side="right") - 1 for end in ends])
     rows, cols = np.concatenate(pairs, axis=1)
-    graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(n_runs, n_runs))
-    count, comp = connected_components(graph, directed=False)
-    return comp[run], count
+    graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(len(first),) * 2)
+    count, piece = connected_components(graph, directed=False)
+    return first, last, piece, count
+
+
+def _held(pieces, at):
+    """How many of the flat indices ``at``, all on the mask, each piece of :func:`_pieces` holds."""
+    first, _, piece, count = pieces
+    return np.bincount(piece[np.searchsorted(first, at, side="right") - 1], minlength=count)
 
 
 def _fmt_box(box):
     return " x ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in box)
+
+
+def _piece_box(axes, pieces, k):
+    """Bounding box of piece ``k`` of :func:`_pieces` on the lattice ``axes``."""
+    first, last, piece, _ = pieces
+    at = np.unravel_index(np.concatenate([first[piece == k], last[piece == k]]), tuple(map(len, axes)))
+    return _fmt_box((ax[i.min()], ax[i.max()]) for ax, i in zip(axes, at))
 
 
 def _node_box(grid, sel):
@@ -310,47 +331,31 @@ def _node_box(grid, sel):
     return _fmt_box(zip(pts.min(axis=0), pts.max(axis=0)))
 
 
-def _boundary(region, x_in, x_out):
-    """1D: where phi changes sign between an inside and an outside abscissa, to INTERVAL_TOL."""
-    for _ in range(200):
-        if abs(x_out - x_in) <= INTERVAL_TOL:
-            break
-        xm = 0.5 * (x_in + x_out)
-        if region.contains([[xm]])[0]:
-            x_in = xm
-        else:
-            x_out = xm
-    return 0.5 * (x_in + x_out)
-
-
-def _refuse_nodeless_piece(region, grid, inside_x):
-    """1D: raise for an inside run of the samples of the grid's box that holds
-    none of the inside nodes ``inside_x`` (ascending).  Node classification cannot
-    see a piece lying between two nodes; its ends are bisected only to name it."""
-    xs = np.linspace(*grid.box[0], INTERVAL_SAMPLES + 1)
-    framed = np.concatenate([[-math.inf], xs, [math.inf]])
-    inside = np.concatenate([[False], region.contains(xs[:, None]), [False]])
-    starts, stops = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2).T
-    # run k lies strictly between the outside samples framed[starts[k]] and framed[stops[k] + 1]
-    held = (np.searchsorted(inside_x, framed[stops + 1], side="left")
-            - np.searchsorted(inside_x, framed[starts], side="right"))
-    for k in np.flatnonzero(held == 0)[:1]:
-        lo = xs[0] if starts[k] == 0 else _boundary(region, xs[starts[k]], xs[starts[k] - 1])
-        hi = xs[-1] if stops[k] == len(xs) else _boundary(region, xs[stops[k] - 1], xs[stops[k]])
-        raise DegenerateSectionError(
-            f"piece at {_fmt_box([(lo, hi)])} holds no grid node at spacing {grid.spacing}")
+def _fine_axes(grid):
+    """Per axis: node + m*h/FINE for m = 0..FINE-1 at every node but the last,
+    then the last node, so every FINE-th sample is the node itself, bit for bit."""
+    axes = []
+    for a, h in enumerate(grid.spacing):
+        nodes = grid.axis_nodes(a)
+        axes.append(np.append((nodes[:-1, None] + h / FINE * np.arange(FINE)).ravel(), nodes[-1]))
+    return axes
 
 
 def rasterize(region, grid):
     """Classify grid nodes against a frozen section (see the module notes).
 
-    Raises MarginError when a node of the section lies in the grid's outer
-    two-node ring (the stencil needs two cells of room), and
-    DegenerateSectionError naming the box of a piece that holds no node
-    (in 1D, a run of INTERVAL_SAMPLES + 1 samples of the grid's box),
-    keeps no active node or splits into several active pieces.
+    phi is evaluated once, on the lattice of :func:`_fine_axes`, and the
+    nodes read it at stride FINE.  Raises MarginError when a node of the
+    section lies in the grid's outer two-node ring (the stencil needs two
+    cells of room), and DegenerateSectionError when the section holds no
+    node, or naming the box of a piece that holds no node (the box of its
+    fine samples; a piece containing a closed cube of side h/FINE is always
+    seen), keeps no active node or splits into several active pieces.
     """
-    inside = region.contains(grid.node_coords()).reshape(grid.shape)
+    axes = _fine_axes(grid)
+    env = {"t": region.t, **dict(zip(("x", "y"), np.ix_(*axes)))}  # one array per axis, broadcast
+    fine = np.broadcast_to(evaluate(region.phi, env), tuple(map(len, axes))) <= 0.0  # phi may not read x
+    inside = fine[(slice(None, None, FINE),) * grid.dim]
     interior = np.zeros(grid.shape, dtype=bool)
     interior[(slice(2, -2),) * grid.dim] = True
     if np.any(inside & ~interior):
@@ -358,22 +363,22 @@ def rasterize(region, grid):
             f"section nodes at {_node_box(grid, inside)} reach within two cells of the grid box "
             f"{_fmt_box(grid.box)}; the stencil needs a margin of two cells"
         )
-    if grid.dim == 1:
-        _refuse_nodeless_piece(region, grid, grid.axis_nodes(0)[inside])
     if not inside.any():
         raise DegenerateSectionError(f"section holds no node of the grid box {_fmt_box(grid.box)}")
+    pieces = _pieces(fine)
+    nodes = np.ravel_multi_index([FINE * i for i in np.nonzero(inside)], fine.shape)
+    for k in np.flatnonzero(_held(pieces, nodes) == 0)[:1]:
+        raise DegenerateSectionError(
+            f"piece at {_piece_box(axes, pieces, k)} holds no grid node at spacing {grid.spacing}")
     active = inside & np.logical_and.reduce(_neighbours(inside))  # every axis neighbour is inside
     if grid.dim > 1:  # and the node lies in an all-active block of 2^dim nodes
         blocks = np.logical_and.reduce([_at(active, c) for c in itertools.product((0, 1), repeat=grid.dim)])
         active = np.logical_or.reduce([_at(blocks, c) for c in itertools.product((0, -1), repeat=grid.dim)])
-    inside_label, n_inside = _pieces(inside)
-    first = np.unique(_pieces(active)[0][active], return_index=True)[1]  # a node of each active piece
-    held = np.bincount(inside_label[active][first], minlength=n_inside)
+    pieces, (first, _, piece, _) = _pieces(inside), _pieces(active)
+    held = _held(pieces, first[np.unique(piece, return_index=True)[1]])  # a node of each active piece
     for k in np.flatnonzero(held != 1)[:1]:
         what = "keeps no active node" if held[k] == 0 else f"splits into {held[k]} active pieces"
-        raise DegenerateSectionError(
-            f"piece at {_node_box(grid, inside & (inside_label == k))} {what}"
-        )
+        raise DegenerateSectionError(f"piece at {_piece_box([ax[::FINE] for ax in axes], pieces, k)} {what}")
     return DomainMask(grid, active)
 
 

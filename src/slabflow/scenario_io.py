@@ -5,7 +5,7 @@ The format is INI-like with six sections ([solver] optional)::
     [grid]    dim, xmin, xmax, h          (+ ymin, ymax when dim = 2)
     [time]    T, slices, substeps
     [domain]  type = implicit (phi, jumps?) | moving_intervals (left, right, jumps?)
-    [flux]    type, p, eps_reg?; custom adds a1 (a2), c, alpha, b?, d?, C_z?, omega?
+    [flux]    type, p, eps_reg?, c?, alpha?, b?, d?, C_z?, omega?; custom adds a1 (a2), needs c, alpha
     [data]    u0, psi, source?
     [solver]  newton_tol?, max_newton?, max_picard?
     [output]  dir, frames?
@@ -44,6 +44,9 @@ _SECTIONS = {
     "output": {"dir", "frames"},
 }
 _REQUIRED_SECTIONS = ("grid", "time", "domain", "flux", "data", "output")
+# [flux] key -> FluxModel field of each number constant; a builtin kind has its own
+_FLUX_CONSTANTS = {"c": "growth_c", "alpha": "coercivity_alpha", "b": "lower_b", "d": "lower_d",
+                   "C_z": "z_lipschitz"}
 
 
 def _strip_comment(line):
@@ -254,31 +257,25 @@ def parse_scenario_text(text):
     flux_type = fsec.word("type")
     p = fsec.number("p")
     eps_reg = fsec.number("eps_reg", required=False)
-    flux = None
-    if flux_type in FluxModel.BUILTIN_KINDS:
-        fsec.reject_leftovers("only valid for type = custom")
-        if p is not None:
-            flux = _build(issues, "flux", lambda: FluxModel(flux_type, p, dim, eps_reg))
-    elif flux_type == "custom":
+    custom, comps = flux_type == "custom", ()
+    if custom:
         flux_vars = ("t", "x", "y", "z", "xi1", "xi2")
         a1 = fsec.expression("a1", flux_vars)
         a2 = fsec.expression("a2", flux_vars, required=(dim == 2)) if dim == 2 else None
         if dim == 1 and "a2" in fsec.entries:
             fsec.entries.pop("a2")
             issues.append("[flux] a2 only valid when dim = 2")
-        growth_c = fsec.number("c")
-        alpha = fsec.number("alpha")
-        lower_b = fsec.number("b", required=False)
-        lower_d = fsec.number("d", required=False)
-        z_lip = fsec.number("C_z", required=False)
-        omega = fsec.expression("omega", ("r",), required=False)
-        comps = [c for c in (a1, a2) if c is not None]
-        if p is not None and growth_c is not None and alpha is not None and len(comps) == dim:
-            flux = _build(issues, "flux", lambda: FluxModel.custom(
-                comps, p, dim=dim, eps_reg=eps_reg, growth_c=growth_c,
-                coercivity_alpha=alpha, lower_b=lower_b, lower_d=lower_d,
-                z_lipschitz=z_lip, time_modulus=omega,
-            ))
+        comps = tuple(c for c in (a1, a2) if c is not None)
+    constants = {name: fsec.number(key, required=custom and key in ("c", "alpha"))  # custom gives c, alpha
+                 for key, name in _FLUX_CONSTANTS.items()}
+    constants["time_modulus"] = fsec.expression("omega", ("r",), required=False)
+    flux = None
+    if flux_type in FluxModel.KINDS:
+        fsec.reject_leftovers("only valid for type = custom")
+        needed = (p, constants["growth_c"], constants["coercivity_alpha"]) if custom else (p,)
+        if None not in needed and len(comps) == dim * custom:
+            flux = _build(issues, "flux", lambda: FluxModel(
+                flux_type, p, dim, eps_reg, **constants, components=comps))
     elif flux_type is not None:
         _build(issues, "flux", lambda: FluxModel.check_kind(flux_type))
 
@@ -401,17 +398,13 @@ def format_scenario(scenario):
     flux = scenario.flux
     lines += ["", "[flux]", f"type = {flux.kind}", f"p = {_fmt(flux.p)}"]
     lines.append(f"eps_reg = {_fmt(flux.eps_reg)}")
-    if flux.kind == "custom":
-        lines.append(f'a1 = "{to_source(flux.components[0])}"')
-        if flux.dim == 2:
-            lines.append(f'a2 = "{to_source(flux.components[1])}"')
-        lines.append(f"c = {_fmt(flux.growth_c)}")
-        lines.append(f"alpha = {_fmt(flux.coercivity_alpha)}")
-        lines.append(f"b = {_fmt(flux.lower_b)}")
-        lines.append(f"d = {_fmt(flux.lower_d)}")
-        lines.append(f"C_z = {_fmt(flux.z_lipschitz)}")
-        if flux.time_modulus is not None:
-            lines.append(f'omega = "{to_source(flux.time_modulus)}"')
+    lines += [f'{key} = "{to_source(c)}"' for key, c in zip(("a1", "a2"), flux.components)]
+    own = FluxModel(flux.kind, flux.p, flux.dim, components=flux.components)  # the kind's constants
+    for key, name in _FLUX_CONSTANTS.items():
+        if flux.kind == "custom" or getattr(flux, name) != getattr(own, name):  # a builtin's where it differs
+            lines.append(f"{key} = {_fmt(getattr(flux, name))}")
+    if flux.time_modulus is not None:
+        lines.append(f'omega = "{to_source(flux.time_modulus)}"')
 
     lines += ["", "[data]", f'u0 = "{to_source(scenario.u0)}"']
     lines.append(f'psi = "{to_source(scenario.psi)}"')

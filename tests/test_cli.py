@@ -167,11 +167,13 @@ def test_substeps_that_cannot_advance_time_are_an_input_error(tmp_path):
 
 @pytest.mark.parametrize("h,issue", [
     ("1e-320", "h=1e-320 gives no finite cell count on [-0.125, 1.125]"),
-    ("1e-200", "counts give more than 9223372036854775807 nodes, the most numpy can index"),
-], ids=["1e-320", "1e-200"])
+    ("1e-200", "counts give 5.00e+200 fine samples per section, more than the limit of 67108864"),
+    ("1e-9", "counts give 5.00e+9 fine samples per section, more than the limit of 67108864"),
+], ids=["1e-320", "1e-200", "1e-9"])
 def test_a_spacing_too_small_to_index_is_an_input_error(tmp_path, h, issue):
-    """h = 1e-320 gives an infinite cell count and h = 1e-200 more nodes
-    than numpy can index: each is one [grid] issue, with no traceback."""
+    """h = 1e-320 gives an infinite cell count, and h = 1e-200 and h = 1e-9
+    more fine samples than a plan may hold (1.25e9 cells would ask for about
+    10 GB): each is one [grid] issue, with no traceback."""
     text = open(bundled_scenario_paths()["heat_fixed"]).read()
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(text.replace("h = 0.03125", f"h = {h}"))

@@ -31,7 +31,7 @@ from slabflow import (
     side_limits,
     slab_hausdorff,
 )
-from slabflow.geometry import _lattice
+from slabflow.geometry import FINE, MAX_SAMPLES, _lattice
 
 XS = np.linspace(-0.5, 2.0, 41)  # spacing 1/16, exact in binary
 
@@ -336,7 +336,28 @@ def test_plan_names_a_lost_interval():
     assert "piece at [1.3, 1.4] keeps no active node" in str(err.value)
     with pytest.raises(DegenerateSectionError) as err:
         build_slice_plan(two_interval_domain((1.21, 1.29)), g, 2)
-    assert "piece at [1.21, 1.29] holds no grid node" in str(err.value)
+    assert "piece at [1.225, 1.275] holds no grid node" in str(err.value)  # its fine samples
+
+
+def test_plan_names_a_lost_disk():
+    """A disk of radius 0.02 between the nodes of the disk2d grid (h = 0.075)
+    used to vanish from the 2D plan; its fine samples name it."""
+    _, g = disk_on_grid(0.075)
+    phi = parse_expr("min(x^2 + y^2 - 0.25, (x - 0.7125)^2 + (y - 0.0375)^2 - 0.0004)", ("t", "x", "y"))
+    with pytest.raises(DegenerateSectionError) as err:
+        build_slice_plan(TimeDomain.implicit(phi, 1.0, dim=2), g, 2)
+    assert "piece at [0.69375, 0.73125] x [0.01875, 0.05625] holds no grid node" in str(err.value)
+
+
+def test_grid_refuses_more_fine_samples_than_the_limit():
+    """The size rule counts the samples a plan evaluates, (FINE*c + 1) per axis,
+    before any array is made."""
+    most = (MAX_SAMPLES - 1) // FINE
+    Grid(dim=1, origin=(0.0,), spacing=(1.0,), counts=(most,))
+    with pytest.raises(GeometryError, match=f"more than the limit of {MAX_SAMPLES}"):
+        Grid(dim=1, origin=(0.0,), spacing=(1.0,), counts=(most + 1,))
+    with pytest.raises(GeometryError, match=r"counts give 1\.60e\+601 fine samples"):
+        Grid(dim=2, origin=(0.0, 0.0), spacing=(1.0, 1.0), counts=(10**300, 10**300))
 
 
 def test_plan_refuses_a_section_that_splits():
@@ -402,7 +423,8 @@ def _check_mask_invariants(mask, inside):
 
 @st.composite
 def _sections(draw):
-    """A 2D disk or ellipse, or a 1D union of one to three intervals, and a grid."""
+    """A 2D disk or ellipse, or a 1D union of one to three disjoint intervals,
+    a grid, and the intervals (none in 2D)."""
     if draw(st.booleans()):
         h = draw(st.floats(0.04, 0.2))
         n = int(np.ceil(2.0 / h))
@@ -410,12 +432,24 @@ def _sections(draw):
         cx, cy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
         rx, ry = draw(st.floats(0.02, 0.7)), draw(st.floats(0.02, 0.7))
         phi = parse_expr(f"((x - {cx!r})/{rx!r})^2 + ((y - {cy!r})/{ry!r})^2 - 1", ("t", "x", "y"))
-        return section(TimeDomain.implicit(phi, 1.0, dim=2), 0.0), g
+        return section(TimeDomain.implicit(phi, 1.0, dim=2), 0.0), g, ()
     h = draw(st.floats(0.02, 0.2))
     g = Grid(dim=1, origin=(-0.5,), spacing=(h,), counts=(int(np.ceil(2.8 / h)),))
     cuts = sorted(draw(st.lists(st.floats(-0.3, 2.4), min_size=2, max_size=6, unique=True)))
     cuts = cuts[: len(cuts) // 2 * 2]
-    return interval_region(*zip(cuts[::2], cuts[1::2])), g
+    intervals = list(zip(cuts[::2], cuts[1::2]))
+    return interval_region(*intervals), g, intervals
+
+
+def _merged(intervals, gap):
+    """``intervals`` (sorted, disjoint) with those at most ``gap`` apart joined."""
+    out = [list(intervals[0])]
+    for a, b in intervals[1:]:
+        if a - out[-1][1] <= gap:
+            out[-1][1] = b
+        else:
+            out.append([a, b])
+    return out
 
 
 @settings(max_examples=150, deadline=None)
@@ -423,14 +457,24 @@ def _sections(draw):
 def test_masks_that_plan_keep_their_invariants(drawn):
     """Each draw plans, or is refused with an error naming a box; a planned
     mask has its active neighbours defined, its 2D active nodes in
-    all-active 2x2 blocks, and one active piece per inside piece."""
-    region, g = drawn
+    all-active 2x2 blocks, and one active piece per inside piece.  In 1D,
+    where a plan is made, every interval at least h/FINE wide in the grid's
+    box holds a node once intervals too close to part on the fine samples
+    are joined: such an interval always holds a fine sample (the width has
+    a relative slack of 1e-9 for the rounding of the sample positions)."""
+    region, g, intervals = drawn
     try:
         mask = rasterize(region, g)
     except (DegenerateSectionError, MarginError) as exc:
         assert re.search(r"\[[^\]]+, [^\]]+\]", str(exc)), str(exc)
         return
     _check_mask_invariants(mask, region.contains(g.node_coords()).reshape(g.shape))
+    if intervals:
+        width, (lo, hi), x = g.spacing[0] / FINE * (1 + 1e-9), g.box[0], g.axis_nodes(0)
+        for a, b in _merged(intervals, width):
+            a, b = max(a, lo), min(b, hi)
+            if b - a >= width:
+                assert np.any((a <= x) & (x <= b)), (a, b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -354,7 +354,9 @@ def _custom_flux(line):
         (lambda: Grid(dim=1, origin=(0.0,), spacing=(1e-320,), counts=(125 * 10**318,)),
          ("h = 0.03125", "h = 1e-320"), "[grid]", "h=1e-320 gives no finite cell count"),
         (lambda: Grid(dim=1, origin=(0.0,), spacing=(1e-200,), counts=(round(1.25e200),)),
-         ("h = 0.03125", "h = 1e-200"), "[grid]", "the most numpy can index"),
+         ("h = 0.03125", "h = 1e-200"), "[grid]", "fine samples per section"),
+        (lambda: Grid(dim=1, origin=(0.0,), spacing=(1e-9,), counts=(1250000000,)),
+         ("h = 0.03125", "h = 1e-9"), "[grid]", "5.00e+9 fine samples per section"),
     ],
     ids=[
         "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
@@ -366,7 +368,7 @@ def _custom_flux(line):
         "lower_b_negative", "lower_d_nan", "z_lipschitz_negative", "growth_c_inf",
         "coercivity_alpha_inf", "lower_b_inf", "lower_d_inf", "z_lipschitz_inf", "newton_tol_inf",
         "counts_inf", "counts_nan", "origin_inf", "spacing_inf", "horizon_inf", "p_inf",
-        "eps_reg_inf", "spacing_1e-320", "spacing_1e-200",
+        "eps_reg_inf", "spacing_1e-320", "spacing_1e-200", "spacing_1e-9",
     ],
 )
 def test_code_built_and_loaded_settings_pass_the_same_rules(build, edit, section, key):
@@ -503,6 +505,24 @@ def test_a_builtin_kind_is_one_flux_on_every_path(kind, p, dim):
     assert check_structure(built, samples=2000, seed=0).passed
     if kind == "linear_diffusion":
         assert scenario_hash(dataclasses.replace(bundled, flux=built)) == scenario_hash(bundled)
+
+
+def test_a_builtin_kind_keeps_the_constants_it_is_given():
+    """A builtin kind's constant given in code prints, reaches the hash and
+    reloads; the same constant set in a file loads as it does in code."""
+    bundled = load_scenario(bundled_scenario_paths()["zmod_fixed"])
+    changed = dataclasses.replace(bundled, flux=FluxModel("z_modulated", 2.0, growth_c=2.0))
+    text = format_scenario(changed)
+    assert "c = 2.0" in text
+    assert parse_scenario_text(text) == changed
+    assert scenario_hash(changed) != scenario_hash(bundled)
+    omega = parse_expr("r", ("r",))
+    given = FluxModel("p_laplacian", 3.0, growth_c=2.0, lower_b=0.5, time_modulus=omega)
+    with_consts = format_scenario(bundled).replace("type = z_modulated\np = 2.0",
+                                                  'type = p_laplacian\np = 3\nc = 2\nb = 0.5\nomega = "r"')
+    assert parse_scenario_text(with_consts).flux == given
+    with pytest.raises(SlabflowError, match="p_laplacian flux needs 0 component"):
+        FluxModel("p_laplacian", 3.0, components=(omega,))
 
 
 def test_absent_source_has_one_spelling():
