@@ -9,8 +9,8 @@ Subcommands::
     slabflow verify <scenario>          a-posteriori estimate reports
 
 Exit codes: 0 success, 1 a verification report failed, 2 bad input,
-3 the nonlinear solver stalled (the message lists the Newton and the Picard
-residual histories).
+3 the nonlinear solver stalled (the message gives the halving depth reached
+and lists the stalled piece's Newton residual history).
 """
 
 import argparse
@@ -140,9 +140,8 @@ def main(argv=None):
         return 2
     except SolverStallError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for name, history in (("Newton", exc.newton_history), ("Picard", exc.picard_history)):
-            print(f"  {name} residuals: {' '.join(f'{r:.3e}' for r in history) or 'none'}",
-                  file=sys.stderr)
+        print(f"  Newton residuals: {' '.join(f'{r:.3e}' for r in exc.newton_history)}", file=sys.stderr)
+        print(f"  halving depth: {exc.depth}", file=sys.stderr)
         return 3
     except SlabflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

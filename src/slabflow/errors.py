@@ -57,20 +57,16 @@ class JacobianSingularError(SlabflowError):
 
 
 class SolverStallError(SlabflowError):
-    """Newton and the fallback both failed; the message names the slice, step, t, n_active known.
+    """Newton stalled on a substep halved ``depth`` times; the message names the slice, step, t, n_active known.
 
-    ``newton_history`` holds the initial residual and one per accepted Newton
-    step, ``picard_history`` one per fallback iteration (max norms).
+    ``newton_history`` holds the stalled piece's initial residual and one per
+    accepted Newton step (max norms).
     """
 
-    def __init__(self, message, newton_history=(), picard_history=(), step=None, t=None, n_active=None):
+    def __init__(self, message, newton_history=(), depth=0, step=None, t=None, n_active=None):
         super().__init__(message)
-        self.newton_history, self.picard_history = list(newton_history), list(picard_history)
+        self.newton_history, self.depth = list(newton_history), depth
         self.slice, self.step, self.t, self.n_active = None, step, t, n_active
-
-    @property
-    def residual_history(self):
-        return self.newton_history + self.picard_history
 
     def __str__(self):
         where = [f"{k}={v}" for k in ("slice", "step", "t", "n_active") if (v := getattr(self, k)) is not None]

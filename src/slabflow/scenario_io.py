@@ -7,7 +7,7 @@ The format is INI-like with six sections ([solver] optional)::
     [domain]  type = implicit (phi, jumps?) | moving_intervals (left, right, jumps?)
     [flux]    type, p, eps_reg?, c?, alpha?, b?, d?, C_z?, omega?; custom adds a1 (a2), needs c, alpha
     [data]    u0, psi, source?
-    [solver]  newton_tol?, max_newton?, max_picard?
+    [solver]  newton_tol?, max_newton?
     [output]  dir, frames?
 
 '#' starts a comment, values may be double-quoted, unknown sections or
@@ -40,7 +40,7 @@ _SECTIONS = {
     "domain": {"type", "left", "right", "jumps", "phi"},
     "flux": {"type", "p", "eps_reg", "a1", "a2", "c", "alpha", "b", "d", "C_z", "omega"},
     "data": {"u0", "psi", "source"},
-    "solver": {"newton_tol", "max_newton", "max_picard"},
+    "solver": {"newton_tol", "max_newton"},
     "output": {"dir", "frames"},
 }
 _REQUIRED_SECTIONS = ("grid", "time", "domain", "flux", "data", "output")
@@ -293,8 +293,7 @@ def parse_scenario_text(text):
         s = _SectionReader("solver", sections["solver"], issues)
         newton_tol = s.number("newton_tol", required=False, default=cfg.newton_tol)
         max_newton = s.integer("max_newton", required=False, default=cfg.max_newton)
-        max_picard = s.integer("max_picard", required=False, default=cfg.max_picard)
-        cfg = _build(issues, "solver", lambda: SolverConfig(newton_tol, max_newton, max_picard))
+        cfg = _build(issues, "solver", lambda: SolverConfig(newton_tol, max_newton))
 
     # ---- output
     out = _SectionReader("output", sections["output"], issues)
@@ -416,7 +415,6 @@ def format_scenario(scenario):
         "[solver]",
         f"newton_tol = {_fmt(cfg.newton_tol)}",
         f"max_newton = {cfg.max_newton}",
-        f"max_picard = {cfg.max_picard}",
     ]
 
     out = scenario.output or OutputConfig(directory="out")

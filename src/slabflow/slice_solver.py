@@ -17,33 +17,31 @@ whose (face, node, weight) triplets are also Newton's transverse entries.
 
 The step has one residual, r(u) above, and one flux pass computes it
 (:meth:`_Stencil.divergence`); psi and the source are bound in space once per
-slice (:func:`on_points`), so a substep walks only what reads t.  One
-loop drives r down in two stages; each iteration solves (I/tau - J) delta = -r
-with J read from the residual's face fields.  Newton reads the flux law's
-derivative trees in every slot, so its J is exact for every flux in every
-dimension, and backtracks on the residual norm through the steps 1, 1/2, ..,
-2^-20; it takes at least one step.  If it ends short of the tolerance (its
-budget spent, its line search stalled or its matrix failed), the fallback
-runs: Picard, the same iteration with the secant matrix of
-:func:`_picard_faces` for J (Kelley 2003, ch. 1-2) and one full step, always
-taken.  The tolerance is tested in the loop condition, the trial acceptance
-and the final stall check.  A flux that does not evaluate
-(:class:`NumericEvalError`, as on an overflow) gives a non-finite residual:
-never converged, never accepted as a Newton trial, and the end of both
-stages.  A matrix that does not evaluate, or that ``spsolve`` finds exactly
-singular, ends its stage uncounted.  Ending both short raises
-:class:`SolverStallError` with the residual histories, the reasons in stage
-order and where it stalled.
+slice (:func:`on_points`), so a substep walks only what reads t.  Newton
+drives r down: each iteration solves (I/tau - J) delta = -r, J read from the
+residual's face fields through the flux law's derivative trees in every slot
+(exact for every flux in every dimension), and backtracks on the residual
+norm through the steps 1, 1/2, .., 2^-20.  It stops once ||r||_inf <=
+``newton_tol`` (a converged start takes no step) or, ending short with a
+finite residual, at the rounding floor ``FLOOR_C`` eps ||I/tau - J(u)||_inf
+||u||_inf, u over the active and ghost nodes (Higham 2002, ch. 12), which no
+absolute tolerance matches at every h, slope and scale of the data.  A flux
+that does not evaluate (:class:`NumericEvalError`, as on an overflow) gives
+a non-finite residual, never converged nor accepted as a trial; a matrix
+that does not evaluate, or that ``spsolve`` finds exactly singular, ends the
+step uncounted.  A step that stalls is halved, recursively to
+``MAX_HALVINGS`` levels, and only the end of the original substep is stored;
+past that :class:`SolverStallError` gives the reason, depth and place.
 
 The domain is frozen on a slice, so all its systems share one sparsity
 pattern: a CSC matrix holding the diagonal, each face's couplings between
 active endpoints and, where some dA_a/dxi_b (a != b) of the law is not the
 number 0, those through the transverse slots (a 9-point stencil in 2D), and
 two scatter maps, ``div_rows`` (each face end's div-A row) and the slots
-(each Jacobian value's matrix entry; Picard fills a prefix), built at a
-stencil's first :meth:`_Stencil.jacobian` call.  An iteration only fills
-values, one flat gather per axis and one ``np.bincount`` per map, summing
-each target's terms in face-loop order from 0.0, bitwise as a loop would.
+(each Jacobian value's matrix entry), built at a stencil's first
+:meth:`_Stencil.jacobian` call.  An iteration only fills values, one flat
+gather per axis and one ``np.bincount`` per map, summing each target's
+terms in face-loop order from 0.0, bitwise as a loop would.
 Where every derivative tree of the law is a number
 (:attr:`FluxModel.constant_jacobian`), Newton's -J is assembled once per
 slice (Kelley 2003, ch. 2); each iteration still factors with ``spsolve``.
@@ -62,8 +60,9 @@ default COLAMD ordering.
 
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.sparse import coo_matrix, identity
@@ -76,6 +75,8 @@ from .geometry import along, integer_at_least
 
 LINE_STEPS = tuple(2.0**-k for k in range(21))  # damped Newton's trial steps, 1 down to 2^-20
 DISSECTION_LEAF = 32  # parts of at most this many nodes are not split further
+FLOOR_C = 64  # Newton's rounding floor, in units of eps ||I/tau - J||_inf ||u||_inf
+MAX_HALVINGS = 4  # a stalled substep is halved, recursively, at most this deep
 
 
 def on_points(expr, points):
@@ -95,15 +96,12 @@ def on_points(expr, points):
 class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 50
-    max_picard: int = 200
 
     def __post_init__(self):
         if not 0 < self.newton_tol < math.inf:
             raise SlabflowError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        for key in ("max_newton", "max_picard"):
-            value = getattr(self, key)
-            if not integer_at_least(value, 0):
-                raise SlabflowError(f"{key} must be an integer >= 0, got {value!r}")
+        if not integer_at_least(self.max_newton, 1):
+            raise SlabflowError(f"max_newton must be an integer >= 1, got {self.max_newton!r}")
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,15 @@ class SliceProblem:
 
 @dataclass
 class StepStats:
+    """One stored substep: Newton iterations (stalled tries included), final residual, the bound
+    it met (``newton_tol`` or, ``floor`` true, the larger rounding floor) and halvings taken;
+    a halved substep keeps its pieces' worst residual and bound."""
+
     newton_iterations: int
-    picard_iterations: int
     residual: float
+    bound: float
+    floor: bool
+    halvings: int = 0
 
 
 @dataclass
@@ -308,25 +312,21 @@ class _Stencil:
             parts.append(np.concatenate((F, -F))[ax["div_take"]] / ax["h"])
         return np.bincount(self.div_rows, np.concatenate(parts), self.n_active)
 
-    def jacobian(self, t_freeze, fields, face_terms):
-        """-J as ``matrix``'s data, J = d(div A)/d(u_active) from ``face_fields(u)``:
-        ``face_terms(flux, t_freeze, a, ax, xi, z)`` gives each face's endpoint
-        derivatives ``(dF_lo, dF_hi)`` and its transverse ones ``{b: dA_a/dxi_b}``
-        or None (the values then fill a prefix of the slots)."""
+    def jacobian(self, t_freeze, fields):
+        """-J as ``matrix``'s data, J = d(div A)/d(u_active) from ``face_fields(u)``
+        through each face's derivative terms (:func:`_newton_faces`)."""
         normal, transverse = [], []
         for a, (ax, (xi, z)) in enumerate(zip(self.axes, fields)):
-            dF, dT = face_terms(self.flux, t_freeze, a, ax, xi, z)
+            dF, dT = _newton_faces(self.flux, t_freeze, a, ax, xi, z)
             h = ax["h"]
             normal.append(np.concatenate((*dF, *np.negative(dF)))[ax["jac_take"]] / h)
-            if dT is not None:
-                transverse += [dT[b][faces] * coeff / h for b, faces, coeff in self._pattern[0][a]]
-        jac = np.concatenate(normal + transverse)
-        return -np.bincount(self._slots[0][: len(jac)], jac, self.matrix.nnz)
+            transverse += [dT[b][faces] * coeff / h for b, faces, coeff in self._pattern[0][a]]
+        return -np.bincount(self._slots[0], np.concatenate(normal + transverse), self.matrix.nnz)
 
     @cached_property
     def constant_jacobian(self):
-        """Newton's :meth:`jacobian` for a flux whose J is constant (any u and t give it): at u = 0."""
-        return self.jacobian(0.0, self.face_fields(np.zeros(self.shape)), _newton_faces)
+        """:meth:`jacobian` for a flux whose J is constant (any u and t give it): at u = 0."""
+        return self.jacobian(0.0, self.face_fields(np.zeros(self.shape)))
 
     def step_matrix(self, minus_j, tau):
         """I/tau - J from -J as ``matrix``'s data (:meth:`jacobian`), written into the stencil's matrix."""
@@ -334,13 +334,20 @@ class _Stencil:
         self.matrix.data[self._slots[1]] += 1.0 / tau
         return self.matrix
 
+    def rounding_floor(self, minus_j, tau, u):
+        """``FLOOR_C`` eps ||I/tau - J||_inf ||u||_inf, u over the active and ghost
+        nodes: the step residual's rounding level at u; 0 where it is not finite."""
+        rows = np.bincount(self.matrix.indices, np.abs(self.step_matrix(minus_j, tau).data), self.n_active)
+        floor = float(FLOOR_C * np.finfo(float).eps * rows.max() * np.abs(u[self.defined]).max())
+        return floor if floor < math.inf else 0.0
+
     def solve(self, minus_j, tau, rhs):
         """x with (I/tau - J) x = rhs, -J as ``matrix``'s data, factored in the stencil's order."""
         return spsolve(self.step_matrix(minus_j, tau), rhs, permc_spec="NATURAL")
 
 
 def _newton_faces(flux, t, a, ax, xi, z):
-    """Newton: the face flux differentiated in every slot -- the normal
+    """The face flux differentiated in every slot -- the normal
     gradient and z through the endpoints, each transverse gradient slot
     through its static map -- so J is the residual's exact derivative in
     every dimension."""
@@ -352,31 +359,15 @@ def _newton_faces(flux, t, a, ax, xi, z):
     return (-dA / h + 0.5 * dz, dA / h + 0.5 * dz), dT
 
 
-def _picard_faces(flux, t, a, ax, xi, z):
-    """Picard: the secant matrix.  Each face flux is read as c_f times the
-    normal difference, with the secant diffusivity c_f = A_a / xi_a
-    (dA_a/dxi_a, read only there, where xi_a vanishes) clamped at 0 and frozen
-    at the iterate; J is the derivative of that in the endpoint values alone,
-    so I/tau - J is a (2d+1)-point M-matrix."""
-    h, xi_n = ax["h"], xi[:, a]
-    c = evaluate_many(flux, t, ax["mids"], z, xi, a)
-    flat = np.abs(xi_n) <= 1e-30
-    c[~flat] /= xi_n[~flat]
-    if flat.any():
-        c[flat] = _diag_jacobian_many(flux, t, ax["mids"][flat], z[flat], xi[flat], a)
-    c = np.maximum(c, 0.0)
-    return (-c / h, c / h), None
-
-
 # ---------------------------------------------------------------------------
 # Implicit stepping
 
 
-def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
-    """Backward-Euler substep ``step`` over [t_from, t_to], psi and the source
-    as t -> values (:func:`on_points`); returns (frame_out, stats): the input's
-    undefined nodes untouched, psi(t_to) on the ghost ring and the implicit
-    solution on the active set."""
+def _step(problem, stencil, psi, source, frame_in, t_from, t_to):
+    """Backward-Euler step over [t_from, t_to], psi and the source as t -> values
+    (:func:`on_points`); returns (frame_out, stats, history, why): the input's undefined
+    nodes untouched, psi(t_to) on the ghost ring and Newton's last iterate on the active
+    set, its residual max norms, and None where it converged, else why it stalled."""
     cfg = problem.config
     t_freeze = problem.span[0]
     tau = t_to - t_from
@@ -396,58 +387,67 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to, step):
             r = np.full(stencil.n_active, math.inf)
         return r, float(np.abs(r).max(initial=0.0)), fields
 
-    r, r_inf, fields = residual(u)
-    histories, counts, why = ([r_inf], []), [0, 0], ""
-    for k, (face_terms, budget, name) in enumerate(((_newton_faces, cfg.max_newton, "Newton"),
-                                                    (_picard_faces, cfg.max_picard, "fallback"))):
-        newton = k == 0
-        # Newton takes a first step even from a converged start; the fallback
-        # runs only where Newton ended short of the tolerance.
-        while math.isfinite(r_inf) and counts[k] < budget and (
-            newton and not counts[k] or not r_inf <= cfg.newton_tol
-        ):
-            try:
-                constant = newton and problem.flux.constant_jacobian
-                minus_j = stencil.constant_jacobian if constant else stencil.jacobian(t_freeze, fields, face_terms)
-                delta = stencil.solve(minus_j, tau, -r)
-            except (NumericEvalError, MatrixRankWarning) as exc:
-                why += f" ({name} matrix: {exc})"
-                break
-            counts[k] += 1
-            r_two = math.sqrt(r @ r)
-            for lam in LINE_STEPS if newton else (1.0,):
-                u_try = u.copy()
-                u_try.ravel()[stencil.active_flat] += lam * delta
-                r_try, r_try_inf, fields_try = residual(u_try)
-                r_try_two = math.sqrt(r_try @ r_try)
-                if not newton or math.isfinite(r_try_two) and (
-                    r_try_two <= r_two * (1.0 - 1e-4 * lam) or r_try_inf <= cfg.newton_tol
-                ):
-                    u, r, r_inf, fields = u_try, r_try, r_try_inf, fields_try
-                    histories[k].append(r_inf)
-                    break
-            else:
-                why += f" ({name} line search stalled)"
-                break
+    def minus_jacobian(fields):
+        return stencil.constant_jacobian if problem.flux.constant_jacobian else stencil.jacobian(t_freeze, fields)
 
-    if not r_inf <= cfg.newton_tol:
+    r, r_inf, fields = residual(u)
+    history, count, why = [r_inf], 0, ""
+    while math.isfinite(r_inf) and not r_inf <= cfg.newton_tol and count < cfg.max_newton:
+        try:
+            delta = stencil.solve(minus_jacobian(fields), tau, -r)
+        except (NumericEvalError, MatrixRankWarning) as exc:
+            why = f" (matrix: {exc})"
+            break
+        count += 1
+        r_two = math.sqrt(r @ r)
+        for lam in LINE_STEPS:
+            u_try = u.copy()
+            u_try.ravel()[stencil.active_flat] += lam * delta
+            r_try, r_try_inf, fields_try = residual(u_try)
+            r_try_two = math.sqrt(r_try @ r_try)
+            if math.isfinite(r_try_two) and (r_try_two <= r_two * (1.0 - 1e-4 * lam) or r_try_inf <= cfg.newton_tol):
+                u, r, r_inf, fields = u_try, r_try, r_try_inf, fields_try
+                history.append(r_inf)
+                break
+        else:
+            why = " (line search stalled)"
+            break
+
+    bound = cfg.newton_tol
+    if math.isfinite(r_inf) and not r_inf <= bound:
+        with suppress(NumericEvalError):  # a matrix that does not evaluate has no floor
+            bound = max(bound, stencil.rounding_floor(minus_jacobian(fields), tau, u))
+    return u, StepStats(count, r_inf, bound, bound > cfg.newton_tol), history, None if r_inf <= bound else why
+
+
+def _advance(step, frame, t_from, t_to, depth=0):
+    """(frame at t_to, stats): ``step`` (:func:`_step` bound to a slice) from ``frame`` at
+    t_from or, where it stalls, its two halves in turn, each advanced alike one level deeper."""
+    u, stats, history, why = step(frame, t_from, t_to)
+    if why is None:
+        return u, stats
+    t_mid = 0.5 * (t_from + t_to)
+    if depth == MAX_HALVINGS or not t_from < t_mid < t_to:
         raise SolverStallError(
-            f"no convergence on [{t_from}, {t_to}]: residual {r_inf:.3e} "
-            f"after {counts[0]} Newton + {counts[1]} fallback iterations" + why,
-            newton_history=histories[0], picard_history=histories[1],
-            step=step, t=t_to, n_active=stencil.n_active,
+            f"no convergence on [{t_from}, {t_to}] at halving depth {depth}: residual "
+            f"{history[-1]:.3e} after {stats.newton_iterations} Newton iterations" + why,
+            newton_history=history, depth=depth, t=t_to,
         )
-    return u, StepStats(newton_iterations=counts[0], picard_iterations=counts[1], residual=r_inf)
+    frame, first = _advance(step, frame, t_from, t_mid, depth + 1)
+    frame, second = _advance(step, frame, t_mid, t_to, depth + 1)
+    return frame, StepStats(stats.newton_iterations + first.newton_iterations + second.newton_iterations,
+                            max(first.residual, second.residual), max(first.bound, second.bound),
+                            first.floor or second.floor, 1 + first.halvings + second.halvings)
 
 
 def solve_slice(problem):
-    """Integrate the slice over its span with uniform substeps, psi and the source bound in space once."""
+    """Integrate the slice over its span with uniform substeps, halving a substep that stalls."""
     stencil = _Stencil(problem.mask, problem.flux)
     init = problem.initial
     if not np.all(np.isfinite(init.ravel()[np.flatnonzero(problem.mask.defined.ravel())])):
         raise NumericInputError("initial frame has non-finite values on active/ghost nodes")
-    psi = on_points(problem.psi, stencil.ghost_points)
-    source = on_points(problem.source, stencil.active_points)
+    step = partial(_step, problem, stencil, on_points(problem.psi, stencil.ghost_points),
+                   on_points(problem.source, stencil.active_points))
     times = problem.times
     frames = [init.copy()]
     stats = []
@@ -455,7 +455,11 @@ def solve_slice(problem):
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         for m in range(problem.substeps):
-            frame, st = _step(problem, stencil, psi, source, frames[-1], float(times[m]), float(times[m + 1]), m)
+            try:
+                frame, st = _advance(step, frames[-1], float(times[m]), float(times[m + 1]))
+            except SolverStallError as exc:
+                exc.step, exc.n_active = m, stencil.n_active
+                raise
             frames.append(frame)
             stats.append(st)
     return SliceSolution(times=times, frames=frames, stats=stats)

@@ -213,7 +213,9 @@ def run_scheme(scenario, plan=None):
                 "slice": k,
                 "span": (t0, t1),
                 "newton": sum(s.newton_iterations for s in sol.stats),
-                "picard": sum(s.picard_iterations for s in sol.stats),
+                "picard": 0,  # always 0: bench/spans.py sums this key for slice_solver.picard_iters
+                "halvings": sum(s.halvings for s in sol.stats),
+                "floor": sum(s.floor for s in sol.stats),
                 "worst_residual": max((s.residual for s in sol.stats), default=0.0),
             }
         )

@@ -44,18 +44,26 @@ def interval_region(*intervals):
     return ImplicitRegion(union_phi(*intervals), 0.0)
 
 
-def disk_jump_text(r_before, r_after, u0="exp(-4*(x^2 + y^2))", psi="0.3"):
-    """The bundled disk2d scenario with a disk of radius ``r_before`` that
-    jumps to radius ``r_after`` at t = 0.5 (a declared 2D jump)."""
-    with open(bundled_scenario_paths()["disk2d"], encoding="utf-8") as fh:
-        text = fh.read()
-    edits = {
-        'phi = "x^2 + y^2 - (0.8 - 0.2*t)^2"':
-            f'phi = "x^2 + y^2 - {r_before}^2"\njumps = "0.5: x^2 + y^2 - {r_after}^2"',
-        'u0 = "exp(-4*(x^2 + y^2))"': f'u0 = "{u0}"',
-        'psi = "0"': f'psi = "{psi}"',
-    }
+def edited(text, edits):
+    """``text`` with each ``old: new`` of ``edits`` replaced; every ``old`` must occur."""
     for old, new in edits.items():
         assert old in text, old
         text = text.replace(old, new)
     return text
+
+
+def bundled_text(name, edits):
+    """The text of the bundled scenario ``name``, :func:`edited`."""
+    with open(bundled_scenario_paths()[name], encoding="utf-8") as fh:
+        return edited(fh.read(), edits)
+
+
+def disk_jump_text(r_before, r_after, u0="exp(-4*(x^2 + y^2))", psi="0.3"):
+    """The bundled disk2d scenario with a disk of radius ``r_before`` that
+    jumps to radius ``r_after`` at t = 0.5 (a declared 2D jump)."""
+    return bundled_text("disk2d", {
+        'phi = "x^2 + y^2 - (0.8 - 0.2*t)^2"':
+            f'phi = "x^2 + y^2 - {r_before}^2"\njumps = "0.5: x^2 + y^2 - {r_after}^2"',
+        'u0 = "exp(-4*(x^2 + y^2))"': f'u0 = "{u0}"',
+        'psi = "0"': f'psi = "{psi}"',
+    })

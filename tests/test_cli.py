@@ -65,7 +65,6 @@ psi = "0"
 
 [solver]
 max_newton = 1
-max_picard = 0
 
 [output]
 dir = {out}
@@ -134,8 +133,9 @@ def test_solver_stall_has_its_own_exit_code(tmp_path, capsys):
     code = main(["run", str(cfg)])
     assert code == 3
     err = capsys.readouterr().err
-    assert "error" in err and "(slice=0, step=0, t=10.0, n_active=15)" in err
-    assert "Newton residuals: 1.648e+10 4.882e+09" in err and "Picard residuals: none" in err
+    assert err.startswith("error: no convergence on [0.0, 0.625] at halving depth 4:")
+    assert "(slice=0, step=0, t=0.625, n_active=15)" in err
+    assert err.splitlines()[1:] == ["  Newton residuals: 1.648e+10 4.882e+09", "  halving depth: 4"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -144,9 +144,9 @@ def test_an_overflowing_run_is_a_stall_with_no_warning(tmp_path, capsys):
     code, with no numpy RuntimeWarning escaping the CLI untyped."""
     cfg = tmp_path / "overflow.cfg"
     text = STALL.format(out=tmp_path / "out").replace("50*sin(7*pi*x)", "1e100*sin(pi*x)")
-    cfg.write_text(text.replace("max_newton = 1\nmax_picard = 0\n", ""))
+    cfg.write_text(text.replace("max_newton = 1\n", ""))
     assert main(["run", str(cfg)]) == 3
-    assert "fallback iterations" in capsys.readouterr().err
+    assert "at halving depth 4: residual 1.106e+302 after 1 Newton iterations" in capsys.readouterr().err
 
 
 def test_substeps_that_cannot_advance_time_are_an_input_error(tmp_path):
@@ -186,20 +186,19 @@ def test_a_spacing_too_small_to_index_is_an_input_error(tmp_path, h, issue):
 
 
 def test_a_singular_step_matrix_is_a_stall_with_no_warning(tmp_path):
-    """The fallback's secant matrix of this flux overflows and is exactly
-    singular: the run ends in the stall exit code, and scipy's
-    MatrixRankWarning does not reach stderr."""
+    """The Newton matrix of this flux overflows and is exactly singular: the
+    run ends in the stall exit code, and scipy's MatrixRankWarning does not
+    reach stderr."""
     text = open(bundled_scenario_paths()["heat_fixed"]).read()
     cfg = tmp_path / "singular.cfg"
-    cfg.write_text(text.replace('u0 = "sin(pi*x)"', 'u0 = "1e-3*sin(pi*x)"')
-                   .replace("type = linear_diffusion", 'type = custom\na1 = "1e308*sin(2*xi1)/2"\nc = 1\nalpha = 1')
+    cfg.write_text(text.replace("type = linear_diffusion", 'type = custom\na1 = "1e306*xi1"\nc = 1\nalpha = 1')
                    .replace("out/heat_fixed", str(tmp_path / "out")))
     proc = subprocess.run(
         [sys.executable, "-m", "slabflow.cli", "run", str(cfg)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 3
-    assert "(fallback matrix: Matrix is exactly singular)" in proc.stderr
+    assert "(matrix: Matrix is exactly singular)" in proc.stderr
     assert "Warning" not in proc.stderr
 
 

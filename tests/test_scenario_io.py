@@ -293,7 +293,7 @@ def _custom_flux(line):
         (lambda: SolverConfig(max_newton=-1), _solver("max_newton = -1"), "[solver]", "max_newton"),
         (lambda: SolverConfig(max_newton=2.5), _solver("max_newton = 2.5"), "[solver]",
          "max_newton"),
-        (lambda: SolverConfig(max_picard=-1), _solver("max_picard = -1"), "[solver]", "max_picard"),
+        (lambda: SolverConfig(max_newton=0), _solver("max_newton = 0"), "[solver]", "max_newton"),
         (lambda: OutputConfig("out", frames_mode="bogus"),
          ("dir = out/minimal", "dir = out/minimal\nframes = bogus"), "[output]", "frames"),
         (lambda: FluxModel("linear_diffusion", 3.0), ("p = 2", "p = 3"), "[flux]", "p = 2"),
@@ -360,7 +360,7 @@ def _custom_flux(line):
     ],
     ids=[
         "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
-        "max_newton_fraction", "max_picard_negative", "frames_mode", "linear_diffusion_p3",
+        "max_newton_fraction", "max_newton_zero", "frames_mode", "linear_diffusion_p3",
         "linear_diffusion_eps_reg", "custom_flux_components",
         "jump_at_zero", "jump_at_horizon", "zero_slices", "zero_substeps", "2d_flux_on_1d_grid",
         "nan_spacing", "nan_eps_reg", "grid_dim_3", "flux_dim_3", "flux_kind",
@@ -426,15 +426,12 @@ def test_moving_intervals_are_one_dimensional():
     assert err.value.issues == ["[domain] a 1D domain cannot run on a 2D grid"]
 
 
-def test_picard_only_file_runs_like_the_code_built_config():
-    loaded = parse_scenario_text(MINIMAL.replace(*_solver("max_newton = 0")))
-    built = _heat(config=SolverConfig(max_newton=0))()
-    assert loaded == built
-    field_loaded, report = run_scheme(loaded)
-    field_built, _ = run_scheme(built)
-    assert report.total_newton() == 0
-    assert all(stats["picard"] > 0 for stats in report.slice_stats)
-    assert field_loaded.frames.tobytes() == field_built.frames.tobytes()
+def test_max_picard_is_an_unknown_solver_key():
+    """Substep halving replaced the Picard fallback and its budget."""
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(MINIMAL.replace(*_solver("max_picard = 200")))
+    assert len(err.value.issues) == 1 and err.value.issues[0].startswith("[solver]")
+    assert "unknown key 'max_picard'" in err.value.issues[0]
 
 
 def test_dim2_requires_y_range():
