@@ -9,6 +9,7 @@ on a one-substep slice, the only way into the solver.
 import dataclasses
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -545,10 +546,13 @@ def test_any_other_jacobian_is_assembled_once_per_newton_iteration(flux, monkeyp
 
 @pytest.mark.parametrize("name", ["disk2d", "heat_moving", "mms_moving", "jump_contract"])
 def test_a_slice_constant_jacobian_gives_the_frames_of_per_iteration_assembly(bundle, name, monkeypatch):
+    """Only the assembly differs: both runs factor every step matrix, as a
+    constant-Jacobian stencil does (a kept factor would refine instead)."""
     scenario, field, report = bundle[name]
     assert scenario.flux.constant_jacobian
     calls = count_jacobians(monkeypatch)
     monkeypatch.setattr(FluxModel, "constant_jacobian", property(lambda self: False))
+    monkeypatch.setattr(_Stencil, "keeps_factor", False)
     assembled, assembled_report = run_scheme(scenario)
     assert len(calls) == assembled_report.total_newton() > len(report.slice_stats)
     assert assembled.frames.tobytes() == field.frames.tobytes()
@@ -583,6 +587,125 @@ def test_data_that_read_no_t_are_evaluated_once_per_slice(bundle, name, per_subs
     solve_slice(problem)
     ghost_ring_then_active = [int(mask.ghost.sum()), mask.active_count]
     assert rows == ghost_ring_then_active * (scenario.substeps if per_substep else 0)
+
+
+# --- kept factors ----------------------------------------------------------------
+
+
+def count_spsolve(monkeypatch):
+    calls = []
+
+    def counting_spsolve(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(slice_solver, "spsolve", counting_spsolve)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["disk2d", "jump_expand"])
+def test_linear_and_line_stencils_factor_every_newton_step(bundle, name, monkeypatch):
+    """A constant-Jacobian flux (the linear disk2d) and a line of unknowns (the
+    1D jump_expand, p = 3) make one spsolve call per Newton iteration, each a
+    factorisation; the bench's linsolve counters read these calls."""
+    scenario, _, report = bundle[name]
+    calls = count_spsolve(monkeypatch)
+    run_scheme(scenario)
+    assert len(calls) == report.total_newton() > 0
+    assert [s["factorisations"] for s in report.slice_stats] == [s["newton"] for s in report.slice_stats]
+
+
+def benchmark_disk_problem(substeps=2, centre=(0.1, -0.05)):
+    """The bench's disk2d_p3 first slice, shortened to ``substeps`` of its 8 substeps."""
+    g, mask = benchmark_disk_mask()
+    x, y = g.node_coords().T
+    u0 = np.exp(-4 * ((x - centre[0]) ** 2 + (y - centre[1]) ** 2)).reshape(mask.active.shape)
+    return SliceProblem(
+        mask=mask, flux=FluxModel.p_laplacian(3.0, dim=2), span=(0.0, substeps / 32), substeps=substeps,
+        psi=parse_expr("0", ("t", "x", "y")), initial=np.where(mask.active, u0, np.where(mask.ghost, 0.0, np.nan)),
+    )
+
+
+def test_a_nonlinear_split_stencil_keeps_its_factor(monkeypatch):
+    """On the benchmark disk a p = 3 stencil makes no spsolve call: it factors
+    its first step matrix and refines later Newton steps against that factor."""
+    calls = count_spsolve(monkeypatch)
+    solution = solve_slice(benchmark_disk_problem())
+    newton = sum(s.newton_iterations for s in solution.stats)
+    assert calls == []
+    assert 1 <= solution.factorisations < newton
+
+
+def test_refined_steps_take_the_newton_iterations_of_exact_ones(monkeypatch):
+    """On this centre (the bench's seed 77) the first substep's fifth Newton
+    step leaves a residual just under newton_tol.  Refined to REFINE_TOL alone
+    it lands just over and Newton takes 8 iterations; refined rho times
+    further, as the step the quadratic model expects to be the last, it takes
+    the 7 of exact solves, with the same frame."""
+    problem = benchmark_disk_problem(substeps=1, centre=(0.119646, -0.069638))
+    refined = solve_slice(problem)
+    monkeypatch.setattr(_Stencil, "keeps_factor", False)
+    exact = solve_slice(problem)
+    assert refined.stats[0].newton_iterations == exact.stats[0].newton_iterations == 7
+    assert refined.factorisations < exact.factorisations == 7
+    assert np.nanmax(np.abs(refined.frames[-1] - exact.frames[-1])) <= 1e-12
+
+
+def test_a_nonlinear_disk_run_factors_at_most_0_4_times_per_newton_iteration():
+    """The p = 3 disk at h = 0.042 (110 Newton iterations, 11 factorisations)."""
+    _, report = run_scheme(parse_scenario_text(bundled_text("disk2d", disk_at_h_0042(3))))
+    assert 0 < sum(s["factorisations"] for s in report.slice_stats) <= 0.4 * report.total_newton()
+
+
+class TrackedFactor:
+    """A SuperLU factor that can be weakly referenced."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def solve(self, rhs):
+        return self.factor.solve(rhs)
+
+
+def test_refinement_meets_its_tolerance_and_a_stalled_one_refactors(monkeypatch):
+    """A Newton step solved with the previous iterate's factor (the last two
+    steps of the benchmark disk's first substep) meets REFINE_TOL = 1e-6
+    without a new factor.  Against c times the factored matrix each sweep
+    scales the residual by 1 - c: c = 1.4 refines, while c = 1.6 fails to
+    halve it, so the stencil refactors, dropping the old factor first, and
+    one factor is alive at a time."""
+    steps, solve = [], _Stencil.solve
+
+    def recording_solve(self, minus_j, tau, rhs, *eta):
+        steps.append((minus_j.copy(), tau, rhs.copy()))
+        return solve(self, minus_j, tau, rhs, *eta)
+
+    monkeypatch.setattr(_Stencil, "solve", recording_solve)
+    problem = benchmark_disk_problem(substeps=1)
+    solve_slice(problem)
+    monkeypatch.setattr(_Stencil, "solve", solve)
+    (previous, tau, _), (minus_j, _, rhs) = steps[-2:]
+
+    factors = []
+
+    def tracking_splu(*args, **kwargs):
+        assert all(ref() is None for ref in factors), "a factor was alive while another was made"
+        factor = TrackedFactor(splu(*args, **kwargs))
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(slice_solver, "splu", tracking_splu)
+    stencil = _Stencil(problem.mask, problem.flux)
+    stencil.solve(previous, tau, rhs)
+    x = stencil.solve(minus_j, tau, rhs)
+    assert stencil.factorisations == 1
+    assert np.abs(rhs - stencil.step_matrix(minus_j, tau) @ x).max() <= 1e-6 * np.abs(rhs).max()
+
+    for c, factorisations in ((1.4, 1), (1.6, 2)):
+        x = stencil.solve(c * previous, tau / c, rhs)
+        assert stencil.factorisations == factorisations
+        assert np.abs(rhs - stencil.step_matrix(c * previous, tau / c) @ x).max() <= 1e-6 * np.abs(rhs).max()
+    assert sum(ref() is not None for ref in factors) == 1
 
 
 # --- implicit step vs dense oracle -------------------------------------------
@@ -900,6 +1023,43 @@ def test_a_singular_step_matrix_is_a_stall_without_a_warning(bundle):
     assert ("at halving depth 4: residual 9.862e+306 after 0 Newton iterations "
             "(matrix: Matrix is exactly singular) (slice=0, step=0,") in str(err.value)
     assert err.value.newton_history == [pytest.approx(9.862e306, rel=1e-3)]
+
+
+# Nonlinear in z, so a 2D stencil keeps its SuperLU factor: its matrix overflows as HUGE_SLOPE's does
+HUGE_Z_SLOPE = FluxModel.custom([parse_expr(f"1e306*(1 + z^2)*{k}", FLUX_VARS) for k in ("xi1", "xi2")],
+                                p=2.0, dim=2)
+
+
+def test_a_singular_kept_factor_is_a_stall_without_a_warning(bundle, monkeypatch):
+    """SuperLU's "Factor is exactly singular" ends Newton on the disk as
+    spsolve's singular matrix does on a line, with the same message."""
+    scenario = dataclasses.replace(bundle["disk2d"][0], flux=HUGE_Z_SLOPE)
+    calls = count_spsolve(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverStallError) as err:
+            run_scheme(scenario)
+    assert calls == []
+    assert ("at halving depth 4: residual 3.306e+307 after 0 Newton iterations "
+            "(matrix: Matrix is exactly singular) (slice=0, step=0,") in str(err.value)
+    assert err.value.newton_history == [pytest.approx(3.306e307, rel=1e-3)]
+
+
+def test_a_non_finite_factor_or_refinement_is_the_singular_stop():
+    """A factor whose solve overflows, and a refinement that turns non-finite
+    (an infinite matrix entry) and so refactors a matrix SuperLU finds
+    singular, both raise the stop spsolve's singular matrix gives."""
+    g, mask = disk_mask()
+    stencil = _Stencil(mask, FluxModel.p_laplacian(3.0, dim=2))
+    frame = np.where(mask.defined, np.random.default_rng(3).uniform(-1, 1, mask.active.shape), np.nan)
+    minus_j = stencil.jacobian(0.0, stencil.face_fields(frame))
+    with pytest.raises(slice_solver.MatrixRankWarning, match="Matrix is exactly singular"):
+        stencil.solve(minus_j * 1e-300, np.inf, np.full(stencil.n_active, 1e20))  # x ~ 8.6e317
+    stencil.solve(minus_j, 0.01, np.ones(stencil.n_active))
+    minus_j[5] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(slice_solver.MatrixRankWarning, match="exactly singular"):
+        stencil.solve(minus_j, 0.01, np.ones(stencil.n_active))
+    assert stencil.factorisations == 3
 
 
 def random_step_problem(seed):
