@@ -1,19 +1,19 @@
 """Scenario text files: loading, validation, canonical printing, output.
 
-The format is INI-like with six sections ([solver] optional)::
+The format is INI-like with six sections::
 
     [grid]    dim, xmin, xmax, h          (+ ymin, ymax when dim = 2)
     [time]    T, slices, substeps
     [domain]  type = implicit (phi, jumps?) | moving_intervals (left, right, jumps?)
     [flux]    type, p, eps_reg?, c?, alpha?, b?, d?, C_z?, omega?; custom adds a1 (a2), needs c, alpha
     [data]    u0, psi, source?
-    [solver]  newton_tol?, max_newton?
     [output]  dir, frames?
 
 '#' starts a comment, values may be double-quoted, unknown sections or
-keys are errors.  Loading reads every key it can reach, builds each part
-through its own constructor (which holds that part's rules) and raises a
-single :class:`ScenarioError` listing every problem found.
+keys are errors (one per unknown section, whose keys are skipped).  Loading
+reads every key it can reach, builds each part through its own constructor
+(which holds that part's rules) and raises a single :class:`ScenarioError`
+listing every problem found.
 
 A domain is a level set phi(t, x[, y]) <= 0, met on the grid box, with
 ``jumps = "t: phi; ..."`` starting a new phi at each t.  ``type =
@@ -31,7 +31,7 @@ from .errors import GeometryError, NumericEvalError, ScenarioError, SlabflowErro
 from .expressions import Num, parse_expr, parse_exprs, to_source
 from .flux import FluxModel
 from .geometry import Grid, TimeDomain, build_slice_plan, interval_phi
-from .slice_solver import SolverConfig, on_points
+from .slice_solver import on_points
 from .stitcher import OutputConfig, Scenario, count_issues
 
 _SECTIONS = {
@@ -40,7 +40,6 @@ _SECTIONS = {
     "domain": {"type", "left", "right", "jumps", "phi"},
     "flux": {"type", "p", "eps_reg", "a1", "a2", "c", "alpha", "b", "d", "C_z", "omega"},
     "data": {"u0", "psi", "source"},
-    "solver": {"newton_tol", "max_newton"},
     "output": {"dir", "frames"},
 }
 _REQUIRED_SECTIONS = ("grid", "time", "domain", "flux", "data", "output")
@@ -68,20 +67,20 @@ def _unquote(value):
 def _parse_sections(text, issues):
     """-> {section: {key: (value, line_no)}}"""
     sections = {}
-    current = None
+    current = None  # the section being read; "" in an unknown one, whose keys its issue covers
     for no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                issues.append(f"line {no}: unknown section [{name}]")
-                current = None
-                continue
-            if name in sections:
-                issues.append(f"line {no}: duplicate section [{name}]")
-            current = sections.setdefault(name, {})
+            current = line[1:-1].strip()
+            if current not in _SECTIONS:
+                issues.append(f"line {no}: unknown section [{current}]")
+                current = ""
+            elif current in sections:
+                issues.append(f"line {no}: duplicate section [{current}]")
+            else:
+                sections[current] = {}
             continue
         if "=" not in line:
             issues.append(f"line {no}: expected 'key = value', got {line!r}")
@@ -89,15 +88,16 @@ def _parse_sections(text, issues):
         if current is None:
             issues.append(f"line {no}: key outside any section")
             continue
+        if not current:
+            continue
         key, value = (part.strip() for part in line.split("=", 1))
-        section_name = next(n for n, s in sections.items() if s is current)
-        if key not in _SECTIONS[section_name]:
-            issues.append(f"[{section_name}] line {no}: unknown key {key!r}")
+        if key not in _SECTIONS[current]:
+            issues.append(f"[{current}] line {no}: unknown key {key!r}")
             continue
-        if key in current:
-            issues.append(f"[{section_name}] line {no}: duplicate key {key!r}")
+        if key in sections[current]:
+            issues.append(f"[{current}] line {no}: duplicate key {key!r}")
             continue
-        current[key] = (_unquote(value), no)
+        sections[current][key] = (_unquote(value), no)
     return sections
 
 
@@ -287,21 +287,13 @@ def parse_scenario_text(text):
     psi = data.expression("psi", txy_vars, default=Num(0.0))
     source = data.expression("source", txy_vars, required=False, default=Num(0.0))
 
-    # ---- solver
-    cfg = SolverConfig()
-    if "solver" in sections:
-        s = _SectionReader("solver", sections["solver"], issues)
-        newton_tol = s.number("newton_tol", required=False, default=cfg.newton_tol)
-        max_newton = s.integer("max_newton", required=False, default=cfg.max_newton)
-        cfg = _build(issues, "solver", lambda: SolverConfig(newton_tol, max_newton))
-
     # ---- output
     out = _SectionReader("output", sections["output"], issues)
     out_dir = out.word("dir")
     frames_mode = out.word("frames", required=False, default="knots")
     output = _build(issues, "output", lambda: OutputConfig(out_dir, frames_mode))
 
-    if None in (grid, domain, flux, n_slices, substeps, cfg):  # each is an issue already
+    if None in (grid, domain, flux, n_slices, substeps):  # each is an issue already
         issues += count_issues(n_slices, substeps)
     else:
         scenario = _build(issues, "scenario", lambda: Scenario(
@@ -313,7 +305,6 @@ def parse_scenario_text(text):
             psi=psi,
             u0=u0,
             source=source,
-            config=cfg,
             output=output,
         ))
 
@@ -346,7 +337,7 @@ def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([f"cannot read scenario file: {exc}"]) from exc
     return parse_scenario_text(text)
 
@@ -409,14 +400,6 @@ def format_scenario(scenario):
     lines.append(f'psi = "{to_source(scenario.psi)}"')
     lines.append(f'source = "{to_source(scenario.source)}"')
 
-    cfg = scenario.config
-    lines += [
-        "",
-        "[solver]",
-        f"newton_tol = {_fmt(cfg.newton_tol)}",
-        f"max_newton = {cfg.max_newton}",
-    ]
-
     out = scenario.output or OutputConfig(directory="out")
     lines += ["", "[output]", f"dir = {out.directory}", f"frames = {out.frames_mode}", ""]
     return "\n".join(lines)
@@ -447,7 +430,10 @@ def write_frames(field, out_dir, mode="knots", scenario_digest=""):
     byte-reproducible for identical runs.
     """
     OutputConfig(out_dir, mode)  # an unknown mode raises before anything is written
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise SlabflowError(f"cannot create output directory {out_dir!r}: {exc}") from exc
     coords = field.plan.masks[0].grid.node_coords()
     dim = coords.shape[1]
     header = "# t x" + (" y" if dim == 2 else "") + " u active u_ext"

@@ -22,8 +22,9 @@ drives r down: each iteration solves (I/tau - J) delta = -r, J read from the
 residual's face fields through the flux law's derivative trees in every slot
 (exact for every flux in every dimension), and backtracks on the residual
 norm through the steps 1, 1/2, .., 2^-20.  It stops once ||r||_inf <=
-``newton_tol`` (a converged start takes no step) or, ending short with a
-finite residual, at the rounding floor ``FLOOR_C`` eps ||I/tau - J(u)||_inf
+``NEWTON_TOL`` (a converged start takes no step) or, ending short with a
+finite residual (``MAX_NEWTON`` iterations spent, a stalled line search or a
+failed matrix), at the rounding floor ``FLOOR_C`` eps ||I/tau - J(u)||_inf
 ||u||_inf, u over the active and ghost nodes (Higham 2002, ch. 12), which no
 absolute tolerance matches at every h, slope and scale of the data.  A flux
 that does not evaluate (:class:`NumericEvalError`, as on an overflow) gives
@@ -63,10 +64,10 @@ substeps and solves each Newton step by iterative refinement against it,
 x += LU^-1 (b - A x), until ||b - A x||_inf <= ``REFINE_TOL`` ||b||_inf; a
 sweep that fails to halve that residual drops the factor for one of the
 current matrix (Kelley 2003, ch. 2).  The step that the quadratic model
-||r_k|| rho^2 (rho = ||r_k|| / ||r_k-1||) expects to reach ``newton_tol`` is
+||r_k|| rho^2 (rho = ||r_k|| / ||r_k-1||) expects to reach ``NEWTON_TOL`` is
 refined to ``REFINE_TOL`` rho instead (a forcing term; Eisenstat and Walker,
 SIAM J. Sci. Comput. 1996), so that its refinement error does not carry the
-last residual over ``newton_tol``.  On the benchmark's p = 3 disk (centre
+last residual over ``NEWTON_TOL``.  On the benchmark's p = 3 disk (centre
 (0.1, -0.05)) this factors 20 times in 127 Newton iterations, as many
 iterations as exact solves take.
 """
@@ -86,6 +87,8 @@ from .expressions import Expr, Num, bind, evaluate as eval_expr
 from .flux import _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
 from .geometry import along, integer_at_least
 
+NEWTON_TOL = 1e-10  # Newton's absolute stop, ||r||_inf <= this
+MAX_NEWTON = 50  # Newton iterations per substep try
 LINE_STEPS = tuple(2.0**-k for k in range(21))  # damped Newton's trial steps, 1 down to 2^-20
 DISSECTION_LEAF = 32  # parts of at most this many nodes are not split further
 FLOOR_C = 64  # Newton's rounding floor, in units of eps ||I/tau - J||_inf ||u||_inf
@@ -107,23 +110,11 @@ def on_points(expr, points):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    newton_tol: float = 1e-10
-    max_newton: int = 50
-
-    def __post_init__(self):
-        if not 0 < self.newton_tol < math.inf:
-            raise SlabflowError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if not integer_at_least(self.max_newton, 1):
-            raise SlabflowError(f"max_newton must be an integer >= 1, got {self.max_newton!r}")
-
-
-@dataclass(frozen=True)
 class SliceProblem:
     """One frozen-domain slice: mask, flux (time argument frozen at the
     span's start), span, its uniform substeps (``times``; construction
     checks that each advances time), data (``psi``, ``source``: expressions;
-    no source is ``Num(0.0)``), initial frame and solver knobs."""
+    no source is ``Num(0.0)``) and initial frame."""
 
     mask: object
     flux: object
@@ -132,7 +123,6 @@ class SliceProblem:
     psi: object
     initial: np.ndarray
     source: object = Num(0.0)
-    config: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         if not isinstance(self.source, Expr):
@@ -153,14 +143,17 @@ class SliceProblem:
 @dataclass
 class StepStats:
     """One stored substep: Newton iterations (stalled tries included), final residual, the bound
-    it met (``newton_tol`` or, ``floor`` true, the larger rounding floor) and halvings taken;
+    it met (``NEWTON_TOL`` or, ``floor`` true, the larger rounding floor) and halvings taken;
     a halved substep keeps its pieces' worst residual and bound."""
 
     newton_iterations: int
     residual: float
     bound: float
-    floor: bool
     halvings: int = 0
+
+    @property
+    def floor(self):
+        return self.bound > NEWTON_TOL
 
 
 @dataclass
@@ -427,7 +420,6 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to):
     (:func:`on_points`); returns (frame_out, stats, history, why): the input's undefined
     nodes untouched, psi(t_to) on the ghost ring and Newton's last iterate on the active
     set, its residual max norms, and None where it converged, else why it stalled."""
-    cfg = problem.config
     t_freeze = problem.span[0]
     tau = t_to - t_from
     u = frame_in.copy()
@@ -451,13 +443,13 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to):
 
     r, r_inf, fields = residual(u)
     history, count, why = [r_inf], 0, ""
-    while math.isfinite(r_inf) and not r_inf <= cfg.newton_tol and count < cfg.max_newton:
+    while math.isfinite(r_inf) and not r_inf <= NEWTON_TOL and count < MAX_NEWTON:
         # A step that the quadratic model r rho^2 expects to end Newton is refined rho times
-        # further, so that its refinement error does not carry the residual over newton_tol.
+        # further, so that its refinement error does not carry the residual over NEWTON_TOL.
         rho = r_inf / history[-2] if count else 1.0
         try:
             delta = stencil.solve(minus_jacobian(fields), tau, -r,
-                                  REFINE_TOL * rho if r_inf * rho**2 <= cfg.newton_tol else REFINE_TOL)
+                                  REFINE_TOL * rho if r_inf * rho**2 <= NEWTON_TOL else REFINE_TOL)
         except (NumericEvalError, MatrixRankWarning) as exc:
             why = f" (matrix: {exc})"
             break
@@ -468,7 +460,7 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to):
             u_try.ravel()[stencil.active_flat] += lam * delta
             r_try, r_try_inf, fields_try = residual(u_try)
             r_try_two = math.sqrt(r_try @ r_try)
-            if math.isfinite(r_try_two) and (r_try_two <= r_two * (1.0 - 1e-4 * lam) or r_try_inf <= cfg.newton_tol):
+            if math.isfinite(r_try_two) and (r_try_two <= r_two * (1.0 - 1e-4 * lam) or r_try_inf <= NEWTON_TOL):
                 u, r, r_inf, fields = u_try, r_try, r_try_inf, fields_try
                 history.append(r_inf)
                 break
@@ -476,11 +468,11 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to):
             why = " (line search stalled)"
             break
 
-    bound = cfg.newton_tol
+    bound = NEWTON_TOL
     if math.isfinite(r_inf) and not r_inf <= bound:
         with suppress(NumericEvalError):  # a matrix that does not evaluate has no floor
             bound = max(bound, stencil.rounding_floor(minus_jacobian(fields), tau, u))
-    return u, StepStats(count, r_inf, bound, bound > cfg.newton_tol), history, None if r_inf <= bound else why
+    return u, StepStats(count, r_inf, bound), history, None if r_inf <= bound else why
 
 
 def _advance(step, frame, t_from, t_to, depth=0):
@@ -500,7 +492,7 @@ def _advance(step, frame, t_from, t_to, depth=0):
     frame, second = _advance(step, frame, t_mid, t_to, depth + 1)
     return frame, StepStats(stats.newton_iterations + first.newton_iterations + second.newton_iterations,
                             max(first.residual, second.residual), max(first.bound, second.bound),
-                            first.floor or second.floor, 1 + first.halvings + second.halvings)
+                            1 + first.halvings + second.halvings)
 
 
 def solve_slice(problem):

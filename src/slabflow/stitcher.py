@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainRangeError, GeometryError, ScenarioError, SlabflowError, SolverStallError
 from .expressions import Expr, Num
 from .geometry import build_slice_plan, integer_at_least
-from .slice_solver import SliceProblem, SolverConfig, on_points, solve_slice
+from .slice_solver import SliceProblem, on_points, solve_slice
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,10 @@ class Scenario:
     psi: object
     u0: object
     source: object = Num(0.0)
-    config: SolverConfig = SolverConfig()
     output: OutputConfig = None
 
     REQUIRED = (("grid", "grid"), ("domain", "domain"), ("time", "n_slices"),
-                ("time", "substeps"), ("flux", "flux"), ("solver", "config"))
+                ("time", "substeps"), ("flux", "flux"))
 
     def __post_init__(self):
         issues = [f"[{section}] {key} is required, got None"
@@ -198,7 +197,6 @@ def run_scheme(scenario, plan=None):
             psi=scenario.psi,
             initial=current,
             source=scenario.source,
-            config=scenario.config,
         )
         try:
             sol = solve_slice(problem)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from helpers import disk_jump_text
-from slabflow import bundled_scenario_paths, diagnostics
+from slabflow import bundled_scenario_paths, diagnostics, slice_solver
 from slabflow.cli import main
 
 HEAT = """\
@@ -62,9 +62,6 @@ p = 4
 [data]
 u0 = "50*sin(7*pi*x)"
 psi = "0"
-
-[solver]
-max_newton = 1
 
 [output]
 dir = {out}
@@ -127,7 +124,9 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, old, new, key):
     assert key in capsys.readouterr().err
 
 
-def test_solver_stall_has_its_own_exit_code(tmp_path, capsys):
+def test_solver_stall_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    """With a budget of one Newton iteration the steep p = 4 data stall on every half."""
+    monkeypatch.setattr(slice_solver, "MAX_NEWTON", 1)
     cfg = tmp_path / "stall.cfg"
     cfg.write_text(STALL.format(out=tmp_path / "out"))
     code = main(["run", str(cfg)])
@@ -143,10 +142,29 @@ def test_an_overflowing_run_is_a_stall_with_no_warning(tmp_path, capsys):
     """At u = 1e100 the p = 4 flux overflows; the run ends in the stall exit
     code, with no numpy RuntimeWarning escaping the CLI untyped."""
     cfg = tmp_path / "overflow.cfg"
-    text = STALL.format(out=tmp_path / "out").replace("50*sin(7*pi*x)", "1e100*sin(pi*x)")
-    cfg.write_text(text.replace("max_newton = 1\n", ""))
+    cfg.write_text(STALL.format(out=tmp_path / "out").replace("50*sin(7*pi*x)", "1e100*sin(pi*x)"))
     assert main(["run", str(cfg)]) == 3
     assert "at halving depth 4: residual 1.106e+302 after 1 Newton iterations" in capsys.readouterr().err
+
+
+def test_a_scenario_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe[grid]\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenario invalid:",
+        "  - cannot read scenario file: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]
+
+
+def test_an_output_directory_that_cannot_be_made_is_an_input_error(tmp_path, capsys):
+    """The output directory's parent is a regular file: one error line naming it, no traceback."""
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    cfg = tmp_path / "heat.cfg"
+    cfg.write_text(HEAT.format(out=out))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot create output directory {str(out)!r}: ")
 
 
 def test_substeps_that_cannot_advance_time_are_an_input_error(tmp_path):

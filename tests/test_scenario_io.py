@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from slabflow import (
     ScenarioError,
     SlabflowError,
     SliceProblem,
-    SolverConfig,
     TimeDomain,
     build_slice_plan,
     bundled_scenario_paths,
@@ -72,7 +73,6 @@ def test_minimal_scenario_defaults():
     assert scen.flux.kind == "linear_diffusion"
     assert scen.flux.eps_reg == 0.0  # the linear model needs no smoothing
     assert scen.source == Num(0.0)
-    assert scen.config == SolverConfig()
     assert scen.output.frames_mode == "knots"
     assert scen.output.directory == "out/minimal"
 
@@ -267,10 +267,6 @@ def _jumps_at(*starts, horizon=0.1):
     return lambda: TimeDomain(horizon, 1, segments)
 
 
-def _solver(line):
-    return ("dir = out/minimal\n", f"dir = out/minimal\n\n[solver]\n{line}\n")
-
-
 CUSTOM_2D_FLUX = 'type = custom\np = 2\na1 = "xi1"\na2 = "xi2"\nc = 1\nalpha = 1'
 CUSTOM_XI = parse_expr("xi1", ("t", "x", "y", "z", "xi1", "xi2"))
 
@@ -286,14 +282,6 @@ def _custom_flux(line):
 @pytest.mark.parametrize(
     "build,edit,section,key",
     [
-        (lambda: SolverConfig(newton_tol=0.0), _solver("newton_tol = 0"), "[solver]", "newton_tol"),
-        (lambda: SolverConfig(newton_tol=-1.0), _solver("newton_tol = -1"), "[solver]", "newton_tol"),
-        (lambda: SolverConfig(newton_tol=np.nan), _solver("newton_tol = nan"), "[solver]",
-         "newton_tol"),
-        (lambda: SolverConfig(max_newton=-1), _solver("max_newton = -1"), "[solver]", "max_newton"),
-        (lambda: SolverConfig(max_newton=2.5), _solver("max_newton = 2.5"), "[solver]",
-         "max_newton"),
-        (lambda: SolverConfig(max_newton=0), _solver("max_newton = 0"), "[solver]", "max_newton"),
         (lambda: OutputConfig("out", frames_mode="bogus"),
          ("dir = out/minimal", "dir = out/minimal\nframes = bogus"), "[output]", "frames"),
         (lambda: FluxModel("linear_diffusion", 3.0), ("p = 2", "p = 3"), "[flux]", "p = 2"),
@@ -335,8 +323,6 @@ def _custom_flux(line):
                 ({"z_lipschitz": np.inf}, "C_z = inf", "'C_z'"),
             )
         ],
-        (lambda: SolverConfig(newton_tol=np.inf), _solver("newton_tol = inf"), "[solver]",
-         "newton_tol"),
         (lambda: Grid(dim=1, origin=(0.0,), spacing=(0.5,), counts=(np.inf,)),
          ("xmax = 1.125", "xmax = inf"), "[grid]", "'xmax'"),
         (lambda: Grid(dim=1, origin=(0.0,), spacing=(0.5,), counts=(np.nan,)),
@@ -359,14 +345,13 @@ def _custom_flux(line):
          ("h = 0.03125", "h = 1e-9"), "[grid]", "5.00e+9 fine samples per section"),
     ],
     ids=[
-        "newton_tol_zero", "newton_tol_negative", "newton_tol_nan", "max_newton_negative",
-        "max_newton_fraction", "max_newton_zero", "frames_mode", "linear_diffusion_p3",
+        "frames_mode", "linear_diffusion_p3",
         "linear_diffusion_eps_reg", "custom_flux_components",
         "jump_at_zero", "jump_at_horizon", "zero_slices", "zero_substeps", "2d_flux_on_1d_grid",
         "nan_spacing", "nan_eps_reg", "grid_dim_3", "flux_dim_3", "flux_kind",
         "growth_c_nan", "growth_c_zero", "coercivity_alpha_nan",
         "lower_b_negative", "lower_d_nan", "z_lipschitz_negative", "growth_c_inf",
-        "coercivity_alpha_inf", "lower_b_inf", "lower_d_inf", "z_lipschitz_inf", "newton_tol_inf",
+        "coercivity_alpha_inf", "lower_b_inf", "lower_d_inf", "z_lipschitz_inf",
         "counts_inf", "counts_nan", "origin_inf", "spacing_inf", "horizon_inf", "p_inf",
         "eps_reg_inf", "spacing_1e-320", "spacing_1e-200", "spacing_1e-9",
     ],
@@ -404,7 +389,7 @@ def test_code_built_and_loaded_settings_pass_the_same_rules(build, edit, section
 def test_integer_settings_built_in_code_must_be_integers(build, key):
     """An integral float passed every constructor and then raised a bare
     TypeError in the run (``n_slices`` and the domain's ``dim`` ran); each
-    integer setting now takes SolverConfig's rule at construction, and each
+    integer setting now takes one rule at construction, and each
     integer argument of a library call the same rule when it is called."""
     with pytest.raises(SlabflowError, match=f"{key} must be"):
         build()
@@ -426,12 +411,13 @@ def test_moving_intervals_are_one_dimensional():
     assert err.value.issues == ["[domain] a 1D domain cannot run on a 2D grid"]
 
 
-def test_max_picard_is_an_unknown_solver_key():
-    """Substep halving replaced the Picard fallback and its budget."""
+def test_a_solver_section_is_one_unknown_section_issue():
+    """Newton's tolerance and budget are solver constants, so the [solver]
+    section that once set them is unknown; its keys are not issues of their own."""
+    text = MINIMAL + "\n[solver]\nnewton_tol = 1e-10\nmax_newton = 50\nmax_picard = 200\n"
     with pytest.raises(ScenarioError) as err:
-        parse_scenario_text(MINIMAL.replace(*_solver("max_picard = 200")))
-    assert len(err.value.issues) == 1 and err.value.issues[0].startswith("[solver]")
-    assert "unknown key 'max_picard'" in err.value.issues[0]
+        parse_scenario_text(text)
+    assert err.value.issues == ["line 28: unknown section [solver]"]
 
 
 def test_dim2_requires_y_range():
@@ -451,6 +437,15 @@ def test_y_range_forbidden_in_1d():
 # --- canonical form ----------------------------------------------------------
 
 
+def test_the_readme_example_loads_to_its_printed_domain():
+    """The README's scenario-file example loads, and its second ini block is
+    the [domain] section of the example's canonical text."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example, domain = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    canon = format_scenario(parse_scenario_text(example))
+    assert domain.strip() in canon.split("\n\n")
+
+
 def test_canonical_round_trip_is_stable():
     scen = parse_scenario_text(MINIMAL)
     canon = format_scenario(scen)
@@ -461,7 +456,6 @@ def test_canonical_round_trip_is_stable():
     assert again.u0 == scen.u0
     assert again.psi == scen.psi
     assert again.source == scen.source
-    assert again.config == scen.config
 
 
 ROUND_TRIP_TEXTS = {**bundled_scenario_paths(), "disk_jump": None, "disk2d_custom": None}

@@ -26,7 +26,6 @@ from slabflow import (
     NumericInputError,
     SlabflowError,
     SliceProblem,
-    SolverConfig,
     SolverStallError,
     TimeDomain,
     build_slice_plan,
@@ -398,10 +397,10 @@ def test_dissection_order_cuts_the_fill_of_the_benchmark_disk():
     assert np.linalg.norm(solution - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
-def per_iteration_assembly(stencil, frame, face_terms, tau):
+def per_iteration_assembly(stencil, frame, tau):
     """Reference for the fixed pattern: div A of the flux from evaluate_many
     by np.add.at (low ends) and np.subtract.at (high ends) per axis; the
-    Jacobian of ``face_terms`` accumulated densely by
+    Jacobian of ``_newton_faces`` accumulated densely by
     np.add.at in face-loop order, the endpoint couplings of every axis
     first, then the transverse ones, with d(xi_b)/du found by probing
     ``face_fields`` with unit vectors; then I/tau - J."""
@@ -412,7 +411,7 @@ def per_iteration_assembly(stencil, frame, face_terms, tau):
     rows, cols, vals, transverse = [], [], [], []
     for a, (ax, (xi, z)) in enumerate(zip(stencil.axes, stencil.face_fields(frame))):
         F = evaluate_many(stencil.flux, 0.0, ax["mids"], z, xi)[:, a]
-        dF, dT = face_terms(stencil.flux, 0.0, a, ax, xi, z)
+        dF, dT = _newton_faces(stencil.flux, 0.0, a, ax, xi, z)
         h = ax["h"]
         lo_r, hi_r = rank[ax["flats"]]
         sel = lo_r >= 0
@@ -461,8 +460,7 @@ def isolated_node_mask():
     ],
     ids=["p_laplacian_1d", "z_modulated_1d", "p_laplacian_2d", "isolated_node_1d"],
 )
-@pytest.mark.parametrize("face_terms", [_newton_faces])
-def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux, face_terms):
+def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux):
     g, mask = make_mask()
     rng = np.random.default_rng(11)
     tau = 0.01
@@ -470,7 +468,7 @@ def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux, f
     for _ in range(3):
         frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
         fields = stencil.face_fields(frame)
-        ref_div, ref_matrix = per_iteration_assembly(stencil, frame, face_terms, tau)
+        ref_div, ref_matrix = per_iteration_assembly(stencil, frame, tau)
         jac = stencil.jacobian(0.0, fields)
         assert np.array_equal(stencil.step_matrix(jac, tau).toarray(), ref_matrix)
         assert np.array_equal(stencil.divergence(0.0, fields), ref_div)
@@ -638,7 +636,7 @@ def test_a_nonlinear_split_stencil_keeps_its_factor(monkeypatch):
 
 def test_refined_steps_take_the_newton_iterations_of_exact_ones(monkeypatch):
     """On this centre (the bench's seed 77) the first substep's fifth Newton
-    step leaves a residual just under newton_tol.  Refined to REFINE_TOL alone
+    step leaves a residual just under NEWTON_TOL.  Refined to REFINE_TOL alone
     it lands just over and Newton takes 8 iterations; refined rho times
     further, as the step the quadratic model expects to be the last, it takes
     the 7 of exact solves, with the same frame."""
@@ -865,7 +863,8 @@ def test_step_l1_contraction_between_two_solutions():
 # --- failure modes ---------------------------------------------------------------
 
 
-def test_exhausted_iterations_raise_stall_error():
+def test_exhausted_iterations_raise_stall_error(monkeypatch):
+    monkeypatch.setattr(slice_solver, "MAX_NEWTON", 1)
     g, mask = unit_interval_mask(h=0.0625)
     rng = np.random.default_rng(0)
     vals = 50.0 * rng.uniform(-1, 1, mask.active.shape)
@@ -873,7 +872,6 @@ def test_exhausted_iterations_raise_stall_error():
     problem = SliceProblem(
         mask=mask, flux=FluxModel.p_laplacian(4.0, dim=1), span=(0.0, 10.0), substeps=1,
         psi=parse_expr("0", TX), initial=u_in,
-        config=SolverConfig(max_newton=1),
     )
     with pytest.raises(SolverStallError) as err:
         solve_slice(problem)
@@ -882,15 +880,15 @@ def test_exhausted_iterations_raise_stall_error():
     assert len(err.value.newton_history) == 2 and err.value.depth == 4
 
 
-def test_a_run_that_stalls_says_where(bundle):
+def test_a_run_that_stalls_says_where(bundle, monkeypatch):
     """Zero data keep the residual exactly 0 until psi turns on after
     t = 0.056, inside the second slice's third substep; one Newton step
     cannot reach the tolerance there, nor on its halves: the stall names the
     substep and the end of the piece that stalled four halvings deep."""
+    monkeypatch.setattr(slice_solver, "MAX_NEWTON", 1)
     scenario = dataclasses.replace(
         bundle["plap3_fixed"][0], u0=parse_expr("0", ("x",)),
         psi=parse_expr("max(t - 0.056, 0)", TX),
-        config=SolverConfig(max_newton=1),
     )
     with pytest.raises(SolverStallError) as err:
         run_scheme(scenario)
@@ -972,23 +970,24 @@ def test_a_newton_matrix_that_does_not_evaluate_is_a_stall(bundle):
 SLOPE_OVERFLOWS = FluxModel.custom([parse_expr("1e308*sin(2*xi1)/2", FLUX_VARS)], p=2.0)
 SLOPE_MATRIX = "matrix: non-finite value in subterm '1e+308*(cos(2*xi1)*2)')"
 
-STOP_PATHS = {
-    "zero_data": ("heat_fixed", {"u0": parse_expr("0", ("x",))}, None),
-    "both_budgets": ("plap3_fixed", {"config": SolverConfig(max_newton=2)},
-                     ("residual 9.370e-07 after 2 Newton iterations", 3)),
-    "fallback_budget": ("jump_expand", {"config": SolverConfig(max_newton=4)}, [2, 0, 1, 0]),
+STOP_PATHS = {  # name -> (scenario, its changes, Newton's budget, the stop)
+    "zero_data": ("heat_fixed", {"u0": parse_expr("0", ("x",))}, slice_solver.MAX_NEWTON, None),
+    "both_budgets": ("plap3_fixed", {}, 2, ("residual 9.370e-07 after 2 Newton iterations", 3)),
+    "fallback_budget": ("jump_expand", {}, 4, [2, 0, 1, 0]),
     "both_matrices": ("heat_fixed", {"u0": parse_expr(f"1e-3*{FLAT_TOP}", ("x",)), "flux": SLOPE_OVERFLOWS},
+                      slice_solver.MAX_NEWTON,
                       (f"residual 5.690e+306 after 0 Newton iterations ({SLOPE_MATRIX}", 1)),
 }
 
 
-@pytest.mark.parametrize("name,changes,stop", STOP_PATHS.values(), ids=STOP_PATHS)
-def test_each_way_a_substep_stops_keeps_its_counts(bundle, name, changes, stop):
+@pytest.mark.parametrize("name,changes,budget,stop", STOP_PATHS.values(), ids=STOP_PATHS)
+def test_each_way_a_substep_stops_keeps_its_counts(bundle, monkeypatch, name, changes, budget, stop):
     """A converged start takes no Newton step (zero data); a substep that
     stalls is halved, its fallback, and a halved run counts its halvings and
     keeps the estimates; a stall comes once both Newton's budget and the
     halving depth are spent, or where the matrix fails on every half, and
     counts the stalled piece's iterations."""
+    monkeypatch.setattr(slice_solver, "MAX_NEWTON", budget)
     scenario = dataclasses.replace(bundle[name][0], **changes)
     if stop is None:
         _, report = run_scheme(scenario)
@@ -1094,12 +1093,12 @@ def assert_the_stall_agrees_with_its_message(err, problem):
     assert match, str(err)
     t_from, t_to, depth, residual, newton = float(match[1]), float(match[2]), int(match[3]), match[4], int(match[5])
     line_search, matrix = match[7] == "line search stalled", (match[7] or "").startswith("matrix")
-    history, cfg = err.newton_history, problem.config
+    history, budget = err.newton_history, slice_solver.MAX_NEWTON
     assert depth == err.depth == slice_solver.MAX_HALVINGS and float(match[8]) == err.t == t_to
     assert t_to - t_from == pytest.approx(problem.span[1] / 2**depth)
     assert residual == f"{history[-1]:.3e}" and np.isfinite(history[:-1]).all()
-    assert len(history) == newton + 1 - line_search and newton <= cfg.max_newton
-    assert newton == cfg.max_newton or line_search or matrix or not np.isfinite(history[-1])
+    assert len(history) == newton + 1 - line_search and newton <= budget
+    assert newton == budget or line_search or matrix or not np.isfinite(history[-1])
 
 
 def step_stalls(seed):
@@ -1107,7 +1106,6 @@ def step_stalls(seed):
     escapes it and that it converges within the budget, its residual under the
     bound its stats record, or raises a stall that agrees with its message."""
     problem = random_step_problem(seed)
-    cfg = problem.config
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1116,8 +1114,8 @@ def step_stalls(seed):
         assert_the_stall_agrees_with_its_message(err, problem)
         return True
     assert stats.residual <= stats.bound, seed
-    assert stats.floor == (stats.bound > cfg.newton_tol) and stats.bound >= cfg.newton_tol, seed
-    assert stats.newton_iterations <= cfg.max_newton * (2 * stats.halvings + 1), seed
+    assert stats.bound >= slice_solver.NEWTON_TOL, seed
+    assert stats.newton_iterations <= slice_solver.MAX_NEWTON * (2 * stats.halvings + 1), seed
     return False
 
 
@@ -1126,7 +1124,7 @@ def step_stalls(seed):
 @example(seed=119)
 def test_a_step_converges_or_stalls_as_its_report_says(seed):
     """Beyond the pinned seeds of the probe below; seed 119 stops at its
-    rounding floor, residual 3.78e-10 above newton_tol."""
+    rounding floor, residual 3.78e-10 above NEWTON_TOL."""
     step_stalls(seed)
 
 
@@ -1161,7 +1159,7 @@ def disk_at_h_0042(p):
             "type = linear_diffusion\np = 2": f"type = p_laplacian\np = {p}"}
 
 
-# Runs that stalled where newton_tol lies below the residual's rounding floor
+# Runs that stalled where NEWTON_TOL lies below the residual's rounding floor
 FLOOR_RUNS = {
     "heat_fixed_h1024": lambda: bundled_text("heat_fixed", {"h = 0.03125": "h = 0.0009765625"}),
     "plap3_fixed_h512": lambda: bundled_text("plap3_fixed", {"h = 0.03125": "h = 0.001953125"}),
@@ -1172,14 +1170,14 @@ FLOOR_RUNS = {
 
 @pytest.mark.parametrize("text", FLOOR_RUNS.values(), ids=FLOOR_RUNS)
 def test_refined_and_fast_diffusion_runs_stop_at_the_rounding_floor(text):
-    """Each stalled with newton_tol as the only stop (heat_fixed at h = 1/1024:
+    """Each stalled with NEWTON_TOL as the only stop (heat_fixed at h = 1/1024:
     residual 1.954e-10); Newton now ends some substeps at its rounding floor,
     and the run keeps the maximum principle.  The jump takes the disk of
     radius 0.5 to radius 0.8 at t = 0.5 under psi = 0.3."""
     scenario = parse_scenario_text(text())
     field, report = run_scheme(scenario)
     assert sum(s["floor"] for s in report.slice_stats) > 0
-    assert max(s["worst_residual"] for s in report.slice_stats) > scenario.config.newton_tol
+    assert max(s["worst_residual"] for s in report.slice_stats) > slice_solver.NEWTON_TOL
     assert max_principle_report(scenario, field_=field).passed
 
 
