@@ -14,6 +14,7 @@ and lists the stalled piece's Newton residual history).
 """
 
 import argparse
+import os
 import sys
 
 from .diagnostics import (
@@ -27,14 +28,20 @@ from .errors import InapplicableDiagnosticError, ScenarioError, SlabflowError, S
 from .expressions import parse_expr
 from .flux import check_structure
 from .geometry import _node_box, side_limits
-from .scenario_io import load_scenario, scenario_hash, write_frames
+from .scenario_io import load_scenario, make_output_dir, scenario_hash, write_frames
 from .stitcher import run_scheme
 
 
 def _cmd_run(args):
     scenario = load_scenario(args.scenario)
-    field, report = run_scheme(scenario)
     out = scenario.output
+    made = make_output_dir(out.directory)  # a directory that cannot be made costs no solve
+    try:
+        field, report = run_scheme(scenario)
+    except SlabflowError:
+        for path in made:  # a failed run leaves no directory of its own behind
+            os.rmdir(path)
+        raise
     paths = write_frames(
         field, out.directory, mode=out.frames_mode, scenario_digest=scenario_hash(scenario)
     )
@@ -86,7 +93,7 @@ def _cmd_verify(args):
     field_ = _source_free_field(scenario, None, "max_principle_report")
     reports = [max_principle_report(scenario, field_), energy_report(scenario, field_)]
     if args.u0b is not None:
-        u0b = parse_expr(args.u0b, ("x", "y") if scenario.grid.dim == 2 else ("x",))
+        u0b = parse_expr(args.u0b, tuple("xy"[:scenario.grid.dim]))
         try:
             reports.append(l1_contraction_report(scenario, scenario.u0, u0b, field_))
         except InapplicableDiagnosticError as exc:

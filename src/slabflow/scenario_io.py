@@ -5,15 +5,17 @@ The format is INI-like with six sections::
     [grid]    dim, xmin, xmax, h          (+ ymin, ymax when dim = 2)
     [time]    T, slices, substeps
     [domain]  type = implicit (phi, jumps?) | moving_intervals (left, right, jumps?)
-    [flux]    type, p, eps_reg?, c?, alpha?, b?, d?, C_z?, omega?; custom adds a1 (a2), needs c, alpha
+    [flux]    type, p, eps_reg?, c?, alpha?, b?, d?, C_z?, omega?; custom adds a1 .. a<dim>, needs c, alpha
     [data]    u0, psi, source?
     [output]  dir, frames?
 
 '#' starts a comment, values may be double-quoted, unknown sections or
-keys are errors (one per unknown section, whose keys are skipped).  Loading
-reads every key it can reach, builds each part through its own constructor
-(which holds that part's rules) and raises a single :class:`ScenarioError`
-listing every problem found.
+keys are errors (one per unknown section, whose keys are skipped), and so
+is a known key that the scenario's dim or type does not read (ymin in 1D,
+a2 on a 1D flux, a1 on a builtin kind), one issue naming its line.  Loading
+reads every key it can reach through one rule, builds each part through its
+own constructor (which holds that part's rules) and raises a single
+:class:`ScenarioError` listing every problem found.
 
 A domain is a level set phi(t, x[, y]) <= 0, met on the grid box, with
 ``jumps = "t: phi; ..."`` starting a new phi at each t.  ``type =
@@ -23,6 +25,7 @@ the canonical text prints that compiled form.
 """
 
 import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -108,13 +111,22 @@ def _finite(text):
     return value
 
 
+def _integer(text):
+    value = _finite(text)
+    if value != int(value):
+        raise ValueError(text)
+    return int(value)
+
+
 class _SectionReader:
     def __init__(self, name, entries, issues):
         self.name = name
         self.entries = dict(entries)
         self.issues = issues
 
-    def _take(self, key, conv, kind, required, default):
+    def take(self, key, conv=str, kind=None, required=True, default=None):
+        """The value of ``key`` through ``conv``; a missing required key, or a
+        value ``conv`` refuses, is one issue and gives ``default``."""
         if key not in self.entries:
             if required:
                 self.issues.append(f"[{self.name}] missing required key {key!r}")
@@ -124,34 +136,18 @@ class _SectionReader:
             return conv(value)
         except ValueError:
             self.issues.append(f"[{self.name}] line {line}: {key!r} must be {kind}, got {value!r}")
-            return default
-
-    def number(self, key, required=True, default=None):
-        return self._take(key, _finite, "a finite number", required, default)
-
-    def integer(self, key, required=True, default=None):
-        def conv(v):
-            f = _finite(v)
-            if f != int(f):
-                raise ValueError(v)
-            return int(f)
-
-        return self._take(key, conv, "an integer", required, default)
-
-    def word(self, key, required=True, default=None):
-        return self._take(key, str, "a word", required, default)
-
-    def expression(self, key, variables, required=True, default=None):
-        if key not in self.entries:
-            if required:
-                self.issues.append(f"[{self.name}] missing required key {key!r}")
-            return default
-        value, line = self.entries.pop(key)
-        try:
-            return parse_expr(value, variables)
         except SlabflowError as exc:
             self.issues.append(f"[{self.name}] line {line} ({key}): {exc}")
-            return default
+        return default
+
+    def number(self, key, required=True, default=None):
+        return self.take(key, _finite, "a finite number", required, default)
+
+    def integer(self, key, required=True, default=None):
+        return self.take(key, _integer, "an integer", required, default)
+
+    def expression(self, key, variables, required=True, default=None):
+        return self.take(key, lambda text: parse_expr(text, variables), "an expression", required, default)
 
     def reject_leftovers(self, context):
         for key, (_, line) in self.entries.items():
@@ -180,24 +176,19 @@ def parse_scenario_text(text):
     if issues:
         raise ScenarioError(issues)
 
-    # ---- grid
+    # ---- grid: a dim-D box read axis by axis
     g = _SectionReader("grid", sections["grid"], issues)
     dim = g.integer("dim")
-    xmin = g.number("xmin")
-    xmax = g.number("xmax")
-    h = g.number("h")
     if dim not in Grid.DIMS:
         _build(issues, "grid", lambda: Grid.check_dim(dim))
         dim = 1
-    if dim == 2:
-        ymin = g.number("ymin")
-        ymax = g.number("ymax")
-    else:
-        ymin = ymax = None
-        g.reject_leftovers("only valid when dim = 2")
+    axes = tuple("xy"[:dim])
+    spans = [(g.number(f"{a}min"), g.number(f"{a}max")) for a in axes]
+    h = g.number("h")
+    g.reject_leftovers("only valid when dim = 2")
+    txy = ("t", *axes)  # the variables of the data and of a domain's phi
 
     grid = None
-    spans = ((xmin, xmax),) + (((ymin, ymax),) if dim == 2 else ())
     if not issues:
         counts, origin = [], []
         for lo, hi in spans:
@@ -225,16 +216,16 @@ def parse_scenario_text(text):
 
     # ---- domain: every type compiles to level-set segments (start, phi)
     d = _SectionReader("domain", sections["domain"], issues)
-    dom_type = d.word("type")
+    dom_type = d.take("type")
     domain = None
     forms = {  # type -> (dimension, keys of one segment, their variables, the segment's phi)
-        "implicit": (dim, ("phi",), ("t", "x", "y")[:dim + 1], lambda phi: phi),
+        "implicit": (dim, ("phi",), txy, lambda phi: phi),
         "moving_intervals": (1, ("left", "right"), ("t",), interval_phi),
     }
     if dom_type in forms:
         dom_dim, keys, variables, compile_phi = forms[dom_type]
         first = [d.expression(key, variables) for key in keys]
-        jumps_raw = d.word("jumps", required=False, default="")
+        jumps_raw = d.take("jumps", required=False, default="")
         d.reject_leftovers(f"not read by type = {dom_type}")
         segments = [(0.0, compile_phi(*first))] if None not in first else []
         for piece in filter(None, (entry.strip() for entry in jumps_raw.split(";"))):
@@ -252,81 +243,65 @@ def parse_scenario_text(text):
         issues.append(f"[domain] unknown domain type {dom_type!r}, "
                       f"expected one of {', '.join(forms)}")
 
-    # ---- flux
+    # ---- flux: a custom flux reads one component a1 ... a_dim and gives c, alpha
     fsec = _SectionReader("flux", sections["flux"], issues)
-    flux_type = fsec.word("type")
+    flux_type = fsec.take("type")
     p = fsec.number("p")
     eps_reg = fsec.number("eps_reg", required=False)
-    custom, comps = flux_type == "custom", ()
-    if custom:
-        flux_vars = ("t", "x", "y", "z", "xi1", "xi2")
-        a1 = fsec.expression("a1", flux_vars)
-        a2 = fsec.expression("a2", flux_vars, required=(dim == 2)) if dim == 2 else None
-        if dim == 1 and "a2" in fsec.entries:
-            fsec.entries.pop("a2")
-            issues.append("[flux] a2 only valid when dim = 2")
-        comps = tuple(c for c in (a1, a2) if c is not None)
-    constants = {name: fsec.number(key, required=custom and key in ("c", "alpha"))  # custom gives c, alpha
+    custom = flux_type == "custom"
+    comps = [fsec.expression(f"a{i}", ("t", "x", "y", "z", "xi1", "xi2"))
+             for i in range(1, dim + 1)] if custom else []
+    constants = {name: fsec.number(key, required=custom and key in ("c", "alpha"))
                  for key, name in _FLUX_CONSTANTS.items()}
     constants["time_modulus"] = fsec.expression("omega", ("r",), required=False)
     flux = None
     if flux_type in FluxModel.KINDS:
-        fsec.reject_leftovers("only valid for type = custom")
-        needed = (p, constants["growth_c"], constants["coercivity_alpha"]) if custom else (p,)
-        if None not in needed and len(comps) == dim * custom:
+        fsec.reject_leftovers(f"not read by a {dim}D {flux_type} flux")
+        needed = (p, *comps, constants["growth_c"], constants["coercivity_alpha"]) if custom else (p,)
+        if None not in needed:
             flux = _build(issues, "flux", lambda: FluxModel(
-                flux_type, p, dim, eps_reg, **constants, components=comps))
+                flux_type, p, dim, eps_reg, **constants, components=tuple(comps)))
     elif flux_type is not None:
         _build(issues, "flux", lambda: FluxModel.check_kind(flux_type))
 
     # ---- data
     data = _SectionReader("data", sections["data"], issues)
-    space_vars = ("x", "y") if dim == 2 else ("x",)
-    txy_vars = ("t",) + space_vars
-    u0 = data.expression("u0", space_vars, default=Num(0.0))  # a missing or bad one is already an issue
-    psi = data.expression("psi", txy_vars, default=Num(0.0))
-    source = data.expression("source", txy_vars, required=False, default=Num(0.0))
+    u0 = data.expression("u0", axes, default=Num(0.0))  # a missing or bad one is already an issue
+    psi = data.expression("psi", txy, default=Num(0.0))
+    source = data.expression("source", txy, required=False, default=Num(0.0))
 
     # ---- output
     out = _SectionReader("output", sections["output"], issues)
-    out_dir = out.word("dir")
-    frames_mode = out.word("frames", required=False, default="knots")
-    output = _build(issues, "output", lambda: OutputConfig(out_dir, frames_mode))
+    out_dir = out.take("dir")
+    frames_mode = out.take("frames", required=False, default="knots")
+    output = (_build(issues, "output", lambda: OutputConfig(out_dir, frames_mode))
+              if out_dir is not None else None)  # a missing dir is an issue already
 
     if None in (grid, domain, flux, n_slices, substeps):  # each is an issue already
         issues += count_issues(n_slices, substeps)
     else:
         scenario = _build(issues, "scenario", lambda: Scenario(
-            grid=grid,
-            domain=domain,
-            n_slices=n_slices,
-            substeps=substeps,
-            flux=flux,
-            psi=psi,
-            u0=u0,
-            source=source,
-            output=output,
-        ))
+            grid=grid, domain=domain, n_slices=n_slices, substeps=substeps, flux=flux,
+            psi=psi, u0=u0, source=source, output=output))
 
     # ---- cross-cutting eager checks
-    plan = None
     if not issues:
         try:
             plan = build_slice_plan(domain, grid, n_slices)
         except GeometryError as exc:
             issues.append(f"geometry: {exc}")
-    if plan is not None:
-        try:
-            on_points(u0, plan.masks[0].active_points())(0.0)
-        except NumericEvalError as exc:
-            issues.append(f"[data] u0 does not evaluate on the initial section: {exc}")
-        psi_on_nodes = on_points(psi, grid.node_coords())
-        for t in plan.knots:
+        else:
             try:
-                psi_on_nodes(float(t))
+                on_points(u0, plan.masks[0].active_points())(0.0)
             except NumericEvalError as exc:
-                issues.append(f"[data] psi does not evaluate at t={t}: {exc}")
-                break
+                issues.append(f"[data] u0 does not evaluate on the initial section: {exc}")
+            psi_on_nodes = on_points(psi, grid.node_coords())
+            for t in plan.knots:
+                try:
+                    psi_on_nodes(float(t))
+                except NumericEvalError as exc:
+                    issues.append(f"[data] psi does not evaluate at t={t}: {exc}")
+                    break
 
     if issues:
         raise ScenarioError(issues)
@@ -371,13 +346,8 @@ def format_scenario(scenario):
         lines += [f"{name}min = {_fmt(lo)}", f"{name}max = {_fmt(hi)}"]
     lines.append(f"h = {_fmt(grid.spacing[0])}")
 
-    lines += [
-        "",
-        "[time]",
-        f"T = {_fmt(scenario.domain.horizon)}",
-        f"slices = {scenario.n_slices}",
-        f"substeps = {scenario.substeps}",
-    ]
+    lines += ["", "[time]", f"T = {_fmt(scenario.domain.horizon)}", f"slices = {scenario.n_slices}",
+              f"substeps = {scenario.substeps}"]
 
     dom = scenario.domain
     lines += ["", "[domain]", "type = implicit", f'phi = "{to_source(dom.segments[0][1])}"']
@@ -388,7 +358,7 @@ def format_scenario(scenario):
     flux = scenario.flux
     lines += ["", "[flux]", f"type = {flux.kind}", f"p = {_fmt(flux.p)}"]
     lines.append(f"eps_reg = {_fmt(flux.eps_reg)}")
-    lines += [f'{key} = "{to_source(c)}"' for key, c in zip(("a1", "a2"), flux.components)]
+    lines += [f'a{i} = "{to_source(c)}"' for i, c in enumerate(flux.components, start=1)]
     own = FluxModel(flux.kind, flux.p, flux.dim, components=flux.components)  # the kind's constants
     for key, name in _FLUX_CONSTANTS.items():
         if flux.kind == "custom" or getattr(flux, name) != getattr(own, name):  # a builtin's where it differs
@@ -396,9 +366,8 @@ def format_scenario(scenario):
     if flux.time_modulus is not None:
         lines.append(f'omega = "{to_source(flux.time_modulus)}"')
 
-    lines += ["", "[data]", f'u0 = "{to_source(scenario.u0)}"']
-    lines.append(f'psi = "{to_source(scenario.psi)}"')
-    lines.append(f'source = "{to_source(scenario.source)}"')
+    lines += ["", "[data]"]
+    lines += [f'{key} = "{to_source(getattr(scenario, key))}"' for key in ("u0", "psi", "source")]
 
     out = scenario.output or OutputConfig(directory="out")
     lines += ["", "[output]", f"dir = {out.directory}", f"frames = {out.frames_mode}", ""]
@@ -421,48 +390,57 @@ def _selected_stamps(field, mode):
     return picks
 
 
+def make_output_dir(path):
+    """Make the directory ``path`` and its missing parents; -> the directories
+    made, ``path`` first.  Raises SlabflowError naming ``path`` if it cannot."""
+    made, missing = [], os.path.abspath(path)
+    while not os.path.exists(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise SlabflowError(f"cannot create output directory {path!r}: {exc}") from exc
+    return made
+
+
+def _write_text(path, chunks):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise SlabflowError(f"cannot write output file {path!r}: {exc}") from exc
+    return path
+
+
 def write_frames(field, out_dir, mode="knots", scenario_digest=""):
     """Write one text file per selected stamp plus a manifest.
 
     Columns: t, x (and y in 2D), u (NaN outside active + ghost), the
     active flag (1 active / 0 ghost / -1 outside) and the total extension.
     Everything prints with 17 significant digits; output is
-    byte-reproducible for identical runs.
+    byte-reproducible for identical runs.  A file that cannot be written
+    raises SlabflowError naming it.
     """
-    OutputConfig(out_dir, mode)  # an unknown mode raises before anything is written
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise SlabflowError(f"cannot create output directory {out_dir!r}: {exc}") from exc
+    OutputConfig(out_dir, mode)  # a bad directory or mode raises before anything is written
+    make_output_dir(out_dir)
     coords = field.plan.masks[0].grid.node_coords()
     dim = coords.shape[1]
-    header = "# t x" + (" y" if dim == 2 else "") + " u active u_ext"
+    header = f"# t {' '.join('xy'[:dim])} u active u_ext\n"
     row = " ".join(["%.17g"] * (dim + 2) + ["%d", "%.17g"]) + "\n"  # np.savetxt's row format
     paths = []
-    manifest_rows = []
+    manifest = [f"scenario_hash {scenario_digest or 'unknown'}\n", f"delta {field.plan.delta:.17g}\n",
+                "knots " + " ".join(f"{k:.17g}" for k in field.plan.knots) + "\n", "frames:\n"]
     for j, i in enumerate(_selected_stamps(field, mode)):
         mask = field.mask_at(i)
         flags = np.where(mask.active.ravel(), 1, np.where(mask.ghost.ravel(), 0, -1))
         t = float(field.times[i])
-        table = np.column_stack(
-            [np.full(len(coords), t), coords, field.frames[i].ravel(), flags,
-             field.extended_frame(i).ravel()]
-        )
+        table = np.column_stack([np.full(len(coords), t), coords, field.frames[i].ravel(), flags,
+                                 field.extended_frame(i).ravel()])
+        blocks = np.split(table, range(1024, len(table), 1024))  # bounded memory
         name = f"frame_{j:05d}.txt"
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for block in np.split(table, range(1024, len(table), 1024)):  # bounded memory
-                fh.write(row * len(block) % tuple(block.ravel().tolist()))
-        paths.append(path)
-        manifest_rows.append(f"{j} {int(field.slice_index[i])} {t:.17g} {name}")
-    manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        fh.write(f"scenario_hash {scenario_digest or 'unknown'}\n")
-        fh.write(f"delta {field.plan.delta:.17g}\n")
-        fh.write("knots " + " ".join(f"{k:.17g}" for k in field.plan.knots) + "\n")
-        fh.write("frames:\n")
-        for row in manifest_rows:
-            fh.write(row + "\n")
-    paths.append(manifest)
+        paths.append(_write_text(os.path.join(out_dir, name), itertools.chain(
+            [header], (row * len(block) % tuple(block.ravel().tolist()) for block in blocks))))
+        manifest.append(f"{j} {int(field.slice_index[i])} {t:.17g} {name}\n")
+    paths.append(_write_text(os.path.join(out_dir, "manifest.txt"), manifest))
     return paths

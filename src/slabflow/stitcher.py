@@ -32,6 +32,8 @@ class OutputConfig:
     frames_mode: str = "knots"  # which stamps write_frames emits: 'knots' | 'all'
 
     def __post_init__(self):
+        if not self.directory:
+            raise SlabflowError(f"dir must name a directory, got {self.directory!r}")
         if self.frames_mode not in ("knots", "all"):
             raise SlabflowError(f"frames must be 'knots' or 'all', got {self.frames_mode!r}")
 
@@ -141,9 +143,6 @@ class SpaceTimeField:
             raise DomainRangeError(f"t={t} outside [{knots[0]}, {knots[-1]}]")
         idx = np.searchsorted(self.times, t, side="right") - 1
         return int(idx) if np.ndim(idx) == 0 else idx
-
-    def sample_extended(self, t):
-        return self.extended_frame(self.hold_index(t))
 
 
 @dataclass

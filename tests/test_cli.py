@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from helpers import disk_jump_text
-from slabflow import bundled_scenario_paths, diagnostics, slice_solver
+from slabflow import SlabflowError, bundled_scenario_paths, cli, diagnostics, slice_solver
 from slabflow.cli import main
 
 HEAT = """\
@@ -156,8 +156,10 @@ def test_a_scenario_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
         "  - cannot read scenario file: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]
 
 
-def test_an_output_directory_that_cannot_be_made_is_an_input_error(tmp_path, capsys):
-    """The output directory's parent is a regular file: one error line naming it, no traceback."""
+def test_an_output_directory_that_cannot_be_made_is_an_input_error(tmp_path, capsys, monkeypatch):
+    """The output directory's parent is a regular file: one error line naming
+    it, no traceback, and no solve, since the directory is made first."""
+    monkeypatch.setattr(cli, "run_scheme", lambda scenario: pytest.fail("solved before the output directory"))
     (tmp_path / "file").write_text("")
     out = tmp_path / "file" / "out"
     cfg = tmp_path / "heat.cfg"
@@ -165,6 +167,34 @@ def test_an_output_directory_that_cannot_be_made_is_an_input_error(tmp_path, cap
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot create output directory {str(out)!r}: ")
+
+
+def test_a_failed_solve_removes_only_the_directories_it_made(tmp_path, capsys, monkeypatch):
+    """run makes out/a/b before it solves; when the solve fails it removes
+    a/b and a again, and leaves out, which was there before."""
+    def fail(scenario):
+        assert (tmp_path / "out" / "a" / "b").is_dir()
+        raise SlabflowError("the solve failed")
+
+    monkeypatch.setattr(cli, "run_scheme", fail)
+    (tmp_path / "out").mkdir()
+    cfg = tmp_path / "heat.cfg"
+    cfg.write_text(HEAT.format(out=tmp_path / "out" / "a" / "b"))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: the solve failed"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_frame_file_that_cannot_be_written_is_an_input_error(tmp_path, capsys):
+    """A directory where the first frame file goes: one error line naming the
+    file, exit code 2, no traceback."""
+    frame = tmp_path / "out" / "frame_00000.txt"
+    frame.mkdir(parents=True)
+    cfg = tmp_path / "heat.cfg"
+    cfg.write_text(HEAT.format(out=tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write output file {str(frame)!r}: [Errno 21]")
 
 
 def test_substeps_that_cannot_advance_time_are_an_input_error(tmp_path):

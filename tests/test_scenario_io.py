@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import disk_jump_text
 from slabflow import (
@@ -284,6 +285,7 @@ def _custom_flux(line):
     [
         (lambda: OutputConfig("out", frames_mode="bogus"),
          ("dir = out/minimal", "dir = out/minimal\nframes = bogus"), "[output]", "frames"),
+        (lambda: OutputConfig(""), ("dir = out/minimal", 'dir = ""'), "[output]", "dir must name a directory"),
         (lambda: FluxModel("linear_diffusion", 3.0), ("p = 2", "p = 3"), "[flux]", "p = 2"),
         (lambda: FluxModel("linear_diffusion", 2.0, eps_reg=1e-8), ("p = 2", "p = 2\neps_reg = 1e-8"),
          "[flux]", "eps_reg = 0"),
@@ -345,7 +347,7 @@ def _custom_flux(line):
          ("h = 0.03125", "h = 1e-9"), "[grid]", "5.00e+9 fine samples per section"),
     ],
     ids=[
-        "frames_mode", "linear_diffusion_p3",
+        "frames_mode", "empty_dir", "linear_diffusion_p3",
         "linear_diffusion_eps_reg", "custom_flux_components",
         "jump_at_zero", "jump_at_horizon", "zero_slices", "zero_substeps", "2d_flux_on_1d_grid",
         "nan_spacing", "nan_eps_reg", "grid_dim_3", "flux_dim_3", "flux_kind",
@@ -434,6 +436,23 @@ def test_y_range_forbidden_in_1d():
     assert any("ymin" in issue for issue in err.value.issues)
 
 
+@pytest.mark.parametrize("edit,issue", [
+    (("h = 0.03125", "ymin = 0\nh = 0.03125"), "[grid] line 5: key 'ymin' is only valid when dim = 2"),
+    (("type = linear_diffusion\np = 2", 'type = custom\np = 2\na1 = "xi1"\na2 = "xi2"\nc = 1\nalpha = 1'),
+     "[flux] line 21: key 'a2' is not read by a 1D custom flux"),
+    (("p = 2", 'p = 2\na1 = "xi1"'), "[flux] line 20: key 'a1' is not read by a 1D linear_diffusion flux"),
+    (('right = "1"', 'right = "1"\nphi = "x"'), "[domain] line 16: key 'phi' is not read by type = moving_intervals"),
+    (('type = moving_intervals\nleft = "0"\nright = "1"', 'type = implicit\nphi = "x*(x - 1)"\nleft = "0"'),
+     "[domain] line 15: key 'left' is not read by type = implicit"),
+], ids=["ymin_in_1d", "a2_on_1d_custom", "a1_on_builtin", "phi_under_moving_intervals", "left_under_implicit"])
+def test_a_misplaced_key_is_one_issue_naming_section_line_and_key(edit, issue):
+    """A key the format knows but this scenario's dim or type does not read
+    is left over after every read, and the section reports it once."""
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(MINIMAL.replace(*edit))
+    assert err.value.issues == [issue]
+
+
 # --- canonical form ----------------------------------------------------------
 
 
@@ -478,6 +497,60 @@ def test_canonical_round_trip_keeps_the_hash(name):
     again = parse_scenario_text(format_scenario(scen))
     assert again == scen
     assert scenario_hash(again) == scenario_hash(scen)
+
+
+FLUX_VARS = ("t", "x", "y", "z", "xi1", "xi2")
+
+
+@st.composite
+def _scenarios(draw):
+    """Scenarios built in code: a moving interval (1D) or disk (2D) with up
+    to two jumps inside the grid's margin, a builtin flux with drawn
+    constants or a custom one, and drawn data and output settings."""
+    dim = draw(st.sampled_from([1, 2]))
+    horizon = draw(st.sampled_from([0.2, 0.4]))
+    starts = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), max_size=2, unique=True))
+    if dim == 1:  # box [-1, 2]; a node within two cells of its ends fails the margin
+        grid = Grid(dim=1, origin=(-1.0,), spacing=(0.125,), counts=(24,))
+        ends = st.tuples(st.sampled_from(["-0.5", "0", "0.25*t"]), st.sampled_from(["1", "1.25 - 0.5*t", "1 + t"]))
+        phis = [interval_phi(*(parse_expr(e, ("t",)) for e in draw(ends))) for _ in range(len(starts) + 1)]
+    else:  # box [-1.5, 1.5]^2: a disk of radius at most 0.75 about a centre within 0.14 of 0
+        grid = Grid(dim=2, origin=(-1.5, -1.5), spacing=(0.25, 0.25), counts=(12, 12))
+        disk = st.builds("(x - {})^2 + (y - {})^2 - {}^2".format, st.sampled_from(["0", "0.125", "0.25*t"]),
+                         st.sampled_from(["0", "0.1*t"]), st.sampled_from(["0.6", "0.75", "0.7 - 0.25*t"]))
+        phis = [parse_expr(draw(disk), ("t", "x", "y")) for _ in range(len(starts) + 1)]
+    domain = TimeDomain(horizon, dim, tuple(zip((0.0, *(f * horizon for f in sorted(starts))), phis)))
+    kind = draw(st.sampled_from(FluxModel.KINDS))
+    constants = {
+        key: draw(st.sampled_from([None, *values])) for key, values in (
+            ("growth_c", (0.5, 2.0)), ("coercivity_alpha", (0.25, 1.0)), ("lower_b", (0.5,)),
+            ("lower_d", (1.0,)), ("z_lipschitz", (0.5, 2.0)))}
+    omega = draw(st.sampled_from([None, "r", "2*sqrt(r)"]))
+    constants["time_modulus"] = omega and parse_expr(omega, ("r",))
+    if kind == "custom":
+        slopes = ["xi1", "(1 + 0.5*sin(z)^2)*xi1"] if dim == 1 else ["xi1 + 0.5*xi2", "0.5*xi1 + xi2"]
+        comps = [parse_expr(draw(st.sampled_from(slopes)), FLUX_VARS) for _ in range(dim)]
+        flux = FluxModel.custom(comps, draw(st.sampled_from([1.5, 2.0, 3.0])), dim, **constants)
+    elif kind == "linear_diffusion":
+        flux = FluxModel(kind, 2.0, dim, **constants)
+    else:
+        flux = FluxModel(kind, draw(st.sampled_from([1.5, 3.0])), dim, draw(st.sampled_from([None, 1e-6])),
+                         **constants)
+    space, txy = ("x", "y")[:dim], ("t", "x", "y")[:dim + 1]
+    return Scenario(
+        grid=grid, domain=domain, n_slices=draw(st.integers(1, 3)), substeps=draw(st.integers(1, 3)),
+        flux=flux, u0=parse_expr(draw(st.sampled_from(["0", "1 - x^2", "exp(-4*x^2)"])), space),
+        psi=parse_expr(draw(st.sampled_from(["0", "0.25*t", "0.5"])), txy),
+        source=parse_expr(draw(st.sampled_from(["0", "1 + t*x"])), txy),
+        output=OutputConfig(draw(st.sampled_from(["out/a", "runs/b1"])), draw(st.sampled_from(["knots", "all"]))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(scen=_scenarios())
+def test_format_then_parse_gives_back_an_equal_scenario(scen):
+    """Every drawn scenario prints to text that loads to an equal Scenario,
+    whatever its dimension, domain, jumps, flux kind and constants."""
+    assert parse_scenario_text(format_scenario(scen)) == scen
 
 
 @pytest.mark.parametrize("dim", [1, 2])

