@@ -3,9 +3,10 @@
 Every flux is one :class:`Law`: components A_a, expression trees over t, x,
 y, z, xi1, xi2 (1D ones see y = xi2 = 0), and their dA_a/dxi_b and dA_a/dz
 trees from :func:`expressions.derivative`, built once per flux and read by
-the residual, both face terms, ``constant_jacobian`` and the 9-point rule.
-A ``custom`` flux gives its components; a builtin kind is a template in
-(p, eps_reg), written m * xi at p = 2, with s = |xi|^2 + eps_reg^2:
+the residual, ``constant_jacobian`` and Newton's matrix, which skips a
+tree that is the number 0.  A ``custom`` flux gives its components; a
+builtin kind is a template in (p, eps_reg), written m * xi at p = 2, with
+s = |xi|^2 + eps_reg^2:
 
     p_laplacian       A = s^((p-2)/2) * xi
     linear_diffusion  A = xi                     (p = 2)
@@ -143,11 +144,6 @@ class FluxModel:
     def custom(components, p, dim=1, **constants):
         """One expression per component; ``constants`` are the fields from eps_reg on."""
         return FluxModel("custom", float(p), dim, components=tuple(components), **constants)
-
-    @cached_property
-    def couples_gradient_slots(self):
-        """Whether some dA_a/dxi_b (a != b) is not the number 0."""
-        return any(tree != Num(0.0) for a, row in enumerate(self.law.dxi) for b, tree in enumerate(row) if a != b)
 
     @cached_property
     def constant_jacobian(self):

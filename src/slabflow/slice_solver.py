@@ -10,10 +10,12 @@ normal gradient component is the one-sided difference across the face,
 the solution slot z is the arithmetic mean of the endpoints, and every
 other (transverse) component is the average of the endpoints' central
 differences (one-sided or zero where the frame is undefined).  With a
-linear flux this collapses to the standard (2d+1)-point Laplacian.  The
-stencil knows a face only by the flat grid indices of its ends (``flats``);
-each transverse slot is a static linear map of the flat frame, built once,
-whose (face, node, weight) triplets are also Newton's transverse entries.
+linear flux this collapses to the standard (2d+1)-point Laplacian.  Every
+slot of each axis's face flux is one static linear map of the flat frame,
+built once: (face, node, weight) triplets summed per face, then divided by
+the slot's divisor (xi_a: -1, +1 on the face's low and high end over h_a;
+xi_b: the transverse weights over 1; z: 1, 1 over 2), so each field rounds
+as its formula does.  The residual and Newton's matrix read the same maps.
 
 The step has one residual, r(u) above, and one flux pass computes it
 (:meth:`_Stencil.divergence`); psi and the source are bound in space once per
@@ -36,17 +38,17 @@ original substep is stored; past that :class:`SolverStallError` gives the
 reason, depth and place.
 
 The domain is frozen on a slice, so all its systems share one sparsity
-pattern: a CSC matrix holding the diagonal, each face's couplings between
-active endpoints and, where some dA_a/dxi_b (a != b) of the law is not the
-number 0, those through the transverse slots (a 9-point stencil in 2D), and
-two scatter maps, ``div_rows`` (each face end's div-A row) and the slots
-(each Jacobian value's matrix entry), built at a stencil's first
-:meth:`_Stencil.jacobian` call.  An iteration only fills values, one flat
-gather per axis and one ``np.bincount`` per map, summing each target's
-terms in face-loop order from 0.0, bitwise as a loop would.
-Where every derivative tree of the law is a number
-(:attr:`FluxModel.constant_jacobian`), Newton's -J is assembled once per
-slice (Kelley 2003, ch. 2).
+pattern: a CSC matrix holding the diagonal and each face's couplings of its
+active ends with the active nodes that its live slots reach (a slot is live
+where its derivative tree of the law is not the number 0: a law whose every
+dA_a/dxi_b, a != b, is 0, as A = m(z) xi, keeps 5 points in 2D, any other
+9), and the data index of each value, built at a stencil's first
+:meth:`_Stencil.jacobian` call.  An iteration evaluates the live slots'
+trees alone and only fills values: one ``np.bincount`` per axis sums each
+(face, node) pair's terms in slot order, and one more each matrix entry's
+in (axis, low end, high end) order, from 0.0.  Where every derivative tree
+of the law is a number (:attr:`FluxModel.constant_jacobian`), Newton's -J
+is assembled once per slice (Kelley 2003, ch. 2).
 
 The stencil numbers its unknowns once, in nested-dissection order (George
 1973): split the active nodes along the axis of largest extent at the
@@ -198,139 +200,153 @@ class _Stencil:
 
     The active nodes are numbered in nested-dissection order
     (``active_flat[k]`` is the grid index of unknown k); every compact array
-    and the matrix follow that numbering."""
+    and the matrix follow that numbering, ``n_active`` standing for a node
+    that is no unknown.  Per axis a it keeps the spacing ``h[a]``, the face
+    midpoints ``mids[a]`` and ``ends[a]``, the rows of each face's low and
+    high end, (2, faces); and once, for all axes, the slot maps (``slots``)."""
 
     def __init__(self, mask, flux):
         self.flux = flux
         grid = mask.grid
         self.shape = grid.shape
         self.dim = grid.dim
+        self.h = grid.spacing
         self.defined = mask.defined
         self.active_flat = np.flatnonzero(mask.active)[_dissection_order(np.nonzero(mask.active))]
         self.n_active = len(self.active_flat)
-        rank = np.full(grid.n_nodes, -1, dtype=np.int64)
-        rank[self.active_flat] = np.arange(self.n_active)
+        self._rank = np.full(grid.n_nodes, self.n_active)
+        self._rank[self.active_flat] = np.arange(self.n_active)
         coords = grid.node_coords()
         self.active_points = coords[self.active_flat]
         self.ghost_flat = np.flatnonzero(mask.ghost.ravel())
         self.ghost_points = coords[self.ghost_flat]
 
-        # Per axis, ``flats``: the grid indices of each face's low / high end
-        # (faces with both ends defined, in C order); ``*_take``: flat gathers from
-        # (F, -F) into the div-A rows (low ends, then high) and from (dF_lo, dF_hi,
-        # -dF_lo, -dF_hi) into J's (lo, lo) .. (hi, hi): a high-end row takes -values.
-        self.axes = []
-        div_rows, rows, cols = [], [], []
-        for a in range(self.dim):
-            h, stride = grid.spacing[a], int(np.prod(self.shape[a + 1:]))
+        # Per axis, ``flats``: the grid indices of each face's low / high end (faces with both ends
+        # defined, in C order).
+        flats, strides, self.mids = [], [], []
+        for a, h in enumerate(self.h):
+            strides.append(int(np.prod(self.shape[a + 1:])))
             lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
             lo_flat = np.ravel_multi_index(np.nonzero(self.defined[hi] & self.defined[lo]), self.shape)
-            flats = lo_flat + np.array([[0], [stride]])
-            mids = coords[lo_flat]
-            mids[:, a] += 0.5 * h
-            ranks = rank[flats]
-            active = ranks >= 0
-            coupled = active[:, None] & active[None]
-            div_take, jac_take = np.flatnonzero(active), np.flatnonzero(coupled)
-            div_rows.append(ranks.ravel()[div_take])
-            row, col, pair = np.unravel_index(jac_take, coupled.shape)
-            rows.append(ranks[row, pair])
-            cols.append(ranks[col, pair])
-            self.axes.append({"h": h, "stride": stride, "mids": mids, "flats": flats,
-                              "div_take": div_take, "jac_take": jac_take})
-        for a, ax in enumerate(self.axes):
-            ax["transverse"] = {b: self._transverse_map(ax["flats"], bx)
-                                for b, bx in enumerate(self.axes) if b != a}
+            flats.append(lo_flat + np.array([[0], [strides[a]]]))
+            self.mids.append(coords[lo_flat])
+            self.mids[a][:, a] += 0.5 * h
+        self._end_rows = self._rank[np.concatenate([f.ravel() for f in flats])]
+        self.ends = [e.reshape(2, -1) for e in np.split(self._end_rows, np.cumsum([f.size for f in flats])[:-1])]
 
-        self.div_rows = np.concatenate(div_rows)
-        self._rank, self._normal = rank, (rows, cols)
+        # Each slot s of axis a's face flux (xi_1 .. xi_dim, then z) is a static linear map of the flat
+        # frame: triplets (face, node, weight) summed per face, then divided by the slot's divisor.  All
+        # are stored once, concatenated, ``_targets`` numbering each (axis, slot, face) as a row of the
+        # fields; ``slots`` holds each map's (axis, slot, triplets as a slice, first row, divisor).
+        self.slots, triplets, first = [], [], 0
+        for a, f in enumerate(flats):
+            n, endpoints = f.shape[1], (np.tile(np.arange(f.shape[1]), 2), f.ravel())
+            for s in range(self.dim + 1):
+                faces, nodes, weights, divisor = (
+                    (*endpoints, np.repeat([-1.0, 1.0], n), self.h[a]) if s == a
+                    else (*endpoints, np.ones(2 * n), 2.0) if s == self.dim
+                    else (*self._transverse_map(f, flats[s], self.h[s], strides[s]), 1.0))
+                start = sum(len(t[1]) for t in triplets)
+                self.slots.append((a, s, slice(start, start + len(nodes)), first, divisor))
+                triplets.append((first + faces, nodes, weights, np.full(n, divisor)))
+                first += n
+        self._targets, self._nodes, self._weights, self._divisors = map(np.concatenate, zip(*triplets))
         self._factor, self.factorisations = None, 0
 
-    def _transverse_map(self, flats, bx):
+    def _transverse_map(self, flats, across, h, stride):
         """Triplets (faces, nodes, weights), in (end, offset, face) order, of
-        the static linear map from the flat frame to xi_b (b: the axis ``bx``)
-        at the faces ``flats``: each end n weighs n - e_b, n and n + e_b by half
-        of -1, 1 - 1 or +1 over h_b * w, w >= 1 counting the one-sided
-        differences along b at n whose two nodes are defined."""
+        the static linear map from the flat frame to xi_b at the faces
+        ``flats`` (``across``, ``h``, ``stride``: axis b's faces, spacing and
+        stride): each end n weighs n - e_b, n and n + e_b by half of -1, 1 - 1
+        or +1 over h_b * w, w >= 1 counting the one-sided differences along b
+        at n whose two nodes are defined."""
         marks = np.zeros((2, self.defined.size))  # where a difference along b starts / ends
-        marks[0, bx["flats"][0]] = marks[1, bx["flats"][1]] = 1.0
+        marks[0, across[0]] = marks[1, across[1]] = 1.0
         up, down = marks[:, flats]
         weight = np.stack([-down, down - up, up], axis=1)  # on n - e_b, n, n + e_b
-        c = 0.5 * ((weight / bx["h"]) / np.maximum(up + down, 1.0)[:, None])
+        c = 0.5 * ((weight / h) / np.maximum(up + down, 1.0)[:, None])
         end, k, faces = np.nonzero(c)  # views of one (n, 3) array: keep a copy of faces
-        return faces.copy(), flats[end, faces] + (k - 1) * bx["stride"], c[end, k, faces]
+        return faces.copy(), flats[end, faces] + (k - 1) * stride, c[end, k, faces]
 
     @cached_property
-    def _pattern(self):
-        """Per face axis a, groups ``(b, faces, coeff)`` giving J values
-        ``dA_a/dxi_b[faces] * coeff / h_a`` (``coeff``: a transverse map weight
-        signed by the row's end; none if the flux does not couple its slots),
-        and the (rows, cols) of all J values, endpoint ones first."""
-        (rows, cols), maps = map(list, self._normal), [[] for _ in self.axes]
-        coupled = self.axes if self.flux.couples_gradient_slots else []
-        for a, ax in enumerate(coupled):
-            for b, (faces, nodes, weights) in ax["transverse"].items():
-                col = self._rank[nodes]
-                for row, sign in zip(self._rank[ax["flats"]], (1.0, -1.0)):
-                    keep = (row[faces] >= 0) & (col >= 0)
-                    maps[a].append((b, faces[keep], sign * weights[keep]))
-                    rows.append(row[faces[keep]])
-                    cols.append(col[keep])
-        return maps, np.concatenate(rows), np.concatenate(cols)
+    def _pairs(self):
+        """Per axis, its live slots (those whose derivative tree is not the number 0) and each of
+        their triplets' (face, node) pair, numbered in (face, node) order; and, over all axes, the
+        key col * n + row in ``matrix`` of each J value (n * n off the unknowns), every pair in its
+        face's low end's row, then in its high end's."""
+        n, law, per_axis, keys = self.n_active, self.flux.law, [], []
+        for a, ends in enumerate(self.ends):
+            trees = (*law.dxi[a], law.dz[a])
+            live = [(s, at, first, d) for b, s, at, first, d in self.slots if b == a and trees[s] != Num(0.0)]
+            reached = [(self._targets[at] - first) * self._rank.size + self._nodes[at] for _, at, first, _ in live]
+            pairs, pair = np.unique(np.concatenate([np.zeros(0, dtype=np.intp), *reached]), return_inverse=True)
+            face, node = np.divmod(pairs, self._rank.size)
+            rows, cols = ends[:, face], self._rank[node]
+            keys.append(np.where((rows < n) & (cols < n), cols * n + rows, n * n).ravel())
+            per_axis.append((live, pair))
+        return per_axis, np.concatenate(keys)
 
     @cached_property
     def matrix(self):
-        """The CSC pattern of I/tau - J."""
-        n, (rows, cols) = self.n_active, self._pattern[1:]
-        pattern = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        matrix = (identity(n) + pattern).tocsc()
+        """The CSC pattern of I/tau - J: the diagonal and each J value between two unknowns."""
+        n, keys = self.n_active, self._pairs[1]
+        cols, rows = np.divmod(keys[keys < n * n], n)
+        matrix = (identity(n) + coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))).tocsc()
         matrix.sort_indices()  # so the stored entries' keys col*n + row ascend
         return matrix
 
     @cached_property
-    def _slots(self):
-        """``matrix``'s data index of each Jacobian value and of each diagonal entry."""
-        n, (rows, cols) = self.n_active, self._pattern[1:]
+    def _data_index(self):
+        """``matrix``'s data index of each J value (``nnz``, a spare, off the unknowns) and diagonal entry."""
+        n = self.n_active
         keys = self.matrix.indices + n * np.repeat(np.arange(n), np.diff(self.matrix.indptr))
-        return np.searchsorted(keys, cols * n + rows), np.searchsorted(keys, np.arange(n) * (n + 1))
+        return np.searchsorted(keys, self._pairs[1]), np.searchsorted(keys, np.arange(n) * (n + 1))
 
     # -- face field values ---------------------------------------------------
 
     def face_fields(self, u):
-        """Per axis: (xi, z) at its faces, read from the flat frame through
-        ``flats`` and the transverse maps."""
-        flat, out = u.ravel(), []
-        for a, ax in enumerate(self.axes):
-            lo, hi = flat[ax["flats"]]
-            xi_n = (hi - lo) / ax["h"]
-            xi = np.empty((len(xi_n), self.dim))
-            xi[:, a] = xi_n
-            for b, (faces, nodes, weights) in ax["transverse"].items():
-                xi[:, b] = np.bincount(faces, weights * flat[nodes], len(xi_n))
-            out.append((xi, 0.5 * (hi + lo)))
+        """Per axis: (xi, z) at its faces, every slot read from the flat frame
+        through its map, in one pass."""
+        fields = np.bincount(self._targets, self._weights * u.ravel()[self._nodes], len(self._divisors))
+        fields /= self._divisors
+        out, stop = [], 0
+        for mids in self.mids:
+            start, stop = stop, stop + (self.dim + 1) * len(mids)
+            block = fields[start:stop].reshape(self.dim + 1, -1)
+            out.append((block[:-1].T, block[-1]))
         return out
 
     # -- assembly --------------------------------------------------------------
 
     def divergence(self, t_freeze, fields):
         """div A at the active nodes (compact array, active order) from
-        ``face_fields(u)``: the residual's one flux pass."""
+        ``face_fields(u)``: the residual's one flux pass, F_a/h_a into each
+        face's low end's row and its negative into the high end's."""
         parts = []
-        for a, (ax, (xi, z)) in enumerate(zip(self.axes, fields)):
-            F = evaluate_many(self.flux, t_freeze, ax["mids"], z, xi, a)
-            parts.append(np.concatenate((F, -F))[ax["div_take"]] / ax["h"])
-        return np.bincount(self.div_rows, np.concatenate(parts), self.n_active)
+        for a, (h, mids, (xi, z)) in enumerate(zip(self.h, self.mids, fields)):
+            q = evaluate_many(self.flux, t_freeze, mids, z, xi, a) / h
+            parts += [q, -q]
+        return np.bincount(self._end_rows, np.concatenate(parts), self.n_active + 1)[:-1]
 
     def jacobian(self, t_freeze, fields):
-        """-J as ``matrix``'s data, J = d(div A)/d(u_active) from ``face_fields(u)``
-        through each face's derivative terms (:func:`_newton_faces`)."""
-        normal, transverse = [], []
-        for a, (ax, (xi, z)) in enumerate(zip(self.axes, fields)):
-            dF, dT = _newton_faces(self.flux, t_freeze, a, ax, xi, z)
-            h = ax["h"]
-            normal.append(np.concatenate((*dF, *np.negative(dF)))[ax["jac_take"]] / h)
-            transverse += [dT[b][faces] * coeff / h for b, faces, coeff in self._pattern[0][a]]
-        return -np.bincount(self._slots[0], np.concatenate(normal + transverse), self.matrix.nnz)
+        """-J as ``matrix``'s data, J = d(div A)/d(u_active) from ``face_fields(u)``: at each pair
+        of a face and a node that a live slot reaches, dA_a/ds weight / divisor summed over the
+        live slots in slot order, over h_a, into the face's low end's row and, negated, its high
+        end's -- the residual's exact derivative in every dimension."""
+        parts = []
+        for a, (h, (xi, z), (live, pair)) in enumerate(zip(self.h, fields, self._pairs[0])):
+            terms = [self._derivative(t_freeze, a, s, xi, z)[self._targets[at] - first] * self._weights[at] / d
+                     for s, at, first, d in live]
+            c = np.bincount(pair, np.concatenate([np.zeros(0), *terms])) / h
+            parts += [c, -c]
+        return -np.bincount(self._data_index[0], np.concatenate(parts), self.matrix.nnz + 1)[:-1]
+
+    def _derivative(self, t, a, s, xi, z):
+        """dA_a/ds at axis a's faces, s the slot: xi_s for s < dim, z for s = dim."""
+        args = (self.flux, t, self.mids[a], z, xi, a)
+        if s == self.dim:
+            return _dz_many(*args)
+        return _diag_jacobian_many(*args) if s == a else _offdiag_jacobian_many(*args, s)
 
     @cached_property
     def constant_jacobian(self):
@@ -340,7 +356,7 @@ class _Stencil:
     def step_matrix(self, minus_j, tau):
         """I/tau - J from -J as ``matrix``'s data (:meth:`jacobian`), written into the stencil's matrix."""
         self.matrix.data[:] = minus_j
-        self.matrix.data[self._slots[1]] += 1.0 / tau
+        self.matrix.data[self._data_index[1]] += 1.0 / tau
         return self.matrix
 
     def rounding_floor(self, minus_j, tau, u):
@@ -396,19 +412,6 @@ class _Stencil:
                 return x
             if not r_inf <= 0.5 * last:
                 return None
-
-
-def _newton_faces(flux, t, a, ax, xi, z):
-    """The face flux differentiated in every slot -- the normal
-    gradient and z through the endpoints, each transverse gradient slot
-    through its static map -- so J is the residual's exact derivative in
-    every dimension."""
-    h = ax["h"]
-    dA = _diag_jacobian_many(flux, t, ax["mids"], z, xi, a)
-    dz = _dz_many(flux, t, ax["mids"], z, xi, a)
-    dT = {b: _offdiag_jacobian_many(flux, t, ax["mids"], z, xi, a, b)
-          for b in range(xi.shape[1]) if b != a}
-    return (-dA / h + 0.5 * dz, dA / h + 0.5 * dz), dT
 
 
 # ---------------------------------------------------------------------------

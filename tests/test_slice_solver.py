@@ -42,11 +42,10 @@ from slabflow import (
 )
 from slabflow import slice_solver
 from slabflow.expressions import derivative, free_variables, to_source
-from slabflow.flux import evaluate_many
+from slabflow.flux import _diag_jacobian_many, _dz_many, _offdiag_jacobian_many, evaluate_many
 from slabflow.slice_solver import (
     DISSECTION_LEAF,
     _dissection_order,
-    _newton_faces,
     _Stencil,
 )
 
@@ -192,31 +191,25 @@ def central_difference_jacobian(stencil, frame, tau, eps=1e-6):
     return np.column_stack(columns)
 
 
-@pytest.mark.parametrize(
-    "make_mask,flux",
-    [
-        (lambda: unit_interval_mask(h=0.0625), FluxModel.p_laplacian(3.0, dim=1)),
-        (lambda: unit_interval_mask(h=0.0625), FluxModel.z_modulated(3.0, dim=1)),
-        (disk_mask, FluxModel.linear_diffusion(dim=2)),
-        (lambda: unit_interval_mask(h=0.0625), FluxModel.custom(
-            [parse_expr("(1 + 0.5*sin(z)^2)*(xi1^2 + 1e-8)^0.5*xi1", FLUX_VARS)], p=3.0)),
-        (disk_mask, FluxModel.p_laplacian(3.0, dim=2)),
-        (disk_mask, FluxModel.z_modulated(3.0, dim=2)),
-        (disk_mask, FluxModel.custom(
-            [parse_expr(f"(1 + 0.5*sin(z)^2)*(xi1^2 + xi2^2 + 1e-8)^0.5*{k}", FLUX_VARS)
-             for k in ("xi1", "xi2")], p=3.0, dim=2)),
-        (disk_mask, FluxModel.custom(  # a skew part: dA/dxi is not symmetric
-            [parse_expr(f"(xi1^2 + xi2^2 + 1e-8)^0.5*{k}", FLUX_VARS)
-             for k in ("xi1 + 0.3*xi2", "xi2 - 0.3*xi1")], p=3.0, dim=2)),
-    ],
-    ids=["p_laplacian_1d", "z_modulated_1d", "linear_diffusion_2d", "custom_z_1d",
-         "p_laplacian_2d", "z_modulated_2d", "custom_coupled_2d", "custom_skew_2d"],
-)
-def test_newton_matrix_matches_central_differences(make_mask, flux):
-    """The Newton matrix is the step residual's derivative in every
-    dimension, transverse gradient slots included."""
-    g, mask = make_mask()
-    rng = np.random.default_rng(7)
+NEWTON_FLUXES = {
+    "p_laplacian_1d": FluxModel.p_laplacian(3.0, dim=1),
+    "z_modulated_1d": FluxModel.z_modulated(3.0, dim=1),
+    "linear_diffusion_2d": FluxModel.linear_diffusion(dim=2),
+    "custom_z_1d": FluxModel.custom([parse_expr("(1 + 0.5*sin(z)^2)*(xi1^2 + 1e-8)^0.5*xi1", FLUX_VARS)], p=3.0),
+    "p_laplacian_2d": FluxModel.p_laplacian(3.0, dim=2),
+    "z_modulated_2d": FluxModel.z_modulated(3.0, dim=2),
+    "custom_coupled_2d": FluxModel.custom(
+        [parse_expr(f"(1 + 0.5*sin(z)^2)*(xi1^2 + xi2^2 + 1e-8)^0.5*{k}", FLUX_VARS) for k in ("xi1", "xi2")],
+        p=3.0, dim=2),
+    "custom_skew_2d": FluxModel.custom(  # a skew part: dA/dxi is not symmetric
+        [parse_expr(f"(xi1^2 + xi2^2 + 1e-8)^0.5*{k}", FLUX_VARS) for k in ("xi1 + 0.3*xi2", "xi2 - 0.3*xi1")],
+        p=3.0, dim=2),
+}
+
+
+def assert_newton_matrix_matches_central_differences(mask, flux, rng):
+    """The Newton matrix against central differences of the step residual
+    at three random frames."""
     tau = 0.01
     stencil = _Stencil(mask, flux)
     for _ in range(3):
@@ -225,6 +218,36 @@ def test_newton_matrix_matches_central_differences(make_mask, flux):
         newton = stencil.step_matrix(jac, tau).toarray()
         reference = central_difference_jacobian(stencil, frame, tau)
         assert np.allclose(newton, reference, rtol=1e-6, atol=1e-7 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("name", NEWTON_FLUXES)
+def test_newton_matrix_matches_central_differences(name):
+    """The Newton matrix is the step residual's derivative in every
+    dimension, transverse gradient slots included."""
+    flux = NEWTON_FLUXES[name]
+    g, mask = disk_mask() if flux.dim == 2 else unit_interval_mask(h=0.0625)
+    assert_newton_matrix_matches_central_differences(mask, flux, np.random.default_rng(7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(list(NEWTON_FLUXES)),
+       centre=st.tuples(st.floats(-0.15, 0.15), st.floats(-0.15, 0.15)),
+       radii=st.tuples(st.floats(0.35, 0.55), st.floats(0.35, 0.55)),
+       interval=st.tuples(st.floats(0.0, 0.4), st.floats(0.6, 1.0)), seed=st.integers(0, 2**32 - 1))
+def test_newton_matrix_matches_central_differences_on_drawn_domains(name, centre, radii, interval, seed):
+    """As above on a drawn ellipse on the disk's grid (2D fluxes) or interval
+    on the unit interval's grid (1D), so that the transverse maps meet ends
+    with one, two or no defined neighbours in many arrangements."""
+    flux = NEWTON_FLUXES[name]
+    if flux.dim == 2:
+        g = disk_mask()[0]
+        phi = parse_expr("((x - ({!r}))/{!r})^2 + ((y - ({!r}))/{!r})^2 - 1".format(
+            centre[0], radii[0], centre[1], radii[1]), ("t", "x", "y"))
+        mask = rasterize(section(TimeDomain.implicit(phi, 1.0, dim=2), 0.0), g)
+    else:
+        g = unit_interval_mask(h=0.0625)[0]
+        mask = rasterize(interval_region(interval), g)
+    assert_newton_matrix_matches_central_differences(mask, flux, np.random.default_rng(seed))
 
 
 def test_exact_newton_converges_fast_on_a_2d_p3_disk():
@@ -264,6 +287,24 @@ def test_a_nonzero_off_diagonal_derivative_gives_9_points(flux, points):
     constant one, gets 9 points."""
     g, mask = disk_mask()
     assert np.diff(_Stencil(mask, flux).matrix.tocsr().indptr).max() == points
+
+
+def test_a_derivative_tree_that_is_the_number_0_is_never_evaluated(monkeypatch):
+    """A Newton matrix evaluates only the live slots' derivative trees: the
+    p-Laplacian's dA/dz is the number 0, and so is z_modulated's dA_a/dxi_b
+    (a != b) at p = 2, so neither is evaluated, while each other slot is."""
+    calls = []
+    for name in ("_dz_many", "_offdiag_jacobian_many"):
+        kernel = getattr(slice_solver, name)
+        monkeypatch.setattr(slice_solver, name, lambda *args, _k=kernel, _n=name: calls.append(_n) or _k(*args))
+    g, mask = disk_mask()
+    frame = np.where(mask.defined, np.random.default_rng(17).uniform(-1, 1, mask.active.shape), np.nan)
+    for flux, dead in ((FluxModel.p_laplacian(3.0, dim=2), "_dz_many"),
+                       (FluxModel.z_modulated(2.0, dim=2), "_offdiag_jacobian_many")):
+        calls.clear()
+        stencil = _Stencil(mask, flux)
+        stencil.jacobian(0.0, stencil.face_fields(frame))
+        assert calls == [({"_dz_many", "_offdiag_jacobian_many"} - {dead}).pop()] * 2
 
 
 # --- unknown numbering ---------------------------------------------------------
@@ -397,48 +438,32 @@ def test_dissection_order_cuts_the_fill_of_the_benchmark_disk():
     assert np.linalg.norm(solution - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
-def per_iteration_assembly(stencil, frame, tau):
-    """Reference for the fixed pattern: div A of the flux from evaluate_many
-    by np.add.at (low ends) and np.subtract.at (high ends) per axis; the
-    Jacobian of ``_newton_faces`` accumulated densely by
-    np.add.at in face-loop order, the endpoint couplings of every axis
-    first, then the transverse ones, with d(xi_b)/du found by probing
-    ``face_fields`` with unit vectors; then I/tau - J."""
+def operator_assembly(stencil, frame, tau):
+    """Reference for the fixed pattern, in operator form: per axis a, each
+    face slot's derivative in the unknowns -- G_a (xi_a), T_ab (xi_b) and M_a
+    (z), faces x unknowns -- found by probing ``face_fields`` with unit
+    vectors; div A = -sum_a G_a^T F_a and J = -sum_a G_a^T (diag(dA_a/dxi_a)
+    G_a + sum_b diag(dA_a/dxi_b) T_ab + diag(dA_a/dz) M_a), each accumulated
+    by np.add.at per axis, low ends then high ends (G_a < 0, then > 0), from
+    0.0; then I/tau - J.  At a spacing that is a power of 2, a product with
+    G_a's +-1/h rounds as the division by h does."""
     n = stencil.n_active
-    rank = np.full(frame.size, -1)
-    rank[stencil.active_flat] = np.arange(n)
-    div = np.zeros(n)
-    rows, cols, vals, transverse = [], [], [], []
-    for a, (ax, (xi, z)) in enumerate(zip(stencil.axes, stencil.face_fields(frame))):
-        F = evaluate_many(stencil.flux, 0.0, ax["mids"], z, xi)[:, a]
-        dF, dT = _newton_faces(stencil.flux, 0.0, a, ax, xi, z)
-        h = ax["h"]
-        lo_r, hi_r = rank[ax["flats"]]
-        sel = lo_r >= 0
-        np.add.at(div, lo_r[sel], F[sel] / h)
-        sel = hi_r >= 0
-        np.subtract.at(div, hi_r[sel], F[sel] / h)
-        if dT is not None:
-            transverse.append((a, lo_r, hi_r, dT))
-        for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
-            for col, dF_col in zip((lo_r, hi_r), dF):
-                sel = (row >= 0) & (col >= 0)
-                rows.append(row[sel])
-                cols.append(col[sel])
-                vals.append(sign * dF_col[sel] / h)
     units = np.eye(frame.size)[stencil.active_flat].reshape(-1, *frame.shape)
     probes = [stencil.face_fields(unit) for unit in units]
-    for a, lo_r, hi_r, dT in transverse:
-        for b, dA in dT.items():
-            dxi = np.column_stack([probe[a][0][:, b] for probe in probes])
-            for row, sign in ((lo_r, 1.0), (hi_r, -1.0)):
-                for f in np.flatnonzero(row >= 0):
-                    col = np.flatnonzero(dxi[f])
-                    rows.append(np.full(len(col), row[f]))
-                    cols.append(col)
-                    vals.append(sign * dA[f] * dxi[f, col] / stencil.axes[a]["h"])
-    jdiv = np.zeros((n, n))
-    np.add.at(jdiv, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(vals))
+    div, jdiv = np.zeros(n), np.zeros((n, n))
+    for a, (xi, z) in enumerate(stencil.face_fields(frame)):
+        args = (stencil.flux, 0.0, stencil.mids[a], z, xi, a)
+        slots = [np.column_stack([probe[a][0][:, b] for probe in probes]) for b in range(stencil.dim)]
+        slopes = [_diag_jacobian_many(*args) if b == a else _offdiag_jacobian_many(*args, b)
+                  for b in range(stencil.dim)]
+        slots.append(np.column_stack([probe[a][1] for probe in probes]))
+        slopes.append(_dz_many(*args))
+        coeff = sum(slope[:, None] * slot for slope, slot in zip(slopes, slots))
+        F, G = evaluate_many(stencil.flux, 0.0, stencil.mids[a], z, xi)[:, a], slots[a]
+        for end in (-1.0, 1.0):
+            face, row = np.nonzero(end * G > 0)
+            np.add.at(div, row, -G[face, row] * F[face])
+            np.add.at(jdiv, row, -G[face, row][:, None] * coeff[face])
     return div, np.eye(n) / tau - jdiv
 
 
@@ -461,6 +486,9 @@ def isolated_node_mask():
     ids=["p_laplacian_1d", "z_modulated_1d", "p_laplacian_2d", "isolated_node_1d"],
 )
 def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux):
+    """The reference sums each face's slots in slot order and each entry's
+    faces low ends first, axis by axis, as the stencil does, so even the 2D
+    p-Laplacian's 9-point matrix agrees bitwise."""
     g, mask = make_mask()
     rng = np.random.default_rng(11)
     tau = 0.01
@@ -468,7 +496,7 @@ def test_fixed_pattern_matches_per_iteration_assembly_bitwise(make_mask, flux):
     for _ in range(3):
         frame = np.where(mask.defined, rng.uniform(-1.0, 1.0, mask.active.shape), np.nan)
         fields = stencil.face_fields(frame)
-        ref_div, ref_matrix = per_iteration_assembly(stencil, frame, tau)
+        ref_div, ref_matrix = operator_assembly(stencil, frame, tau)
         jac = stencil.jacobian(0.0, fields)
         assert np.array_equal(stencil.step_matrix(jac, tau).toarray(), ref_matrix)
         assert np.array_equal(stencil.divergence(0.0, fields), ref_div)
