@@ -18,24 +18,25 @@ xi_b: the transverse weights over 1; z: 1, 1 over 2), so each field rounds
 as its formula does.  The residual and Newton's matrix read the same maps.
 
 The step has one residual, r(u) above, and one flux pass computes it
-(:meth:`_Stencil.divergence`); psi and the source are bound in space once per
-slice (:func:`on_points`), so a substep walks only what reads t.  Newton
-drives r down: each iteration solves (I/tau - J) delta = -r, J read from the
-residual's face fields through the flux law's derivative trees in every slot
-(exact for every flux in every dimension), and backtracks on the residual
-norm through the steps 1, 1/2, .., 2^-20.  It stops once ||r||_inf <=
-``NEWTON_TOL`` (a converged start takes no step) or, ending short with a
-finite residual (``MAX_NEWTON`` iterations spent, a stalled line search or a
-failed matrix), at the rounding floor ``FLOOR_C`` eps ||I/tau - J(u)||_inf
-||u||_inf, u over the active and ghost nodes (Higham 2002, ch. 12), which no
-absolute tolerance matches at every h, slope and scale of the data.  A flux
-that does not evaluate (:class:`NumericEvalError`, as on an overflow) gives
-a non-finite residual, never converged nor accepted as a trial; a matrix
-that does not evaluate, or that SuperLU finds exactly singular or factors
-into a non-finite solution, ends the step uncounted.  A step that stalls is
-halved, recursively to ``MAX_HALVINGS`` levels, and only the end of the
-original substep is stored; past that :class:`SolverStallError` gives the
-reason, depth and place.
+(:meth:`_Stencil.divergence`); psi and the source are bound in space once
+per slice (:func:`on_points`), so a substep walks only what reads t.  Newton
+drives r down: each iteration solves (I/tau - J) delta = -r, J (on a kept
+factor, J at an earlier iterate; below) read from the residual's face fields
+through the flux law's derivative trees in every slot (exact for every flux
+in every dimension), and backtracks on the residual norm through the steps
+1, 1/2, .., 2^-20.  It stops once ||r||_inf <= ``NEWTON_TOL`` (a converged
+start takes no step) or, ending short with a finite residual (``MAX_NEWTON``
+iterations spent, a stalled line search or a failed matrix), at the rounding
+floor ``FLOOR_C`` eps ||I/tau - J(u)||_inf ||u||_inf, u over the active and
+ghost nodes (Higham 2002, ch. 12), which no absolute tolerance matches at
+every h, slope and scale of the data.  A flux that does not evaluate
+(:class:`NumericEvalError`, as on an overflow) gives a non-finite residual,
+never converged nor accepted as a trial; a matrix that does not evaluate, or
+that SuperLU finds exactly singular or newly factors into a non-finite
+solution, ends the step uncounted.  A step that stalls is halved,
+recursively to ``MAX_HALVINGS`` levels, and only the end of the original
+substep is stored; past that :class:`SolverStallError` gives the reason,
+depth and place.
 
 The domain is frozen on a slice, so all its systems share one sparsity
 pattern: a CSC matrix holding the diagonal and each face's couplings of its
@@ -61,17 +62,19 @@ Such a line, and so every 1D mask, keeps C order and a fill-free tridiagonal.
 disk the 9-point Newton factor has 0.65x the L+U nonzeros of SuperLU's
 default COLAMD ordering.  A constant-Jacobian stencil, and one whose unknowns
 lie on one lattice line, factors every Newton matrix with ``spsolve``.  Any
-other stencil keeps its last factor (``splu``) across iterations and
-substeps and solves each Newton step by iterative refinement against it,
-x += LU^-1 (b - A x), until ||b - A x||_inf <= ``REFINE_TOL`` ||b||_inf; a
-sweep that fails to halve that residual drops the factor for one of the
-current matrix (Kelley 2003, ch. 2).  The step that the quadratic model
-||r_k|| rho^2 (rho = ||r_k|| / ||r_k-1||) expects to reach ``NEWTON_TOL`` is
-refined to ``REFINE_TOL`` rho instead (a forcing term; Eisenstat and Walker,
-SIAM J. Sci. Comput. 1996), so that its refinement error does not carry the
-last residual over ``NEWTON_TOL``.  On the benchmark's p = 3 disk (centre
-(0.1, -0.05)) this factors 20 times in 127 Newton iterations, as many
-iterations as exact solves take.
+other stencil keeps one factor (``splu``) of I/tau - J across iterations and
+substeps and takes each Newton step from it with one triangular solve,
+delta = LU^-1 (-r): the chord, or simplified Newton, iteration (Kelley 2003,
+ch. 2; Hairer and Wanner, Solving ODEs II, sec. IV.8).  It factors I/tau - J
+anew at the current iterate, J assembled only then, where it has no factor
+yet, where the last accepted step was damped (a line-search step below 1) or
+shrank ||r||_inf by less than ``CHORD_RATE``, where tau differs from the
+factor's by more than rounding (a halved substep; equal substeps of
+``np.linspace`` differ in their last bits and share a factor), and where a
+step from a factor made before this iteration stalls the line search or is
+not finite, which then retries on the new factor.  On the benchmark's p = 3
+disk (centre (0.1, -0.05)) this factors 28 times in 301 Newton iterations,
+where exact solves factor 127 times in 127, and the frames move by 1.4e-13.
 """
 
 import math
@@ -95,7 +98,7 @@ LINE_STEPS = tuple(2.0**-k for k in range(21))  # damped Newton's trial steps, 1
 DISSECTION_LEAF = 32  # parts of at most this many nodes are not split further
 FLOOR_C = 64  # Newton's rounding floor, in units of eps ||I/tau - J||_inf ||u||_inf
 MAX_HALVINGS = 4  # a stalled substep is halved, recursively, at most this deep
-REFINE_TOL = 1e-6  # refinement against a kept factor stops at ||b - A x||_inf <= this ||b||_inf
+CHORD_RATE = 0.25  # a kept factor is replaced after a step that shrinks ||r||_inf by less than this
 
 
 def on_points(expr, points):
@@ -368,50 +371,39 @@ class _Stencil:
 
     @cached_property
     def keeps_factor(self):
-        """Whether :meth:`solve` keeps its factor: J changes with u and the unknowns do not all
-        lie on one lattice line (a line factors into a fill-free tridiagonal)."""
+        """Whether :meth:`solve` keeps its factor and takes chord steps on it: J changes with u and
+        the unknowns do not all lie on one lattice line (a line factors into a fill-free tridiagonal)."""
         extent = np.ptp(np.unravel_index(self.active_flat, self.shape), axis=1)
         return not self.flux.constant_jacobian and np.count_nonzero(extent) > 1
 
-    def solve(self, minus_j, tau, rhs, eta=REFINE_TOL):
-        """x with (I/tau - J) x = rhs, -J as ``matrix``'s data, factored in the stencil's order:
-        by ``spsolve`` or, where the stencil keeps its factor, by refinement against it to
-        ||rhs - (I/tau - J) x||_inf <= eta ||rhs||_inf (:meth:`_refine`) and, where that stalls,
-        against a new factor.  A factor that is singular or gives a non-finite x raises
-        ``MatrixRankWarning``, as ``spsolve`` warns."""
-        matrix = self.step_matrix(minus_j, tau)
-        if self.keeps_factor and self._factor is not None:
-            x = self._refine(matrix, rhs, eta)
-            if x is not None:
+    def solve(self, minus_j, tau, rhs, refactor=False):
+        """x with (I/tau - J) x = rhs, ``minus_j()`` giving -J at the iterate as ``matrix``'s data,
+        factored in the stencil's order: by ``spsolve`` or, where the stencil keeps its factor,
+        as the chord step x = LU^-1 rhs against it.  That factor is replaced by one of the
+        current matrix (the old one dropped first, and ``minus_j`` called only then) where
+        ``refactor``, where there is none yet, where tau differs from the factor's by more than
+        rounding, or where its x is not finite.  A new factor that is singular or gives a
+        non-finite x raises ``MatrixRankWarning``, as ``spsolve`` warns."""
+        # Only a kept factor is stored; equal substeps' taus differ in their last bits.
+        if not refactor and self._factor is not None and math.isclose(tau, self._factor[1], rel_tol=1e-12):
+            x = self._factor[0].solve(rhs)
+            if np.isfinite(x).all():
                 return x
         self.factorisations += 1
+        matrix = self.step_matrix(minus_j(), tau)
         if not self.keeps_factor:
             return spsolve(matrix, rhs, permc_spec="NATURAL")
         self._factor = None  # the old factor goes before the new one is made
         try:
-            self._factor = splu(matrix, permc_spec="NATURAL")
+            self._factor = splu(matrix, permc_spec="NATURAL"), tau
         except RuntimeError as exc:
             if "exactly singular" not in str(exc):  # SuperLU's "Factor is exactly singular"
                 raise
             raise MatrixRankWarning("Matrix is exactly singular") from None
-        x = self._factor.solve(rhs)
+        x = self._factor[0].solve(rhs)
         if not np.isfinite(x).all():
             raise MatrixRankWarning("Matrix is exactly singular")
         return x
-
-    def _refine(self, matrix, rhs, eta):
-        """x from sweeps x += LU^-1 (rhs - matrix x) with the kept factor, once ||rhs - matrix x||_inf
-        <= eta ||rhs||_inf; None where a sweep fails to halve it."""
-        x, r, r_inf = np.zeros_like(rhs), rhs, np.abs(rhs).max()
-        tol = eta * r_inf
-        while True:
-            x += self._factor.solve(r)
-            r = rhs - matrix @ x
-            r_inf, last = np.abs(r).max(), r_inf
-            if r_inf <= tol:
-                return x
-            if not r_inf <= 0.5 * last:
-                return None
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +437,11 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to):
         return stencil.constant_jacobian if problem.flux.constant_jacobian else stencil.jacobian(t_freeze, fields)
 
     r, r_inf, fields = residual(u)
-    history, count, why = [r_inf], 0, ""
+    history, count, why, refactor = [r_inf], 0, "", False
     while math.isfinite(r_inf) and not r_inf <= NEWTON_TOL and count < MAX_NEWTON:
-        # A step that the quadratic model r rho^2 expects to end Newton is refined rho times
-        # further, so that its refinement error does not carry the residual over NEWTON_TOL.
-        rho = r_inf / history[-2] if count else 1.0
+        factored = stencil.factorisations
         try:
-            delta = stencil.solve(minus_jacobian(fields), tau, -r,
-                                  REFINE_TOL * rho if r_inf * rho**2 <= NEWTON_TOL else REFINE_TOL)
+            delta = stencil.solve(partial(minus_jacobian, fields), tau, -r, refactor)
         except (NumericEvalError, MatrixRankWarning) as exc:
             why = f" (matrix: {exc})"
             break
@@ -464,10 +453,14 @@ def _step(problem, stencil, psi, source, frame_in, t_from, t_to):
             r_try, r_try_inf, fields_try = residual(u_try)
             r_try_two = math.sqrt(r_try @ r_try)
             if math.isfinite(r_try_two) and (r_try_two <= r_two * (1.0 - 1e-4 * lam) or r_try_inf <= NEWTON_TOL):
+                refactor = lam < 1.0 or not r_try_inf <= CHORD_RATE * r_inf
                 u, r, r_inf, fields = u_try, r_try, r_try_inf, fields_try
                 history.append(r_inf)
                 break
         else:
+            if stencil.factorisations == factored:  # a kept factor's step: retry on a new one
+                refactor = True
+                continue
             why = " (line search stalled)"
             break
 

@@ -7,6 +7,7 @@ on a one-substep slice, the only way into the solver.
 """
 
 import dataclasses
+import math
 import re
 import warnings
 import weakref
@@ -250,19 +251,36 @@ def test_newton_matrix_matches_central_differences_on_drawn_domains(name, centre
     assert_newton_matrix_matches_central_differences(mask, flux, np.random.default_rng(seed))
 
 
-def test_exact_newton_converges_fast_on_a_2d_p3_disk():
-    """With the transverse slots differentiated, Newton on a degenerate 2D
-    problem takes at most 5 iterations per substep (a Jacobian without
-    them needs 10-12 here)."""
+def small_disk_problem():
+    """A p = 3 Gaussian on the 45-node disk of ``disk_mask``: 4 substeps of (0, 0.05), whose
+    ``np.linspace`` taus differ in their last bits."""
     g, mask = disk_mask()
     xy = g.node_coords()
     u0 = np.exp(-4 * ((xy[:, 0] - 0.1) ** 2 + (xy[:, 1] + 0.05) ** 2)).reshape(mask.active.shape)
     frame = np.where(mask.active, u0, np.where(mask.ghost, 0.0, np.nan))
-    sol = solve_slice(SliceProblem(
+    return SliceProblem(
         mask=mask, flux=FluxModel.p_laplacian(3.0, dim=2), span=(0.0, 0.05), substeps=4,
         psi=parse_expr("0", ("t", "x", "y")), initial=frame,
-    ))
+    )
+
+
+def test_exact_newton_converges_fast_on_a_2d_p3_disk(monkeypatch):
+    """With the transverse slots differentiated, exact Newton (a new factor at
+    every iteration) on a degenerate 2D problem takes at most 5 iterations per
+    substep (a Jacobian without them needs 10-12 here)."""
+    monkeypatch.setattr(_Stencil, "keeps_factor", False)
+    sol = solve_slice(small_disk_problem())
     assert max(s.newton_iterations for s in sol.stats) <= 5
+    assert not any(s.halvings for s in sol.stats)
+
+
+def test_chord_steps_converge_unhalved_on_a_2d_p3_disk():
+    """The same problem on its kept factor: each chord step contracts the
+    residual about 8-fold, so a substep takes at most 15 iterations (15, 12,
+    7, 14 measured), on 4 factors in all, and none is halved."""
+    sol = solve_slice(small_disk_problem())
+    assert max(s.newton_iterations for s in sol.stats) <= 15
+    assert sol.factorisations <= 4
     assert not any(s.halvings for s in sol.stats)
 
 
@@ -573,7 +591,7 @@ def test_any_other_jacobian_is_assembled_once_per_newton_iteration(flux, monkeyp
 @pytest.mark.parametrize("name", ["disk2d", "heat_moving", "mms_moving", "jump_contract"])
 def test_a_slice_constant_jacobian_gives_the_frames_of_per_iteration_assembly(bundle, name, monkeypatch):
     """Only the assembly differs: both runs factor every step matrix, as a
-    constant-Jacobian stencil does (a kept factor would refine instead)."""
+    constant-Jacobian stencil does (a kept factor would take chord steps instead)."""
     scenario, field, report = bundle[name]
     assert scenario.flux.constant_jacobian
     calls = count_jacobians(monkeypatch)
@@ -654,7 +672,7 @@ def benchmark_disk_problem(substeps=2, centre=(0.1, -0.05)):
 
 def test_a_nonlinear_split_stencil_keeps_its_factor(monkeypatch):
     """On the benchmark disk a p = 3 stencil makes no spsolve call: it factors
-    its first step matrix and refines later Newton steps against that factor."""
+    its first step matrix and takes later Newton steps as chord steps on that factor."""
     calls = count_spsolve(monkeypatch)
     solution = solve_slice(benchmark_disk_problem())
     newton = sum(s.newton_iterations for s in solution.stats)
@@ -662,23 +680,8 @@ def test_a_nonlinear_split_stencil_keeps_its_factor(monkeypatch):
     assert 1 <= solution.factorisations < newton
 
 
-def test_refined_steps_take_the_newton_iterations_of_exact_ones(monkeypatch):
-    """On this centre (the bench's seed 77) the first substep's fifth Newton
-    step leaves a residual just under NEWTON_TOL.  Refined to REFINE_TOL alone
-    it lands just over and Newton takes 8 iterations; refined rho times
-    further, as the step the quadratic model expects to be the last, it takes
-    the 7 of exact solves, with the same frame."""
-    problem = benchmark_disk_problem(substeps=1, centre=(0.119646, -0.069638))
-    refined = solve_slice(problem)
-    monkeypatch.setattr(_Stencil, "keeps_factor", False)
-    exact = solve_slice(problem)
-    assert refined.stats[0].newton_iterations == exact.stats[0].newton_iterations == 7
-    assert refined.factorisations < exact.factorisations == 7
-    assert np.nanmax(np.abs(refined.frames[-1] - exact.frames[-1])) <= 1e-12
-
-
 def test_a_nonlinear_disk_run_factors_at_most_0_4_times_per_newton_iteration():
-    """The p = 3 disk at h = 0.042 (110 Newton iterations, 11 factorisations)."""
+    """The p = 3 disk at h = 0.042 (298 Newton iterations, 17 factorisations)."""
     _, report = run_scheme(parse_scenario_text(bundled_text("disk2d", disk_at_h_0042(3))))
     assert 0 < sum(s["factorisations"] for s in report.slice_stats) <= 0.4 * report.total_newton()
 
@@ -693,25 +696,81 @@ class TrackedFactor:
         return self.factor.solve(rhs)
 
 
-def test_refinement_meets_its_tolerance_and_a_stalled_one_refactors(monkeypatch):
-    """A Newton step solved with the previous iterate's factor (the last two
-    steps of the benchmark disk's first substep) meets REFINE_TOL = 1e-6
-    without a new factor.  Against c times the factored matrix each sweep
-    scales the residual by 1 - c: c = 1.4 refines, while c = 1.6 fails to
-    halve it, so the stencil refactors, dropping the old factor first, and
-    one factor is alive at a time."""
-    steps, solve = [], _Stencil.solve
+@dataclasses.dataclass
+class Solve:
+    """One Newton solve: whether the loop asked for a new factor, whether one was made,
+    ||rhs||_inf, tau, and the line-search step the loop took last before it."""
 
-    def recording_solve(self, minus_j, tau, rhs, *eta):
-        steps.append((minus_j.copy(), tau, rhs.copy()))
-        return solve(self, minus_j, tau, rhs, *eta)
+    asked: bool
+    factored: bool
+    r_inf: float
+    tau: float
+    lam: float
 
+
+class LastLineStep:
+    """Line-search steps that remember the one given last."""
+
+    def __init__(self, steps):
+        self.steps, self.last = steps, None
+
+    def __iter__(self):
+        for self.last in self.steps:
+            yield self.last
+
+
+def record_solves(monkeypatch, steps=slice_solver.LINE_STEPS, wrap=lambda x, stale: x):
+    """The Newton solves of each step try (``_step`` call) as lists of ``Solve``, the line search
+    trying ``steps``; ``wrap`` maps each x, and whether a kept factor gave it, to the loop's step."""
+    tries, step, solve, line = [], slice_solver._step, _Stencil.solve, LastLineStep(steps)
+
+    def recording_step(*args):
+        tries.append([])
+        line.last = None
+        return step(*args)
+
+    def recording_solve(self, minus_j, tau, rhs, refactor=False):
+        factored = self.factorisations
+        x = solve(self, minus_j, tau, rhs, refactor)
+        tries[-1].append(Solve(refactor, self.factorisations > factored, np.abs(rhs).max(), tau, line.last))
+        return wrap(x, self.factorisations == factored)
+
+    monkeypatch.setattr(slice_solver, "_step", recording_step)
     monkeypatch.setattr(_Stencil, "solve", recording_solve)
-    problem = benchmark_disk_problem(substeps=1)
-    solve_slice(problem)
-    monkeypatch.setattr(_Stencil, "solve", solve)
-    (previous, tau, _), (minus_j, _, rhs) = steps[-2:]
+    monkeypatch.setattr(slice_solver, "LINE_STEPS", line)
+    return tries
 
+
+def assert_the_chord_rules_hold(tries):
+    """A try's first solve asks for no new factor; each later one asks exactly where the step
+    before it was damped (a stalled line search ends on 2^-20) or shrank ||r||_inf by less than
+    ``CHORD_RATE``; a factor is made exactly where one is asked for, where there is none, or
+    where tau moved by more than rounding."""
+    factor_tau = None
+    for solves in tries:
+        for last, s in zip([None, *solves], solves):
+            assert s.asked == (last is not None and (s.lam < 1 or s.r_inf > slice_solver.CHORD_RATE * last.r_inf))
+            fresh = s.asked or factor_tau is None or not math.isclose(s.tau, factor_tau, rel_tol=1e-12)
+            assert s.factored == fresh
+            factor_tau = s.tau if fresh else factor_tau
+
+
+def assert_the_frames_of_exact_newton(solution, problem, monkeypatch):
+    """``solution`` unhalved and within 1e-10 of the frames of exact Newton (a new factor every
+    iteration), run with the test's patches undone."""
+    monkeypatch.undo()
+    monkeypatch.setattr(_Stencil, "keeps_factor", False)
+    exact = solve_slice(problem)
+    assert not any(s.halvings for s in solution.stats)
+    assert np.nanmax(np.abs(np.array(solution.frames) - np.array(exact.frames))) <= 1e-10
+    return exact
+
+
+def test_chord_steps_give_the_frames_of_exact_newton_on_one_factor_at_a_time(monkeypatch):
+    """On the benchmark disk the chord iteration takes more, cheaper steps than
+    exact Newton (21 on 6 factors against 13 on 13) to the same frames, and a
+    chord step that shrinks ||r||_inf by less than CHORD_RATE with no damping
+    refactors.  The old factor goes before the new one is made."""
     factors = []
 
     def tracking_splu(*args, **kwargs):
@@ -721,17 +780,66 @@ def test_refinement_meets_its_tolerance_and_a_stalled_one_refactors(monkeypatch)
         return factor
 
     monkeypatch.setattr(slice_solver, "splu", tracking_splu)
-    stencil = _Stencil(problem.mask, problem.flux)
-    stencil.solve(previous, tau, rhs)
-    x = stencil.solve(minus_j, tau, rhs)
-    assert stencil.factorisations == 1
-    assert np.abs(rhs - stencil.step_matrix(minus_j, tau) @ x).max() <= 1e-6 * np.abs(rhs).max()
+    tries = record_solves(monkeypatch)
+    problem = benchmark_disk_problem()
+    chord = solve_slice(problem)
+    assert len(factors) == chord.factorisations > 1
+    assert_the_chord_rules_hold(tries)
+    assert any(s.asked and s.lam == 1 for solves in tries for s in solves)
+    exact = assert_the_frames_of_exact_newton(chord, problem, monkeypatch)
+    newton = sum(s.newton_iterations for s in chord.stats)
+    assert chord.factorisations < exact.factorisations < newton
 
-    for c, factorisations in ((1.4, 1), (1.6, 2)):
-        x = stencil.solve(c * previous, tau / c, rhs)
-        assert stencil.factorisations == factorisations
-        assert np.abs(rhs - stencil.step_matrix(c * previous, tau / c) @ x).max() <= 1e-6 * np.abs(rhs).max()
-    assert sum(ref() is not None for ref in factors) == 1
+
+def test_a_damped_chord_step_refactors(monkeypatch):
+    """Steps doubled and tried from 1/2 down (and CHORD_RATE = inf, so that no
+    contraction asks): every accepted step is damped, so every solve after a
+    try's first asks for a new factor, and the frames are exact Newton's."""
+    monkeypatch.setattr(slice_solver, "CHORD_RATE", math.inf)
+    tries = record_solves(monkeypatch, slice_solver.LINE_STEPS[1:], lambda x, stale: 2 * x)
+    problem = benchmark_disk_problem()
+    solution = solve_slice(problem)
+    assert_the_chord_rules_hold(tries)
+    assert all(s.asked and s.lam == 0.5 for solves in tries for s in solves[1:])
+    assert_the_frames_of_exact_newton(solution, problem, monkeypatch)
+
+
+def test_a_stale_factors_stalled_line_search_is_retried_on_a_new_factor(monkeypatch):
+    """Every step from a kept factor reversed, so that its line search stalls:
+    the loop asks for a new factor at the same iterate instead of stopping,
+    and the run ends on exact Newton's frames, each retried step counted."""
+    tries = record_solves(monkeypatch, wrap=lambda x, stale: -x if stale else x)
+    problem = benchmark_disk_problem()
+    solution = solve_slice(problem)
+    assert_the_chord_rules_hold(tries)
+    retried = [(last.factored, s.asked, s.r_inf == last.r_inf, s.lam) for solves in tries
+               for last, s in zip(solves, solves[1:]) if not last.factored]
+    assert retried and set(retried) == {(False, True, True, 2.0**-20)}
+    assert sum(s.newton_iterations for s in solution.stats) == sum(map(len, tries))
+    assert_the_frames_of_exact_newton(solution, problem, monkeypatch)
+
+
+def test_equal_substeps_share_a_factor_and_a_halved_one_refactors(monkeypatch):
+    """``small_disk_problem``'s taus differ in their last bits, yet each substep
+    starts on the last one's factor.  With the second substep's first try made
+    to stall, its halves, at half its tau, refactor unasked, and so does the
+    substep after them."""
+    problem = small_disk_problem()
+    times = problem.times
+    assert len(set(np.diff(times))) == 3
+    tries = record_solves(monkeypatch)
+    step = slice_solver._step
+
+    def stalling_step(*args):
+        u, stats, history, why = step(*args)
+        return u, stats, history, " (forced)" if args[-2:] == (times[1], times[2]) else why
+
+    monkeypatch.setattr(slice_solver, "_step", stalling_step)
+    solution = solve_slice(problem)
+    assert [s.halvings for s in solution.stats] == [0, 1, 0, 0]
+    assert_the_chord_rules_hold(tries)
+    assert [(solves[0].asked, solves[0].factored) for solves in tries] == [
+        (False, True), (False, False), (False, True), (False, False), (False, True), (False, False)]
 
 
 # --- implicit step vs dense oracle -------------------------------------------
@@ -1072,21 +1180,27 @@ def test_a_singular_kept_factor_is_a_stall_without_a_warning(bundle, monkeypatch
     assert err.value.newton_history == [pytest.approx(3.306e307, rel=1e-3)]
 
 
-def test_a_non_finite_factor_or_refinement_is_the_singular_stop():
-    """A factor whose solve overflows, and a refinement that turns non-finite
-    (an infinite matrix entry) and so refactors a matrix SuperLU finds
-    singular, both raise the stop spsolve's singular matrix gives."""
+def test_a_stale_factors_non_finite_step_refactors_and_a_fresh_ones_is_the_singular_stop():
+    """With tau = inf a factor of 1e-300 (-J) gives x ~ 8.6e297 for rhs 1, and
+    overflows for rhs 1e20.  Kept from the first, that stale factor's overflow
+    makes a new factor, here of -J, whose x is finite.  A fresh factor's
+    overflow, and a matrix that SuperLU finds singular (an infinite entry),
+    both raise the stop spsolve's singular matrix gives."""
     g, mask = disk_mask()
     stencil = _Stencil(mask, FluxModel.p_laplacian(3.0, dim=2))
     frame = np.where(mask.defined, np.random.default_rng(3).uniform(-1, 1, mask.active.shape), np.nan)
     minus_j = stencil.jacobian(0.0, stencil.face_fields(frame))
-    with pytest.raises(slice_solver.MatrixRankWarning, match="Matrix is exactly singular"):
-        stencil.solve(minus_j * 1e-300, np.inf, np.full(stencil.n_active, 1e20))  # x ~ 8.6e317
-    stencil.solve(minus_j, 0.01, np.ones(stencil.n_active))
+    tiny, ones = minus_j * 1e-300, np.ones(stencil.n_active)
+    assert np.isfinite(stencil.solve(lambda: tiny, np.inf, ones)).all()
+    with np.errstate(over="ignore"):
+        assert np.isfinite(stencil.solve(lambda: minus_j, np.inf, 1e20 * ones)).all()
+        assert stencil.factorisations == 2
+        with pytest.raises(slice_solver.MatrixRankWarning, match="Matrix is exactly singular"):
+            stencil.solve(lambda: tiny, np.inf, 1e20 * ones, refactor=True)
     minus_j[5] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(slice_solver.MatrixRankWarning, match="exactly singular"):
-        stencil.solve(minus_j, 0.01, np.ones(stencil.n_active))
-    assert stencil.factorisations == 3
+        stencil.solve(lambda: minus_j, 0.01, ones)
+    assert stencil.factorisations == 4
 
 
 def random_step_problem(seed):
